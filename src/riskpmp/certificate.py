@@ -147,7 +147,7 @@ def _dual_cap(risk) -> Optional[float]:
     if isinstance(risk, AVaR):
         return 1.0 / risk.alpha
     if isinstance(risk, MixtureAVaR):
-        return float(sum(w / a for w, a in zip(risk.mix_weights, risk.alphas)))
+        return float(sum(w / c.alpha for w, c in zip(risk.mix_weights, risk.components)))
     return None
 
 

@@ -517,7 +517,7 @@ def _gap_hist_rows(gaps, bins=32):
 
 def _dump_block(cfg, ctx, label, grid, values):
     export.write_dump(
-        ctx.out_dir / f"{label}.bin",
+        ctx.file(f"{label}.bin"),
         values,
         state_dim=values.shape[2],
         noise_dim=1,
@@ -528,27 +528,23 @@ def _dump_block(cfg, ctx, label, grid, values):
     return f"{label}.bin"
 
 
-def _write_state_artifacts(cfg, ctx, states, default=True):
-    if not cfg.get("write_paths", default):
-        return {}
-    export.write_csv(ctx.out_dir / "paths.csv", states.grid.nodes, states.values, prefix="x")
-    artifacts = {"paths_csv": "paths.csv"}
-    if cfg.get("binary", False):
-        artifacts["paths_dump"] = _dump_block(cfg, ctx, "paths", states.grid, states.values)
-    return artifacts
-
-
-def _write_costate_artifacts(cfg, ctx, costates):
-    if not cfg.get("write_costates", True):
-        return {}
-    grid = costates.grid
-    export.write_csv(ctx.out_dir / "costates.csv", grid.nodes, costates.p, prefix="p")
-    q = costates.q
-    flat = q.reshape(q.shape[0], q.shape[1], -1)
-    export.write_csv(ctx.out_dir / "qcoef.csv", grid.nodes[:-1], flat, prefix="q")
-    artifacts = {"costates_csv": "costates.csv", "martingale_integrand_csv": "qcoef.csv"}
-    if cfg.get("binary", False):
-        artifacts["costates_dump"] = _dump_block(cfg, ctx, "costates", grid, costates.p)
+def _write_bulk_artifacts(cfg, ctx, states, costates=None, paths_default=False):
+    """Write the run's per-path CSVs in one export call, plus any dumps."""
+    jobs, artifacts = [], {}
+    if cfg.get("write_paths", paths_default):
+        jobs.append((ctx.file("paths.csv"), states.grid.nodes, states.values, "x"))
+        artifacts["paths_csv"] = "paths.csv"
+        if cfg.get("binary", False):
+            artifacts["paths_dump"] = _dump_block(cfg, ctx, "paths", states.grid, states.values)
+    if costates is not None and cfg.get("write_costates", True):
+        grid, q = costates.grid, costates.q
+        jobs.append((ctx.file("costates.csv"), grid.nodes, costates.p, "p"))
+        jobs.append((ctx.file("qcoef.csv"), grid.nodes[:-1],
+                     q.reshape(q.shape[0], q.shape[1], -1), "q"))
+        artifacts.update(costates_csv="costates.csv", martingale_integrand_csv="qcoef.csv")
+        if cfg.get("binary", False):
+            artifacts["costates_dump"] = _dump_block(cfg, ctx, "costates", grid, costates.p)
+    export.write_csvs(jobs)
     return artifacts
 
 
@@ -560,6 +556,12 @@ class RunContext:
     def __init__(self, out_dir, threads):
         self.out_dir = Path(out_dir)
         self.threads = threads
+
+    def file(self, name):
+        """Path of an artifact; the output directory is made on first use, so a
+        usage error raised before anything is written leaves no directory."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir / name
 
 
 def _simulate_ensemble(dyn, law, x0, grid, n_paths, seed, threads):
@@ -609,7 +611,7 @@ def _run_simulate(cfg, ctx):
         "terminal_mean": terminal.mean(axis=0),
         "terminal_std": terminal.std(axis=0, ddof=1) if cfg["n_paths"] > 1 else np.zeros(dyn.state_dim),
     }
-    artifacts = _write_state_artifacts(cfg, ctx, states)
+    artifacts = _write_bulk_artifacts(cfg, ctx, states, paths_default=True)
     return "completed", results, artifacts
 
 
@@ -642,7 +644,7 @@ def _run_risk_eval(cfg, ctx):
     artifacts = {}
     if cfg.get("write_xi", False):
         rows = [{"index": i, "z": zi, "xi": xi} for i, (zi, xi) in enumerate(zip(z, sub.xi))]
-        _write_rows(ctx.out_dir / "xi.csv", ("index", "z", "xi"), rows)
+        _write_rows(ctx.file("xi.csv"), ("index", "z", "xi"), rows)
         artifacts["xi_csv"] = "xi.csv"
     return status, results, artifacts
 
@@ -678,8 +680,7 @@ def _run_adjoint(cfg, ctx):
         },
         "costate_mean": _costate_mean_rows(sol.costates),
     }
-    artifacts = _write_state_artifacts(cfg, ctx, sol.states, default=False)
-    artifacts.update(_write_costate_artifacts(cfg, ctx, sol.costates))
+    artifacts = _write_bulk_artifacts(cfg, ctx, sol.states, sol.costates)
     return ("pass" if mart.passed else "fail"), results, artifacts
 
 
@@ -690,7 +691,7 @@ def _certify_solution(cfg, ctx, sol):
         raise UsageError(str(exc)) from exc
     cert, gaps = certify(sol.problem, sol.bundle, config)
     cert_text = json.dumps(cert.as_dict(), sort_keys=True, indent=2) + "\n"
-    (ctx.out_dir / "certificate.json").write_text(cert_text)
+    ctx.file("certificate.json").write_text(cert_text)
     results = {
         "certificate": cert.as_dict(),
         "max_gap": {
@@ -716,8 +717,7 @@ def _run_certify(cfg, ctx):
             config=ShootConfig(**cfg.get("shoot", {})),
         )
     status, results, artifacts = _certify_solution(cfg, ctx, sol)
-    artifacts.update(_write_state_artifacts(cfg, ctx, sol.states, default=False))
-    artifacts.update(_write_costate_artifacts(cfg, ctx, sol.costates))
+    artifacts.update(_write_bulk_artifacts(cfg, ctx, sol.states, sol.costates))
     return status, results, artifacts
 
 
@@ -771,8 +771,7 @@ def _run_sop_solve(cfg, ctx):
         status, cert_results, artifacts = _certify_solution(cfg, ctx, sol)
         cert_results.pop("costate_mean")
         results.update(cert_results)
-    artifacts.update(_write_state_artifacts(cfg, ctx, sol.states, default=False))
-    artifacts.update(_write_costate_artifacts(cfg, ctx, sol.costates))
+    artifacts.update(_write_bulk_artifacts(cfg, ctx, sol.states, sol.costates))
     return status, results, artifacts
 
 
@@ -880,10 +879,10 @@ def run(argv):
     if args.out is not None:
         cfg["out_dir"] = args.out
     out_dir = Path(cfg.get("out_dir", "riskpmp_out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     ctx = RunContext(out_dir, threads)
 
     status, results, artifacts = _RUNNERS[args.verb](cfg, ctx)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     # the report must not record the invocation itself: thread count and
     # command line may vary between byte-identical reruns of one scenario

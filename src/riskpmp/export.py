@@ -15,23 +15,68 @@ import numpy as np
 MAGIC = b"RPMP1"
 # n, d, K, M as signed 64-bit; seed unsigned so the full 64-bit seed range fits
 _HEADER = struct.Struct("<4qQ")
+# CSV rows formatted per block: bounds the text held in memory at once
+_BLOCK_ROWS = 1 << 13
 
 
 def write_csv(path, nodes: np.ndarray, values: np.ndarray, prefix: str = "x") -> None:
-    """Write a (M, S, r) block as rows (path, step, t, prefix_0..prefix_{r-1})."""
+    """Write a (M, S, r) block as rows (path, step, t, prefix_0..prefix_{r-1}).
+
+    The bytes are those of ``np.savetxt`` with ``fmt`` ``%d,%d,%.17g,...``:
+    each node's ``step,t`` text is formatted once, and a block of paths is
+    formatted by one ``%`` on one path's row template, repeated over the
+    block with each path's index filled in.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim != 3:
         raise ValueError("values must have shape (n_paths, n_nodes, width)")
     m, s, r = values.shape
     if len(nodes) != s:
         raise ValueError("nodes length does not match the block's time axis")
-    paths = np.repeat(np.arange(m), s)
-    steps = np.tile(np.arange(s), m)
-    times = np.tile(np.asarray(nodes, dtype=float), m)
-    table = np.column_stack([paths, steps, times, values.reshape(m * s, r)])
-    header = "path,step,t," + ",".join(f"{prefix}_{i}" for i in range(r))
-    fmt = ["%d", "%d", "%.17g"] + ["%.17g"] * r
-    np.savetxt(path, table, delimiter=",", header=header, comments="", fmt=fmt)
+    # one path's rows; NUL stands for the "path," field, filled in per path
+    rows = "".join("\0%d,%.17g" % (k, t) + ",%.17g" * r + "\n"
+                   for k, t in enumerate(np.asarray(nodes, dtype=float).tolist()))
+    step = max(1, _BLOCK_ROWS // max(s, 1))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("path,step,t," + ",".join(f"{prefix}_{i}" for i in range(r)) + "\n")
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            template = "".join(rows.replace("\0", f"{i},") for i in range(lo, hi))
+            fh.write(template % tuple(values[lo:hi].ravel().tolist()))
+
+
+def write_csvs(jobs) -> None:
+    """Write several CSV blocks, each job a tuple of ``write_csv`` arguments.
+
+    The first job is written here and each further one in its own forked
+    process, so the files are formatted concurrently; their bytes do not
+    depend on it.  Without ``fork`` the jobs run one after another.
+    """
+    jobs = list(jobs)
+    if not jobs:
+        return
+    import multiprocessing
+
+    # fork, not spawn: a child reads the parent's arrays in place instead of
+    # receiving them pickled, and it only formats and writes, taking no lock
+    # that another thread of the parent (a BLAS pool, say) could hold
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        for job in jobs:
+            write_csv(*job)
+        return
+    children = [(job[0], context.Process(target=write_csv, args=job)) for job in jobs[1:]]
+    for _, child in children:
+        child.start()
+    try:
+        write_csv(*jobs[0])
+    finally:
+        for _, child in children:
+            child.join()
+    failed = [str(path) for path, child in children if child.exitcode != 0]
+    if failed:
+        raise RuntimeError(f"writing {', '.join(failed)} failed in a child process")
 
 
 def write_dump(path, values: np.ndarray, state_dim: int, noise_dim: int,

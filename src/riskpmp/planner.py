@@ -99,10 +99,12 @@ def build_sop(instance: SopInstance, grid_points: int = 21) -> ProblemSpec:
         s[:, 0, 0] = noise
         return s
 
+    jac = np.array([[[0.0, 1.0], [0.0, 0.0]]])
+    jac.setflags(write=False)
+
     def drift_jac(t, x, u):
-        a = np.zeros((x.shape[0], 2, 2))
-        a[:, 0, 1] = 1.0
-        return a
+        # the same on every path, so the fundamental pair is built once
+        return jac
 
     dyn = DynamicsSpec(
         state_dim=2, control_dim=1, noise_dim=1,

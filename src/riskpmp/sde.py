@@ -17,6 +17,8 @@ Array conventions (vectorized over paths):
   diffusion          (M, n, d), column i is the coefficient of dW^i
   drift Jacobian     (M, n, n),    [p, i, j] = d f_i / d x_j
   diffusion Jacobian (M, d, n, n), [p, i, :, :] = d sigma_i / d x
+A Jacobian that does not depend on the path may have a leading axis of 1
+instead of M; the fundamental pair along it is then built once, not per path.
 Coefficient inputs to the linear solvers may drop leading axes (deterministic
 or time-constant data) or be callables of the step index.
 """
@@ -233,13 +235,15 @@ class DynamicsSpec:
 
     def check_jacobians(self, t: float, x: np.ndarray, u: np.ndarray,
                         rtol: float = 1e-4, atol: float = 1e-6) -> None:
-        """Probe the declared Jacobians against central finite differences."""
+        """Probe the declared Jacobians against central finite differences.
+
+        A Jacobian with a leading axis of 1 is compared with every path's."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         u = np.broadcast_to(np.asarray(u, dtype=float), (x.shape[0], self.control_dim))
         h = 1e-6
         if self.drift_jac is not None:
             jac = self.drift_jac(t, x, u)
-            fd = np.empty_like(jac)
+            fd = np.empty((x.shape[0],) + jac.shape[1:])
             for j in range(self.state_dim):
                 dx = np.zeros_like(x)
                 dx[:, j] = h
@@ -248,7 +252,7 @@ class DynamicsSpec:
                 raise ValueError("drift_jac disagrees with finite differences")
         if self.diffusion_jac is not None:
             jac = self.diffusion_jac(t, x, u)
-            fd = np.empty_like(jac)
+            fd = np.empty((x.shape[0],) + jac.shape[1:])
             for j in range(self.state_dim):
                 dx = np.zeros_like(x)
                 dx[:, j] = h

@@ -14,6 +14,7 @@ from riskpmp import (
     DynamicsSpec,
     Expectation,
     FeedbackLaw,
+    MixtureAVaR,
     ProblemSpec,
     SampledRandomVariable,
     TerminalConstraint,
@@ -202,6 +203,17 @@ def test_risk_gap_weighted_sample():
     sample = SampledRandomVariable(z, w)
     xi = risk_subgradient(risk, sample)
     assert abs(risk_param_gap(risk, sample, xi)) <= 1e-9
+
+
+def test_risk_gap_mixture_attains_and_caps():
+    rng = np.random.default_rng(15)
+    z = rng.normal(size=400)
+    risk = MixtureAVaR([0.1, 0.5], [0.5, 0.5])
+    assert abs(risk_param_gap(risk, z, risk_subgradient(risk, z))) <= 1e-9
+    bad = np.zeros(400)
+    bad[:66] = 400 / 66  # above the cap 0.5 / 0.1 + 0.5 / 0.5 = 6
+    with pytest.raises(ValueError, match="cap 6"):
+        risk_param_gap(risk, z, bad)
 
 
 # ---------------------------------------------------------------------------

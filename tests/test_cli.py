@@ -104,6 +104,7 @@ def test_simulate_shape_mismatch_is_usage_error(tmp_path, capsys):
     }
     assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 1
     assert "x0 must have 1 components" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_dynamics_param_ownership(tmp_path, capsys):

@@ -412,3 +412,14 @@ def test_dynamics_spec_jacobian_probe_catches_mismatch():
     dyn_bad = DynamicsSpec(2, 1, 1, drift, diffusion, bad_jac, diff_jac)
     with pytest.raises(ValueError, match="drift_jac"):
         dyn_bad.check_jacobians(0.0, x, np.zeros(1))
+
+    # a Jacobian that does not depend on the path may have a leading axis of 1
+    def linear_drift(t, x, u):
+        return np.stack([x[:, 1], u[:, 0]], axis=1)
+
+    const_jac = np.array([[[0.0, 1.0], [0.0, 0.0]]])
+    dyn_const = DynamicsSpec(2, 1, 1, linear_drift, diffusion, lambda t, x, u: const_jac)
+    dyn_const.check_jacobians(0.0, x, np.zeros(1))
+    dyn_const_bad = DynamicsSpec(2, 1, 1, linear_drift, diffusion, lambda t, x, u: 2.0 * const_jac)
+    with pytest.raises(ValueError, match="drift_jac"):
+        dyn_const_bad.check_jacobians(0.0, x, np.zeros(1))
