@@ -10,8 +10,8 @@ The costate pair (p, q) is produced in three moves:
 3. extraction: p(t_k) = psi(t_k)^T m_k, and q_i(t_k) = psi^T mu_i - D_i^T p
    where mu_i is fitted per step from martingale increments times dW_i/dt.
 
-All ensemble reductions go through single einsum calls with a fixed
-contraction order, so results do not depend on any thread count.
+One thin SVD of each node's scaled features serves every fit at that node.
+Output bytes do not depend on the BLAS thread count (the CLI tests check it).
 """
 
 from dataclasses import dataclass, field
@@ -20,14 +20,15 @@ from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import svd
 
 from .sde import (
     BrownianEnsemble,
-    ControlLaw,
     DynamicsSpec,
     FundamentalMatrices,
     StateEnsemble,
     TimeGrid,
+    as_control_law,
 )
 
 RIDGE = 1e-10
@@ -63,37 +64,57 @@ class RegressionBasis:
                 cols.append(np.prod(z[:, idx], axis=1)[:, None])
         return np.concatenate(cols, axis=1)
 
+    def at_node(self, states: StateEnsemble, levels: np.ndarray, k: int) -> np.ndarray:
+        """Features of (x(t_k), W(t_k)) along the ensemble; levels as from
+        BrownianEnsemble.levels()."""
+        w = levels[:, k, :] if self.include_brownian else None
+        return self.feature_matrix(states.values[:, k, :], w)
 
-def _regress(features: np.ndarray, target: np.ndarray
-             ) -> Tuple[np.ndarray, float, float, np.ndarray]:
-    """Ridge-damped normal-equation fit with a least-squares cross solve.
 
-    Returns (fitted values, residual rms, max abs shift of the fitted values
-    caused by the ridge term, coefficients on the unscaled features).  The
-    ridge is applied always; the shift is measured against a plain lstsq
-    solution of the same system so that rank deficiency is handled on both
-    routes.
-    """
-    m = features.shape[0]
-    scale = np.sqrt(np.mean(features**2, axis=0))
-    scale[scale == 0.0] = 1.0
-    xs = features / scale
-    target_2d = target if target.ndim == 2 else target[:, None]
+class NodeFit:
+    """One node's design, scaled to unit column rms and factorized once as
+    xs = U diag(s) V^T for every fit made there.  A fit of y solves
+    (xs^T xs / m + RIDGE I) c = xs^T y / m, so its fitted values are
+    U diag(s^2 / (s^2 + m RIDGE)) U^T y.  The ridge shift is measured against
+    the plain least-squares projection onto the columns of U with
+    s > eps * max(m, B) * s_0 (lstsq's rcond=None rule), so rank deficiency
+    is handled on both routes."""
 
-    xtx = np.einsum("pb,pc->bc", xs, xs) / m
-    xty = np.einsum("pb,pr->br", xs, target_2d) / m
-    coef = np.linalg.solve(xtx + RIDGE * np.eye(xtx.shape[0]), xty)
-    fitted = xs @ coef
+    def __init__(self, features: np.ndarray):
+        m, b = features.shape
+        scale = np.sqrt(np.mean(features**2, axis=0))
+        scale[scale == 0.0] = 1.0
+        self.scale = scale
+        self.u, s, self.vt = svd(features / scale, full_matrices=False, check_finite=False)
+        damped = s**2 + m * RIDGE
+        self.fit_filter = s**2 / damped
+        self.coef_filter = s / damped
+        self.plain = s > np.finfo(float).eps * max(m, b) * s[0]
 
-    plain = np.linalg.lstsq(xs, target_2d, rcond=None)[0]
-    shift = float(np.max(np.abs(fitted - xs @ plain))) if m else 0.0
+    def fit(self, target: np.ndarray) -> Tuple[np.ndarray, float, float, np.ndarray]:
+        """(fitted values, residual rms, max abs shift of the fitted values
+        caused by the ridge term, coefficients on the unscaled features) for a
+        target of shape (M,) or (M, r)."""
+        y = target if target.ndim == 2 else target[:, None]
+        uty = self.u.T @ y
+        fitted = self.u @ (self.fit_filter[:, None] * uty)
+        shift = float(np.max(np.abs(self.u @ ((self.fit_filter - self.plain)[:, None] * uty))))
+        resid_rms = float(np.sqrt(np.mean((y - fitted) ** 2)))
+        coef = self.vt.T @ (self.coef_filter[:, None] * uty) / self.scale[:, None]
+        if target.ndim == 1:
+            fitted, coef = fitted[:, 0], coef[:, 0]
+        return fitted, resid_rms, shift, coef
 
-    resid = target_2d - fitted
-    resid_rms = float(np.sqrt(np.mean(resid**2)))
-    coef = coef / scale[:, None]
-    if target.ndim == 1:
-        fitted, coef = fitted[:, 0], coef[:, 0]
-    return fitted, resid_rms, shift, coef
+
+def _apply_transposed(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Per-path mat^T vec over the state axis: out[p, i, ...] =
+    sum_j mat[p, j, i] vec[p, j, ...], for mat (M or 1, n, n) and vec (M, n)
+    or (M, n, d).  A path-constant mat (leading axis 1) is one 2-D product."""
+    if mat.shape[0] == 1:
+        rows = np.moveaxis(vec, 1, -1)
+        out = rows.reshape(-1, rows.shape[-1]) @ mat[0]
+        return np.moveaxis(out.reshape(rows.shape), -1, 1)
+    return np.einsum("pji,pj...->pi...", mat, vec)
 
 
 def conditional_expectation(
@@ -107,12 +128,8 @@ def conditional_expectation(
     polynomial features of (x(t_k), W(t_k)); the numerical realization of
     E[. | F_{t_k}] along the ensemble."""
     basis = basis or RegressionBasis()
-    levels = brownian.levels()
-    x = states.values[:, k, :]
-    w = levels[:, k, :] if basis.include_brownian else None
-    features = basis.feature_matrix(x, w)
-    fitted = _regress(features, np.asarray(regressand, dtype=float))[0]
-    return fitted
+    features = basis.at_node(states, brownian.levels(), k)
+    return NodeFit(features).fit(np.asarray(regressand, dtype=float))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +181,10 @@ def assemble_terminal(
     p_T = mults[0] * xi_values[:, None] * grad
     for m_i, g_i in zip(mults[1:], constraint_gradients):
         p_T = p_T + m_i * np.asarray(g_i, dtype=float)
-    if not np.all(np.isfinite(p_T)):
-        raise ValueError("terminal costate is not finite")
+    bad = ~np.isfinite(p_T).all(axis=1)
+    if bad.any():
+        raise ValueError(f"terminal costate is not finite on {int(bad.sum())} of {bad.size} "
+                         f"paths (first at path {int(np.argmax(bad))})")
     return TerminalCostate(p_T=p_T, multipliers=mults, xi=xi_values)
 
 
@@ -212,7 +231,7 @@ def linearization_along(dyn: DynamicsSpec, states: StateEnsemble, control) -> Tu
     """
     if dyn.drift_jac is None:
         raise ValueError("adjoint machinery needs drift_jac on the dynamics")
-    law = control if isinstance(control, ControlLaw) else ControlLaw(np.asarray(control, float))
+    law = as_control_law(control)
     nodes = states.grid.nodes
     n_paths = states.n_paths
 
@@ -248,65 +267,48 @@ def solve_adjoint(
     pair as node_coef, so p_k can be evaluated off the ensemble.
     """
     basis = basis or RegressionBasis()
-    if isinstance(control, ControlLaw) or not callable(control):
-        law = control if isinstance(control, ControlLaw) else ControlLaw(np.asarray(control, float))
-    else:
-        raise TypeError("pass the recorded ControlLaw from euler_maruyama, not a feedback callable")
-
     m_paths, n_nodes, n = states.values.shape
     n_steps = n_nodes - 1
     dt = states.grid.dt
     d = brownian.increments.shape[2]
     levels = brownian.levels()
-    a_fn, d_fn = linearization_along(dyn, states, law)
+    a_fn, d_fn = linearization_along(dyn, states, control)
 
-    g_vec = np.einsum("...ji,...j->...i", fund.phi_at(n_steps), terminal.p_T)
-
-    martingale = np.empty((m_paths, n_nodes, n))
-    martingale[:, n_steps] = g_vec
-    p = np.empty_like(martingale)
+    g_vec = _apply_transposed(fund.phi_at(n_steps), terminal.p_T)
+    p = np.empty((m_paths, n_nodes, n))
     p[:, n_steps] = terminal.p_T
-
+    q = np.empty((m_paths, n_steps, n, d))
+    node_coef = np.empty((n_steps, basis.n_features(n, d), n))
     resid_rms = np.zeros(n_nodes)
     mu_resid_rms = np.zeros(n_steps)
+    bsde = np.empty(n_steps)
     ridge_shift = 0.0
 
-    def node_features(k: int) -> np.ndarray:
-        w = levels[:, k, :] if basis.include_brownian else None
-        return basis.feature_matrix(states.values[:, k, :], w)
+    m_next = g_vec
+    for k in range(n_steps - 1, -1, -1):
+        fit = NodeFit(basis.at_node(states, levels, k))
+        m_k, resid_rms[k], shift, node_coef[k] = fit.fit(g_vec)
+        p[:, k] = _apply_transposed(fund.psi_at(k), m_k)
 
-    node_coef = np.empty((n_steps, basis.n_features(n, d), n))
-    for k in range(n_steps):
-        fitted, rms, shift, node_coef[k] = _regress(node_features(k), g_vec)
-        martingale[:, k] = fitted
-        resid_rms[k] = rms
-        ridge_shift = max(ridge_shift, shift)
-        p[:, k] = np.einsum("...ji,...j->...i", fund.psi_at(k), fitted)
-
-    q = np.empty((m_paths, n_steps, n, d))
-    bsde = np.empty(n_steps)
-    for k in range(n_steps):
-        dm = martingale[:, k + 1] - martingale[:, k]
         dw = brownian.increments[:, k, :]
-        target = np.einsum("pn,pd->pnd", dm, dw).reshape(m_paths, n * d) / dt
-        fitted, rms, shift, _ = _regress(node_features(k), target)
-        mu_resid_rms[k] = rms
-        ridge_shift = max(ridge_shift, shift)
-        mu = fitted.reshape(m_paths, n, d)
-        q_k = np.einsum("...ji,...jd->...id", fund.psi_at(k), mu)
+        target = ((m_next - m_k)[:, :, None] * dw[:, None, :]).reshape(m_paths, n * d) / dt
+        mu, mu_resid_rms[k], mu_shift, _ = fit.fit(target)
+        ridge_shift = max(ridge_shift, shift, mu_shift)
+        q_k = _apply_transposed(fund.psi_at(k), mu.reshape(m_paths, n, d))
         if d_fn is not None:
             d_k = d_fn(k)
             q_k = q_k - np.einsum("pdji,pj->pid", d_k, p[:, k])
         q[:, k] = q_k
 
-        hx = np.einsum("...ji,...j->...i", a_fn(k), p[:, k])
+        hx = _apply_transposed(a_fn(k), p[:, k])
         if d_fn is not None:
             hx = hx + np.einsum("pdji,pjd->pi", d_k, q_k)
         step_resid = p[:, k + 1] - p[:, k] + hx * dt - np.einsum("pid,pd->pi", q_k, dw)
         bsde[k] = float(np.mean(np.linalg.norm(step_resid, axis=1)))
+        m_next = m_k
 
     diagnostics = RegressionDiagnostics(
-        basis_size=basis.n_features(n, d if basis.include_brownian else 0),
+        basis_size=basis.n_features(n, d),
         residual_rms=resid_rms,
         mu_residual_rms=mu_resid_rms,
         ridge_max_shift=ridge_shift,
@@ -345,11 +347,18 @@ def martingale_check(pair: CostatePair, fund: FundamentalMatrices) -> Martingale
     the scatter of those per-path drifts, since paths are independent while
     the nodes of the mean curve are not.
     """
-    weighted = np.einsum("...kji,...kj->...ki", fund.phi, pair.p)
-    means = weighted.mean(axis=0)
     t_centered = pair.grid.nodes - pair.grid.nodes.mean()
-    denom = float(t_centered @ t_centered)
-    path_slopes = np.einsum("k,pki->pi", t_centered, weighted) / denom
+    if fund.phi.shape[0] == 1:
+        # path-constant phi: apply it to the mean of p and fold it into the
+        # slope weights, so no (M, K+1, n) weighted costate is built.  einsum
+        # rather than BLAS: a product over K+1 nodes would raise peak RSS
+        means = np.einsum("kj,kji->ki", pair.p.mean(axis=0), fund.phi[0])
+        path_slopes = np.einsum("pkj,kji->pi", pair.p, t_centered[:, None, None] * fund.phi[0])
+    else:
+        weighted = np.einsum("...kji,...kj->...ki", fund.phi, pair.p)
+        means = weighted.mean(axis=0)
+        path_slopes = np.einsum("k,pki->pi", t_centered, weighted)
+    path_slopes /= float(t_centered @ t_centered)
     slopes = path_slopes.mean(axis=0)
     m_paths = path_slopes.shape[0]
     if m_paths > 1:
@@ -386,28 +395,18 @@ def tower_check(
         node_pairs = [(j, k) for j, k in node_pairs if j < k]
     levels = brownian.levels()
     g = np.asarray(regressand, dtype=float)
-    m_paths = g.shape[0]
-    n_feat = basis.feature_matrix(
-        states.values[:, 0, :], levels[:, 0, :] if basis.include_brownian else None
-    ).shape[1]
+    n_feat = basis.n_features(states.state_dim, brownian.dim)
 
     gaps = np.empty(len(node_pairs))
     tols = np.empty(len(node_pairs))
     for i, (j, k) in enumerate(node_pairs):
         if not 0 <= j < k <= n_steps:
             raise ValueError("node pairs must satisfy 0 <= j < k <= K")
-        feats_k = basis.feature_matrix(
-            states.values[:, k, :], levels[:, k, :] if basis.include_brownian else None
-        )
-        m_k, rms_k, _, _ = _regress(feats_k, g)
-        feats_j = basis.feature_matrix(
-            states.values[:, j, :], levels[:, j, :] if basis.include_brownian else None
-        )
-        m_j = _regress(feats_j, g)[0]
-        m_jk = _regress(feats_j, m_k)[0]
-        diff = m_jk - m_j
+        m_k, rms_k, _, _ = NodeFit(basis.at_node(states, levels, k)).fit(g)
+        fit_j = NodeFit(basis.at_node(states, levels, j))
+        diff = fit_j.fit(m_k)[0] - fit_j.fit(g)[0]
         gaps[i] = float(np.sqrt(np.mean(diff**2)))
-        tols[i] = 5.0 * rms_k * np.sqrt(n_feat / m_paths) + 1e-7
+        tols[i] = 5.0 * rms_k * np.sqrt(n_feat / g.shape[0]) + 1e-7
     return TowerReport(
         node_pairs=list(node_pairs),
         rms_gaps=gaps,

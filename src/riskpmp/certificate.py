@@ -8,12 +8,13 @@ violation was detected at the configured tolerances, since the principle is
 a necessary condition only.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .adjoint import CostatePair, TerminalCostate, linearization_along, martingale_check
+from .export import jsonable
 from .risk import AVaR, Expectation, MixtureAVaR, SampledRandomVariable, risk_value
 from .sde import (
     BrownianEnsemble,
@@ -21,6 +22,7 @@ from .sde import (
     DynamicsSpec,
     FundamentalMatrices,
     StateEnsemble,
+    as_control_law,
     solve_linearized,
 )
 from .variational import tangent_from_control
@@ -80,18 +82,13 @@ class CertifyConfig:
     martingale_sigma: float = 5.0
 
     def resolved(self) -> "CertifyConfig":
-        return CertifyConfig(
-            scale=self.scale,
-            slackness_tol=self.slackness_tol if self.slackness_tol is not None else 1e-3 * self.scale,
-            active_tol=self.active_tol if self.active_tol is not None else 1e-2 * self.scale,
-            feasibility_tol=self.feasibility_tol if self.feasibility_tol is not None else 1e-2 * self.scale,
-            risk_gap_tol=self.risk_gap_tol,
-            gap_threshold=self.gap_threshold,
-            violating_measure_tol=self.violating_measure_tol,
-            bsde_residual_bound=self.bsde_residual_bound if self.bsde_residual_bound is not None else 0.1 * self.scale,
-            normality_tol=self.normality_tol,
-            martingale_sigma=self.martingale_sigma,
-        )
+        def default(value, factor):
+            return factor * self.scale if value is None else value
+
+        return replace(self, slackness_tol=default(self.slackness_tol, 1e-3),
+                       active_tol=default(self.active_tol, 1e-2),
+                       feasibility_tol=default(self.feasibility_tol, 1e-2),
+                       bsde_residual_bound=default(self.bsde_residual_bound, 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +190,7 @@ def maximization_gap(problem: ProblemSpec, states: StateEnsemble, u_law,
     dyn = problem.dyn
     if dyn.control_grid is None:
         raise ValueError("maximization needs a working control grid on the dynamics")
-    law = u_law if isinstance(u_law, ControlLaw) else ControlLaw(np.asarray(u_law, float))
+    law = as_control_law(u_law)
     m_paths = states.n_paths
     n_steps = states.grid.n_steps
     nodes = states.grid.nodes
@@ -201,9 +198,10 @@ def maximization_gap(problem: ProblemSpec, states: StateEnsemble, u_law,
 
     gaps = np.empty((m_paths, n_steps))
     for k in range(n_steps):
-        x_k = states.values[:, k, :]
-        p_k = costates.p[:, k, :]
-        q_k = costates.q[:, k, :, :]
+        # contiguous copies: every hamiltonian call below reads them
+        x_k = np.ascontiguousarray(states.values[:, k, :])
+        p_k = np.ascontiguousarray(costates.p[:, k, :])
+        q_k = np.ascontiguousarray(costates.q[:, k, :, :])
         h_star = hamiltonian(dyn, nodes[k], x_k, law.at(k, m_paths), p_k, q_k)
         best = h_star.copy()
         for u_pt in grid:
@@ -246,7 +244,7 @@ def normality_certificate(problem: ProblemSpec, states: StateEnsemble, u_law,
     dyn = problem.dyn
     if dyn.control_grid is None:
         raise ValueError("normality search needs a working control grid")
-    law = u_law if isinstance(u_law, ControlLaw) else ControlLaw(np.asarray(u_law, float))
+    law = as_control_law(u_law)
     n_steps = states.grid.n_steps
     grid = dyn.control_grid
     lo, hi = grid[0], grid[-1]
@@ -305,22 +303,11 @@ class PmpCertificate:
     version: str = "pmp_certificate_v1"
 
     def as_dict(self) -> dict:
-        def clean(obj):
-            if isinstance(obj, dict):
-                return {str(k): clean(v) for k, v in obj.items()}
-            if isinstance(obj, (list, tuple)):
-                return [clean(v) for v in obj]
-            if isinstance(obj, np.ndarray):
-                return clean(obj.tolist())
-            if isinstance(obj, (np.floating, np.integer)):
-                return obj.item()
-            return obj
-
         cfg = self.config.resolved()
         return {
             "version": self.version,
             "verdict": self.verdict,
-            "conditions": clean(self.conditions),
+            "conditions": jsonable(self.conditions),
             "causes": list(self.causes),
             "active_set": list(self.active_set),
             "multipliers": list(self.multipliers),

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, is_dataclass
 from datetime import datetime, timezone
 from importlib import metadata
 from pathlib import Path
@@ -428,24 +427,6 @@ def _policy_values(cfg, instance, grid):
 
 # ---------------------------------------------------------------------------
 # serialization helpers
-
-
-def _jsonable(value):
-    if is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(asdict(value))
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    return value
 
 
 def _fmt(value):
@@ -891,7 +872,7 @@ def run(argv):
         "kind": args.verb,
         "status": status,
         "seed": cfg["seed"],
-        "results": _jsonable(results),
+        "results": export.jsonable(results),
         "artifacts": dict(artifacts),
         "reproduction": {
             "config": cfg,

@@ -8,6 +8,7 @@ followed by the float64 little-endian payload in C order.
 from __future__ import annotations
 
 import struct
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -98,3 +99,22 @@ def read_dump(path) -> tuple[dict, np.ndarray]:
     payload = np.frombuffer(raw, dtype="<f8", offset=len(MAGIC) + _HEADER.size)
     header = {"state_dim": n, "noise_dim": d, "n_steps": k, "n_paths": m, "seed": seed}
     return header, payload
+
+
+def jsonable(value):
+    """value with dataclasses, tuples, arrays and NumPy scalars made plain JSON types."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return jsonable(asdict(value))
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    if isinstance(value, (np.floating, float)):
+        return float(value)
+    return value

@@ -41,8 +41,10 @@ class SampledRandomVariable:
         values = np.asarray(self.values, dtype=float).reshape(-1)
         if values.size == 0:
             raise ValueError("sample is empty")
-        if not np.isfinite(values).all():
-            raise ValueError("sample values must be finite")
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise ValueError(f"sample values must be finite: {int(bad.sum())} of {bad.size} "
+                             f"are not finite (first at index {int(np.argmax(bad))})")
         object.__setattr__(self, "values", values)
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float).reshape(-1)
@@ -143,10 +145,12 @@ class AVaR(RiskMeasure):
     # -- internals ---------------------------------------------------------
 
     def _sorted(self, sample: SampledRandomVariable):
-        order = np.argsort(sample.values, kind="stable")
-        values = sample.values[order]
-        weights = sample.weight_array()[order]
-        return order, values, weights, np.cumsum(weights)
+        if sample.weights is None:  # equal weights: the permutation is not needed
+            values, weights = np.sort(sample.values), sample.weight_array()
+        else:
+            order = np.argsort(sample.values, kind="stable")
+            values, weights = sample.values[order], sample.weights[order]
+        return values, weights, np.cumsum(weights)
 
     def _tail_average(self, values, weights, cum, q_idx) -> float:
         # primal form evaluated at the lower quantile q:
@@ -176,7 +180,7 @@ class AVaR(RiskMeasure):
         The two must agree within 1e-9 (relative-guarded); route (a) is returned.
         """
         sample = _as_sample(z)
-        _, values, weights, cum = self._sorted(sample)
+        values, weights, cum = self._sorted(sample)
         q_idx = _lower_quantile(values, cum, 1.0 - self.alpha)
         route_a = self._tail_average(values, weights, cum, q_idx)
         route_b = float(self._objective_at_knots(values, weights, cum).min())
@@ -192,7 +196,7 @@ class AVaR(RiskMeasure):
         mean-one balancing weight on the atom {Z = q} (closed interval
         [0, 1/alpha]; boundary contact flagged)."""
         sample = _as_sample(z)
-        order, values, weights, cum = self._sorted(sample)
+        values, weights, cum = self._sorted(sample)
         q_idx = _lower_quantile(values, cum, 1.0 - self.alpha)
         q = values[q_idx]
         above = sample.values > q

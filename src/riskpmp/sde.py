@@ -291,10 +291,17 @@ class StateEnsemble:
         return np.nonzero(self.first_failure >= 0)[0]
 
 
-def _as_law(law) -> Union[ControlLaw, FeedbackLaw]:
-    if isinstance(law, (ControlLaw, FeedbackLaw)):
+def as_control_law(law) -> ControlLaw:
+    """A recorded control signal: a ControlLaw as given, or its values wrapped."""
+    if isinstance(law, ControlLaw):
         return law
+    if callable(law) or isinstance(law, FeedbackLaw):
+        raise TypeError("pass the recorded ControlLaw from euler_maruyama, not a feedback law")
     return ControlLaw(np.asarray(law, dtype=float))
+
+
+def _as_law(law) -> Union[ControlLaw, FeedbackLaw]:
+    return law if isinstance(law, FeedbackLaw) else as_control_law(law)
 
 
 def euler_maruyama(

@@ -19,6 +19,7 @@ from .sde import (
     ControlLaw,
     DynamicsSpec,
     StateEnsemble,
+    as_control_law,
     solve_linearized,
 )
 
@@ -50,8 +51,8 @@ def tangent_from_control(
     w,
 ) -> TangentSelection:
     """Pointwise control-difference selection along the candidate ensemble."""
-    u_law = u_star if isinstance(u_star, ControlLaw) else ControlLaw(np.asarray(u_star, float))
-    w_law = w if isinstance(w, ControlLaw) else ControlLaw(np.asarray(w, float))
+    u_law = as_control_law(u_star)
+    w_law = as_control_law(w)
     m_paths = states.n_paths
     n_steps = states.grid.n_steps
     nodes = states.grid.nodes
@@ -118,7 +119,7 @@ def linearization_rate(
     if np.any(np.diff(eps) >= 0):
         raise ValueError("epsilons must be strictly decreasing")
 
-    u_law = u_star if isinstance(u_star, ControlLaw) else ControlLaw(np.asarray(u_star, float))
+    u_law = as_control_law(u_star)
     m_paths = states.n_paths
     n_steps = states.grid.n_steps
     nodes = states.grid.nodes
@@ -190,7 +191,7 @@ def selection_continuity(
     if denom_sq == 0.0:
         return 0.0
 
-    u_law = u_star if isinstance(u_star, ControlLaw) else ControlLaw(np.asarray(u_star, float))
+    u_law = as_control_law(u_star)
     a_fn, d_fn = linearization_along(dyn, states, u_law)
     diff = solve_linearized(a_fn, d_fn, g1, g2, brownian)
     num_sq = float(np.mean(np.max(np.sum(diff.values**2, axis=2), axis=1)))

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from riskpmp.adjoint import (
+    RIDGE,
+    NodeFit,
     RegressionBasis,
     assemble_terminal,
     conditional_expectation,
@@ -10,6 +12,7 @@ from riskpmp.adjoint import (
     solve_adjoint,
     tower_check,
 )
+from riskpmp.risk import SampledRandomVariable
 from riskpmp.sde import (
     ControlLaw,
     DynamicsSpec,
@@ -92,6 +95,44 @@ def test_squared_brownian_terminal_has_time_correction():
         assert gap_rms <= 5 * resid * np.sqrt(b_feat / m)
 
 
+def test_node_fit_full_rank_matches_normal_equations_and_lstsq():
+    rng = np.random.default_rng(5)
+    m = 3000
+    x = rng.normal(size=(m, 2)) * [1.0, 30.0]
+    feats = RegressionBasis().feature_matrix(x, rng.normal(size=(m, 1)))
+    y = np.column_stack([np.sin(x[:, 0]) + x[:, 1], rng.normal(size=m)])
+    fit = NodeFit(feats)
+    fitted, rms, shift, coef = fit.fit(y)
+
+    scale = np.sqrt(np.mean(feats**2, axis=0))
+    xs = feats / scale
+    ridge = np.linalg.solve(xs.T @ xs / m + RIDGE * np.eye(xs.shape[1]), xs.T @ y / m)
+    np.testing.assert_allclose(coef, ridge / scale[:, None], rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(fitted, feats @ coef, rtol=1e-10, atol=1e-12)
+    assert fit.plain.all()
+    plain = fit.u @ (fit.u.T @ y)
+    np.testing.assert_allclose(plain, xs @ np.linalg.lstsq(xs, y, rcond=None)[0], atol=1e-10)
+    assert 0.0 <= shift == pytest.approx(np.max(np.abs(fitted - plain)), rel=1e-3)
+    assert rms == pytest.approx(np.sqrt(np.mean((y - fitted) ** 2)), rel=1e-12)
+
+
+def test_node_fit_collinear_design_projects_like_lstsq():
+    """A duplicated column makes the design exactly rank deficient: the ridge
+    fit must still be the least-squares projection, with a finite shift."""
+    rng = np.random.default_rng(6)
+    m = 2000
+    x = rng.normal(size=m)
+    feats = np.column_stack([np.ones(m), x, x, x**2])
+    y = 1.0 + 2.0 * x - x**2 + rng.normal(scale=0.1, size=m)
+    fit = NodeFit(feats)
+    fitted, _, shift, coef = fit.fit(y)
+    assert fit.plain.sum() == 3
+    lstsq = feats @ np.linalg.lstsq(feats, y, rcond=None)[0]
+    np.testing.assert_allclose(fitted, lstsq, atol=1e-8)
+    assert np.isfinite(shift) and 0.0 <= shift <= 1e-8
+    np.testing.assert_allclose(feats @ coef, fitted, rtol=1e-10, atol=1e-10)
+
+
 def test_tower_property_within_regression_noise():
     states, bm = brownian_states()
     w = bm.levels()[:, :, 0]
@@ -153,6 +194,26 @@ def test_terminal_validation_errors():
         assemble_terminal(-np.ones(3), grad)
     with pytest.raises(ValueError):
         assemble_terminal(np.ones(3), grad, multipliers=(-1.0, -1.0))
+
+
+def test_aborted_paths_are_named_by_count_and_first_index():
+    """dx = x^3 dt + dW from 1.5 blows up on most paths; the run is rejected,
+    and both places it can stop say how many paths are lost and where."""
+    n_steps, n_paths = 50, 1000
+    dyn = DynamicsSpec(
+        state_dim=1, control_dim=1, noise_dim=1,
+        drift=lambda t, x, u: x**3,
+        diffusion=lambda t, x, u: np.ones(x.shape + (1,)),
+    )
+    bm = sample_brownian(make_grid(1.0, n_steps), 1, n_paths, 3)
+    with pytest.warns(RuntimeWarning, match="974 path"):
+        states = euler_maruyama(dyn, ControlLaw.constant(0.0, n_steps), np.array([1.5]), bm)
+    x_T = states.terminal.copy()
+    x_T[0] = 0.0  # the first aborted path is 0; move it to see the index reported
+    with pytest.raises(ValueError, match=r"not finite on 973 of 1000 paths \(first at path 1\)"):
+        assemble_terminal(np.ones(n_paths), 2.0 * x_T)
+    with pytest.raises(ValueError, match=r"973 of 1000 are not finite \(first at index 1\)"):
+        SampledRandomVariable(x_T[:, 0] ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -475,6 +476,39 @@ def test_sop_solve_reports_adapted_candidate(tmp_path, capsys):
     assert len(scores) == refinement["sweeps"] + 2
     assert min(scores) == scores[refinement["sweeps"]] < scores[0]
     capsys.readouterr()
+
+
+def test_sop_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The costate regression runs through BLAS and LAPACK: the README
+    instance must write the same bytes on one BLAS thread as on two."""
+    cfg = {
+        "kind": "sop-solve",
+        "seed": 42,
+        "instance": SAFE_INSTANCE,
+        "n_steps": 100,
+        "n_paths": 10000,
+        "write_costates": False,
+        "tolerances": dict(CALIBRATED),
+    }
+    cfg_path = write_cfg(tmp_path, cfg)
+    outs = [tmp_path / "blas1", tmp_path / "blas2"]
+    for threads, out in zip(("1", "2"), outs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "riskpmp", "sop-solve", "--config", cfg_path, "--out", str(out)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        if name != "report.json":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    reports = [load_report(out) for out in outs]
+    for rep in reports:
+        del rep["created_utc"], rep["reproduction"]["config"]["out_dir"]
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,44 @@ def test_avar_with_ties_and_atoms():
     np.testing.assert_allclose(sub.xi[3], 2.0)
 
 
+tied_strategy = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=tied_strategy, alpha=st.floats(min_value=0.01, max_value=1.0))
+def test_avar_tied_atoms_match_oracle_property(values, alpha):
+    values = np.array(values, dtype=float)
+    ours = AVaR(alpha).value(SampledRandomVariable(values))
+    assert ours == pytest.approx(avar_sorted_tail_oracle(values, None, alpha), abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(min_value=-4, max_value=4), st.floats(min_value=0.01, max_value=1.0)),
+        min_size=1,
+        max_size=40,
+    ),
+    alpha=st.floats(min_value=0.01, max_value=1.0),
+)
+def test_avar_weighted_tied_atoms_match_oracle_property(pairs, alpha):
+    values = np.array([v for v, _ in pairs], dtype=float)
+    weights = np.array([w for _, w in pairs])
+    weights = weights / weights.sum()
+    ours = AVaR(alpha).value(SampledRandomVariable(values, weights))
+    assert ours == pytest.approx(avar_sorted_tail_oracle(values, weights, alpha), abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.one_of(samples_strategy, tied_strategy), alpha=st.floats(min_value=0.01, max_value=1.0))
+def test_avar_unweighted_equals_explicit_uniform_weights_property(values, alpha):
+    """The unweighted sample sorts without a permutation; spelling the same
+    uniform weights out takes the stable argsort.  Both must agree exactly."""
+    values = np.array(values, dtype=float)
+    uniform = SampledRandomVariable(values, np.full(values.size, 1.0 / values.size))
+    assert AVaR(alpha).value(SampledRandomVariable(values)) == AVaR(alpha).value(uniform)
+
+
 def test_constant_sample_gives_unit_subgradient():
     z = SampledRandomVariable(np.full(8, 3.25))
     sub = risk_subgradient(AVaR(0.3), z)
