@@ -16,6 +16,7 @@ from .sde import (  # noqa: F401
     StateEnsemble,
     TimeGrid,
     apriori_bound_report,
+    double_integrator_dynamics,
     euler_maruyama,
     fundamental_matrices,
     make_grid,

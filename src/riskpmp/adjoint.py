@@ -58,11 +58,15 @@ class RegressionBasis:
         else:
             z = x
         m, v = z.shape
-        cols = [np.ones((m, 1))]
-        for deg in range(1, self.degree + 1):
-            for idx in combinations_with_replacement(range(v), deg):
-                cols.append(np.prod(z[:, idx], axis=1)[:, None])
-        return np.concatenate(cols, axis=1)
+        # each degree-d column is a degree-(d-1) column times one variable
+        monomials = [()] + [idx for deg in range(1, self.degree + 1)
+                            for idx in combinations_with_replacement(range(v), deg)]
+        column = {idx: j for j, idx in enumerate(monomials)}
+        out = np.empty((m, len(monomials)))
+        out[:, 0] = 1.0
+        for j, idx in enumerate(monomials[1:], 1):
+            np.multiply(out[:, column[idx[:-1]]], z[:, idx[-1]], out=out[:, j])
+        return out
 
     def at_node(self, states: StateEnsemble, levels: np.ndarray, k: int) -> np.ndarray:
         """Features of (x(t_k), W(t_k)) along the ensemble; levels as from

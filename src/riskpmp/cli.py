@@ -44,6 +44,7 @@ from .sde import (
     ControlLaw,
     DynamicsSpec,
     StateEnsemble,
+    double_integrator_dynamics,
     euler_maruyama,
     make_grid,
     sample_brownian,
@@ -347,39 +348,10 @@ def load_scenario(path, kind):
 # config -> domain objects
 
 
-def _double_integrator_dynamics(cubic=0.0, noise=1.0):
-    cubic = float(cubic)
-    noise = float(noise)
-
-    def drift(t, x, u):
-        return np.stack([x[:, 1], u[:, 0] - cubic * x[:, 0] ** 3], axis=1)
-
-    def diffusion(t, x, u):
-        out = np.zeros(x.shape + (1,))
-        out[:, 0, 0] = noise
-        return out
-
-    def drift_jac(t, x, u):
-        jac = np.zeros((x.shape[0], 2, 2))
-        jac[:, 0, 1] = 1.0
-        jac[:, 1, 0] = -3.0 * cubic * x[:, 0] ** 2
-        return jac
-
-    return DynamicsSpec(
-        state_dim=2,
-        control_dim=1,
-        noise_dim=1,
-        drift=drift,
-        diffusion=diffusion,
-        drift_jac=drift_jac,
-        control_grid=np.linspace(-1, 1, 21),
-    )
-
-
 def _dynamics(cfg) -> DynamicsSpec:
     if cfg["name"] == "scalar-linear":
         return scalar_linear_dynamics(cfg.get("a", 0.8), cfg.get("b", 0.3))
-    return _double_integrator_dynamics(cfg.get("cubic", 0.0), cfg.get("noise", 1.0))
+    return double_integrator_dynamics(cfg.get("cubic", 0.0), cfg.get("noise", 1.0))
 
 
 def _measure(cfg):
@@ -793,7 +765,10 @@ def _run_convergence(cfg, ctx):
     u_star = ControlLaw.constant(cfg["u_star"], grid.n_steps)
     states = euler_maruyama(dyn, u_star, x0, brownian)
     sel = tangent_from_control(dyn, states, u_star, ControlLaw.constant(cfg["w"], grid.n_steps))
-    table = linearization_rate(dyn, states, u_star, sel, cfg["epsilons"], brownian)
+    try:
+        table = linearization_rate(dyn, states, u_star, sel, cfg["epsilons"], brownian)
+    except ValueError as exc:  # aborted reference paths
+        raise UsageError(str(exc)) from exc
     results = {
         "passed": table.passed,
         "rates": [{"eps": e, "r": r} for e, r in table.rows()],

@@ -36,10 +36,10 @@ from .risk import AVaR, risk_subgradient, risk_value
 from .sde import (
     BrownianEnsemble,
     ControlLaw,
-    DynamicsSpec,
     FundamentalMatrices,
     StateEnsemble,
     TimeGrid,
+    double_integrator_dynamics,
     euler_maruyama,
     fundamental_matrices,
     make_grid,
@@ -89,29 +89,7 @@ class BangBangPolicy:
 
 
 def build_sop(instance: SopInstance, grid_points: int = 21) -> ProblemSpec:
-    noise = instance.noise
-
-    def drift(t, x, u):
-        return np.stack([x[:, 1], u[:, 0]], axis=1)
-
-    def diffusion(t, x, u):
-        s = np.zeros((x.shape[0], 2, 1))
-        s[:, 0, 0] = noise
-        return s
-
-    jac = np.array([[[0.0, 1.0], [0.0, 0.0]]])
-    jac.setflags(write=False)
-
-    def drift_jac(t, x, u):
-        # the same on every path, so the fundamental pair is built once
-        return jac
-
-    dyn = DynamicsSpec(
-        state_dim=2, control_dim=1, noise_dim=1,
-        drift=drift, diffusion=diffusion, drift_jac=drift_jac,
-        control_grid=np.linspace(-1.0, 1.0, grid_points),
-        controlled_diffusion=False,
-    )
+    dyn = double_integrator_dynamics(noise=instance.noise, grid_points=grid_points)
     target = instance.y_target
 
     def cost(x):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -218,9 +218,6 @@ class DynamicsSpec:
     drift_jac: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
     diffusion_jac: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
     control_grid: Optional[np.ndarray] = None
-    lipschitz_bound: Optional[float] = None
-    growth_envelope: Optional[Callable[[float], float]] = None
-    controlled_diffusion: bool = False
     convex_velocity_sets: bool = False
     exact_terminal: Optional[Callable[[np.ndarray, float, np.ndarray], np.ndarray]] = None
 
@@ -598,8 +595,43 @@ def scalar_linear_dynamics(drift_coef: float, noise_coef: float) -> DynamicsSpec
         drift=drift, diffusion=diffusion,
         drift_jac=drift_jac, diffusion_jac=diffusion_jac,
         control_grid=np.zeros((1, 0)),
-        lipschitz_bound=max(abs(a), abs(b)),
         exact_terminal=exact_terminal,
+    )
+
+
+def double_integrator_dynamics(cubic: float = 0.0, noise: float = 1.0,
+                               grid_points: int = 21) -> DynamicsSpec:
+    """dy = v dt + noise dW, dv = (u - cubic y^3) dt with u in [-1, 1].
+
+    Without the cubic term the drift Jacobian is the same on every path and
+    comes back read-only with a leading axis of 1; with it, it is per path.
+    """
+    jac = np.array([[[0.0, 1.0], [0.0, 0.0]]])
+    jac.setflags(write=False)
+
+    def drift(t, x, u):
+        if cubic == 0.0:
+            return np.stack([x[:, 1], u[:, 0]], axis=1)
+        y = x[:, 0]  # products, not y ** 3, which calls libm pow per element
+        return np.stack([x[:, 1], u[:, 0] - cubic * (y * y * y)], axis=1)
+
+    def diffusion(t, x, u):
+        s = np.zeros((x.shape[0], 2, 1))
+        s[:, 0, 0] = noise
+        return s
+
+    def drift_jac(t, x, u):
+        if cubic == 0.0:
+            return jac
+        per_path = np.zeros((x.shape[0], 2, 2))
+        per_path[:, 0, 1] = 1.0
+        per_path[:, 1, 0] = -3.0 * cubic * x[:, 0] ** 2
+        return per_path
+
+    return DynamicsSpec(
+        state_dim=2, control_dim=1, noise_dim=1,
+        drift=drift, diffusion=diffusion, drift_jac=drift_jac,
+        control_grid=np.linspace(-1.0, 1.0, grid_points),
     )
 
 

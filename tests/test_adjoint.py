@@ -411,6 +411,26 @@ def test_linearization_requires_drift_jacobian():
         linearization_along(dyn, states, ControlLaw.constant(0.0, 4))
 
 
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("include_brownian", [True, False])
+def test_feature_columns_equal_prod_oracle(degree, include_brownian):
+    from itertools import combinations_with_replacement
+
+    rng = np.random.default_rng(degree)
+    x = 3.0 * rng.normal(size=(500, 2))
+    w = rng.normal(size=(500, 1))
+    z = np.concatenate([x, w], axis=1) if include_brownian else x
+    oracle = [np.ones(500)] + [
+        np.prod(z[:, idx], axis=1)
+        for deg in range(1, degree + 1)
+        for idx in combinations_with_replacement(range(z.shape[1]), deg)
+    ]
+    basis = RegressionBasis(degree=degree, include_brownian=include_brownian)
+    feats = basis.feature_matrix(x, w)
+    assert feats.shape == (500, basis.n_features(2, 1 if include_brownian else 0))
+    assert np.array_equal(feats, np.stack(oracle, axis=1))
+
+
 def test_basis_feature_count():
     basis = RegressionBasis(degree=2)
     assert basis.n_features(2, 1) == 10

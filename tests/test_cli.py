@@ -542,6 +542,30 @@ def test_convergence_rate_table_sorted_descending(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_convergence_aborted_reference_paths_is_usage_error(tmp_path, capsys):
+    cfg = {
+        "kind": "convergence",
+        "seed": 3,
+        "out_dir": str(tmp_path / "o"),
+        "study": "linearization-rate",
+        "problem": {"name": "double-integrator", "cubic": -2.0},
+        "x0": [1.5, 0.0],
+        "horizon": 1.0,
+        "n_steps": 50,
+        "n_paths": 1000,
+        "u_star": 0.0,
+        "w": 0.5,
+        "epsilons": [0.5, 0.25],
+    }
+    with pytest.warns(RuntimeWarning):
+        code = main(["convergence", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "reference state is not finite on 168 of 1000 paths (first at path 1)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_convergence_strong_order(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = {

@@ -10,6 +10,7 @@ from riskpmp.sde import (
     FeedbackLaw,
     MissingClosedFormError,
     apriori_bound_report,
+    double_integrator_dynamics,
     euler_maruyama,
     fundamental_matrices,
     make_grid,
@@ -423,3 +424,23 @@ def test_dynamics_spec_jacobian_probe_catches_mismatch():
     dyn_const_bad = DynamicsSpec(2, 1, 1, linear_drift, diffusion, lambda t, x, u: 2.0 * const_jac)
     with pytest.raises(ValueError, match="drift_jac"):
         dyn_const_bad.check_jacobians(0.0, x, np.zeros(1))
+
+
+def test_double_integrator_jacobian_is_path_constant_without_cubic_term():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(6, 2))
+    u = rng.uniform(-1.0, 1.0, size=(6, 1))
+
+    plain = double_integrator_dynamics(noise=0.7)
+    jac = plain.drift_jac(0.0, x, u)
+    assert jac.shape == (1, 2, 2) and not jac.flags.writeable
+    np.testing.assert_array_equal(plain.drift(0.0, x, u), np.stack([x[:, 1], u[:, 0]], axis=1))
+    np.testing.assert_array_equal(plain.diffusion(0.0, x, u)[:, :, 0], np.tile([0.7, 0.0], (6, 1)))
+    np.testing.assert_array_equal(plain.control_grid[:, 0], np.linspace(-1.0, 1.0, 21))
+    plain.check_jacobians(0.0, x, u)
+
+    cubic = double_integrator_dynamics(cubic=0.5)
+    assert cubic.drift_jac(0.0, x, u).shape == (6, 2, 2)
+    np.testing.assert_allclose(cubic.drift(0.0, x, u)[:, 1], u[:, 0] - 0.5 * x[:, 0] ** 3,
+                               rtol=1e-15, atol=0)
+    cubic.check_jacobians(0.0, x, u)

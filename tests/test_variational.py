@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from riskpmp.sde import ControlLaw, DynamicsSpec, euler_maruyama, make_grid, sample_brownian
+from riskpmp.adjoint import linearization_along
+from riskpmp.sde import (
+    ControlLaw,
+    DynamicsSpec,
+    double_integrator_dynamics,
+    euler_maruyama,
+    make_grid,
+    sample_brownian,
+)
 from riskpmp.variational import (
     ItoGapReport,
     TangentSelection,
@@ -97,7 +105,6 @@ def test_tangent_warns_on_controlled_diffusion_without_attestation():
         state_dim=1, control_dim=1, noise_dim=1,
         drift=lambda t, x, u: -x,
         drift_jac=lambda t, x, u: np.full((x.shape[0], 1, 1), -1.0),
-        controlled_diffusion=True,
     )
     grid = make_grid(1.0, 5)
     bm = sample_brownian(grid, 1, 10, seed=4)
@@ -178,6 +185,150 @@ def test_rate_rejects_bad_epsilons():
     for bad in ([], [0.5, 0.5], [0.1, 0.2], [1.5, 0.2], [-0.1]):
         with pytest.raises(ValueError):
             linearization_rate(dyn, states, law, sel, bad, bm)
+
+
+def test_rate_names_aborted_reference_paths():
+    # dv = (u + 2 y^3) dt blows up from y = 1.5 on most paths; the NaN would
+    # otherwise spread through the running sup and turn every rate into NaN
+    dyn = double_integrator_dynamics(cubic=-2.0)
+    grid = make_grid(1.0, 50)
+    bm = sample_brownian(grid, 1, 1000, seed=3)
+    law = ControlLaw.constant(0.0, 50)
+    with pytest.warns(RuntimeWarning, match="aborted"):
+        states = euler_maruyama(dyn, law, np.array([1.5, 0.0]), bm)
+    failed = states.failed_paths
+    assert failed.size > 0
+    sel = tangent_from_control(dyn, states, law, ControlLaw.constant(0.5, 50))
+    with pytest.raises(ValueError, match=rf"not finite on {failed.size} of 1000 paths "
+                                         rf"\(first at path {failed[0]}\)"):
+        linearization_rate(dyn, states, law, sel, [0.5, 0.25], bm)
+
+
+def _rate_per_epsilon(dyn, states, u_star, sel, epsilons, brownian):
+    """Oracle: one streaming pass per epsilon, y integrated again each time."""
+    eps = np.asarray(epsilons, dtype=float)
+    m_paths = states.n_paths
+    nodes = states.grid.nodes
+    dt = states.grid.dt
+    a_fn, d_fn = linearization_along(dyn, states, u_star)
+    rates = np.empty(eps.size)
+    for j, e in enumerate(eps):
+        x = states.values[:, 0, :].copy()
+        y = np.zeros_like(x)
+        worst = np.zeros(m_paths)
+        for k in range(states.grid.n_steps):
+            u_k = u_star.at(k, m_paths)
+            dw = brownian.increments[:, k]
+            drift = dyn.drift(nodes[k], x, u_k) + e * sel.g1[:, k]
+            noise = dyn.diffusion(nodes[k], x, u_k)
+            if sel.g2 is not None:
+                noise = noise + e * sel.g2[:, k]
+            x = x + drift * dt + np.einsum("pnd,pd->pn", noise, dw)
+            dy = np.einsum("...ij,...j->...i", a_fn(k), y) + sel.g1[:, k]
+            dn = np.einsum("...dij,...j->...di", d_fn(k), y) if d_fn is not None else 0.0
+            if sel.g2 is not None:
+                dn = dn + np.swapaxes(sel.g2[:, k], -1, -2)
+            y = y + dy * dt
+            if d_fn is not None or sel.g2 is not None:
+                shape = (m_paths,) + noise.shape[1:][::-1]
+                y = y + np.einsum("pdn,pd->pn", np.broadcast_to(dn, shape), dw)
+            gap = x - states.values[:, k + 1, :] - e * y
+            np.maximum(worst, np.linalg.norm(gap, axis=1), out=worst)
+        rates[j] = float(worst.mean()) / e
+    return rates
+
+
+def _tangent_full_g2(dyn, states, u_star, w):
+    """Oracle: the diffusion difference at every step, zeros included."""
+    m_paths, nodes = states.n_paths, states.grid.nodes
+    g2 = np.empty((m_paths, states.grid.n_steps, dyn.state_dim, dyn.noise_dim))
+    for k in range(states.grid.n_steps):
+        x_k = states.values[:, k, :]
+        g2[:, k] = (dyn.diffusion(nodes[k], x_k, w.at(k, m_paths))
+                    - dyn.diffusion(nodes[k], x_k, u_star.at(k, m_paths)))
+    return g2
+
+
+def controlled_diffusion_2d():
+    """Two states, two noises, sigma = [[0.2 u v, 0.1], [0, 0.3 y]], cubic drift."""
+
+    def drift(t, x, u):
+        y = x[:, 0]
+        return np.stack([x[:, 1], u[:, 0] - 0.5 * y * y * y], axis=1)
+
+    def diffusion(t, x, u):
+        s = np.zeros((x.shape[0], 2, 2))
+        s[:, 0, 0] = 0.2 * u[:, 0] * x[:, 1]
+        s[:, 0, 1] = 0.1
+        s[:, 1, 1] = 0.3 * x[:, 0]
+        return s
+
+    def drift_jac(t, x, u):
+        jac = np.zeros((x.shape[0], 2, 2))
+        jac[:, 0, 1] = 1.0
+        jac[:, 1, 0] = -1.5 * x[:, 0] ** 2
+        return jac
+
+    def diffusion_jac(t, x, u):
+        jac = np.zeros((x.shape[0], 2, 2, 2))
+        jac[:, 0, 0, 1] = 0.2 * u[:, 0]
+        jac[:, 1, 1, 0] = 0.3
+        return jac
+
+    return DynamicsSpec(
+        state_dim=2, control_dim=1, noise_dim=2,
+        drift=drift, diffusion=diffusion, drift_jac=drift_jac, diffusion_jac=diffusion_jac,
+        convex_velocity_sets=True,
+    )
+
+
+def test_rate_single_pass_matches_per_epsilon_oracle():
+    n_steps, m_paths = 60, 400
+    grid = make_grid(1.0, n_steps)
+    eps = [0.5, 0.2, 0.05, 0.01]
+    rng = np.random.default_rng(12)
+
+    # (a) cubic double integrator: the drift Jacobian differs between paths
+    dyn = double_integrator_dynamics(cubic=0.5)
+    bm = sample_brownian(grid, 1, m_paths, seed=13)
+    u_star = ControlLaw.constant(0.5, n_steps)
+    states = euler_maruyama(dyn, u_star, np.zeros(2), bm)
+    sel = tangent_from_control(dyn, states, u_star, ControlLaw.constant(-0.5, n_steps))
+    assert sel.g2 is None
+    table = linearization_rate(dyn, states, u_star, sel, eps, bm)
+    oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
+    assert np.max(table.rates) > 1e-6
+    np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
+
+    # (b) controlled diffusion with a declared diffusion_jac: g2 and d_fn both set
+    dyn = controlled_diffusion_2d()
+    dyn.check_jacobians(0.0, rng.normal(size=(5, 2)), rng.uniform(-1, 1, size=(5, 1)))
+    bm = sample_brownian(grid, 2, m_paths, seed=14)
+    u_star = ControlLaw(np.linspace(-0.5, 0.5, n_steps)[:, None])
+    states = euler_maruyama(dyn, u_star, np.array([0.3, -0.2]), bm)
+    w = ControlLaw(np.where(np.arange(n_steps) < n_steps // 3, u_star.values[:, 0], 0.9)[:, None])
+    sel = tangent_from_control(dyn, states, u_star, w)
+    assert sel.g2 is not None
+    # zero diffusion difference before w departs from u*, filled in after
+    np.testing.assert_array_equal(sel.g2, _tangent_full_g2(dyn, states, u_star, w))
+    assert not np.any(sel.g2[:, : n_steps // 3]) and np.any(sel.g2[:, n_steps // 3])
+    table = linearization_rate(dyn, states, u_star, sel, eps, bm)
+    oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
+    assert np.max(table.rates) > 1e-6
+    np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
+
+    # (c) a per-path (M, K, m) control
+    dyn = double_integrator_dynamics(cubic=0.5)
+    bm = sample_brownian(grid, 1, m_paths, seed=15)
+    u_star = ControlLaw(rng.uniform(-1.0, 1.0, size=(m_paths, n_steps, 1)))
+    states = euler_maruyama(dyn, u_star, np.array([0.5, 0.0]), bm)
+    w = ControlLaw(rng.uniform(-1.0, 1.0, size=(m_paths, n_steps, 1)))
+    sel = tangent_from_control(dyn, states, u_star, w)
+    assert sel.g2 is None
+    table = linearization_rate(dyn, states, u_star, sel, eps, bm)
+    oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
+    assert np.max(table.rates) > 1e-6
+    np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
