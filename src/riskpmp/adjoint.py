@@ -20,7 +20,6 @@ from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import svd
 
 from .sde import (
     BrownianEnsemble,
@@ -89,7 +88,7 @@ class NodeFit:
         scale = np.sqrt(np.mean(features**2, axis=0))
         scale[scale == 0.0] = 1.0
         self.scale = scale
-        self.u, s, self.vt = svd(features / scale, full_matrices=False, check_finite=False)
+        self.u, s, self.vt = np.linalg.svd(features / scale, full_matrices=False)
         damped = s**2 + m * RIDGE
         self.fit_filter = s**2 / damped
         self.coef_filter = s / damped

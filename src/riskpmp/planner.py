@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from .adjoint import (
     RegressionBasis,
@@ -134,6 +133,8 @@ class ShootResult:
 
 def shoot(instance: SopInstance, brownian: BrownianEnsemble,
           config: Optional[ShootConfig] = None) -> ShootResult:
+    from scipy import optimize  # the one SciPy user; kept off the import path
+
     cfg = config or ShootConfig()
     risk = AVaR(instance.alpha)
     w_T = brownian.levels()[:, -1, 0]
