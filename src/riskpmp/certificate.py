@@ -23,6 +23,7 @@ from .sde import (
     FundamentalMatrices,
     StateEnsemble,
     as_control_law,
+    central_differences,
     solve_linearized,
 )
 from .variational import tangent_from_control
@@ -49,18 +50,12 @@ class ProblemSpec:
     def check_gradients(self, x_probe: np.ndarray, rtol: float = 1e-4, atol: float = 1e-6) -> None:
         """Probe declared gradients against central finite differences."""
         x = np.atleast_2d(np.asarray(x_probe, dtype=float))
-        h = 1e-6
         for label, fn, grad in [("cost", self.cost, self.cost_gradient)] + [
             (c.name or f"constraint_{i}", c.fn, c.gradient)
             for i, c in enumerate(self.constraints)
         ]:
             g = np.asarray(grad(x), dtype=float)
-            fd = np.empty_like(g)
-            for j in range(x.shape[1]):
-                dx = np.zeros_like(x)
-                dx[:, j] = h
-                fd[:, j] = (np.asarray(fn(x + dx)) - np.asarray(fn(x - dx))) / (2 * h)
-            if not np.allclose(g, fd, rtol=rtol, atol=atol):
+            if not np.allclose(g, central_differences(fn, x), rtol=rtol, atol=atol):
                 raise ValueError(f"{label} gradient disagrees with finite differences")
 
 

@@ -366,15 +366,8 @@ def _measure(cfg):
 
 
 def _instance(cfg) -> SopInstance:
-    try:
-        return SopInstance(
-            y0=cfg["y0"],
-            v0=cfg["v0"],
-            y_target=cfg["y_target"],
-            horizon=cfg["horizon"],
-            alpha=cfg["alpha"],
-            noise=cfg.get("noise", 1.0),
-        )
+    try:  # the schema's field names and noise default are SopInstance's
+        return SopInstance(**cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -536,9 +529,17 @@ def _simulate_ensemble(dyn, law, x0, grid, n_paths, seed, threads):
         if part.first_failure is not None:
             failures[lo:hi] = part.first_failure
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # one chunk per requested thread, but no more workers than usable CPUs
+    with ThreadPoolExecutor(max_workers=min(threads, _usable_cpus())) as pool:
         list(pool.map(work, spans))
     return StateEnsemble(grid, values, failures)
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def _run_simulate(cfg, ctx):
@@ -658,32 +659,26 @@ def _certify_solution(cfg, ctx, sol):
     return cert.verdict, results, {"certificate": "certificate.json"}
 
 
+def _solved(cfg):
+    return solve_sop(
+        _instance(cfg["instance"]),
+        n_steps=cfg["n_steps"],
+        n_paths=cfg["n_paths"],
+        seed=cfg["seed"],
+        config=ShootConfig(**cfg.get("shoot", {})),
+    )
+
+
 def _run_certify(cfg, ctx):
-    if "policy" in cfg:
-        sol = _candidate_solution(cfg, ctx)
-    else:
-        sol = solve_sop(
-            _instance(cfg["instance"]),
-            n_steps=cfg["n_steps"],
-            n_paths=cfg["n_paths"],
-            seed=cfg["seed"],
-            config=ShootConfig(**cfg.get("shoot", {})),
-        )
+    sol = _candidate_solution(cfg, ctx) if "policy" in cfg else _solved(cfg)
     status, results, artifacts = _certify_solution(cfg, ctx, sol)
     artifacts.update(_write_bulk_artifacts(cfg, ctx, sol.states, sol.costates))
     return status, results, artifacts
 
 
 def _run_sop_solve(cfg, ctx):
-    instance = _instance(cfg["instance"])
-    sol = solve_sop(
-        instance,
-        n_steps=cfg["n_steps"],
-        n_paths=cfg["n_paths"],
-        seed=cfg["seed"],
-        config=ShootConfig(**cfg.get("shoot", {})),
-    )
-    safety = safety_check(instance, sol.states)
+    sol = _solved(cfg)
+    safety = safety_check(sol.instance, sol.states)
     necessity = bangbang_necessity(sol)
     refinement = sol.refinement
     start = {"initial_sign": refinement.start.initial_sign,

@@ -19,7 +19,7 @@ damped method of successive approximations of Li, Chen, Tai & E, 2018).
 """
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -35,9 +35,11 @@ from .risk import AVaR, risk_subgradient, risk_value
 from .sde import (
     BrownianEnsemble,
     ControlLaw,
+    FeedbackLaw,
     FundamentalMatrices,
     StateEnsemble,
     TimeGrid,
+    as_control_law,
     double_integrator_dynamics,
     euler_maruyama,
     fundamental_matrices,
@@ -202,15 +204,19 @@ class SopSolution:
                                terminal=self.terminal, costates=self.costates)
 
 
-def assemble_solution(instance: SopInstance, control_values: np.ndarray,
-                      brownian: BrownianEnsemble,
+def assemble_solution(instance: SopInstance, control, brownian: BrownianEnsemble,
                       policy: Optional[BangBangPolicy] = None,
                       cost: Optional[float] = None,
                       incumbents: Optional[List[float]] = None) -> SopSolution:
-    """Integrate a concrete control and solve the adjoint system behind it."""
+    """Integrate a control (grid values, a ControlLaw or a FeedbackLaw) once
+    and solve the adjoint system behind it; a feedback law's solution
+    carries the controls it realized on the ensemble."""
     problem = build_sop(instance)
-    law = ControlLaw(np.asarray(control_values, dtype=float))
-    states = euler_maruyama(problem.dyn, law, problem.x0, brownian)
+    if isinstance(control, FeedbackLaw):
+        states, law = euler_maruyama(problem.dyn, control, problem.x0, brownian)
+    else:
+        law = as_control_law(control)
+        states = euler_maruyama(problem.dyn, law, problem.x0, brownian)
     z = problem.cost(states.terminal)
     xi = risk_subgradient(problem.risk, z)
     terminal = assemble_terminal(xi, problem.cost_gradient(states.terminal))
@@ -230,7 +236,7 @@ def assemble_solution(instance: SopInstance, control_values: np.ndarray,
 
 SWEEP_DAMPING = 0.5   # weight of the previous sweep's coefficients
 MAX_SWEEPS = 12
-HOLDOUT_CHUNK = 2000  # holdout paths sampled and rolled forward at a time
+HOLDOUT_CHUNK = 2000  # holdout paths sampled and integrated at a time
 
 
 @dataclass(frozen=True)
@@ -250,31 +256,6 @@ class Refinement:
     @property
     def adapted(self) -> bool:
         return self.sweeps > 0
-
-
-def _roll_forward(problem: ProblemSpec, brownian: BrownianEnsemble,
-                  control: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
-                  realized: Optional[np.ndarray] = None) -> np.ndarray:
-    """Euler-integrate u_k = control(k, x_k, W_k) over the ensemble, with the
-    same step as euler_maruyama, and return the terminal states.  The
-    controls are recorded into ``realized`` (M, K, m) when it is given.
-
-    A FeedbackLaw sees only (t, x), and the sweeps' policies read W_k too;
-    keeping no path history also keeps the holdout scoring small.
-    """
-    dyn = problem.dyn
-    n_paths, n_steps, d = brownian.increments.shape
-    x = np.tile(problem.x0, (n_paths, 1))
-    w = np.zeros((n_paths, d))
-    dt, nodes = brownian.grid.dt, brownian.grid.nodes
-    for k in range(n_steps):
-        t, dw = nodes[k], brownian.increments[:, k]
-        u = control(k, x, w)
-        if realized is not None:
-            realized[:, k] = u
-        x = x + dyn.drift(t, x, u) * dt + np.einsum("pnd,pd->pn", dyn.diffusion(t, x, u), dw)
-        w = w + dw
-    return x
 
 
 def _velocity_costate_coef(solution: SopSolution) -> np.ndarray:
@@ -299,16 +280,18 @@ def _refine(start: SopSolution, holdout: List[BrownianEnsemble]) -> SopSolution:
     problem, brownian = start.problem, start.brownian
     basis = RegressionBasis()
 
-    def score(control) -> float:
-        x_T = np.concatenate([_roll_forward(problem, chunk, control) for chunk in holdout])
+    def score(law: FeedbackLaw) -> float:
+        # a copy of each chunk's terminal states lets its path history go
+        x_T = np.concatenate([euler_maruyama(problem.dyn, law, problem.x0, chunk)[0].terminal.copy()
+                              for chunk in holdout])
         return risk_value(problem.risk, problem.cost(x_T))
 
-    def bang(coef):
-        return lambda k, x, w: np.where(basis.feature_matrix(x, w) @ coef[k] >= 0.0,
-                                        1.0, -1.0)[:, None]
+    def bang(coef) -> FeedbackLaw:
+        return FeedbackLaw(lambda k, x, w: np.where(
+            basis.feature_matrix(x, w) @ coef[k] >= 0.0, 1.0, -1.0)[:, None], dim=1)
 
     open_loop = start.control.values
-    scores = [score(lambda k, x, w: np.broadcast_to(open_loop[k], (x.shape[0], 1)))]
+    scores = [score(FeedbackLaw(lambda k, x, w: open_loop[k], dim=1))]
     best, coef, kept = start, None, 0
     while kept < MAX_SWEEPS:
         fresh = _velocity_costate_coef(best)
@@ -316,9 +299,7 @@ def _refine(start: SopSolution, holdout: List[BrownianEnsemble]) -> SopSolution:
         scores.append(score(bang(coef)))
         if not scores[-1] < scores[-2]:
             break
-        values = np.empty(brownian.increments.shape[:2] + (1,))
-        _roll_forward(problem, brownian, bang(coef), values)
-        best = assemble_solution(start.instance, values, brownian,
+        best = assemble_solution(start.instance, bang(coef), brownian,
                                  incumbents=start.incumbents)
         kept += 1
     return replace(best, refinement=Refinement(start=start.policy, scores=scores, sweeps=kept))

@@ -86,7 +86,7 @@ class RiskSubgradient:
     unique: bool = True                       # face is a singleton on this sample
 
 
-def _lower_quantile(values_sorted: np.ndarray, cum_weights: np.ndarray, level: float) -> int:
+def _lower_quantile(cum_weights: np.ndarray, level: float) -> int:
     """Index of inf{t : P(Z <= t) >= level} in the ascending sorted sample."""
     target = level * cum_weights[-1]
     # tolerate float drift in the cumulative sum when the level is attained exactly
@@ -152,7 +152,7 @@ class AVaR(RiskMeasure):
             values, weights = sample.values[order], sample.weights[order]
         return values, weights, np.cumsum(weights)
 
-    def _tail_average(self, values, weights, cum, q_idx) -> float:
+    def _tail_average(self, values, weights, q_idx) -> float:
         # primal form evaluated at the lower quantile q:
         # AVaR = q + E[(Z - q)_+] / alpha
         q = values[q_idx]
@@ -181,8 +181,8 @@ class AVaR(RiskMeasure):
         """
         sample = _as_sample(z)
         values, weights, cum = self._sorted(sample)
-        q_idx = _lower_quantile(values, cum, 1.0 - self.alpha)
-        route_a = self._tail_average(values, weights, cum, q_idx)
+        q_idx = _lower_quantile(cum, 1.0 - self.alpha)
+        route_a = self._tail_average(values, weights, q_idx)
         route_b = float(self._objective_at_knots(values, weights, cum).min())
         tol = _AGREEMENT_TOL * max(1.0, abs(route_a), abs(route_b))
         if abs(route_a - route_b) > tol:
@@ -197,7 +197,7 @@ class AVaR(RiskMeasure):
         [0, 1/alpha]; boundary contact flagged)."""
         sample = _as_sample(z)
         values, weights, cum = self._sorted(sample)
-        q_idx = _lower_quantile(values, cum, 1.0 - self.alpha)
+        q_idx = _lower_quantile(cum, 1.0 - self.alpha)
         q = values[q_idx]
         above = sample.values > q
         atom = sample.values == q

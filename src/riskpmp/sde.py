@@ -183,14 +183,17 @@ class ControlLaw:
 
 
 class FeedbackLaw:
-    """State feedback u = fn(t, x); realized values are recorded during integration."""
+    """Adapted feedback u_k = fn(k, x_k, W_k) of the step index, the state and
+    the Brownian value at node k; euler_maruyama records the realized values
+    and returns them as a ControlLaw."""
 
-    def __init__(self, fn: Callable[[float, np.ndarray], np.ndarray], dim: int):
+    def __init__(self, fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray], dim: int):
         self.fn = fn
         self.dim = dim
 
-    def at_state(self, t: float, x: np.ndarray) -> np.ndarray:
-        u = np.asarray(self.fn(t, x), dtype=float)
+    def at(self, k: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Control at step k for states x (M, n) and Brownian values w (M, d)."""
+        u = np.asarray(self.fn(k, x, w), dtype=float)
         return np.broadcast_to(u, (x.shape[0], self.dim))
 
 
@@ -237,26 +240,27 @@ class DynamicsSpec:
         A Jacobian with a leading axis of 1 is compared with every path's."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         u = np.broadcast_to(np.asarray(u, dtype=float), (x.shape[0], self.control_dim))
-        h = 1e-6
         if self.drift_jac is not None:
-            jac = self.drift_jac(t, x, u)
-            fd = np.empty((x.shape[0],) + jac.shape[1:])
-            for j in range(self.state_dim):
-                dx = np.zeros_like(x)
-                dx[:, j] = h
-                fd[:, :, j] = (self.drift(t, x + dx, u) - self.drift(t, x - dx, u)) / (2 * h)
-            if not np.allclose(jac, fd, rtol=rtol, atol=atol):
+            fd = central_differences(lambda y: self.drift(t, y, u), x)
+            if not np.allclose(self.drift_jac(t, x, u), fd, rtol=rtol, atol=atol):
                 raise ValueError("drift_jac disagrees with finite differences")
         if self.diffusion_jac is not None:
-            jac = self.diffusion_jac(t, x, u)
-            fd = np.empty((x.shape[0],) + jac.shape[1:])
-            for j in range(self.state_dim):
-                dx = np.zeros_like(x)
-                dx[:, j] = h
-                diff = (self.diffusion(t, x + dx, u) - self.diffusion(t, x - dx, u)) / (2 * h)
-                fd[:, :, :, j] = np.swapaxes(diff, 1, 2)
-            if not np.allclose(jac, fd, rtol=rtol, atol=atol):
+            # (M, n, d, n) -> the Jacobian's (M, d, n, n) layout
+            fd = np.moveaxis(central_differences(lambda y: self.diffusion(t, y, u), x), 2, 1)
+            if not np.allclose(self.diffusion_jac(t, x, u), fd, rtol=rtol, atol=atol):
                 raise ValueError("diffusion_jac disagrees with finite differences")
+
+
+def central_differences(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                        h: float = 1e-6) -> np.ndarray:
+    """(fn(x + h e_j) - fn(x - h e_j)) / 2h for every coordinate j of the
+    (M, n) states x, stacked on a new last axis."""
+    cols = []
+    for j in range(x.shape[1]):
+        dx = np.zeros_like(x)
+        dx[:, j] = h
+        cols.append((np.asarray(fn(x + dx)) - np.asarray(fn(x - dx))) / (2 * h))
+    return np.stack(cols, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +305,13 @@ def _as_law(law) -> Union[ControlLaw, FeedbackLaw]:
     return law if isinstance(law, FeedbackLaw) else as_control_law(law)
 
 
-def euler_maruyama(
-    dyn: DynamicsSpec,
-    law,
-    x0: np.ndarray,
-    brownian: BrownianEnsemble,
-    return_controls: bool = False,
-):
+def euler_maruyama(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEnsemble):
     """Integrate the controlled SDE over the ensemble.
 
+    law is a ControlLaw (or its grid values), or a FeedbackLaw, which is
+    evaluated at every step on the current states and on W_k, kept as the
+    running sum of the increments.  For a feedback law the realized controls
+    are recorded and (states, ControlLaw) is returned; otherwise the states.
     x0 may be a single state (broadcast to all paths) or one state per path.
     Paths that turn non-finite are aborted: their values stay NaN from the
     offending node on and the first bad step is recorded on the ensemble.
@@ -328,29 +330,34 @@ def euler_maruyama(
     out = np.empty((n_paths, n_steps + 1, n))
     out[:, 0] = x
     first_failure = np.full(n_paths, -1, dtype=int)
-    alive = np.ones(n_paths, dtype=bool)
-    realized = np.empty((n_paths, n_steps, law.dim)) if (feedback or return_controls) else None
+    if feedback:
+        realized = np.empty((n_paths, n_steps, law.dim))
+        w = np.zeros((n_paths, d))
 
     dt = grid.dt
     nodes = grid.nodes
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             t = nodes[k]
-            u = law.at_state(t, x) if feedback else law.at(k, n_paths)
-            if realized is not None:
+            dw = brownian.increments[:, k]
+            if feedback:
+                u = law.at(k, x, w)
                 realized[:, k] = u
+                w = w + dw
+            else:
+                u = law.at(k, n_paths)
             f = dyn.drift(t, x, u)
             sig = dyn.diffusion(t, x, u)
             if f.shape != (n_paths, n):
                 raise ValueError(f"drift returned shape {f.shape}, expected {(n_paths, n)}")
             if sig.shape != (n_paths, n, d):
                 raise ValueError(f"diffusion returned shape {sig.shape}, expected {(n_paths, n, d)}")
-            x = x + f * dt + np.einsum("pnd,pd->pn", sig, brownian.increments[:, k])
-            bad = alive & ~np.isfinite(x).all(axis=1)
-            if bad.any():
+            x = x + f * dt + np.einsum("pnd,pd->pn", sig, dw)
+            # an aborted path is NaN and stays NaN, so all finite means none aborted
+            if not np.isfinite(x).all():
+                bad = (first_failure < 0) & ~np.isfinite(x).all(axis=1)
                 first_failure[bad] = k + 1
-                alive &= ~bad
-            x[~alive] = np.nan
+                x[first_failure >= 0] = np.nan
             out[:, k + 1] = x
 
     n_failed = int((first_failure >= 0).sum())
@@ -362,16 +369,14 @@ def euler_maruyama(
             stacklevel=2,
         )
     states = StateEnsemble(grid=grid, values=out, first_failure=first_failure)
-    if realized is not None and (return_controls or feedback):
-        return states, ControlLaw(realized)
-    return states
+    return (states, ControlLaw(realized)) if feedback else states
 
 
 # ---------------------------------------------------------------------------
 # linearized dynamics and fundamental matrices
 
 
-def _stepper(obj, n_paths: int, n_steps: int, trailing: int):
+def _stepper(obj, n_steps: int, trailing: int):
     """Normalize a coefficient to a per-step accessor returning (M or 1, ...)."""
     if obj is None:
         return None
@@ -402,13 +407,13 @@ def solve_linearized(
     g1 trailing (n,), g2 trailing (n, d); either may be None.
     """
     n_paths, n_steps, d = brownian.increments.shape
-    a_at = _stepper(A, n_paths, n_steps, 2)
+    a_at = _stepper(A, n_steps, 2)
     if a_at is None:
         raise ValueError("A is required (use zeros for driftless linearization)")
     n = a_at(0).shape[-1]
-    d_at = _stepper(D, n_paths, n_steps, 3)
-    g1_at = _stepper(g1, n_paths, n_steps, 1)
-    g2_at = _stepper(g2, n_paths, n_steps, 2)
+    d_at = _stepper(D, n_steps, 3)
+    g1_at = _stepper(g1, n_steps, 1)
+    g2_at = _stepper(g2, n_steps, 2)
 
     y = np.zeros((n_paths, n)) if y0 is None else np.array(
         np.broadcast_to(np.asarray(y0, dtype=float), (n_paths, n))
@@ -463,8 +468,8 @@ def fundamental_matrices(
     over all paths and nodes; raises FundamentalMatrixError if it exceeds tol.
     """
     n_paths, n_steps, d = brownian.increments.shape
-    a_at = _stepper(A, n_paths, n_steps, 2)
-    d_at = _stepper(D, n_paths, n_steps, 3)
+    a_at = _stepper(A, n_steps, 2)
+    d_at = _stepper(D, n_steps, 3)
     n = a_at(0).shape[-1]
 
     stochastic = False
@@ -540,9 +545,9 @@ def representation_formula_check(
     if fund is None:
         fund = fundamental_matrices(A, D, brownian)
     n = direct.shape[2]
-    d_at = _stepper(D, n_paths, n_steps, 3)
-    g1_at = _stepper(g1, n_paths, n_steps, 1)
-    g2_at = _stepper(g2, n_paths, n_steps, 2)
+    d_at = _stepper(D, n_steps, 3)
+    g1_at = _stepper(g1, n_steps, 1)
+    g2_at = _stepper(g2, n_steps, 2)
 
     acc = np.zeros((n_paths, n))
     dt = brownian.grid.dt
@@ -696,10 +701,13 @@ def strong_convergence_order(
 def apriori_bound_report(dyn: DynamicsSpec, law, x0, brownian: BrownianEnsemble) -> dict:
     """Empirical version of the a priori estimate: compares E[sup_t |x|] with
     E[|x0| + int |f(s, 0, u)| ds + (int |sigma(s, 0, u)|^2 ds)^(1/2)]."""
-    states = euler_maruyama(dyn, law, x0, brownian)
+    law = _as_law(law)
+    if isinstance(law, FeedbackLaw):  # the bound reads the realized controls
+        states, law = euler_maruyama(dyn, law, x0, brownian)
+    else:
+        states = euler_maruyama(dyn, law, x0, brownian)
     lhs = float(np.linalg.norm(states.values, axis=2).max(axis=1).mean())
     n_paths = brownian.n_paths
-    law = _as_law(law)
     zero = np.zeros((n_paths, dyn.state_dim))
     dt = brownian.grid.dt
     drift_part = np.zeros(n_paths)

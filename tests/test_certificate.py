@@ -365,7 +365,7 @@ def lq_solution():
                        control_grid=np.linspace(-3.0, 3.0, 61))
     grid = make_grid(LQ_T, n_steps)
     brownian = sample_brownian(grid, 1, m_paths, seed)
-    feedback = FeedbackLaw(lambda t, x: -lq_gain(t) * x[:, :1], dim=1)
+    feedback = FeedbackLaw(lambda k, x, w: -lq_gain(grid.nodes[k]) * x[:, :1], dim=1)
     states, realized = euler_maruyama(dyn, feedback, np.array([1.0, 0.0]), brownian)
 
     cost = lambda x: 0.5 * LQ_C * x[:, 0] ** 2 + x[:, 1]

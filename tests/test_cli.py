@@ -252,6 +252,41 @@ def test_simulate_thread_count_does_not_change_bytes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_thread_pool_capped_at_usable_cpus(tmp_path, capsys, monkeypatch):
+    from riskpmp import cli
+
+    pools = []
+
+    class SerialPool:
+        # records the requested pool and maps in this thread: no thread starts
+        def __init__(self, max_workers):
+            self.max_workers, self.chunks = max_workers, 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            self.chunks += len(items)
+            return map(fn, items)
+
+    out = tmp_path / "out"
+    cfg_path = write_cfg(tmp_path, simulate_cfg(out))
+    assert main(["simulate", "--config", cfg_path]) == 0
+    serial = {name: (out / name).read_bytes() for name in ("paths.csv", "paths.bin")}
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert main(["simulate", "--config", cfg_path, "--threads", "1000"]) == 0
+    # 120 paths in one-path chunks, one per requested thread, on 3 workers
+    assert [(p.max_workers, p.chunks) for p in pools] == [(3, 120)]
+    assert {name: (out / name).read_bytes() for name in serial} == serial
+    capsys.readouterr()
+
+
 def test_simulate_env_threads_matches_flag(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     cfg_path = write_cfg(tmp_path, simulate_cfg(out))

@@ -161,12 +161,60 @@ def test_euler_maruyama_feedback_law_records_controls():
                        drift=drift, diffusion=diffusion)
     grid = make_grid(1.0, 100)
     ens = sample_brownian(grid, 1, 3, seed=8)
-    law = FeedbackLaw(lambda t, x: -x, dim=1)
+    law = FeedbackLaw(lambda k, x, w: -x, dim=1)
     states, realized = euler_maruyama(dyn, law, np.array([2.0]), ens)
     expected = 2.0 * (1 - grid.dt) ** 100
     np.testing.assert_allclose(states.terminal[:, 0], expected)
     np.testing.assert_allclose(realized.values[:, 0, 0], -2.0)
     assert realized.values.shape == (3, 100, 1)
+
+
+def test_feedback_law_sees_brownian_levels():
+    # u = W_k records the Brownian value at each step's left node
+    dyn = double_integrator_dynamics()
+    grid = make_grid(1.0, 40)
+    ens = sample_brownian(grid, 1, 6, seed=9)
+    law = FeedbackLaw(lambda k, x, w: w, dim=1)
+    _, realized = euler_maruyama(dyn, law, np.zeros(2), ens)
+    np.testing.assert_array_equal(realized.values, ens.levels()[:, :-1])
+
+
+def test_euler_maruyama_mixed_abort_leaves_survivors_untouched():
+    def drift(t, x, u):
+        return x**3
+
+    def diffusion(t, x, u):
+        return np.full((x.shape[0], 1, 1), 0.1)
+
+    dyn = DynamicsSpec(state_dim=1, control_dim=0, noise_dim=1,
+                       drift=drift, diffusion=diffusion)
+    grid = make_grid(1.0, 50)
+    law = ControlLaw(np.zeros((50, 0)))
+    x0 = np.array([[0.2], [10.0], [-0.1]])
+    with pytest.warns(RuntimeWarning, match="1 path"):
+        states = euler_maruyama(dyn, law, x0, sample_brownian(grid, 1, 3, seed=5))
+    survivors = [0, 2]
+    alone = [euler_maruyama(dyn, law, x0[p], sample_brownian(grid, 1, 1, seed=5, path_offset=p))
+             for p in survivors]
+    assert states.failed_paths.tolist() == [1]
+    for p, run in zip(survivors, alone):
+        assert run.failed_paths.size == 0
+        np.testing.assert_array_equal(states.values[p], run.values[0])
+    first_bad = states.first_failure[1]
+    assert first_bad > 0
+    assert np.isnan(states.values[1, first_bad:]).all()
+    assert np.isfinite(states.values[1, :first_bad]).all()
+
+
+def test_apriori_bound_with_feedback_law_uses_realized_controls():
+    dyn = double_integrator_dynamics()
+    grid = make_grid(1.0, 10)
+    ens = sample_brownian(grid, 1, 5, seed=4)
+    law = FeedbackLaw(lambda k, x, w: np.clip(-x[:, 1:] - w, -1.0, 1.0), dim=1)
+    x0 = np.array([1.0, 0.5])
+    report = apriori_bound_report(dyn, law, x0, ens)
+    _, realized = euler_maruyama(dyn, law, x0, ens)
+    assert report == apriori_bound_report(dyn, realized, x0, ens)
 
 
 def test_apriori_bound_finite_and_monotone_under_x0_scaling():
