@@ -251,10 +251,10 @@ class DynamicsSpec:
                 raise ValueError("diffusion_jac disagrees with finite differences")
 
 
-def central_differences(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                        h: float = 1e-6) -> np.ndarray:
-    """(fn(x + h e_j) - fn(x - h e_j)) / 2h for every coordinate j of the
-    (M, n) states x, stacked on a new last axis."""
+def central_differences(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """(fn(x + h e_j) - fn(x - h e_j)) / 2h, h = 1e-6, for every coordinate j
+    of the (M, n) states x, stacked on a new last axis."""
+    h = 1e-6
     cols = []
     for j in range(x.shape[1]):
         dx = np.zeros_like(x)
