@@ -27,7 +27,6 @@ from .sde import (
     FundamentalMatrices,
     StateEnsemble,
     TimeGrid,
-    as_control_law,
 )
 
 RIDGE = 1e-10
@@ -224,9 +223,9 @@ class CostatePair:
         return self.p[:, -1, :]
 
 
-def linearization_along(dyn: DynamicsSpec, states: StateEnsemble, control) -> Tuple:
-    """Per-step accessors for A_k, D_k along the candidate trajectory,
-    suitable for fundamental_matrices and solve_adjoint.
+def linearization_along(dyn: DynamicsSpec, states: StateEnsemble) -> Tuple:
+    """Per-step accessors for A_k, D_k along the candidate trajectory and the
+    control it carries, suitable for fundamental_matrices and solve_adjoint.
 
     Declare diffusion_jac on the dynamics only when it is genuinely nonzero;
     leaving it None for additive noise keeps the fundamental pair
@@ -234,7 +233,7 @@ def linearization_along(dyn: DynamicsSpec, states: StateEnsemble, control) -> Tu
     """
     if dyn.drift_jac is None:
         raise ValueError("adjoint machinery needs drift_jac on the dynamics")
-    law = as_control_law(control)
+    law = states.recorded_control()
     nodes = states.grid.nodes
     n_paths = states.n_paths
 
@@ -253,7 +252,6 @@ def linearization_along(dyn: DynamicsSpec, states: StateEnsemble, control) -> Tu
 def solve_adjoint(
     dyn: DynamicsSpec,
     states: StateEnsemble,
-    control,
     terminal: TerminalCostate,
     fund: FundamentalMatrices,
     brownian: BrownianEnsemble,
@@ -275,7 +273,7 @@ def solve_adjoint(
     dt = states.grid.dt
     d = brownian.increments.shape[2]
     levels = brownian.levels()
-    a_fn, d_fn = linearization_along(dyn, states, control)
+    a_fn, d_fn = linearization_along(dyn, states)
 
     g_vec = _apply_transposed(fund.phi_at(n_steps), terminal.p_T)
     p = np.empty((m_paths, n_nodes, n))
@@ -341,9 +339,10 @@ class MartingaleReport:
     passed: bool
 
 
-def martingale_check(pair: CostatePair, fund: FundamentalMatrices) -> MartingaleReport:
+def martingale_check(pair: CostatePair, fund: FundamentalMatrices,
+                     sigma: float = 5.0) -> MartingaleReport:
     """The phi(t)^T-weighted costate must be a martingale, so the ensemble
-    mean of each component should be flat in t.
+    mean of each component should be flat in t, within sigma standard errors.
 
     The slope estimate is the least-squares drift of the mean curve, which
     equals the mean of the per-path drifts; its standard error comes from
@@ -368,7 +367,7 @@ def martingale_check(pair: CostatePair, fund: FundamentalMatrices) -> Martingale
         stderrs = path_slopes.std(axis=0, ddof=1) / np.sqrt(m_paths)
     else:
         stderrs = np.zeros_like(slopes)
-    passed = bool(np.all(np.abs(slopes) <= 5.0 * stderrs + 1e-12))
+    passed = bool(np.all(np.abs(slopes) <= sigma * stderrs + 1e-12))
     return MartingaleReport(slopes=slopes, stderrs=stderrs, means=means, passed=passed)
 
 

@@ -8,7 +8,7 @@ violation was detected at the configured tolerances, since the principle is
 a necessary condition only.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,7 +22,6 @@ from .sde import (
     DynamicsSpec,
     FundamentalMatrices,
     StateEnsemble,
-    as_control_law,
     central_differences,
     solve_linearized,
 )
@@ -76,14 +75,11 @@ class CertifyConfig:
     normality_tol: float = 1e-8
     martingale_sigma: float = 5.0
 
-    def resolved(self) -> "CertifyConfig":
-        def default(value, factor):
-            return factor * self.scale if value is None else value
-
-        return replace(self, slackness_tol=default(self.slackness_tol, 1e-3),
-                       active_tol=default(self.active_tol, 1e-2),
-                       feasibility_tol=default(self.feasibility_tol, 1e-2),
-                       bsde_residual_bound=default(self.bsde_residual_bound, 0.1))
+    def __post_init__(self):
+        for name, factor in (("slackness_tol", 1e-3), ("active_tol", 1e-2),
+                             ("feasibility_tol", 1e-2), ("bsde_residual_bound", 0.1)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, factor * self.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +107,7 @@ class SlacknessReport:
 def slackness_check(problem: ProblemSpec, states: StateEnsemble,
                     multipliers: Sequence[float],
                     config: Optional[CertifyConfig] = None) -> SlacknessReport:
-    cfg = (config or CertifyConfig()).resolved()
+    cfg = config or CertifyConfig()
     x_T = states.terminal
     m = x_T.shape[0]
     n_con = len(problem.constraints)
@@ -174,18 +170,17 @@ class MaxGapReport:
     passed: bool
 
 
-def maximization_gap(problem: ProblemSpec, states: StateEnsemble, u_law,
-                     costates: CostatePair,
+def maximization_gap(problem: ProblemSpec, states: StateEnsemble, costates: CostatePair,
                      config: Optional[CertifyConfig] = None) -> MaxGapReport:
-    """gap(t_k, path) = max_u H(t_k, x_k, u, p_k, q_k) - H(..., u*_k, ...)
-    over the working control grid plus the candidate itself, so the gap is
-    nonnegative by construction.  Fractions of dt x P cells above 1/10 and
-    1/100 are always reported; the pass verdict uses the configured pair."""
-    cfg = (config or CertifyConfig()).resolved()
+    """gap(t_k, path) = max_u H(t_k, x_k, u, p_k, q_k) - H(..., u*_k, ...), u*
+    the control the states carry, over the working control grid plus u*, so
+    the gap is nonnegative by construction.  Fractions of dt x P cells above
+    1/10 and 1/100 are always reported; the pass verdict uses the configured pair."""
+    cfg = config or CertifyConfig()
     dyn = problem.dyn
     if dyn.control_grid is None:
         raise ValueError("maximization needs a working control grid on the dynamics")
-    law = as_control_law(u_law)
+    law = states.recorded_control()
     m_paths = states.n_paths
     n_steps = states.grid.n_steps
     nodes = states.grid.nodes
@@ -226,20 +221,19 @@ class NormalityReport:
     candidates_tried: int
 
 
-def normality_certificate(problem: ProblemSpec, states: StateEnsemble, u_law,
+def normality_certificate(problem: ProblemSpec, states: StateEnsemble,
                           active: Sequence[int], brownian: BrownianEnsemble,
                           config: Optional[CertifyConfig] = None) -> NormalityReport:
     """Search constant and single-switch control profiles for a linearized
     direction y with E[grad phi_i(x*(T)) . y(T)] < -tol on every active
     constraint.  Finding one certifies the normal (multiplier -1) case;
     not finding one is a reported outcome, not an error."""
-    cfg = (config or CertifyConfig()).resolved()
+    cfg = config or CertifyConfig()
     if len(active) == 0:
         return NormalityReport(status="vacuous", witness=None, margins=None, candidates_tried=0)
     dyn = problem.dyn
     if dyn.control_grid is None:
         raise ValueError("normality search needs a working control grid")
-    law = as_control_law(u_law)
     n_steps = states.grid.n_steps
     grid = dyn.control_grid
     lo, hi = grid[0], grid[-1]
@@ -256,11 +250,11 @@ def normality_certificate(problem: ProblemSpec, states: StateEnsemble, u_law,
                 (f"switch at node {s}: {np.array2string(u_a, precision=3)} -> "
                  f"{np.array2string(u_b, precision=3)}", values))
 
-    a_fn, d_fn = linearization_along(dyn, states, law)
+    a_fn, d_fn = linearization_along(dyn, states)
     grads = [np.asarray(problem.constraints[i].gradient(states.terminal), dtype=float)
              for i in active]
     for desc, values in candidates:
-        sel = tangent_from_control(dyn, states, law, ControlLaw(values))
+        sel = tangent_from_control(dyn, states, ControlLaw(values))
         if sel.zero:
             continue
         y = solve_linearized(a_fn, d_fn, sel.g1, sel.g2, brownian)
@@ -279,8 +273,9 @@ def normality_certificate(problem: ProblemSpec, states: StateEnsemble, u_law,
 
 @dataclass(frozen=True)
 class CandidateBundle:
+    """A candidate (x*, u*) with its costate evidence; u* is states.control."""
+
     states: StateEnsemble
-    control: ControlLaw
     brownian: BrownianEnsemble
     fund: FundamentalMatrices
     terminal: TerminalCostate
@@ -298,7 +293,6 @@ class PmpCertificate:
     version: str = "pmp_certificate_v1"
 
     def as_dict(self) -> dict:
-        cfg = self.config.resolved()
         return {
             "version": self.version,
             "verdict": self.verdict,
@@ -307,15 +301,15 @@ class PmpCertificate:
             "active_set": list(self.active_set),
             "multipliers": list(self.multipliers),
             "tolerances": {
-                "scale": cfg.scale,
-                "slackness": cfg.slackness_tol,
-                "active_set": cfg.active_tol,
-                "feasibility": cfg.feasibility_tol,
-                "risk_gap": cfg.risk_gap_tol,
-                "gap_threshold": cfg.gap_threshold,
-                "violating_measure": cfg.violating_measure_tol,
-                "bsde_residual": cfg.bsde_residual_bound,
-                "normality": cfg.normality_tol,
+                "scale": self.config.scale,
+                "slackness": self.config.slackness_tol,
+                "active_set": self.config.active_tol,
+                "feasibility": self.config.feasibility_tol,
+                "risk_gap": self.config.risk_gap_tol,
+                "gap_threshold": self.config.gap_threshold,
+                "violating_measure": self.config.violating_measure_tol,
+                "bsde_residual": self.config.bsde_residual_bound,
+                "normality": self.config.normality_tol,
             },
         }
 
@@ -329,7 +323,7 @@ def certify(problem: ProblemSpec, bundle: CandidateBundle,
     (backward residual above its bound, martingale drift, normality witness
     not found), which taints the evidence without witnessing a violation.
     """
-    cfg = (config or CertifyConfig()).resolved()
+    cfg = config or CertifyConfig()
     probe = bundle.states.terminal[: min(8, bundle.states.n_paths)]
     problem.check_gradients(probe)
 
@@ -375,17 +369,16 @@ def certify(problem: ProblemSpec, bundle: CandidateBundle,
     if not adj_ok:
         causes.append("backward costate residual above its calibrated bound")
 
-    mart = martingale_check(bundle.costates, bundle.fund)
-    mart_ok = bool(np.all(np.abs(mart.slopes) <= cfg.martingale_sigma * mart.stderrs + 1e-12))
+    mart = martingale_check(bundle.costates, bundle.fund, cfg.martingale_sigma)
     conditions["martingale"] = {
-        "status": "pass" if mart_ok else "inconclusive",
+        "status": "pass" if mart.passed else "inconclusive",
         "slopes": mart.slopes,
         "stderrs": mart.stderrs,
     }
-    if not mart_ok:
+    if not mart.passed:
         causes.append("weighted costate mean drifts beyond the sampling band")
 
-    gap_report = maximization_gap(problem, bundle.states, bundle.control, bundle.costates, cfg)
+    gap_report = maximization_gap(problem, bundle.states, bundle.costates, cfg)
     conditions["maximization"] = {
         "status": "pass" if gap_report.passed else "fail",
         "mean": gap_report.mean,
@@ -398,8 +391,7 @@ def certify(problem: ProblemSpec, bundle: CandidateBundle,
     if not gap_report.passed:
         causes.append("Hamiltonian maximization gap exceeds threshold on too much of dt x P")
 
-    norm = normality_certificate(problem, bundle.states, bundle.control,
-                                 slack.active_set, bundle.brownian, cfg)
+    norm = normality_certificate(problem, bundle.states, slack.active_set, bundle.brownian, cfg)
     conditions["normality"] = {
         "status": "pass" if norm.status in ("vacuous", "certified") else "inconclusive",
         "detail": norm.status,

@@ -321,6 +321,13 @@ def _post_validate(cfg):
                 raise UsageError("every level in n_steps_levels must divide the finest level")
 
 
+def _finite_number(token):
+    value = float(token)
+    if not np.isfinite(value):  # NaN and Infinity are not JSON; 1e400 overflows
+        raise UsageError(f"config holds the non-finite number {token}")
+    return value
+
+
 def load_scenario(path, kind):
     """Read, parse, and schema-validate a scenario config for the given verb."""
     try:
@@ -328,7 +335,7 @@ def load_scenario(path, kind):
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from exc
     try:
-        cfg = json.loads(raw)
+        cfg = json.loads(raw, parse_constant=_finite_number, parse_float=_finite_number)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -395,9 +402,9 @@ def _policy_values(cfg, instance, grid):
 
 
 def _fmt(value):
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if value is None:  # undefined: null in report.json, nan in the CSVs
+        return "nan"
+    if isinstance(value, (int, np.integer)):  # bool included
         return str(int(value))
     return "%.17g" % float(value)
 
@@ -511,14 +518,16 @@ class RunContext:
 
 
 def _simulate_ensemble(dyn, law, x0, grid, n_paths, seed, threads):
-    if threads <= 1:
+    workers = min(threads, _usable_cpus())
+    if workers <= 1:
         return euler_maruyama(dyn, law, x0, sample_brownian(grid, dyn.noise_dim, n_paths, seed))
     # paths are independent and the generator is counter-based in the global
     # path index, so disjoint chunks reproduce the single-pass ensemble
-    # bit for bit in any chunking
+    # bit for bit in any chunking; each chunk runs its own step loop, so
+    # there is one per worker
     values = np.empty((n_paths, grid.n_steps + 1, dyn.state_dim))
     failures = np.full(n_paths, -1, dtype=int)
-    chunk = -(-n_paths // threads)
+    chunk = -(-n_paths // workers)
     spans = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
 
     def work(span):
@@ -526,13 +535,11 @@ def _simulate_ensemble(dyn, law, x0, grid, n_paths, seed, threads):
         bm = sample_brownian(grid, dyn.noise_dim, hi - lo, seed, path_offset=lo)
         part = euler_maruyama(dyn, law, x0, bm)
         values[lo:hi] = part.values
-        if part.first_failure is not None:
-            failures[lo:hi] = part.first_failure
+        failures[lo:hi] = part.first_failure
 
-    # one chunk per requested thread, but no more workers than usable CPUs
-    with ThreadPoolExecutor(max_workers=min(threads, _usable_cpus())) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(work, spans))
-    return StateEnsemble(grid, values, failures)
+    return StateEnsemble(grid, values, failures, law)
 
 
 def _usable_cpus():
@@ -643,8 +650,8 @@ def _certify_solution(cfg, ctx, sol):
         config = CertifyConfig(**cfg.get("tolerances", {}))
     except TypeError as exc:
         raise UsageError(str(exc)) from exc
-    cert, gaps = certify(sol.problem, sol.bundle, config)
-    cert_text = json.dumps(cert.as_dict(), sort_keys=True, indent=2) + "\n"
+    cert, gaps = certify(sol.problem, sol, config)
+    cert_text = json.dumps(cert.as_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
     ctx.file("certificate.json").write_text(cert_text)
     results = {
         "certificate": cert.as_dict(),
@@ -757,11 +764,10 @@ def _run_convergence(cfg, ctx):
         return "completed", results, {}
     grid = make_grid(cfg["horizon"], cfg["n_steps"])
     brownian = sample_brownian(grid, dyn.noise_dim, cfg["n_paths"], cfg["seed"])
-    u_star = ControlLaw.constant(cfg["u_star"], grid.n_steps)
-    states = euler_maruyama(dyn, u_star, x0, brownian)
-    sel = tangent_from_control(dyn, states, u_star, ControlLaw.constant(cfg["w"], grid.n_steps))
+    states = euler_maruyama(dyn, ControlLaw.constant(cfg["u_star"], grid.n_steps), x0, brownian)
+    sel = tangent_from_control(dyn, states, ControlLaw.constant(cfg["w"], grid.n_steps))
     try:
-        table = linearization_rate(dyn, states, u_star, sel, cfg["epsilons"], brownian)
+        table = linearization_rate(dyn, states, sel, cfg["epsilons"], brownian)
     except ValueError as exc:  # aborted reference paths
         raise UsageError(str(exc)) from exc
     results = {
@@ -852,7 +858,8 @@ def run(argv):
     }
     report["artifacts"]["plots"] = emit_plot_data(report, out_dir)
     report["artifacts"]["report"] = "report.json"
-    (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    (out_dir / "report.json").write_text(
+        json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
     print(f"{args.verb}: {status} ({out_dir / 'report.json'})")
     return _EXIT[status]
 

@@ -102,7 +102,8 @@ def read_dump(path) -> tuple[dict, np.ndarray]:
 
 
 def jsonable(value):
-    """value with dataclasses, tuples, arrays and NumPy scalars made plain JSON types."""
+    """value with dataclasses, tuples, arrays and NumPy scalars made plain JSON
+    types; a non-finite float, which JSON cannot hold, becomes None (null)."""
     if is_dataclass(value) and not isinstance(value, type):
         return jsonable(asdict(value))
     if isinstance(value, dict):
@@ -116,5 +117,5 @@ def jsonable(value):
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, (np.floating, float)):
-        return float(value)
+        return float(value) if np.isfinite(value) else None
     return value

@@ -25,7 +25,6 @@ import numpy as np
 
 from .adjoint import (
     RegressionBasis,
-    TerminalCostate,
     assemble_terminal,
     linearization_along,
     solve_adjoint,
@@ -34,12 +33,9 @@ from .certificate import CandidateBundle, ProblemSpec
 from .risk import AVaR, risk_subgradient, risk_value
 from .sde import (
     BrownianEnsemble,
-    ControlLaw,
     FeedbackLaw,
-    FundamentalMatrices,
     StateEnsemble,
     TimeGrid,
-    as_control_law,
     double_integrator_dynamics,
     euler_maruyama,
     fundamental_matrices,
@@ -182,26 +178,14 @@ def shoot(instance: SopInstance, brownian: BrownianEnsemble,
 # solved-instance assembly and the safety / bang-bang analysis
 
 
-@dataclass(frozen=True)
-class SopSolution:
+@dataclass(frozen=True, kw_only=True)
+class SopSolution(CandidateBundle):
     instance: SopInstance
     problem: ProblemSpec
     policy: Optional[BangBangPolicy]
     cost: float
-    states: StateEnsemble
-    control: ControlLaw
-    brownian: BrownianEnsemble
-    fund: FundamentalMatrices
-    terminal: TerminalCostate
-    costates: "object"
     incumbents: List[float] = field(default_factory=list)
     refinement: Optional["Refinement"] = None
-
-    @property
-    def bundle(self) -> CandidateBundle:
-        return CandidateBundle(states=self.states, control=self.control,
-                               brownian=self.brownian, fund=self.fund,
-                               terminal=self.terminal, costates=self.costates)
 
 
 def assemble_solution(instance: SopInstance, control, brownian: BrownianEnsemble,
@@ -209,26 +193,22 @@ def assemble_solution(instance: SopInstance, control, brownian: BrownianEnsemble
                       cost: Optional[float] = None,
                       incumbents: Optional[List[float]] = None) -> SopSolution:
     """Integrate a control (grid values, a ControlLaw or a FeedbackLaw) once
-    and solve the adjoint system behind it; a feedback law's solution
-    carries the controls it realized on the ensemble."""
+    and solve the adjoint system behind it; the states carry the controls
+    realized on the ensemble."""
     problem = build_sop(instance)
-    if isinstance(control, FeedbackLaw):
-        states, law = euler_maruyama(problem.dyn, control, problem.x0, brownian)
-    else:
-        law = as_control_law(control)
-        states = euler_maruyama(problem.dyn, law, problem.x0, brownian)
+    states = euler_maruyama(problem.dyn, control, problem.x0, brownian)
     z = problem.cost(states.terminal)
     xi = risk_subgradient(problem.risk, z)
     terminal = assemble_terminal(xi, problem.cost_gradient(states.terminal))
-    a_fn, d_fn = linearization_along(problem.dyn, states, law)
+    a_fn, d_fn = linearization_along(problem.dyn, states)
     fund = fundamental_matrices(a_fn, d_fn, brownian)
-    costates = solve_adjoint(problem.dyn, states, law, terminal, fund, brownian)
+    costates = solve_adjoint(problem.dyn, states, terminal, fund, brownian)
     if cost is None:
         cost = risk_value(problem.risk, z)
     return SopSolution(instance=instance, problem=problem, policy=policy,
-                       cost=float(cost), states=states, control=law,
-                       brownian=brownian, fund=fund, terminal=terminal,
-                       costates=costates, incumbents=list(incumbents or []))
+                       cost=float(cost), states=states, brownian=brownian, fund=fund,
+                       terminal=terminal, costates=costates,
+                       incumbents=list(incumbents or []))
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +260,9 @@ def _refine(start: SopSolution, holdout: List[BrownianEnsemble]) -> SopSolution:
     problem, brownian = start.problem, start.brownian
     basis = RegressionBasis()
 
-    def score(law: FeedbackLaw) -> float:
+    def score(law) -> float:
         # a copy of each chunk's terminal states lets its path history go
-        x_T = np.concatenate([euler_maruyama(problem.dyn, law, problem.x0, chunk)[0].terminal.copy()
+        x_T = np.concatenate([euler_maruyama(problem.dyn, law, problem.x0, chunk).terminal.copy()
                               for chunk in holdout])
         return risk_value(problem.risk, problem.cost(x_T))
 
@@ -290,8 +270,7 @@ def _refine(start: SopSolution, holdout: List[BrownianEnsemble]) -> SopSolution:
         return FeedbackLaw(lambda k, x, w: np.where(
             basis.feature_matrix(x, w) @ coef[k] >= 0.0, 1.0, -1.0)[:, None], dim=1)
 
-    open_loop = start.control.values
-    scores = [score(FeedbackLaw(lambda k, x, w: open_loop[k], dim=1))]
+    scores = [score(start.states.control)]
     best, coef, kept = start, None, 0
     while kept < MAX_SWEEPS:
         fresh = _velocity_costate_coef(best)
@@ -408,7 +387,7 @@ def bangbang_necessity(solution: SopSolution, band_sigma: float = 5.0,
     )
 
     grid = solution.states.grid
-    u = solution.control.values
+    u = solution.states.control.values
     saturated = np.abs(u) >= 1.0 - saturation_tol
     saturation = float(np.mean(saturated))
     if u.ndim == 2:

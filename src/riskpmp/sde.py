@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -185,7 +185,7 @@ class ControlLaw:
 class FeedbackLaw:
     """Adapted feedback u_k = fn(k, x_k, W_k) of the step index, the state and
     the Brownian value at node k; euler_maruyama records the realized values
-    and returns them as a ControlLaw."""
+    as a ControlLaw on the ensemble it returns."""
 
     def __init__(self, fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray], dim: int):
         self.fn = fn
@@ -272,6 +272,7 @@ class StateEnsemble:
     grid: TimeGrid
     values: np.ndarray  # (M, K+1, n)
     first_failure: Optional[np.ndarray] = None  # (M,) step index of first non-finite, -1 if none
+    control: Optional[ControlLaw] = None  # the control integrated under, as grid values
 
     @property
     def n_paths(self) -> int:
@@ -291,40 +292,44 @@ class StateEnsemble:
             return np.empty(0, dtype=int)
         return np.nonzero(self.first_failure >= 0)[0]
 
+    def recorded_control(self) -> ControlLaw:
+        """The control the ensemble was integrated under."""
+        if self.control is None:
+            raise ValueError("the state ensemble carries no control: only euler_maruyama records one")
+        return self.control
+
 
 def as_control_law(law) -> ControlLaw:
     """A recorded control signal: a ControlLaw as given, or its values wrapped."""
     if isinstance(law, ControlLaw):
         return law
     if callable(law) or isinstance(law, FeedbackLaw):
-        raise TypeError("pass the recorded ControlLaw from euler_maruyama, not a feedback law")
+        raise TypeError("a control here is a ControlLaw or its grid values; only "
+                        "euler_maruyama takes feedback, as a FeedbackLaw")
     return ControlLaw(np.asarray(law, dtype=float))
 
 
-def _as_law(law) -> Union[ControlLaw, FeedbackLaw]:
-    return law if isinstance(law, FeedbackLaw) else as_control_law(law)
-
-
-def euler_maruyama(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEnsemble):
+def euler_maruyama(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEnsemble) -> StateEnsemble:
     """Integrate the controlled SDE over the ensemble.
 
     law is a ControlLaw (or its grid values), or a FeedbackLaw, which is
     evaluated at every step on the current states and on W_k, kept as the
-    running sum of the increments.  For a feedback law the realized controls
-    are recorded and (states, ControlLaw) is returned; otherwise the states.
-    x0 may be a single state (broadcast to all paths) or one state per path.
-    Paths that turn non-finite are aborted: their values stay NaN from the
-    offending node on and the first bad step is recorded on the ensemble.
+    running sum of the increments.  The ensemble carries the ControlLaw, or
+    the feedback law's realized controls, as its control.  x0 may be a single
+    state (broadcast to all paths) or one state per path.  Paths that turn
+    non-finite are aborted: their values stay NaN from the offending node on
+    and the first bad step is recorded on the ensemble.
     """
     grid = brownian.grid
     n_paths, n_steps, d = brownian.increments.shape
     n = dyn.state_dim
     if d != dyn.noise_dim:
         raise ValueError(f"Brownian dim {d} does not match dynamics noise_dim {dyn.noise_dim}")
-    law = _as_law(law)
     feedback = isinstance(law, FeedbackLaw)
-    if not feedback and law.n_steps != n_steps:
-        raise ValueError("control law length does not match the grid")
+    if not feedback:
+        law = as_control_law(law)
+        if law.n_steps != n_steps:
+            raise ValueError("control law length does not match the grid")
 
     x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, n)))
     out = np.empty((n_paths, n_steps + 1, n))
@@ -368,8 +373,8 @@ def euler_maruyama(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEns
             RuntimeWarning,
             stacklevel=2,
         )
-    states = StateEnsemble(grid=grid, values=out, first_failure=first_failure)
-    return (states, ControlLaw(realized)) if feedback else states
+    return StateEnsemble(grid=grid, values=out, first_failure=first_failure,
+                         control=ControlLaw(realized) if feedback else law)
 
 
 # ---------------------------------------------------------------------------
@@ -701,11 +706,7 @@ def strong_convergence_order(
 def apriori_bound_report(dyn: DynamicsSpec, law, x0, brownian: BrownianEnsemble) -> dict:
     """Empirical version of the a priori estimate: compares E[sup_t |x|] with
     E[|x0| + int |f(s, 0, u)| ds + (int |sigma(s, 0, u)|^2 ds)^(1/2)]."""
-    law = _as_law(law)
-    if isinstance(law, FeedbackLaw):  # the bound reads the realized controls
-        states, law = euler_maruyama(dyn, law, x0, brownian)
-    else:
-        states = euler_maruyama(dyn, law, x0, brownian)
+    states = euler_maruyama(dyn, law, x0, brownian)
     lhs = float(np.linalg.norm(states.values, axis=2).max(axis=1).mean())
     n_paths = brownian.n_paths
     zero = np.zeros((n_paths, dyn.state_dim))
@@ -714,7 +715,7 @@ def apriori_bound_report(dyn: DynamicsSpec, law, x0, brownian: BrownianEnsemble)
     diff_part = np.zeros(n_paths)
     for k in range(brownian.grid.n_steps):
         t = brownian.grid.nodes[k]
-        u = law.at(k, n_paths)
+        u = states.control.at(k, n_paths)
         drift_part += np.linalg.norm(dyn.drift(t, zero, u), axis=1) * dt
         sig = dyn.diffusion(t, zero, u)
         diff_part += np.einsum("pnd,pnd->p", sig, sig) * dt

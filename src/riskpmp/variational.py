@@ -16,7 +16,6 @@ import numpy as np
 from .adjoint import linearization_along
 from .sde import (
     BrownianEnsemble,
-    ControlLaw,
     DynamicsSpec,
     StateEnsemble,
     as_control_law,
@@ -36,22 +35,16 @@ class TangentSelection:
 
     g1: np.ndarray                 # (M, K, n)
     g2: Optional[np.ndarray]       # (M, K, n, d) or None when exactly zero
-    w: ControlLaw
-    base: ControlLaw
 
     @property
     def zero(self) -> bool:
         return not np.any(self.g1) and self.g2 is None
 
 
-def tangent_from_control(
-    dyn: DynamicsSpec,
-    states: StateEnsemble,
-    u_star,
-    w,
-) -> TangentSelection:
-    """Pointwise control-difference selection along the candidate ensemble."""
-    u_law = as_control_law(u_star)
+def tangent_from_control(dyn: DynamicsSpec, states: StateEnsemble, w) -> TangentSelection:
+    """Pointwise control-difference selection along the candidate ensemble,
+    from the control it carries toward w (a ControlLaw or its grid values)."""
+    u_law = states.recorded_control()
     w_law = as_control_law(w)
     m_paths = states.n_paths
     n_steps = states.grid.n_steps
@@ -77,7 +70,7 @@ def tangent_from_control(
             "uncontrolled diffusion or convex velocity sets",
             stacklevel=2,
         )
-    return TangentSelection(g1=g1, g2=g2, w=w_law, base=u_law)
+    return TangentSelection(g1=g1, g2=g2)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +97,6 @@ class RateTable:
 def linearization_rate(
     dyn: DynamicsSpec,
     states: StateEnsemble,
-    u_star,
     sel: TangentSelection,
     epsilons: Sequence[float],
     brownian: BrownianEnsemble,
@@ -126,10 +118,10 @@ def linearization_rate(
         raise ValueError(f"reference state is not finite on {int(bad.sum())} of {bad.size} "
                          f"paths (first at path {int(np.argmax(bad))})")
 
-    u_law = as_control_law(u_star)
+    a_fn, d_fn = linearization_along(dyn, states)
+    u_law = states.control
     n_eps, m_paths, n, d = eps.size, states.n_paths, states.state_dim, brownian.dim
     nodes, dt = states.grid.nodes, states.grid.dt
-    a_fn, d_fn = linearization_along(dyn, states, u_law)
     e3 = eps[:, None, None]
 
     x = np.repeat(states.values[None, :, 0, :], n_eps, axis=0)  # (E, M, n)
@@ -171,7 +163,6 @@ def linearization_rate(
 def selection_continuity(
     dyn: DynamicsSpec,
     states: StateEnsemble,
-    u_star,
     sel_a: TangentSelection,
     sel_b: TangentSelection,
     brownian: BrownianEnsemble,
@@ -201,8 +192,7 @@ def selection_continuity(
     if denom_sq == 0.0:
         return 0.0
 
-    u_law = as_control_law(u_star)
-    a_fn, d_fn = linearization_along(dyn, states, u_law)
+    a_fn, d_fn = linearization_along(dyn, states)
     diff = solve_linearized(a_fn, d_fn, g1, g2, brownian)
     num_sq = float(np.mean(np.max(np.sum(diff.values**2, axis=2), axis=1)))
     return np.sqrt(num_sq / denom_sq)

@@ -152,7 +152,7 @@ def test_criterion_4_sde_engine():
     bm = sample_brownian(grid, 1, 1000, seed=SEED)
     law = ControlLaw(np.zeros((4000, 0)))
     states = euler_maruyama(dyn, law, np.ones(1), bm)
-    a_fn, d_fn = linearization_along(dyn, states, law)
+    a_fn, d_fn = linearization_along(dyn, states)
     fund = fundamental_matrices(a_fn, d_fn, bm)
     elapsed = time.perf_counter() - t0
     ok = 0.35 <= order.estimate <= 0.65 and fund.inverse_error <= 0.05 and elapsed < 60.0
@@ -197,8 +197,8 @@ def test_criterion_5_linearization_rate():
     bm = sample_brownian(grid, 1, 10_000, seed=SEED)
     u_star = ControlLaw.constant(0.3, 2000)
     states = euler_maruyama(dyn, u_star, np.zeros(2), bm)
-    sel = tangent_from_control(dyn, states, u_star, ControlLaw.constant(-0.8, 2000))
-    table = linearization_rate(dyn, states, u_star, sel, [0.2, 0.025], bm)
+    sel = tangent_from_control(dyn, states, ControlLaw.constant(-0.8, 2000))
+    table = linearization_rate(dyn, states, sel, [0.2, 0.025], bm)
     elapsed = time.perf_counter() - t0
     r_big, r_small = table.rates
     ok = r_small < 0.5 * r_big and elapsed < 120.0
@@ -236,7 +236,7 @@ def test_criterion_6_adjoint_correctness():
     states = euler_maruyama(dyn, law, x0, bm)
     fund = fundamental_matrices(a_mat, None, bm)
     terminal = assemble_terminal(np.ones(n_paths), states.terminal.copy())
-    pair = solve_adjoint(dyn, states, law, terminal, fund, bm)
+    pair = solve_adjoint(dyn, states, terminal, fund, bm)
     ode = np.empty_like(pair.p)
     ode[:, -1] = terminal.p_T
     for k in range(n_steps - 1, -1, -1):
@@ -286,7 +286,7 @@ def test_criterion_7_sop_end_to_end():
         bsde_residual_bound=2.5,
         gap_threshold=1.0,
     )
-    cert, gaps = certify(sol.problem, sol.bundle, config)
+    cert, gaps = certify(sol.problem, sol, config)
 
     mean_py = sol.costates.p[:, :, 0].mean(axis=0)
     stderr_py = sol.costates.p[:, :, 0].std(axis=0, ddof=1) / np.sqrt(sol.states.n_paths)
@@ -295,7 +295,7 @@ def test_criterion_7_sop_end_to_end():
     flat = bool(np.all(np.abs(mean_py - mean_py.mean()) <= 5.0 * stderr_py + 1e-9))
 
     safety = safety_check(instance, sol.states)
-    saturation = float(np.mean(np.abs(sol.control.values) >= 1.0 - 1e-6))
+    saturation = float(np.mean(np.abs(sol.states.control.values) >= 1.0 - 1e-6))
     measure = gaps.violating_fractions[config.gap_threshold]
     elapsed = time.perf_counter() - t0
 

@@ -52,7 +52,7 @@ def scalar_linear_setup(a, b, n_steps, n_paths, seed, x0=1.0):
     )
     bm = sample_brownian(grid, 1, n_paths, seed)
     states = euler_maruyama(dyn, ControlLaw.constant(0.0, n_steps), np.array([x0]), bm)
-    a_fn, d_fn = linearization_along(dyn, states, ControlLaw.constant(0.0, n_steps))
+    a_fn, d_fn = linearization_along(dyn, states)
     fund = fundamental_matrices(a_fn, d_fn, bm)
     return dyn, states, bm, fund
 
@@ -237,7 +237,7 @@ def test_adjoint_matches_backward_euler_ode_oracle():
     states = euler_maruyama(dyn, law, x0, bm)
     fund = fundamental_matrices(a_mat, None, bm, tol=1e-10)
     term = assemble_terminal(np.ones(n_paths), states.terminal.copy())
-    pair = solve_adjoint(dyn, states, law, term, fund, bm)
+    pair = solve_adjoint(dyn, states, term, fund, bm)
 
     # independent oracle: explicit backward Euler for dp/dt = -A^T p
     oracle = np.empty_like(pair.p)
@@ -260,7 +260,7 @@ def test_adjoint_scalar_linear_closed_form():
     dyn, states, bm, fund = scalar_linear_setup(a, b, n_steps, n_paths, seed=11)
     grid = states.grid
     term = assemble_terminal(np.ones(n_paths), states.terminal.copy())
-    pair = solve_adjoint(dyn, states, ControlLaw.constant(0.0, n_steps), term, fund, bm)
+    pair = solve_adjoint(dyn, states, term, fund, bm)
 
     assert np.array_equal(pair.p[:, -1], term.p_T)
     # early nodes have x almost affine in W, so the feature matrix is near
@@ -299,8 +299,7 @@ def test_adjoint_scalar_q_sharp_with_markov_basis():
     dyn, states, bm, fund = scalar_linear_setup(a, b, n_steps, n_paths, seed=11)
     term = assemble_terminal(np.ones(n_paths), states.terminal.copy())
     basis = RegressionBasis(include_brownian=False)
-    pair = solve_adjoint(dyn, states, ControlLaw.constant(0.0, n_steps), term,
-                         fund, bm, basis=basis)
+    pair = solve_adjoint(dyn, states, term, fund, bm, basis=basis)
     dt = states.grid.dt
     gamma = (1 + a * dt) ** 2 + b**2 * dt
     x = states.values[:, :, 0]
@@ -320,7 +319,7 @@ def test_bsde_residual_shrinks_under_refinement():
     for n_steps in (16, 128):
         dyn, states, bm, fund = scalar_linear_setup(0.4, 0.25, n_steps, 8000, seed=21)
         term = assemble_terminal(np.ones(8000), states.terminal.copy())
-        pair = solve_adjoint(dyn, states, ControlLaw.constant(0.0, n_steps), term, fund, bm)
+        pair = solve_adjoint(dyn, states, term, fund, bm)
         results[n_steps] = pair.bsde_residual_max
     assert results[128] > 0.0
     # expected sqrt(dt) decay would give 0.35; allow slack for MC noise
@@ -361,7 +360,7 @@ def test_double_integrator_expectation_adjoint():
     fund = fundamental_matrices(a_mat, None, bm, tol=1e-10)
     grad = np.stack([states.terminal[:, 0] - y_target, np.zeros(n_paths)], axis=1)
     term = assemble_terminal(np.ones(n_paths), grad)
-    pair = solve_adjoint(dyn, states, law, term, fund, bm)
+    pair = solve_adjoint(dyn, states, term, fund, bm)
 
     # the y-costate is driven by -dW, so its diffusion loading is -1
     q_y = pair.q[:, :, 0, 0]
@@ -386,20 +385,6 @@ def test_double_integrator_expectation_adjoint():
 # interface guards
 
 
-def test_solve_adjoint_rejects_feedback_callable():
-    states, bm = brownian_states(n_paths=50, n_steps=4)
-    dyn = DynamicsSpec(
-        state_dim=1, control_dim=1, noise_dim=1,
-        drift=lambda t, x, u: np.zeros_like(x),
-        diffusion=lambda t, x, u: np.ones(x.shape + (1,)),
-        drift_jac=lambda t, x, u: np.zeros((x.shape[0], 1, 1)),
-    )
-    fund = fundamental_matrices(np.zeros((1, 1)), None, bm)
-    term = assemble_terminal(np.ones(50), states.terminal.copy())
-    with pytest.raises(TypeError):
-        solve_adjoint(dyn, states, lambda t, x: 0.0, term, fund, bm)
-
-
 def test_linearization_requires_drift_jacobian():
     states, bm = brownian_states(n_paths=20, n_steps=4)
     dyn = DynamicsSpec(
@@ -408,7 +393,7 @@ def test_linearization_requires_drift_jacobian():
         diffusion=lambda t, x, u: np.ones(x.shape + (1,)),
     )
     with pytest.raises(ValueError):
-        linearization_along(dyn, states, ControlLaw.constant(0.0, 4))
+        linearization_along(dyn, states)
 
 
 @pytest.mark.parametrize("degree", [2, 3])

@@ -2,6 +2,7 @@
 linear-quadratic benchmark whose optimal feedback has a closed form."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from riskpmp import (
     sample_brownian,
     slackness_check,
     solve_adjoint,
+    tangent_from_control,
 )
 from riskpmp.adjoint import CostatePair, RegressionDiagnostics
 from riskpmp.sde import StateEnsemble
@@ -225,23 +227,23 @@ def test_gap_zero_on_singleton_grid():
     prob.dyn.control_grid = np.array([[0.25]])
     grid = make_grid(1.0, 3)
     rng = np.random.default_rng(21)
-    states = StateEnsemble(grid=grid, values=rng.normal(size=(5, 4, 2)))
-    law = ControlLaw(np.full((3, 1), 0.25))
+    states = StateEnsemble(grid=grid, values=rng.normal(size=(5, 4, 2)),
+                           control=ControlLaw(np.full((3, 1), 0.25)))
     pair = dummy_costates(grid, rng.normal(size=(5, 4, 2)), rng.normal(size=(5, 3, 2, 1)))
-    rep = maximization_gap(prob, states, law, pair)
+    rep = maximization_gap(prob, states, pair)
     assert rep.max == 0.0 and rep.mean == 0.0 and rep.passed
 
 
 def test_gap_hand_cells_double_integrator():
     # H = p_y v + p_v u + q_y * noise; only p_v u varies with u on [-1, 1]
     grid = make_grid(1.0, 2)
-    states = StateEnsemble(grid=grid, values=np.zeros((2, 3, 2)))
-    law = ControlLaw(np.full((2, 1), -1.0))
+    states = StateEnsemble(grid=grid, values=np.zeros((2, 3, 2)),
+                           control=ControlLaw(np.full((2, 1), -1.0)))
     p = np.zeros((2, 3, 2))
     p[0, :, 1] = 2.0   # max at u=+1: gap = 2*1 - 2*(-1) = 4
     p[1, :, 1] = -3.0  # max at u=-1, candidate already there: gap 0
     pair = dummy_costates(grid, p, np.zeros((2, 2, 2, 1)))
-    rep = maximization_gap(toy_problem(), states, law, pair)
+    rep = maximization_gap(toy_problem(), states, pair)
     np.testing.assert_allclose(rep.gaps[0], 4.0)
     np.testing.assert_allclose(rep.gaps[1], 0.0)
     assert rep.mean == pytest.approx(2.0)
@@ -253,12 +255,26 @@ def test_gap_hand_cells_double_integrator():
 def test_gap_nonnegative_for_off_grid_candidate():
     grid = make_grid(1.0, 4)
     rng = np.random.default_rng(23)
-    states = StateEnsemble(grid=grid, values=rng.normal(size=(30, 5, 2)))
-    law = ControlLaw(rng.uniform(-0.97, 0.97, size=(30, 4, 1)))
+    states = StateEnsemble(grid=grid, values=rng.normal(size=(30, 5, 2)),
+                           control=ControlLaw(rng.uniform(-0.97, 0.97, size=(30, 4, 1))))
     pair = dummy_costates(grid, rng.normal(size=(30, 5, 2)), rng.normal(size=(30, 4, 2, 1)))
-    rep = maximization_gap(toy_problem(), states, law, pair)
+    rep = maximization_gap(toy_problem(), states, pair)
     assert np.all(rep.gaps >= 0.0)
     assert rep.grid_points == 21
+
+
+def test_states_without_control_rejected_by_name():
+    # linearized solutions and hand-built ensembles carry no control
+    grid = make_grid(1.0, 3)
+    states = StateEnsemble(grid=grid, values=np.zeros((2, 4, 2)))
+    pair = dummy_costates(grid, np.zeros((2, 4, 2)), np.zeros((2, 3, 2, 1)))
+    dyn = toy_problem().dyn
+    readers = [lambda: linearization_along(dyn, states),
+               lambda: maximization_gap(toy_problem(), states, pair),
+               lambda: tangent_from_control(dyn, states, ControlLaw.constant(1.0, 3))]
+    for read in readers:
+        with pytest.raises(ValueError, match="carries no control"):
+            read()
 
 
 # ---------------------------------------------------------------------------
@@ -288,34 +304,34 @@ def scalar_run(n_steps=20, m_paths=200, seed=31):
     brownian = sample_brownian(grid, 1, m_paths, seed)
     law = ControlLaw(np.zeros((n_steps, 1)))
     states = euler_maruyama(dyn, law, np.zeros(1), brownian)
-    return dyn, states, law, brownian
+    return dyn, states, brownian
 
 
 def test_normality_vacuous_without_active_constraints():
-    dyn, states, law, brownian = scalar_run()
+    dyn, states, brownian = scalar_run()
     prob = ProblemSpec(dyn=dyn, risk=Expectation(),
                        cost=lambda x: x[:, 0], cost_gradient=lambda x: np.ones_like(x),
                        x0=np.zeros(1))
-    rep = normality_certificate(prob, states, law, active=[], brownian=brownian)
+    rep = normality_certificate(prob, states, active=[], brownian=brownian)
     assert rep.status == "vacuous" and rep.candidates_tried == 0
 
 
 def test_normality_witness_found_for_one_sided_constraint():
-    dyn, states, law, brownian = scalar_run()
+    dyn, states, brownian = scalar_run()
     center = float(states.terminal[:, 0].mean())
     con = TerminalConstraint(fn=lambda x: x[:, 0] - center,
                              gradient=lambda x: np.ones_like(x), name="upper")
     prob = ProblemSpec(dyn=dyn, risk=Expectation(),
                        cost=lambda x: x[:, 0], cost_gradient=lambda x: np.ones_like(x),
                        x0=np.zeros(1), constraints=(con,))
-    rep = normality_certificate(prob, states, law, active=[0], brownian=brownian)
+    rep = normality_certificate(prob, states, active=[0], brownian=brownian)
     assert rep.status == "certified"
     assert rep.margins[0] < -1e-3
     assert "constant" in rep.witness or "switch" in rep.witness
 
 
 def test_normality_not_found_for_pinned_constraint_pair():
-    dyn, states, law, brownian = scalar_run()
+    dyn, states, brownian = scalar_run()
     center = float(states.terminal[:, 0].mean())
     up = TerminalConstraint(fn=lambda x: x[:, 0] - center,
                             gradient=lambda x: np.ones_like(x))
@@ -324,7 +340,7 @@ def test_normality_not_found_for_pinned_constraint_pair():
     prob = ProblemSpec(dyn=dyn, risk=Expectation(),
                        cost=lambda x: x[:, 0], cost_gradient=lambda x: np.ones_like(x),
                        x0=np.zeros(1), constraints=(up, down))
-    rep = normality_certificate(prob, states, law, active=[0, 1], brownian=brownian)
+    rep = normality_certificate(prob, states, active=[0, 1], brownian=brownian)
     assert rep.status == "not_found"
     assert rep.candidates_tried >= 5
 
@@ -366,20 +382,20 @@ def lq_solution():
     grid = make_grid(LQ_T, n_steps)
     brownian = sample_brownian(grid, 1, m_paths, seed)
     feedback = FeedbackLaw(lambda k, x, w: -lq_gain(grid.nodes[k]) * x[:, :1], dim=1)
-    states, realized = euler_maruyama(dyn, feedback, np.array([1.0, 0.0]), brownian)
+    states = euler_maruyama(dyn, feedback, np.array([1.0, 0.0]), brownian)
 
     cost = lambda x: 0.5 * LQ_C * x[:, 0] ** 2 + x[:, 1]
     cost_grad = lambda x: np.stack([LQ_C * x[:, 0], np.ones(x.shape[0])], axis=1)
     risk = Expectation()
     xi = risk_subgradient(risk, cost(states.terminal))
     terminal = assemble_terminal(xi, cost_grad(states.terminal))
-    a_fn, d_fn = linearization_along(dyn, states, realized)
+    a_fn, d_fn = linearization_along(dyn, states)
     fund = fundamental_matrices(a_fn, d_fn, brownian)
-    costates = solve_adjoint(dyn, states, realized, terminal, fund, brownian)
+    costates = solve_adjoint(dyn, states, terminal, fund, brownian)
 
     problem = ProblemSpec(dyn=dyn, risk=risk, cost=cost, cost_gradient=cost_grad,
                           x0=np.array([1.0, 0.0]))
-    bundle = CandidateBundle(states=states, control=realized, brownian=brownian,
+    bundle = CandidateBundle(states=states, brownian=brownian,
                              fund=fund, terminal=terminal, costates=costates)
     return problem, bundle
 
@@ -434,7 +450,7 @@ def test_lq_certificate_deterministic(lq_solution):
 def test_lq_flipped_control_fails_maximization(lq_solution):
     problem, bundle = lq_solution
     flipped = CandidateBundle(
-        states=bundle.states, control=ControlLaw(-bundle.control.values),
+        states=replace(bundle.states, control=ControlLaw(-bundle.states.control.values)),
         brownian=bundle.brownian, fund=bundle.fund,
         terminal=bundle.terminal, costates=bundle.costates,
     )
@@ -458,7 +474,7 @@ def test_lq_tiny_bsde_bound_turns_inconclusive(lq_solution):
 def test_certificate_monotone_in_tolerances(lq_solution):
     problem, bundle = lq_solution
     flipped = CandidateBundle(
-        states=bundle.states, control=ControlLaw(-bundle.control.values),
+        states=replace(bundle.states, control=ControlLaw(-bundle.states.control.values)),
         brownian=bundle.brownian, fund=bundle.fund,
         terminal=bundle.terminal, costates=bundle.costates,
     )

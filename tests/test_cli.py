@@ -92,6 +92,20 @@ def test_bad_thread_values(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("verb, fields, token", [
+    ("simulate", {"dynamics": {"name": "scalar-linear"}, "x0": [float("nan")],
+                  "horizon": 1.0, "n_steps": 4, "n_paths": 4}, "NaN"),
+    ("risk-eval", {"measure": {"type": "expectation"}, "samples": [1.0, float("inf")]},
+     "Infinity"),
+])
+def test_non_finite_config_numbers_rejected(tmp_path, capsys, verb, fields, token):
+    # json.dumps writes NaN and Infinity, which are not JSON numbers
+    cfg = dict(kind=verb, seed=1, out_dir=str(tmp_path / "o"), **fields)
+    assert main([verb, "--config", write_cfg(tmp_path, cfg)]) == 1
+    assert f"non-finite number {token}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_shape_mismatch_is_usage_error(tmp_path, capsys):
     cfg = {
         "kind": "simulate",
@@ -281,8 +295,8 @@ def test_simulate_thread_pool_capped_at_usable_cpus(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert main(["simulate", "--config", cfg_path, "--threads", "1000"]) == 0
-    # 120 paths in one-path chunks, one per requested thread, on 3 workers
-    assert [(p.max_workers, p.chunks) for p in pools] == [(3, 120)]
+    # 120 paths in one chunk per worker, on 3 workers
+    assert [(p.max_workers, p.chunks) for p in pools] == [(3, 3)]
     assert {name: (out / name).read_bytes() for name in serial} == serial
     capsys.readouterr()
 
@@ -510,6 +524,34 @@ def test_sop_solve_reports_adapted_candidate(tmp_path, capsys):
     assert [r["sweep"] for r in refinement["holdout_avar"]] == list(range(len(scores)))
     assert len(scores) == refinement["sweeps"] + 2
     assert min(scores) == scores[refinement["sweeps"]] < scores[0]
+    capsys.readouterr()
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"{path.name} holds {token}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_reports_are_strict_json_with_null_for_undefined_values(tmp_path, capsys):
+    # an unsafe instance skips the bang-bang analysis, and one path has no
+    # standard error: those values are undefined and written as null
+    out = tmp_path / "sop"
+    cfg = {"kind": "sop-solve", "seed": 1, "out_dir": str(out), "instance": SAFE_INSTANCE,
+           "n_steps": 10, "n_paths": 50}
+    main(["sop-solve", "--config", write_cfg(tmp_path, cfg, "sop.json")])
+    bangbang = _strict_json(out / "report.json")["results"]["bangbang"]
+    assert bangbang["status"] == "skipped_unsafe"
+    assert bangbang["pairing_mean"] is None and bangbang["pairing_band"] is None
+    _strict_json(out / "certificate.json")
+    out = tmp_path / "adj"
+    cfg = {"kind": "adjoint", "seed": 1, "out_dir": str(out), "instance": SAFE_INSTANCE,
+           "policy": {"constant": 1.0}, "n_steps": 10, "n_paths": 1}
+    with pytest.warns(RuntimeWarning):
+        main(["adjoint", "--config", write_cfg(tmp_path, cfg, "adj.json")])
+    rows = _strict_json(out / "report.json")["results"]["costate_mean"]
+    assert [row["stderr"] for row in rows] == [None] * 11
     capsys.readouterr()
 
 

@@ -155,7 +155,7 @@ def safe_solution():
 
 def test_safe_instance_goes_full_throttle(safe_solution):
     # target sits beyond the reachable set, so maximal displacement wins
-    np.testing.assert_allclose(safe_solution.control.values, 1.0)
+    np.testing.assert_allclose(safe_solution.states.control.values, 1.0)
     rep = safety_check(SAFE, safe_solution.states)
     # AV@R_0.3 of y(T) ~ N(2, sqrt(2)) is 2 + sqrt(2) phi(z_.7)/.3 ~ 3.64
     assert rep.safe
@@ -203,7 +203,7 @@ def test_safe_solution_certificate_passes(safe_solution):
         bsde_residual_bound=2.5,
         gap_threshold=1.0,
     )
-    cert, gaps = certify(safe_solution.problem, safe_solution.bundle, cfg)
+    cert, gaps = certify(safe_solution.problem, safe_solution, cfg)
     assert cert.verdict == "pass", (cert.causes, cert.conditions["adjoint_residual"])
     assert cert.conditions["risk_parameter"]["gap"] <= 1e-9
     assert gaps.violating_fractions[1.0] <= 0.01
@@ -248,7 +248,7 @@ def test_refinement_lowers_holdout_avar_with_adapted_control():
     assert ref.scores[-1] >= kept[-1]
     assert kept[-1] <= ref.scores[0]
     # the candidate is per path, bang-bang, and not a relabelled open loop
-    u = sol.control.values
+    u = sol.states.control.values
     assert sol.policy is None
     assert u.shape == (2000, 40, 1)
     assert set(np.unique(u)) == {-1.0, 1.0}
@@ -265,7 +265,7 @@ def test_refinement_keeps_start_when_first_sweep_does_not_lower():
     assert sol.policy == ref.start
     brownian = sample_brownian(make_grid(REACH.horizon, 40), 1, 2000, seed=3)
     assert sol.cost == shoot(REACH, brownian).cost
-    np.testing.assert_array_equal(sol.control.values, ref.start.on_grid(brownian.grid))
+    np.testing.assert_array_equal(sol.states.control.values, ref.start.on_grid(brownian.grid))
 
 
 def test_noise_free_regime_not_applicable():

@@ -162,11 +162,32 @@ def test_euler_maruyama_feedback_law_records_controls():
     grid = make_grid(1.0, 100)
     ens = sample_brownian(grid, 1, 3, seed=8)
     law = FeedbackLaw(lambda k, x, w: -x, dim=1)
-    states, realized = euler_maruyama(dyn, law, np.array([2.0]), ens)
+    states = euler_maruyama(dyn, law, np.array([2.0]), ens)
+    realized = states.control
     expected = 2.0 * (1 - grid.dt) ** 100
     np.testing.assert_allclose(states.terminal[:, 0], expected)
     np.testing.assert_allclose(realized.values[:, 0, 0], -2.0)
     assert realized.values.shape == (3, 100, 1)
+
+
+def test_euler_maruyama_states_carry_their_control():
+    # a feedback law's realized controls: test_euler_maruyama_feedback_law_records_controls
+    dyn = double_integrator_dynamics()
+    grid = make_grid(1.0, 20)
+    ens = sample_brownian(grid, 1, 4, seed=3)
+    law = ControlLaw.constant(0.5, 20)
+    assert euler_maruyama(dyn, law, np.zeros(2), ens).control is law
+    values = np.linspace(-1.0, 1.0, 20)[:, None]
+    np.testing.assert_array_equal(euler_maruyama(dyn, values, np.zeros(2), ens).control.values,
+                                  values)
+
+
+def test_euler_maruyama_rejects_feedback_callable():
+    # a bare function is not a control; feedback enters as a FeedbackLaw
+    dyn = double_integrator_dynamics()
+    ens = sample_brownian(make_grid(1.0, 4), 1, 5, seed=2)
+    with pytest.raises(TypeError, match="FeedbackLaw"):
+        euler_maruyama(dyn, lambda t, x: 0.0, np.zeros(2), ens)
 
 
 def test_feedback_law_sees_brownian_levels():
@@ -175,7 +196,7 @@ def test_feedback_law_sees_brownian_levels():
     grid = make_grid(1.0, 40)
     ens = sample_brownian(grid, 1, 6, seed=9)
     law = FeedbackLaw(lambda k, x, w: w, dim=1)
-    _, realized = euler_maruyama(dyn, law, np.zeros(2), ens)
+    realized = euler_maruyama(dyn, law, np.zeros(2), ens).control
     np.testing.assert_array_equal(realized.values, ens.levels()[:, :-1])
 
 
@@ -213,7 +234,7 @@ def test_apriori_bound_with_feedback_law_uses_realized_controls():
     law = FeedbackLaw(lambda k, x, w: np.clip(-x[:, 1:] - w, -1.0, 1.0), dim=1)
     x0 = np.array([1.0, 0.5])
     report = apriori_bound_report(dyn, law, x0, ens)
-    _, realized = euler_maruyama(dyn, law, x0, ens)
+    realized = euler_maruyama(dyn, law, x0, ens).control
     assert report == apriori_bound_report(dyn, realized, x0, ens)
 
 

@@ -67,7 +67,7 @@ def test_tangent_same_control_is_zero():
     bm = sample_brownian(grid, 1, 30, seed=1)
     law = ControlLaw.constant(0.5, 10)
     states = euler_maruyama(dyn, law, np.zeros(2), bm)
-    sel = tangent_from_control(dyn, states, law, law)
+    sel = tangent_from_control(dyn, states, law)
     assert sel.zero
     assert not np.any(sel.g1)
     assert sel.g2 is None
@@ -79,7 +79,7 @@ def test_tangent_sop_substitution():
     bm = sample_brownian(grid, 1, 25, seed=2)
     u_star = ControlLaw.constant(-1.0, 8)
     states = euler_maruyama(dyn, u_star, np.zeros(2), bm)
-    sel = tangent_from_control(dyn, states, u_star, ControlLaw.constant(1.0, 8))
+    sel = tangent_from_control(dyn, states, ControlLaw.constant(1.0, 8))
     np.testing.assert_allclose(sel.g1[:, :, 0], 0.0)
     np.testing.assert_allclose(sel.g1[:, :, 1], 2.0)
     assert sel.g2 is None
@@ -92,7 +92,7 @@ def test_tangent_control_affine_difference():
     u_star = ControlLaw.constant(0.25, 6)
     states = euler_maruyama(dyn, u_star, np.ones(1), bm)
     w = ControlLaw(np.linspace(-1, 1, 6)[:, None])
-    sel = tangent_from_control(dyn, states, u_star, w)
+    sel = tangent_from_control(dyn, states, w)
     expected = np.linspace(-1, 1, 6) - 0.25
     np.testing.assert_allclose(sel.g1[:, :, 0] - expected[None, :], 0.0, atol=1e-12)
 
@@ -114,13 +114,13 @@ def test_tangent_warns_on_controlled_diffusion_without_attestation():
     dyn = DynamicsSpec(diffusion=diffusion, **base)
     states = euler_maruyama(dyn, u_star, np.ones(1), bm)
     with pytest.warns(UserWarning, match="velocity sets"):
-        tangent_from_control(dyn, states, u_star, w)
+        tangent_from_control(dyn, states, w)
 
     attested = DynamicsSpec(diffusion=diffusion, convex_velocity_sets=True, **base)
     import warnings as warnings_mod
     with warnings_mod.catch_warnings(record=True) as record:
         warnings_mod.simplefilter("always")
-        sel = tangent_from_control(attested, states, u_star, w)
+        sel = tangent_from_control(attested, states, w)
     assert len(record) == 0
     np.testing.assert_allclose(sel.g2, 0.6, atol=1e-12)
 
@@ -135,8 +135,8 @@ def test_rate_zero_selection_is_zero():
     bm = sample_brownian(grid, 1, 200, seed=5)
     law = ControlLaw.constant(0.0, 50)
     states = euler_maruyama(dyn, law, np.zeros(2), bm)
-    sel = tangent_from_control(dyn, states, law, law)
-    table = linearization_rate(dyn, states, law, sel, [0.5, 0.25, 0.125], bm)
+    sel = tangent_from_control(dyn, states, law)
+    table = linearization_rate(dyn, states, sel, [0.5, 0.25, 0.125], bm)
     np.testing.assert_array_equal(table.rates, 0.0)
     assert table.passed
 
@@ -150,8 +150,8 @@ def test_rate_linear_dynamics_floor_is_roundoff(n_steps):
     bm = sample_brownian(grid, 1, 500, seed=6)
     u_star = ControlLaw.constant(0.1, n_steps)
     states = euler_maruyama(dyn, u_star, np.ones(1), bm)
-    sel = tangent_from_control(dyn, states, u_star, ControlLaw.constant(0.9, n_steps))
-    table = linearization_rate(dyn, states, u_star, sel, [0.2, 0.05, 0.0125], bm)
+    sel = tangent_from_control(dyn, states, ControlLaw.constant(0.9, n_steps))
+    table = linearization_rate(dyn, states, sel, [0.2, 0.05, 0.0125], bm)
     assert np.max(table.rates) <= 1e-9
     assert table.passed
 
@@ -163,15 +163,15 @@ def test_rate_nonlinear_drift_halves():
     bm = sample_brownian(grid, 1, 2000, seed=7)
     u_star = ControlLaw.constant(0.3, n_steps)
     states = euler_maruyama(dyn, u_star, np.zeros(2), bm)
-    sel = tangent_from_control(dyn, states, u_star, ControlLaw.constant(-0.8, n_steps))
+    sel = tangent_from_control(dyn, states, ControlLaw.constant(-0.8, n_steps))
     eps = [0.2, 0.1, 0.05, 0.025]
-    table = linearization_rate(dyn, states, u_star, sel, eps, bm)
+    table = linearization_rate(dyn, states, sel, eps, bm)
     assert table.passed
     assert table.rates[-1] < 0.5 * table.rates[0]
     # smooth drift: the rate is close to linear in eps
     assert table.rates[-1] < 0.25 * table.rates[0]
 
-    rerun = linearization_rate(dyn, states, u_star, sel, eps, bm)
+    rerun = linearization_rate(dyn, states, sel, eps, bm)
     assert np.array_equal(table.rates, rerun.rates)
 
 
@@ -181,10 +181,10 @@ def test_rate_rejects_bad_epsilons():
     bm = sample_brownian(grid, 1, 8, seed=8)
     law = ControlLaw.constant(0.0, 4)
     states = euler_maruyama(dyn, law, np.ones(1), bm)
-    sel = tangent_from_control(dyn, states, law, law)
+    sel = tangent_from_control(dyn, states, law)
     for bad in ([], [0.5, 0.5], [0.1, 0.2], [1.5, 0.2], [-0.1]):
         with pytest.raises(ValueError):
-            linearization_rate(dyn, states, law, sel, bad, bm)
+            linearization_rate(dyn, states, sel, bad, bm)
 
 
 def test_rate_names_aborted_reference_paths():
@@ -198,10 +198,10 @@ def test_rate_names_aborted_reference_paths():
         states = euler_maruyama(dyn, law, np.array([1.5, 0.0]), bm)
     failed = states.failed_paths
     assert failed.size > 0
-    sel = tangent_from_control(dyn, states, law, ControlLaw.constant(0.5, 50))
+    sel = tangent_from_control(dyn, states, ControlLaw.constant(0.5, 50))
     with pytest.raises(ValueError, match=rf"not finite on {failed.size} of 1000 paths "
                                          rf"\(first at path {failed[0]}\)"):
-        linearization_rate(dyn, states, law, sel, [0.5, 0.25], bm)
+        linearization_rate(dyn, states, sel, [0.5, 0.25], bm)
 
 
 def _rate_per_epsilon(dyn, states, u_star, sel, epsilons, brownian):
@@ -210,7 +210,7 @@ def _rate_per_epsilon(dyn, states, u_star, sel, epsilons, brownian):
     m_paths = states.n_paths
     nodes = states.grid.nodes
     dt = states.grid.dt
-    a_fn, d_fn = linearization_along(dyn, states, u_star)
+    a_fn, d_fn = linearization_along(dyn, states)
     rates = np.empty(eps.size)
     for j, e in enumerate(eps):
         x = states.values[:, 0, :].copy()
@@ -293,9 +293,9 @@ def test_rate_single_pass_matches_per_epsilon_oracle():
     bm = sample_brownian(grid, 1, m_paths, seed=13)
     u_star = ControlLaw.constant(0.5, n_steps)
     states = euler_maruyama(dyn, u_star, np.zeros(2), bm)
-    sel = tangent_from_control(dyn, states, u_star, ControlLaw.constant(-0.5, n_steps))
+    sel = tangent_from_control(dyn, states, ControlLaw.constant(-0.5, n_steps))
     assert sel.g2 is None
-    table = linearization_rate(dyn, states, u_star, sel, eps, bm)
+    table = linearization_rate(dyn, states, sel, eps, bm)
     oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
     assert np.max(table.rates) > 1e-6
     np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
@@ -307,12 +307,12 @@ def test_rate_single_pass_matches_per_epsilon_oracle():
     u_star = ControlLaw(np.linspace(-0.5, 0.5, n_steps)[:, None])
     states = euler_maruyama(dyn, u_star, np.array([0.3, -0.2]), bm)
     w = ControlLaw(np.where(np.arange(n_steps) < n_steps // 3, u_star.values[:, 0], 0.9)[:, None])
-    sel = tangent_from_control(dyn, states, u_star, w)
+    sel = tangent_from_control(dyn, states, w)
     assert sel.g2 is not None
     # zero diffusion difference before w departs from u*, filled in after
     np.testing.assert_array_equal(sel.g2, _tangent_full_g2(dyn, states, u_star, w))
     assert not np.any(sel.g2[:, : n_steps // 3]) and np.any(sel.g2[:, n_steps // 3])
-    table = linearization_rate(dyn, states, u_star, sel, eps, bm)
+    table = linearization_rate(dyn, states, sel, eps, bm)
     oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
     assert np.max(table.rates) > 1e-6
     np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
@@ -323,9 +323,9 @@ def test_rate_single_pass_matches_per_epsilon_oracle():
     u_star = ControlLaw(rng.uniform(-1.0, 1.0, size=(m_paths, n_steps, 1)))
     states = euler_maruyama(dyn, u_star, np.array([0.5, 0.0]), bm)
     w = ControlLaw(rng.uniform(-1.0, 1.0, size=(m_paths, n_steps, 1)))
-    sel = tangent_from_control(dyn, states, u_star, w)
+    sel = tangent_from_control(dyn, states, w)
     assert sel.g2 is None
-    table = linearization_rate(dyn, states, u_star, sel, eps, bm)
+    table = linearization_rate(dyn, states, sel, eps, bm)
     oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
     assert np.max(table.rates) > 1e-6
     np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
@@ -341,8 +341,8 @@ def test_continuity_equal_selections_zero():
     bm = sample_brownian(grid, 1, 50, seed=9)
     law = ControlLaw.constant(0.0, 20)
     states = euler_maruyama(dyn, law, np.zeros(2), bm)
-    sel = tangent_from_control(dyn, states, law, ControlLaw.constant(1.0, 20))
-    assert selection_continuity(dyn, states, law, sel, sel, bm) == 0.0
+    sel = tangent_from_control(dyn, states, ControlLaw.constant(1.0, 20))
+    assert selection_continuity(dyn, states, sel, sel, bm) == 0.0
 
 
 def test_continuity_scaled_pair_matches_zero_pair():
@@ -352,11 +352,11 @@ def test_continuity_scaled_pair_matches_zero_pair():
     bm = sample_brownian(grid, 1, 300, seed=10)
     u_star = ControlLaw.constant(0.0, n_steps)
     states = euler_maruyama(dyn, u_star, np.ones(1), bm)
-    sel = tangent_from_control(dyn, states, u_star, ControlLaw.constant(0.7, n_steps))
-    doubled = TangentSelection(g1=2 * sel.g1, g2=None, w=sel.w, base=sel.base)
-    zero = tangent_from_control(dyn, states, u_star, u_star)
-    r_scaled = selection_continuity(dyn, states, u_star, sel, doubled, bm)
-    r_zero = selection_continuity(dyn, states, u_star, sel, zero, bm)
+    sel = tangent_from_control(dyn, states, ControlLaw.constant(0.7, n_steps))
+    doubled = TangentSelection(g1=2 * sel.g1, g2=None)
+    zero = tangent_from_control(dyn, states, u_star)
+    r_scaled = selection_continuity(dyn, states, sel, doubled, bm)
+    r_zero = selection_continuity(dyn, states, sel, zero, bm)
     assert r_scaled == pytest.approx(r_zero, rel=1e-12)
 
 
@@ -381,9 +381,9 @@ def test_continuity_ratio_stable_under_refinement():
         rng = np.random.default_rng(123)
         ratios = []
         for _ in range(100):
-            sel_a = tangent_from_control(dyn, states, u_star, _staircase_law(rng, grid))
-            sel_b = tangent_from_control(dyn, states, u_star, _staircase_law(rng, grid))
-            ratios.append(selection_continuity(dyn, states, u_star, sel_a, sel_b, bm))
+            sel_a = tangent_from_control(dyn, states, _staircase_law(rng, grid))
+            sel_b = tangent_from_control(dyn, states, _staircase_law(rng, grid))
+            ratios.append(selection_continuity(dyn, states, sel_a, sel_b, bm))
         maxima[n_steps] = max(ratios)
         assert np.isfinite(maxima[n_steps])
     assert abs(maxima[40] - maxima[80]) <= 0.1 * max(maxima.values())
