@@ -34,7 +34,6 @@ from .risk import (  # noqa: F401
     RiskSubgradient,
     SampledRandomVariable,
     coherence_suite,
-    directional_derivative,
     representation_check,
     risk_subgradient,
     risk_value,

@@ -21,13 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sde import (
-    BrownianEnsemble,
-    DynamicsSpec,
-    FundamentalMatrices,
-    StateEnsemble,
-    TimeGrid,
-)
+from .sde import DynamicsSpec, FundamentalMatrices, StateEnsemble, TimeGrid
 
 RIDGE = 1e-10
 RIDGE_FLAG_SHIFT = 1e-8
@@ -68,7 +62,7 @@ class RegressionBasis:
 
     def at_node(self, states: StateEnsemble, levels: np.ndarray, k: int) -> np.ndarray:
         """Features of (x(t_k), W(t_k)) along the ensemble; levels as from
-        BrownianEnsemble.levels()."""
+        states.brownian.levels()."""
         w = levels[:, k, :] if self.include_brownian else None
         return self.feature_matrix(states.values[:, k, :], w)
 
@@ -122,7 +116,6 @@ def _apply_transposed(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
 def conditional_expectation(
     regressand: np.ndarray,
     states: StateEnsemble,
-    brownian: BrownianEnsemble,
     k: int,
     basis: Optional[RegressionBasis] = None,
 ) -> np.ndarray:
@@ -130,7 +123,7 @@ def conditional_expectation(
     polynomial features of (x(t_k), W(t_k)); the numerical realization of
     E[. | F_{t_k}] along the ensemble."""
     basis = basis or RegressionBasis()
-    features = basis.at_node(states, brownian.levels(), k)
+    features = basis.at_node(states, states.recorded("brownian").levels(), k)
     return NodeFit(features).fit(np.asarray(regressand, dtype=float))[0]
 
 
@@ -206,21 +199,22 @@ class RegressionDiagnostics:
 
 @dataclass(frozen=True)
 class CostatePair:
+    """(p, q) with the terminal condition p(T) and the flow (phi, psi) they
+    were extracted through."""
+
     grid: TimeGrid
     p: np.ndarray                 # (M, K+1, n)
     q: np.ndarray                 # (M, K, n, d), per step
     diagnostics: RegressionDiagnostics
     bsde_residuals: np.ndarray    # (K,) ensemble-mean one-step residual norms
     bsde_residual_max: float
+    terminal: TerminalCostate
+    fund: FundamentalMatrices
     node_coef: Optional[np.ndarray] = None  # (K, B, n): m_k = features(x_k, W_k) @ node_coef[k]
 
     @property
     def n_paths(self) -> int:
         return self.p.shape[0]
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.p[:, -1, :]
 
 
 def linearization_along(dyn: DynamicsSpec, states: StateEnsemble) -> Tuple:
@@ -233,7 +227,7 @@ def linearization_along(dyn: DynamicsSpec, states: StateEnsemble) -> Tuple:
     """
     if dyn.drift_jac is None:
         raise ValueError("adjoint machinery needs drift_jac on the dynamics")
-    law = states.recorded_control()
+    law = states.recorded("control")
     nodes = states.grid.nodes
     n_paths = states.n_paths
 
@@ -254,10 +248,10 @@ def solve_adjoint(
     states: StateEnsemble,
     terminal: TerminalCostate,
     fund: FundamentalMatrices,
-    brownian: BrownianEnsemble,
     basis: Optional[RegressionBasis] = None,
 ) -> CostatePair:
-    """Solve the backward costate equation by regression.
+    """Solve the backward costate equation by regression along the states'
+    Brownian ensemble; the pair records terminal and fund.
 
     p(t_k) = psi(t_k)^T m_k with m_k the fitted conditional expectation of
     G = phi(T)^T p(T); the diffusion loading mu_i comes from regressing
@@ -271,11 +265,12 @@ def solve_adjoint(
     m_paths, n_nodes, n = states.values.shape
     n_steps = n_nodes - 1
     dt = states.grid.dt
-    d = brownian.increments.shape[2]
+    brownian = states.recorded("brownian")
+    d = brownian.dim
     levels = brownian.levels()
     a_fn, d_fn = linearization_along(dyn, states)
 
-    g_vec = _apply_transposed(fund.phi_at(n_steps), terminal.p_T)
+    g_vec = _apply_transposed(fund.phi[:, n_steps], terminal.p_T)
     p = np.empty((m_paths, n_nodes, n))
     p[:, n_steps] = terminal.p_T
     q = np.empty((m_paths, n_steps, n, d))
@@ -289,13 +284,13 @@ def solve_adjoint(
     for k in range(n_steps - 1, -1, -1):
         fit = NodeFit(basis.at_node(states, levels, k))
         m_k, resid_rms[k], shift, node_coef[k] = fit.fit(g_vec)
-        p[:, k] = _apply_transposed(fund.psi_at(k), m_k)
+        p[:, k] = _apply_transposed(fund.psi[:, k], m_k)
 
         dw = brownian.increments[:, k, :]
         target = ((m_next - m_k)[:, :, None] * dw[:, None, :]).reshape(m_paths, n * d) / dt
         mu, mu_resid_rms[k], mu_shift, _ = fit.fit(target)
         ridge_shift = max(ridge_shift, shift, mu_shift)
-        q_k = _apply_transposed(fund.psi_at(k), mu.reshape(m_paths, n, d))
+        q_k = _apply_transposed(fund.psi[:, k], mu.reshape(m_paths, n, d))
         if d_fn is not None:
             d_k = d_fn(k)
             q_k = q_k - np.einsum("pdji,pj->pid", d_k, p[:, k])
@@ -323,6 +318,8 @@ def solve_adjoint(
         diagnostics=diagnostics,
         bsde_residuals=bsde,
         bsde_residual_max=float(bsde.max()) if n_steps else 0.0,
+        terminal=terminal,
+        fund=fund,
         node_coef=node_coef,
     )
 
@@ -339,8 +336,7 @@ class MartingaleReport:
     passed: bool
 
 
-def martingale_check(pair: CostatePair, fund: FundamentalMatrices,
-                     sigma: float = 5.0) -> MartingaleReport:
+def martingale_check(pair: CostatePair, sigma: float = 5.0) -> MartingaleReport:
     """The phi(t)^T-weighted costate must be a martingale, so the ensemble
     mean of each component should be flat in t, within sigma standard errors.
 
@@ -350,6 +346,7 @@ def martingale_check(pair: CostatePair, fund: FundamentalMatrices,
     the nodes of the mean curve are not.
     """
     t_centered = pair.grid.nodes - pair.grid.nodes.mean()
+    fund = pair.fund
     if fund.phi.shape[0] == 1:
         # path-constant phi: apply it to the mean of p and fold it into the
         # slope weights, so no (M, K+1, n) weighted costate is built.  einsum
@@ -382,7 +379,6 @@ class TowerReport:
 def tower_check(
     regressand: np.ndarray,
     states: StateEnsemble,
-    brownian: BrownianEnsemble,
     basis: Optional[RegressionBasis] = None,
     node_pairs: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> TowerReport:
@@ -395,6 +391,7 @@ def tower_check(
     if node_pairs is None:
         node_pairs = [(n_steps // 4, n_steps // 2), (n_steps // 2, (3 * n_steps) // 4)]
         node_pairs = [(j, k) for j, k in node_pairs if j < k]
+    brownian = states.recorded("brownian")
     levels = brownian.levels()
     g = np.asarray(regressand, dtype=float)
     n_feat = basis.n_features(states.state_dim, brownian.dim)

@@ -13,18 +13,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adjoint import CostatePair, TerminalCostate, linearization_along, martingale_check
+from .adjoint import CostatePair, linearization_along, martingale_check
 from .export import jsonable
 from .risk import AVaR, Expectation, MixtureAVaR, SampledRandomVariable, risk_value
-from .sde import (
-    BrownianEnsemble,
-    ControlLaw,
-    DynamicsSpec,
-    FundamentalMatrices,
-    StateEnsemble,
-    central_differences,
-    solve_linearized,
-)
+from .sde import ControlLaw, DynamicsSpec, StateEnsemble, central_differences, solve_linearized
 from .variational import tangent_from_control
 
 
@@ -180,7 +172,7 @@ def maximization_gap(problem: ProblemSpec, states: StateEnsemble, costates: Cost
     dyn = problem.dyn
     if dyn.control_grid is None:
         raise ValueError("maximization needs a working control grid on the dynamics")
-    law = states.recorded_control()
+    law = states.recorded("control")
     m_paths = states.n_paths
     n_steps = states.grid.n_steps
     nodes = states.grid.nodes
@@ -222,15 +214,17 @@ class NormalityReport:
 
 
 def normality_certificate(problem: ProblemSpec, states: StateEnsemble,
-                          active: Sequence[int], brownian: BrownianEnsemble,
+                          active: Sequence[int],
                           config: Optional[CertifyConfig] = None) -> NormalityReport:
     """Search constant and single-switch control profiles for a linearized
     direction y with E[grad phi_i(x*(T)) . y(T)] < -tol on every active
-    constraint.  Finding one certifies the normal (multiplier -1) case;
-    not finding one is a reported outcome, not an error."""
+    constraint, driven by the states' Brownian ensemble.  Finding one
+    certifies the normal (multiplier -1) case; not finding one is a reported
+    outcome, not an error."""
     cfg = config or CertifyConfig()
     if len(active) == 0:
         return NormalityReport(status="vacuous", witness=None, margins=None, candidates_tried=0)
+    brownian = states.recorded("brownian")
     dyn = problem.dyn
     if dyn.control_grid is None:
         raise ValueError("normality search needs a working control grid")
@@ -273,12 +267,11 @@ def normality_certificate(problem: ProblemSpec, states: StateEnsemble,
 
 @dataclass(frozen=True)
 class CandidateBundle:
-    """A candidate (x*, u*) with its costate evidence; u* is states.control."""
+    """A candidate (x*, u*) with its costate evidence: u* and W are
+    states.control and states.brownian, p(T) and (phi, psi) are
+    costates.terminal and costates.fund."""
 
     states: StateEnsemble
-    brownian: BrownianEnsemble
-    fund: FundamentalMatrices
-    terminal: TerminalCostate
     costates: CostatePair
 
 
@@ -324,13 +317,14 @@ def certify(problem: ProblemSpec, bundle: CandidateBundle,
     not found), which taints the evidence without witnessing a violation.
     """
     cfg = config or CertifyConfig()
+    terminal = bundle.costates.terminal
     probe = bundle.states.terminal[: min(8, bundle.states.n_paths)]
     problem.check_gradients(probe)
 
     conditions: Dict[str, dict] = {}
     causes: List[str] = []
 
-    slack = slackness_check(problem, bundle.states, bundle.terminal.multipliers, cfg)
+    slack = slackness_check(problem, bundle.states, terminal.multipliers, cfg)
     conditions["feasibility"] = {
         "status": "pass" if slack.feasible else "fail",
         "constraint_means": slack.constraint_means,
@@ -348,7 +342,7 @@ def certify(problem: ProblemSpec, bundle: CandidateBundle,
         causes.append("complementary slackness residual above tolerance")
 
     z = np.asarray(problem.cost(bundle.states.terminal), dtype=float)
-    gap = risk_param_gap(problem.risk, z, bundle.terminal.xi)
+    gap = risk_param_gap(problem.risk, z, terminal.xi)
     conditions["risk_parameter"] = {
         "status": "pass" if gap <= cfg.risk_gap_tol else "fail",
         "gap": gap,
@@ -369,7 +363,7 @@ def certify(problem: ProblemSpec, bundle: CandidateBundle,
     if not adj_ok:
         causes.append("backward costate residual above its calibrated bound")
 
-    mart = martingale_check(bundle.costates, bundle.fund, cfg.martingale_sigma)
+    mart = martingale_check(bundle.costates, cfg.martingale_sigma)
     conditions["martingale"] = {
         "status": "pass" if mart.passed else "inconclusive",
         "slopes": mart.slopes,
@@ -391,7 +385,7 @@ def certify(problem: ProblemSpec, bundle: CandidateBundle,
     if not gap_report.passed:
         causes.append("Hamiltonian maximization gap exceeds threshold on too much of dt x P")
 
-    norm = normality_certificate(problem, bundle.states, slack.active_set, bundle.brownian, cfg)
+    norm = normality_certificate(problem, bundle.states, slack.active_set, cfg)
     conditions["normality"] = {
         "status": "pass" if norm.status in ("vacuous", "certified") else "inconclusive",
         "detail": norm.status,
@@ -412,7 +406,7 @@ def certify(problem: ProblemSpec, bundle: CandidateBundle,
         conditions=conditions,
         causes=causes,
         active_set=slack.active_set,
-        multipliers=bundle.terminal.multipliers,
+        multipliers=terminal.multipliers,
         config=cfg,
     )
     return cert, gap_report

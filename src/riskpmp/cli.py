@@ -328,6 +328,14 @@ def _finite_number(token):
     return value
 
 
+# JSON Schema's "integer" admits 100.0; a config integer must be a JSON integer
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, value: isinstance(value, int) and not isinstance(value, bool)),
+)
+
+
 def load_scenario(path, kind):
     """Read, parse, and schema-validate a scenario config for the given verb."""
     try:
@@ -343,7 +351,7 @@ def load_scenario(path, kind):
     if cfg.get("kind") != kind:
         raise UsageError(f"config kind {cfg.get('kind')!r} does not match verb {kind!r}")
     try:
-        jsonschema.validate(cfg, _SCHEMAS[kind])
+        jsonschema.validate(cfg, _SCHEMAS[kind], cls=_Validator)
     except jsonschema.ValidationError as exc:
         where = "/".join(str(p) for p in exc.absolute_path) or "config"
         raise UsageError(f"config rejected at {where}: {exc.message}") from exc
@@ -450,11 +458,13 @@ def _code_version():
 
 
 def _costate_mean_rows(costates):
-    p = costates.p
-    stderr = p[:, :, 0].std(axis=0, ddof=1) / np.sqrt(p.shape[0])
+    p_y = costates.p[:, :, 0]
+    m = p_y.shape[0]
+    # one path has no sample spread: its standard error is undefined (null)
+    stderr = p_y.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.full(p_y.shape[1], np.nan)
     return [
-        {"t": t, "mean_p_y": m, "stderr": s}
-        for t, m, s in zip(costates.grid.nodes, p[:, :, 0].mean(axis=0), stderr)
+        {"t": t, "mean_p_y": mean, "stderr": s}
+        for t, mean, s in zip(costates.grid.nodes, p_y.mean(axis=0), stderr)
     ]
 
 
@@ -631,7 +641,7 @@ def _diagnostics_summary(costates):
 
 def _run_adjoint(cfg, ctx):
     sol = _candidate_solution(cfg, ctx)
-    mart = martingale_check(sol.costates, sol.fund)
+    mart = martingale_check(sol.costates)
     results = {
         "regression": _diagnostics_summary(sol.costates),
         "martingale": {
@@ -767,7 +777,7 @@ def _run_convergence(cfg, ctx):
     states = euler_maruyama(dyn, ControlLaw.constant(cfg["u_star"], grid.n_steps), x0, brownian)
     sel = tangent_from_control(dyn, states, ControlLaw.constant(cfg["w"], grid.n_steps))
     try:
-        table = linearization_rate(dyn, states, sel, cfg["epsilons"], brownian)
+        table = linearization_rate(dyn, states, sel, cfg["epsilons"])
     except ValueError as exc:  # aborted reference paths
         raise UsageError(str(exc)) from exc
     results = {

@@ -202,13 +202,11 @@ def assemble_solution(instance: SopInstance, control, brownian: BrownianEnsemble
     terminal = assemble_terminal(xi, problem.cost_gradient(states.terminal))
     a_fn, d_fn = linearization_along(problem.dyn, states)
     fund = fundamental_matrices(a_fn, d_fn, brownian)
-    costates = solve_adjoint(problem.dyn, states, terminal, fund, brownian)
+    costates = solve_adjoint(problem.dyn, states, terminal, fund)
     if cost is None:
         cost = risk_value(problem.risk, z)
-    return SopSolution(instance=instance, problem=problem, policy=policy,
-                       cost=float(cost), states=states, brownian=brownian, fund=fund,
-                       terminal=terminal, costates=costates,
-                       incumbents=list(incumbents or []))
+    return SopSolution(instance=instance, problem=problem, policy=policy, cost=float(cost),
+                       states=states, costates=costates, incumbents=list(incumbents or []))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +240,7 @@ def _velocity_costate_coef(solution: SopSolution) -> np.ndarray:
     """(K, B) coefficients of p_v(t_k) = (psi_k^T m_k)_v on the node features
     of (x_k, W_k).  The plant's Jacobian is constant, so psi is the same on
     every path and p_v is a polynomial in the features."""
-    psi_v = solution.fund.psi[0, :-1, :, 1]
+    psi_v = solution.costates.fund.psi[0, :-1, :, 1]
     return np.einsum("kbn,kn->kb", solution.costates.node_coef, psi_v)
 
 
@@ -257,7 +255,7 @@ def _refine(start: SopSolution, holdout: List[BrownianEnsemble]) -> SopSolution:
     chunks, which keeps its sampling temporaries small); the first that
     does not ends the run, and the best candidate found is returned.
     """
-    problem, brownian = start.problem, start.brownian
+    problem, brownian = start.problem, start.states.brownian
     basis = RegressionBasis()
 
     def score(law) -> float:
@@ -324,6 +322,14 @@ def safety_check(instance: SopInstance, terminal_positions,
     margin = instance.y_target - avar
     return SafetyReport(avar_value=avar, margin=float(margin), band=float(band),
                         safe=bool(margin > band))
+
+
+def _sample_std(samples: np.ndarray) -> np.ndarray:
+    """Sample standard deviation over the paths on axis 0; undefined (NaN)
+    for one path, which has no sample spread."""
+    if samples.shape[0] == 1:
+        return np.full(samples.shape[1:], np.nan)
+    return samples.std(axis=0, ddof=1)
 
 
 def _windows(mask: np.ndarray, min_len: int) -> List[Tuple[int, int]]:
@@ -409,18 +415,18 @@ def bangbang_necessity(solution: SopSolution, band_sigma: float = 5.0,
     m = p.shape[0]
     mean_py = p[:, :, 0].mean(axis=0)
     mean_pv = p[:, :, 1].mean(axis=0)
-    se_py = p[:, :, 0].std(axis=0, ddof=1) / np.sqrt(m)
-    se_pv = p[:, :, 1].std(axis=0, ddof=1) / np.sqrt(m)
+    se_py = _sample_std(p[:, :, 0]) / np.sqrt(m)
+    se_pv = _sample_std(p[:, :, 1]) / np.sqrt(m)
     inside = (np.abs(mean_py) <= band_sigma * se_py + 1e-12) & (
         np.abs(mean_pv) <= band_sigma * se_pv + 1e-12)
     zero_bands = [(grid.nodes[a], grid.nodes[min(b, grid.n_steps)])
                   for a, b in _windows(inside, min_window_steps)]
     chain.append(f"{len(zero_bands)} persistent joint zero band(s) in the mean costates")
 
-    xi = np.asarray(solution.terminal.xi, dtype=float)
+    xi = np.asarray(solution.costates.terminal.xi, dtype=float)
     pairing_samples = xi * (solution.states.terminal[:, 0] - instance.y_target)
     pairing = float(pairing_samples.mean())
-    pairing_band = float(band_sigma * pairing_samples.std(ddof=1) / np.sqrt(m))
+    pairing_band = float(band_sigma * _sample_std(pairing_samples) / np.sqrt(m))
     chain.append(f"E[xi (y(T) - y_target)] = {pairing:.4f} within +-{pairing_band:.4f}")
 
     pairing_nonzero = abs(pairing) > pairing_band

@@ -17,7 +17,7 @@ contact flagged.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -97,8 +97,6 @@ def _lower_quantile(cum_weights: np.ndarray, level: float) -> int:
 class RiskMeasure:
     """Base class; subclasses fill in value/subgradient/directional derivative."""
 
-    name = "risk"
-
     def value(self, z) -> float:
         raise NotImplementedError
 
@@ -108,13 +106,8 @@ class RiskMeasure:
     def directional_derivative(self, z, h, check: bool = True) -> float:
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        return {"type": self.name}
-
 
 class Expectation(RiskMeasure):
-    name = "expectation"
-
     def value(self, z) -> float:
         return _as_sample(z).mean()
 
@@ -131,16 +124,11 @@ class Expectation(RiskMeasure):
 class AVaR(RiskMeasure):
     """Average value-at-risk at tail mass alpha in (0, 1]."""
 
-    name = "avar"
-
     def __init__(self, alpha: float):
         alpha = float(alpha)
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
         self.alpha = alpha
-
-    def describe(self) -> dict:
-        return {"type": self.name, "alpha": self.alpha}
 
     # -- internals ---------------------------------------------------------
 
@@ -276,8 +264,6 @@ class AVaR(RiskMeasure):
 class MixtureAVaR(RiskMeasure):
     """Convex combination sum_j lambda_j AVaR_{alpha_j}."""
 
-    name = "mixture"
-
     def __init__(self, alphas: Sequence[float], weights: Sequence[float]):
         alphas = [float(a) for a in alphas]
         weights = [float(w) for w in weights]
@@ -287,13 +273,6 @@ class MixtureAVaR(RiskMeasure):
             raise ValueError("mixture weights must be nonnegative and sum to 1")
         self.components = [AVaR(a) for a in alphas]
         self.mix_weights = weights
-
-    def describe(self) -> dict:
-        return {
-            "type": self.name,
-            "alphas": [c.alpha for c in self.components],
-            "weights": list(self.mix_weights),
-        }
 
     def value(self, z) -> float:
         sample = _as_sample(z)
@@ -334,10 +313,6 @@ def risk_value(measure: RiskMeasure, z) -> float:
 
 def risk_subgradient(measure: RiskMeasure, z) -> RiskSubgradient:
     return measure.subgradient(z)
-
-
-def directional_derivative(measure: RiskMeasure, z, h, check: bool = True) -> float:
-    return measure.directional_derivative(z, h, check=check)
 
 
 @dataclass(frozen=True)

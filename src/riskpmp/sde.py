@@ -273,6 +273,7 @@ class StateEnsemble:
     values: np.ndarray  # (M, K+1, n)
     first_failure: Optional[np.ndarray] = None  # (M,) step index of first non-finite, -1 if none
     control: Optional[ControlLaw] = None  # the control integrated under, as grid values
+    brownian: Optional[BrownianEnsemble] = None  # the Brownian ensemble integrated on
 
     @property
     def n_paths(self) -> int:
@@ -292,11 +293,15 @@ class StateEnsemble:
             return np.empty(0, dtype=int)
         return np.nonzero(self.first_failure >= 0)[0]
 
-    def recorded_control(self) -> ControlLaw:
-        """The control the ensemble was integrated under."""
-        if self.control is None:
-            raise ValueError("the state ensemble carries no control: only euler_maruyama records one")
-        return self.control
+    def recorded(self, name: str):
+        """The "control" or the "brownian" ensemble the states were integrated
+        under; an ensemble built by hand carries neither."""
+        value = getattr(self, name)
+        if value is None:
+            what, by = (("control", "euler_maruyama records") if name == "control" else
+                        ("Brownian ensemble", "euler_maruyama and solve_linearized record"))
+            raise ValueError(f"the state ensemble carries no {what}: only {by} one")
+        return value
 
 
 def as_control_law(law) -> ControlLaw:
@@ -374,7 +379,7 @@ def euler_maruyama(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEns
             stacklevel=2,
         )
     return StateEnsemble(grid=grid, values=out, first_failure=first_failure,
-                         control=ControlLaw(realized) if feedback else law)
+                         control=ControlLaw(realized) if feedback else law, brownian=brownian)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +443,7 @@ def solve_linearized(
             noise = noise + np.swapaxes(g2_at(k), -1, -2)
         y = y + drift * dt + np.einsum("pdn,pd->pn", np.broadcast_to(noise, (n_paths, d, n)), dw)
         out[:, k + 1] = y
-    return StateEnsemble(grid=brownian.grid, values=out)
+    return StateEnsemble(grid=brownian.grid, values=out, brownian=brownian)
 
 
 @dataclass(frozen=True)
@@ -453,12 +458,6 @@ class FundamentalMatrices:
     @property
     def per_path(self) -> bool:
         return self.phi.shape[0] > 1
-
-    def phi_at(self, k: int) -> np.ndarray:
-        return self.phi[:, k]
-
-    def psi_at(self, k: int) -> np.ndarray:
-        return self.psi[:, k]
 
 
 def fundamental_matrices(
@@ -558,7 +557,7 @@ def representation_formula_check(
     dt = brownian.grid.dt
     sup_err = 0.0
     for k in range(n_steps):
-        psi_k = fund.psi_at(k)
+        psi_k = fund.psi[:, k]
         integrand = np.zeros((n_paths, n))
         if g1_at is not None:
             integrand = integrand + g1_at(k)
@@ -572,7 +571,7 @@ def representation_formula_check(
                 np.broadcast_to(psig2, (n_paths, n, d)),
                 brownian.increments[:, k],
             )
-        formula = np.einsum("...nm,...m->...n", fund.phi_at(k + 1), acc)
+        formula = np.einsum("...nm,...m->...n", fund.phi[:, k + 1], acc)
         sup_err = max(sup_err, float(np.abs(direct[:, k + 1] - formula).max()))
     return sup_err
 

@@ -14,13 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .adjoint import linearization_along
-from .sde import (
-    BrownianEnsemble,
-    DynamicsSpec,
-    StateEnsemble,
-    as_control_law,
-    solve_linearized,
-)
+from .sde import DynamicsSpec, StateEnsemble, as_control_law, solve_linearized
 
 
 @dataclass(frozen=True)
@@ -44,7 +38,7 @@ class TangentSelection:
 def tangent_from_control(dyn: DynamicsSpec, states: StateEnsemble, w) -> TangentSelection:
     """Pointwise control-difference selection along the candidate ensemble,
     from the control it carries toward w (a ControlLaw or its grid values)."""
-    u_law = states.recorded_control()
+    u_law = states.recorded("control")
     w_law = as_control_law(w)
     m_paths = states.n_paths
     n_steps = states.grid.n_steps
@@ -99,9 +93,9 @@ def linearization_rate(
     states: StateEnsemble,
     sel: TangentSelection,
     epsilons: Sequence[float],
-    brownian: BrownianEnsemble,
 ) -> RateTable:
-    """r(eps) = (1/eps) E[sup_k |x^eps_k - x*_k - eps y_k|] on shared paths.
+    """r(eps) = (1/eps) E[sup_k |x^eps_k - x*_k - eps y_k|] on the states'
+    Brownian paths.
 
     y does not depend on eps, so one streaming pass integrates it once while
     the E perturbed states advance as one (E, M, n) stack; holding only that
@@ -119,7 +113,7 @@ def linearization_rate(
                          f"paths (first at path {int(np.argmax(bad))})")
 
     a_fn, d_fn = linearization_along(dyn, states)
-    u_law = states.control
+    u_law, brownian = states.control, states.recorded("brownian")
     n_eps, m_paths, n, d = eps.size, states.n_paths, states.state_dim, brownian.dim
     nodes, dt = states.grid.nodes, states.grid.dt
     e3 = eps[:, None, None]
@@ -165,7 +159,6 @@ def selection_continuity(
     states: StateEnsemble,
     sel_a: TangentSelection,
     sel_b: TangentSelection,
-    brownian: BrownianEnsemble,
 ) -> float:
     """Ratio of the linearized-solution gap to the selection gap.
 
@@ -193,7 +186,7 @@ def selection_continuity(
         return 0.0
 
     a_fn, d_fn = linearization_along(dyn, states)
-    diff = solve_linearized(a_fn, d_fn, g1, g2, brownian)
+    diff = solve_linearized(a_fn, d_fn, g1, g2, states.recorded("brownian"))
     num_sq = float(np.mean(np.max(np.sum(diff.values**2, axis=2), axis=1)))
     return np.sqrt(num_sq / denom_sq)
 

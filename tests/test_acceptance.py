@@ -198,7 +198,7 @@ def test_criterion_5_linearization_rate():
     u_star = ControlLaw.constant(0.3, 2000)
     states = euler_maruyama(dyn, u_star, np.zeros(2), bm)
     sel = tangent_from_control(dyn, states, ControlLaw.constant(-0.8, 2000))
-    table = linearization_rate(dyn, states, sel, [0.2, 0.025], bm)
+    table = linearization_rate(dyn, states, sel, [0.2, 0.025])
     elapsed = time.perf_counter() - t0
     r_big, r_small = table.rates
     ok = r_small < 0.5 * r_big and elapsed < 120.0
@@ -236,7 +236,7 @@ def test_criterion_6_adjoint_correctness():
     states = euler_maruyama(dyn, law, x0, bm)
     fund = fundamental_matrices(a_mat, None, bm)
     terminal = assemble_terminal(np.ones(n_paths), states.terminal.copy())
-    pair = solve_adjoint(dyn, states, terminal, fund, bm)
+    pair = solve_adjoint(dyn, states, terminal, fund)
     ode = np.empty_like(pair.p)
     ode[:, -1] = terminal.p_T
     for k in range(n_steps - 1, -1, -1):
@@ -254,7 +254,7 @@ def test_criterion_6_adjoint_correctness():
     mean_qy = float(sol.costates.q[:, :, 0, 0].mean())
 
     # (c) nested conditional expectations agree with single-shot ones
-    tower = tower_check(sol.terminal.p_T[:, 0], sol.states, bm_b)
+    tower = tower_check(sol.costates.terminal.p_T[:, 0], sol.states)
 
     elapsed = time.perf_counter() - t0
     ok = (

@@ -65,7 +65,7 @@ def test_constant_regressand_reproduced_exactly():
     states, bm = brownian_states(n_paths=500)
     g = np.full(500, 2.75)
     for k in (0, 3, 7):
-        fit = conditional_expectation(g, states, bm, k)
+        fit = conditional_expectation(g, states, k)
         np.testing.assert_allclose(fit, 2.75, atol=1e-8)
 
 
@@ -75,7 +75,7 @@ def test_brownian_terminal_projects_to_current_level():
     g = w[:, -1]
     m, b_feat = 4000, 6
     for k in (2, 4, 6):
-        fit = conditional_expectation(g, states, bm, k)
+        fit = conditional_expectation(g, states, k)
         gap_rms = np.sqrt(np.mean((fit - w[:, k]) ** 2))
         noise = np.sqrt((1.0 - states.grid.nodes[k]) * b_feat / m)
         assert gap_rms <= 5 * noise
@@ -88,7 +88,7 @@ def test_squared_brownian_terminal_has_time_correction():
     m, b_feat = 4000, 6
     for k in (2, 5):
         t_k = states.grid.nodes[k]
-        fit = conditional_expectation(g, states, bm, k)
+        fit = conditional_expectation(g, states, k)
         oracle = w[:, k] ** 2 + (1.0 - t_k)
         gap_rms = np.sqrt(np.mean((fit - oracle) ** 2))
         resid = np.sqrt(np.mean((g - oracle) ** 2))
@@ -136,17 +136,17 @@ def test_node_fit_collinear_design_projects_like_lstsq():
 def test_tower_property_within_regression_noise():
     states, bm = brownian_states()
     w = bm.levels()[:, :, 0]
-    report = tower_check(w[:, -1] ** 2, states, bm)
+    report = tower_check(w[:, -1] ** 2, states)
     assert report.passed
     # a regressand outside the basis span: shared bias cancels in the gap
-    report_cubic = tower_check(w[:, -1] ** 3, states, bm)
+    report_cubic = tower_check(w[:, -1] ** 3, states)
     assert report_cubic.passed
 
 
 def test_tower_check_rejects_bad_pairs():
     states, bm = brownian_states(n_paths=100)
     with pytest.raises(ValueError):
-        tower_check(np.zeros(100), states, bm, node_pairs=[(5, 3)])
+        tower_check(np.zeros(100), states, node_pairs=[(5, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def test_adjoint_matches_backward_euler_ode_oracle():
     states = euler_maruyama(dyn, law, x0, bm)
     fund = fundamental_matrices(a_mat, None, bm, tol=1e-10)
     term = assemble_terminal(np.ones(n_paths), states.terminal.copy())
-    pair = solve_adjoint(dyn, states, term, fund, bm)
+    pair = solve_adjoint(dyn, states, term, fund)
 
     # independent oracle: explicit backward Euler for dp/dt = -A^T p
     oracle = np.empty_like(pair.p)
@@ -247,7 +247,7 @@ def test_adjoint_matches_backward_euler_ode_oracle():
     assert np.max(np.abs(pair.p - oracle)) <= 1e-6
     assert pair.bsde_residual_max <= 1e-7
     assert np.array_equal(pair.p[:, -1], term.p_T)
-    report = martingale_check(pair, fund)
+    report = martingale_check(pair)
     assert np.all(np.abs(report.slopes) <= 1e-8)
 
 
@@ -260,7 +260,7 @@ def test_adjoint_scalar_linear_closed_form():
     dyn, states, bm, fund = scalar_linear_setup(a, b, n_steps, n_paths, seed=11)
     grid = states.grid
     term = assemble_terminal(np.ones(n_paths), states.terminal.copy())
-    pair = solve_adjoint(dyn, states, term, fund, bm)
+    pair = solve_adjoint(dyn, states, term, fund)
 
     assert np.array_equal(pair.p[:, -1], term.p_T)
     # early nodes have x almost affine in W, so the feature matrix is near
@@ -289,7 +289,7 @@ def test_adjoint_scalar_linear_closed_form():
         gap = np.sqrt(np.mean((pair.q[:, k, 0, 0] - q_oracle) ** 2))
         assert gap <= 0.2 * scale
 
-    assert martingale_check(pair, fund).passed
+    assert martingale_check(pair).passed
 
 
 def test_adjoint_scalar_q_sharp_with_markov_basis():
@@ -299,7 +299,7 @@ def test_adjoint_scalar_q_sharp_with_markov_basis():
     dyn, states, bm, fund = scalar_linear_setup(a, b, n_steps, n_paths, seed=11)
     term = assemble_terminal(np.ones(n_paths), states.terminal.copy())
     basis = RegressionBasis(include_brownian=False)
-    pair = solve_adjoint(dyn, states, term, fund, bm, basis=basis)
+    pair = solve_adjoint(dyn, states, term, fund, basis=basis)
     dt = states.grid.dt
     gamma = (1 + a * dt) ** 2 + b**2 * dt
     x = states.values[:, :, 0]
@@ -319,7 +319,7 @@ def test_bsde_residual_shrinks_under_refinement():
     for n_steps in (16, 128):
         dyn, states, bm, fund = scalar_linear_setup(0.4, 0.25, n_steps, 8000, seed=21)
         term = assemble_terminal(np.ones(8000), states.terminal.copy())
-        pair = solve_adjoint(dyn, states, term, fund, bm)
+        pair = solve_adjoint(dyn, states, term, fund)
         results[n_steps] = pair.bsde_residual_max
     assert results[128] > 0.0
     # expected sqrt(dt) decay would give 0.35; allow slack for MC noise
@@ -360,7 +360,7 @@ def test_double_integrator_expectation_adjoint():
     fund = fundamental_matrices(a_mat, None, bm, tol=1e-10)
     grad = np.stack([states.terminal[:, 0] - y_target, np.zeros(n_paths)], axis=1)
     term = assemble_terminal(np.ones(n_paths), grad)
-    pair = solve_adjoint(dyn, states, term, fund, bm)
+    pair = solve_adjoint(dyn, states, term, fund)
 
     # the y-costate is driven by -dW, so its diffusion loading is -1
     q_y = pair.q[:, :, 0, 0]
@@ -378,7 +378,7 @@ def test_double_integrator_expectation_adjoint():
     slope = np.polyfit(t_nodes, mean_pv, 1)[0]
     assert abs(slope + mean_py.mean()) <= 0.05
 
-    assert martingale_check(pair, fund).passed
+    assert martingale_check(pair).passed
 
 
 # ---------------------------------------------------------------------------

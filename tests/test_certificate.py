@@ -35,8 +35,15 @@ from riskpmp import (
     solve_adjoint,
     tangent_from_control,
 )
-from riskpmp.adjoint import CostatePair, RegressionDiagnostics
-from riskpmp.sde import StateEnsemble
+from riskpmp.adjoint import (
+    CostatePair,
+    RegressionDiagnostics,
+    TerminalCostate,
+    conditional_expectation,
+    tower_check,
+)
+from riskpmp.sde import FundamentalMatrices, StateEnsemble
+from riskpmp.variational import TangentSelection, linearization_rate, selection_continuity
 
 
 def double_integrator(noise=1.0, grid_points=21):
@@ -69,8 +76,14 @@ def dummy_costates(grid, p, q):
         ridge_max_shift=0.0,
         ridge_flagged=False,
     )
+    n = p.shape[2]
+    eye = np.broadcast_to(np.eye(n), (1, n_steps + 1, n, n))
+    terminal = TerminalCostate(p_T=p[:, -1], multipliers=(-1.0,), xi=np.ones(p.shape[0]))
+    fund = FundamentalMatrices(grid=grid, phi=eye, psi=eye, inverse_error=0.0,
+                               worst_path=0, worst_node=0)
     return CostatePair(grid=grid, p=p, q=q, diagnostics=diag,
-                       bsde_residuals=np.zeros(n_steps), bsde_residual_max=0.0)
+                       bsde_residuals=np.zeros(n_steps), bsde_residual_max=0.0,
+                       terminal=terminal, fund=fund)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +290,28 @@ def test_states_without_control_rejected_by_name():
             read()
 
 
+def test_states_without_brownian_rejected_by_name():
+    # a hand-built ensemble carries no Brownian ensemble for its readers to use
+    grid = make_grid(1.0, 3)
+    states = StateEnsemble(grid=grid, values=np.zeros((2, 4, 2)),
+                           control=ControlLaw.constant(1.0, 3))
+    dyn = toy_problem().dyn
+    terminal = assemble_terminal(np.ones(2), np.ones((2, 2)))
+    fund = fundamental_matrices(np.zeros((2, 2)), None, sample_brownian(grid, 1, 2, 0))
+    con = TerminalConstraint(fn=lambda x: x[:, 0], gradient=lambda x: np.ones_like(x))
+    sel = tangent_from_control(dyn, states, ControlLaw.constant(-1.0, 3))
+    still = TangentSelection(g1=np.zeros_like(sel.g1), g2=None)
+    readers = [lambda: solve_adjoint(dyn, states, terminal, fund),
+               lambda: conditional_expectation(np.zeros(2), states, 1),
+               lambda: tower_check(np.zeros(2), states),
+               lambda: normality_certificate(toy_problem([con]), states, active=[0]),
+               lambda: linearization_rate(dyn, states, sel, [0.5]),
+               lambda: selection_continuity(dyn, states, sel, still)]
+    for read in readers:
+        with pytest.raises(ValueError, match="carries no Brownian ensemble"):
+            read()
+
+
 # ---------------------------------------------------------------------------
 # normality search
 
@@ -304,34 +339,34 @@ def scalar_run(n_steps=20, m_paths=200, seed=31):
     brownian = sample_brownian(grid, 1, m_paths, seed)
     law = ControlLaw(np.zeros((n_steps, 1)))
     states = euler_maruyama(dyn, law, np.zeros(1), brownian)
-    return dyn, states, brownian
+    return dyn, states
 
 
 def test_normality_vacuous_without_active_constraints():
-    dyn, states, brownian = scalar_run()
+    dyn, states = scalar_run()
     prob = ProblemSpec(dyn=dyn, risk=Expectation(),
                        cost=lambda x: x[:, 0], cost_gradient=lambda x: np.ones_like(x),
                        x0=np.zeros(1))
-    rep = normality_certificate(prob, states, active=[], brownian=brownian)
+    rep = normality_certificate(prob, states, active=[])
     assert rep.status == "vacuous" and rep.candidates_tried == 0
 
 
 def test_normality_witness_found_for_one_sided_constraint():
-    dyn, states, brownian = scalar_run()
+    dyn, states = scalar_run()
     center = float(states.terminal[:, 0].mean())
     con = TerminalConstraint(fn=lambda x: x[:, 0] - center,
                              gradient=lambda x: np.ones_like(x), name="upper")
     prob = ProblemSpec(dyn=dyn, risk=Expectation(),
                        cost=lambda x: x[:, 0], cost_gradient=lambda x: np.ones_like(x),
                        x0=np.zeros(1), constraints=(con,))
-    rep = normality_certificate(prob, states, active=[0], brownian=brownian)
+    rep = normality_certificate(prob, states, active=[0])
     assert rep.status == "certified"
     assert rep.margins[0] < -1e-3
     assert "constant" in rep.witness or "switch" in rep.witness
 
 
 def test_normality_not_found_for_pinned_constraint_pair():
-    dyn, states, brownian = scalar_run()
+    dyn, states = scalar_run()
     center = float(states.terminal[:, 0].mean())
     up = TerminalConstraint(fn=lambda x: x[:, 0] - center,
                             gradient=lambda x: np.ones_like(x))
@@ -340,7 +375,7 @@ def test_normality_not_found_for_pinned_constraint_pair():
     prob = ProblemSpec(dyn=dyn, risk=Expectation(),
                        cost=lambda x: x[:, 0], cost_gradient=lambda x: np.ones_like(x),
                        x0=np.zeros(1), constraints=(up, down))
-    rep = normality_certificate(prob, states, active=[0, 1], brownian=brownian)
+    rep = normality_certificate(prob, states, active=[0, 1])
     assert rep.status == "not_found"
     assert rep.candidates_tried >= 5
 
@@ -391,12 +426,11 @@ def lq_solution():
     terminal = assemble_terminal(xi, cost_grad(states.terminal))
     a_fn, d_fn = linearization_along(dyn, states)
     fund = fundamental_matrices(a_fn, d_fn, brownian)
-    costates = solve_adjoint(dyn, states, terminal, fund, brownian)
+    costates = solve_adjoint(dyn, states, terminal, fund)
 
     problem = ProblemSpec(dyn=dyn, risk=risk, cost=cost, cost_gradient=cost_grad,
                           x0=np.array([1.0, 0.0]))
-    bundle = CandidateBundle(states=states, brownian=brownian,
-                             fund=fund, terminal=terminal, costates=costates)
+    bundle = CandidateBundle(states=states, costates=costates)
     return problem, bundle
 
 
@@ -451,8 +485,7 @@ def test_lq_flipped_control_fails_maximization(lq_solution):
     problem, bundle = lq_solution
     flipped = CandidateBundle(
         states=replace(bundle.states, control=ControlLaw(-bundle.states.control.values)),
-        brownian=bundle.brownian, fund=bundle.fund,
-        terminal=bundle.terminal, costates=bundle.costates,
+        costates=bundle.costates,
     )
     cfg = CertifyConfig(bsde_residual_bound=0.05)
     cert, gaps = certify(problem, flipped, cfg)
@@ -475,8 +508,7 @@ def test_certificate_monotone_in_tolerances(lq_solution):
     problem, bundle = lq_solution
     flipped = CandidateBundle(
         states=replace(bundle.states, control=ControlLaw(-bundle.states.control.values)),
-        brownian=bundle.brownian, fund=bundle.fund,
-        terminal=bundle.terminal, costates=bundle.costates,
+        costates=bundle.costates,
     )
     rank = {"pass": 2, "inconclusive": 1, "fail": 0}
     loose = CertifyConfig(bsde_residual_bound=10.0, gap_threshold=50.0,

@@ -106,6 +106,19 @@ def test_non_finite_config_numbers_rejected(tmp_path, capsys, verb, fields, toke
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("field", ["n_paths", "n_steps", "seed"])
+def test_integral_floats_rejected_where_config_wants_integers(tmp_path, capsys, field):
+    # JSON Schema's "integer" admits 100.0; a config integer must be a JSON integer
+    cfg = {"kind": "simulate", "seed": 1, "out_dir": str(tmp_path / "o"),
+           "dynamics": {"name": "scalar-linear"}, "x0": [1.0], "horizon": 1.0,
+           "n_steps": 10, "n_paths": 100}
+    cfg[field] = float(cfg[field])
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"config rejected at {field}: {cfg[field]!r} is not of type 'integer'" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_shape_mismatch_is_usage_error(tmp_path, capsys):
     cfg = {
         "kind": "simulate",
@@ -548,10 +561,24 @@ def test_reports_are_strict_json_with_null_for_undefined_values(tmp_path, capsys
     out = tmp_path / "adj"
     cfg = {"kind": "adjoint", "seed": 1, "out_dir": str(out), "instance": SAFE_INSTANCE,
            "policy": {"constant": 1.0}, "n_steps": 10, "n_paths": 1}
-    with pytest.warns(RuntimeWarning):
-        main(["adjoint", "--config", write_cfg(tmp_path, cfg, "adj.json")])
+    main(["adjoint", "--config", write_cfg(tmp_path, cfg, "adj.json")])
     rows = _strict_json(out / "report.json")["results"]["costate_mean"]
     assert [row["stderr"] for row in rows] == [None] * 11
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_path_runs_print_no_warnings(tmp_path, capsys):
+    # one path has no standard error: it is reported as null, not computed
+    # through std(ddof=1) and its NumPy warnings
+    adj = {"kind": "adjoint", "seed": 1, "out_dir": str(tmp_path / "adj"),
+           "instance": SAFE_INSTANCE, "policy": {"constant": 1.0}, "n_steps": 10, "n_paths": 1}
+    assert main(["adjoint", "--config", write_cfg(tmp_path, adj, "adj.json")]) == 2
+    sop = {"kind": "sop-solve", "seed": 1, "out_dir": str(tmp_path / "sop"),
+           "instance": dict(SAFE_INSTANCE, alpha=1.0), "n_steps": 10, "n_paths": 1}
+    assert main(["sop-solve", "--config", write_cfg(tmp_path, sop, "sop.json")]) == 3
+    bangbang = _strict_json(tmp_path / "sop" / "report.json")["results"]["bangbang"]
+    assert bangbang["status"] == "consistent" and bangbang["pairing_band"] is None
     capsys.readouterr()
 
 

@@ -180,7 +180,7 @@ def test_safe_solution_bangbang_consistent(safe_solution):
 
 
 def test_safe_solution_costate_structure(safe_solution):
-    mart = martingale_check(safe_solution.costates, safe_solution.fund)
+    mart = martingale_check(safe_solution.costates)
     assert mart.passed
     p = safe_solution.costates.p
     # p_v(T) = 0 and p_v stays positive in the ensemble mean, matching u = +1
@@ -215,7 +215,7 @@ def test_safe_solution_certificate_passes(safe_solution):
 
 def test_hand_made_coasting_control_flagged(safe_solution):
     zeros = np.zeros((100, 1))
-    sol = assemble_solution(SAFE, zeros, safe_solution.brownian)
+    sol = assemble_solution(SAFE, zeros, safe_solution.states.brownian)
     rep = bangbang_necessity(sol)
     assert rep.status == "inconsistent"
     assert rep.saturation_fraction == 0.0

@@ -136,7 +136,7 @@ def test_rate_zero_selection_is_zero():
     law = ControlLaw.constant(0.0, 50)
     states = euler_maruyama(dyn, law, np.zeros(2), bm)
     sel = tangent_from_control(dyn, states, law)
-    table = linearization_rate(dyn, states, sel, [0.5, 0.25, 0.125], bm)
+    table = linearization_rate(dyn, states, sel, [0.5, 0.25, 0.125])
     np.testing.assert_array_equal(table.rates, 0.0)
     assert table.passed
 
@@ -151,7 +151,7 @@ def test_rate_linear_dynamics_floor_is_roundoff(n_steps):
     u_star = ControlLaw.constant(0.1, n_steps)
     states = euler_maruyama(dyn, u_star, np.ones(1), bm)
     sel = tangent_from_control(dyn, states, ControlLaw.constant(0.9, n_steps))
-    table = linearization_rate(dyn, states, sel, [0.2, 0.05, 0.0125], bm)
+    table = linearization_rate(dyn, states, sel, [0.2, 0.05, 0.0125])
     assert np.max(table.rates) <= 1e-9
     assert table.passed
 
@@ -165,13 +165,13 @@ def test_rate_nonlinear_drift_halves():
     states = euler_maruyama(dyn, u_star, np.zeros(2), bm)
     sel = tangent_from_control(dyn, states, ControlLaw.constant(-0.8, n_steps))
     eps = [0.2, 0.1, 0.05, 0.025]
-    table = linearization_rate(dyn, states, sel, eps, bm)
+    table = linearization_rate(dyn, states, sel, eps)
     assert table.passed
     assert table.rates[-1] < 0.5 * table.rates[0]
     # smooth drift: the rate is close to linear in eps
     assert table.rates[-1] < 0.25 * table.rates[0]
 
-    rerun = linearization_rate(dyn, states, sel, eps, bm)
+    rerun = linearization_rate(dyn, states, sel, eps)
     assert np.array_equal(table.rates, rerun.rates)
 
 
@@ -184,7 +184,7 @@ def test_rate_rejects_bad_epsilons():
     sel = tangent_from_control(dyn, states, law)
     for bad in ([], [0.5, 0.5], [0.1, 0.2], [1.5, 0.2], [-0.1]):
         with pytest.raises(ValueError):
-            linearization_rate(dyn, states, sel, bad, bm)
+            linearization_rate(dyn, states, sel, bad)
 
 
 def test_rate_names_aborted_reference_paths():
@@ -201,7 +201,7 @@ def test_rate_names_aborted_reference_paths():
     sel = tangent_from_control(dyn, states, ControlLaw.constant(0.5, 50))
     with pytest.raises(ValueError, match=rf"not finite on {failed.size} of 1000 paths "
                                          rf"\(first at path {failed[0]}\)"):
-        linearization_rate(dyn, states, sel, [0.5, 0.25], bm)
+        linearization_rate(dyn, states, sel, [0.5, 0.25])
 
 
 def _rate_per_epsilon(dyn, states, u_star, sel, epsilons, brownian):
@@ -295,7 +295,7 @@ def test_rate_single_pass_matches_per_epsilon_oracle():
     states = euler_maruyama(dyn, u_star, np.zeros(2), bm)
     sel = tangent_from_control(dyn, states, ControlLaw.constant(-0.5, n_steps))
     assert sel.g2 is None
-    table = linearization_rate(dyn, states, sel, eps, bm)
+    table = linearization_rate(dyn, states, sel, eps)
     oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
     assert np.max(table.rates) > 1e-6
     np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
@@ -312,7 +312,7 @@ def test_rate_single_pass_matches_per_epsilon_oracle():
     # zero diffusion difference before w departs from u*, filled in after
     np.testing.assert_array_equal(sel.g2, _tangent_full_g2(dyn, states, u_star, w))
     assert not np.any(sel.g2[:, : n_steps // 3]) and np.any(sel.g2[:, n_steps // 3])
-    table = linearization_rate(dyn, states, sel, eps, bm)
+    table = linearization_rate(dyn, states, sel, eps)
     oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
     assert np.max(table.rates) > 1e-6
     np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
@@ -325,7 +325,7 @@ def test_rate_single_pass_matches_per_epsilon_oracle():
     w = ControlLaw(rng.uniform(-1.0, 1.0, size=(m_paths, n_steps, 1)))
     sel = tangent_from_control(dyn, states, w)
     assert sel.g2 is None
-    table = linearization_rate(dyn, states, sel, eps, bm)
+    table = linearization_rate(dyn, states, sel, eps)
     oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
     assert np.max(table.rates) > 1e-6
     np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
@@ -342,7 +342,7 @@ def test_continuity_equal_selections_zero():
     law = ControlLaw.constant(0.0, 20)
     states = euler_maruyama(dyn, law, np.zeros(2), bm)
     sel = tangent_from_control(dyn, states, ControlLaw.constant(1.0, 20))
-    assert selection_continuity(dyn, states, sel, sel, bm) == 0.0
+    assert selection_continuity(dyn, states, sel, sel) == 0.0
 
 
 def test_continuity_scaled_pair_matches_zero_pair():
@@ -355,8 +355,8 @@ def test_continuity_scaled_pair_matches_zero_pair():
     sel = tangent_from_control(dyn, states, ControlLaw.constant(0.7, n_steps))
     doubled = TangentSelection(g1=2 * sel.g1, g2=None)
     zero = tangent_from_control(dyn, states, u_star)
-    r_scaled = selection_continuity(dyn, states, sel, doubled, bm)
-    r_zero = selection_continuity(dyn, states, sel, zero, bm)
+    r_scaled = selection_continuity(dyn, states, sel, doubled)
+    r_zero = selection_continuity(dyn, states, sel, zero)
     assert r_scaled == pytest.approx(r_zero, rel=1e-12)
 
 
@@ -383,7 +383,7 @@ def test_continuity_ratio_stable_under_refinement():
         for _ in range(100):
             sel_a = tangent_from_control(dyn, states, _staircase_law(rng, grid))
             sel_b = tangent_from_control(dyn, states, _staircase_law(rng, grid))
-            ratios.append(selection_continuity(dyn, states, sel_a, sel_b, bm))
+            ratios.append(selection_continuity(dyn, states, sel_a, sel_b))
         maxima[n_steps] = max(ratios)
         assert np.isfinite(maxima[n_steps])
     assert abs(maxima[40] - maxima[80]) <= 0.1 * max(maxima.values())
