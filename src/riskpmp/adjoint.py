@@ -14,7 +14,7 @@ One thin SVD of each node's scaled features serves every fit at that node.
 Output bytes do not depend on the BLAS thread count (the CLI tests check it).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 from typing import List, Optional, Sequence, Tuple
@@ -194,7 +194,6 @@ class RegressionDiagnostics:
     mu_residual_rms: np.ndarray   # (K,) increment fit residuals per step
     ridge_max_shift: float
     ridge_flagged: bool
-    notes: List[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -309,7 +308,6 @@ def solve_adjoint(
         mu_residual_rms=mu_resid_rms,
         ridge_max_shift=ridge_shift,
         ridge_flagged=ridge_shift > RIDGE_FLAG_SHIFT,
-        notes=["ridge damping changed fitted values beyond 1e-8"] if ridge_shift > RIDGE_FLAG_SHIFT else [],
     )
     return CostatePair(
         grid=states.grid,

@@ -119,7 +119,7 @@ _POLICY = {
     "oneOf": [
         _obj(
             {
-                "initial_sign": {"enum": [-1, 1]},
+                "initial_sign": {"type": "integer", "enum": [-1, 1]},
                 "switches": {"type": "array", "items": _NUM, "maxItems": 2},
             },
             ["initial_sign"],
@@ -409,19 +409,11 @@ def _policy_values(cfg, instance, grid):
 # serialization helpers
 
 
-def _fmt(value):
-    if value is None:  # undefined: null in report.json, nan in the CSVs
-        return "nan"
-    if isinstance(value, (int, np.integer)):  # bool included
-        return str(int(value))
-    return "%.17g" % float(value)
-
-
 def _write_rows(path, columns, rows):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # undefined values: null in report.json, nan in the CSVs
+    table = np.array([[np.nan if row[c] is None else row[c] for c in columns] for row in rows],
+                     dtype=float).reshape(len(rows), len(columns))
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(columns), comments="")
 
 
 _PLOT_SECTIONS = {

@@ -85,8 +85,8 @@ class BangBangPolicy:
         return (self.initial_sign * (-1.0) ** flips)[:, None]
 
 
-def build_sop(instance: SopInstance, grid_points: int = 21) -> ProblemSpec:
-    dyn = double_integrator_dynamics(noise=instance.noise, grid_points=grid_points)
+def build_sop(instance: SopInstance) -> ProblemSpec:
+    dyn = double_integrator_dynamics(noise=instance.noise)
     target = instance.y_target
 
     def cost(x):
@@ -306,10 +306,15 @@ class SafetyReport:
     safe: bool
 
 
-def safety_check(instance: SopInstance, terminal_positions,
-                 band_sigma: float = 5.0) -> SafetyReport:
+BAND_SIGMA = 5.0              # standard errors in every band of the bang-bang checks
+SATURATION_TOL = 1e-6         # |u| >= 1 - SATURATION_TOL counts as saturated
+SATURATION_THRESHOLD = 0.95   # saturated share of cells a safe optimum needs
+MIN_WINDOW_STEPS = 5          # shortest interior or zero-band window reported
+
+
+def safety_check(instance: SopInstance, terminal_positions) -> SafetyReport:
     """margin = y_target - AV@R_alpha(y(T)); safe when the margin clears a
-    band of band_sigma standard errors of the tail-average estimator."""
+    band of BAND_SIGMA standard errors of the tail-average estimator."""
     if isinstance(terminal_positions, StateEnsemble):
         y = terminal_positions.terminal[:, 0]
     else:
@@ -318,7 +323,7 @@ def safety_check(instance: SopInstance, terminal_positions,
     avar = risk_value(risk, y)
     q = np.quantile(y, 1.0 - instance.alpha, method="inverted_cdf")
     influence = q + np.maximum(y - q, 0.0) / instance.alpha
-    band = band_sigma * influence.std(ddof=1) / np.sqrt(y.size) if y.size > 1 else 0.0
+    band = BAND_SIGMA * influence.std(ddof=1) / np.sqrt(y.size) if y.size > 1 else 0.0
     margin = instance.y_target - avar
     return SafetyReport(avar_value=avar, margin=float(margin), band=float(band),
                         safe=bool(margin > band))
@@ -352,7 +357,6 @@ class BangBangReport:
     status: str                   # consistent | inconsistent | not_applicable | skipped_unsafe
     safety: Optional[SafetyReport]
     saturation_fraction: float
-    saturation_threshold: float
     interior_windows: List[Tuple[float, float]]
     zero_band_windows: List[Tuple[float, float]]
     pairing_mean: float
@@ -360,10 +364,7 @@ class BangBangReport:
     chain: List[str]
 
 
-def bangbang_necessity(solution: SopSolution, band_sigma: float = 5.0,
-                       saturation_tol: float = 1e-6,
-                       saturation_threshold: float = 0.95,
-                       min_window_steps: int = 5) -> BangBangReport:
+def bangbang_necessity(solution: SopSolution) -> BangBangReport:
     """Check the solved instance against the safe-implies-bang-bang argument.
 
     The argument runs: a non-bang-bang optimum forces an interval where the
@@ -382,11 +383,10 @@ def bangbang_necessity(solution: SopSolution, band_sigma: float = 5.0,
         chain.append("noise scale is zero: the Brownian argument does not apply")
         return BangBangReport(status="not_applicable", safety=None,
                               saturation_fraction=nan,
-                              saturation_threshold=saturation_threshold,
                               interior_windows=[], zero_band_windows=[],
                               pairing_mean=nan, pairing_band=nan, chain=chain)
 
-    safety = safety_check(instance, solution.states, band_sigma)
+    safety = safety_check(instance, solution.states)
     chain.append(
         f"safety margin {safety.margin:.4f} vs band {safety.band:.4f}: "
         f"{'safe' if safety.safe else 'not safe'}"
@@ -394,20 +394,17 @@ def bangbang_necessity(solution: SopSolution, band_sigma: float = 5.0,
 
     grid = solution.states.grid
     u = solution.states.control.values
-    saturated = np.abs(u) >= 1.0 - saturation_tol
+    saturated = np.abs(u) >= 1.0 - SATURATION_TOL
     saturation = float(np.mean(saturated))
-    if u.ndim == 2:
-        step_interior = ~np.all(saturated, axis=1)
-    else:
-        step_interior = ~np.all(saturated, axis=(0, 2))
-    interior = [(grid.nodes[a], grid.nodes[b]) for a, b in _windows(step_interior, min_window_steps)]
-    chain.append(f"|u| saturated on {saturation:.1%} of cells (threshold {saturation_threshold:.0%})")
+    # (K, m) or (M, K, m) values: a step is interior if any path is off the bounds
+    step_interior = ~np.all(saturated.reshape((-1,) + u.shape[-2:]), axis=(0, 2))
+    interior = [(grid.nodes[a], grid.nodes[b]) for a, b in _windows(step_interior, MIN_WINDOW_STEPS)]
+    chain.append(f"|u| saturated on {saturation:.1%} of cells (threshold {SATURATION_THRESHOLD:.0%})")
 
     if not safety.safe:
         chain.append("trajectory not safe: the proposition's hypothesis fails, analysis skipped")
         return BangBangReport(status="skipped_unsafe", safety=safety,
                               saturation_fraction=saturation,
-                              saturation_threshold=saturation_threshold,
                               interior_windows=interior, zero_band_windows=[],
                               pairing_mean=nan, pairing_band=nan, chain=chain)
 
@@ -417,21 +414,23 @@ def bangbang_necessity(solution: SopSolution, band_sigma: float = 5.0,
     mean_pv = p[:, :, 1].mean(axis=0)
     se_py = _sample_std(p[:, :, 0]) / np.sqrt(m)
     se_pv = _sample_std(p[:, :, 1]) / np.sqrt(m)
-    inside = (np.abs(mean_py) <= band_sigma * se_py + 1e-12) & (
-        np.abs(mean_pv) <= band_sigma * se_pv + 1e-12)
+    inside = (np.abs(mean_py) <= BAND_SIGMA * se_py + 1e-12) & (
+        np.abs(mean_pv) <= BAND_SIGMA * se_pv + 1e-12)
     zero_bands = [(grid.nodes[a], grid.nodes[min(b, grid.n_steps)])
-                  for a, b in _windows(inside, min_window_steps)]
+                  for a, b in _windows(inside, MIN_WINDOW_STEPS)]
     chain.append(f"{len(zero_bands)} persistent joint zero band(s) in the mean costates")
 
     xi = np.asarray(solution.costates.terminal.xi, dtype=float)
     pairing_samples = xi * (solution.states.terminal[:, 0] - instance.y_target)
     pairing = float(pairing_samples.mean())
-    pairing_band = float(band_sigma * _sample_std(pairing_samples) / np.sqrt(m))
-    chain.append(f"E[xi (y(T) - y_target)] = {pairing:.4f} within +-{pairing_band:.4f}")
+    pairing_band = float(BAND_SIGMA * _sample_std(pairing_samples) / np.sqrt(m))
+    band_text = (f"within +-{pairing_band:.4f}" if np.isfinite(pairing_band)
+                 else "with no band (one path has no sample spread)")
+    chain.append(f"E[xi (y(T) - y_target)] = {pairing:.4f} {band_text}")
 
     pairing_nonzero = abs(pairing) > pairing_band
     contradiction = bool(zero_bands) and pairing_nonzero
-    saturated_enough = saturation >= saturation_threshold
+    saturated_enough = saturation >= SATURATION_THRESHOLD
     if contradiction:
         chain.append("zero band coexists with a pairing value away from zero: "
                      "the argument's links disagree")
@@ -443,7 +442,6 @@ def bangbang_necessity(solution: SopSolution, band_sigma: float = 5.0,
                                 if consistent else "inconsistent"))
     return BangBangReport(status="consistent" if consistent else "inconsistent",
                           safety=safety, saturation_fraction=saturation,
-                          saturation_threshold=saturation_threshold,
                           interior_windows=interior, zero_band_windows=zero_bands,
                           pairing_mean=pairing, pairing_band=pairing_band,
                           chain=chain)

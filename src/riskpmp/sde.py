@@ -19,8 +19,10 @@ Array conventions (vectorized over paths):
   diffusion Jacobian (M, d, n, n), [p, i, :, :] = d sigma_i / d x
 A Jacobian that does not depend on the path may have a leading axis of 1
 instead of M; the fundamental pair along it is then built once, not per path.
-Coefficient inputs to the linear solvers may drop leading axes (deterministic
-or time-constant data) or be callables of the step index.
+The linear solvers take one coefficient convention, the shapes that
+adjoint.linearization_along and TangentSelection hold: A and D are callables
+of the step index k returning (M or 1, n, n) and (M or 1, d, n, n), D may be
+None; g1 and g2 are arrays (M or 1, K, n) and (M or 1, K, n, d), or None.
 """
 
 from __future__ import annotations
@@ -78,8 +80,6 @@ class BrownianEnsemble:
 
     grid: TimeGrid
     increments: np.ndarray  # (M, K, d)
-    seed: Optional[int] = None
-    path_offset: int = 0
 
     @property
     def n_paths(self) -> int:
@@ -107,12 +107,7 @@ class BrownianEnsemble:
             raise ValueError(f"factor {factor} must divide n_steps {k}")
         m, _, d = self.increments.shape
         coarse = self.increments.reshape(m, k // factor, factor, d).sum(axis=2)
-        return BrownianEnsemble(
-            grid=make_grid(self.grid.horizon, k // factor),
-            increments=coarse,
-            seed=self.seed,
-            path_offset=self.path_offset,
-        )
+        return BrownianEnsemble(grid=make_grid(self.grid.horizon, k // factor), increments=coarse)
 
 
 def sample_brownian(
@@ -131,7 +126,7 @@ def sample_brownian(
     seed = validate_seed(seed)
     z = ensemble_normals(seed, n_paths, grid.n_steps * dim, path_offset=path_offset)
     increments = math.sqrt(grid.dt) * z.reshape(n_paths, grid.n_steps, dim)
-    return BrownianEnsemble(grid=grid, increments=increments, seed=seed, path_offset=path_offset)
+    return BrownianEnsemble(grid=grid, increments=increments)
 
 
 # ---------------------------------------------------------------------------
@@ -386,25 +381,20 @@ def euler_maruyama(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEns
 # linearized dynamics and fundamental matrices
 
 
-def _stepper(obj, n_steps: int, trailing: int):
-    """Normalize a coefficient to a per-step accessor returning (M or 1, ...)."""
-    if obj is None:
-        return None
-    if callable(obj):
-        return lambda k: np.asarray(obj(k), dtype=float)
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim == trailing:  # constant in time and paths
-        view = arr[None]
-        return lambda k: view
-    if arr.ndim == trailing + 1:  # (K, ...)
-        if arr.shape[0] != n_steps:
-            raise ValueError(f"coefficient leading axis {arr.shape[0]} != n_steps {n_steps}")
-        return lambda k: arr[k][None]
-    if arr.ndim == trailing + 2:  # (M, K, ...)
-        if arr.shape[1] != n_steps:
-            raise ValueError(f"coefficient time axis {arr.shape[1]} != n_steps {n_steps}")
-        return lambda k: arr[:, k]
-    raise ValueError(f"coefficient has unsupported ndim {arr.ndim}")
+_CONVENTION = ("A, D: callables k -> (M or 1, n, n), (M or 1, d, n, n) or None; "
+               "g1, g2: arrays (M or 1, K, n), (M or 1, K, n, d) or None")
+
+
+def _check_coefficients(A, D, g1, g2, brownian: BrownianEnsemble) -> None:
+    """Refuse coefficients outside the linear solvers' convention."""
+    m, k, _ = brownian.increments.shape
+    if not callable(A) or not (D is None or callable(D)):
+        raise TypeError(f"A or D is not callable; expected {_CONVENTION}")
+    for name, g, rank in (("g1", g1, 3), ("g2", g2, 4)):
+        if g is not None and (np.ndim(g) != rank or np.shape(g)[0] not in (1, m)
+                              or np.shape(g)[1] != k):
+            raise ValueError(f"{name} has shape {np.shape(g)} for {m} paths and {k} steps; "
+                             f"expected {_CONVENTION}")
 
 
 def solve_linearized(
@@ -412,35 +402,28 @@ def solve_linearized(
 ) -> StateEnsemble:
     """Integrate dy = (A y + g1) dt + sum_i (D_i y + g2^i) dW^i, y(0) = y0 (default 0).
 
-    A: (n, n), (K, n, n), (M, K, n, n) or callable k -> (M or 1, n, n).
-    D: stacked per-component Jacobians with trailing shape (d, n, n); may be None.
-    g1 trailing (n,), g2 trailing (n, d); either may be None.
+    A and D are callables of the step index k returning (M or 1, n, n) and
+    (M or 1, d, n, n); D may be None.  g1 (M or 1, K, n) and g2
+    (M or 1, K, n, d) are arrays; either may be None.
     """
     n_paths, n_steps, d = brownian.increments.shape
-    a_at = _stepper(A, n_steps, 2)
-    if a_at is None:
-        raise ValueError("A is required (use zeros for driftless linearization)")
-    n = a_at(0).shape[-1]
-    d_at = _stepper(D, n_steps, 3)
-    g1_at = _stepper(g1, n_steps, 1)
-    g2_at = _stepper(g2, n_steps, 2)
+    _check_coefficients(A, D, g1, g2, brownian)
+    n = A(0).shape[-1]
 
-    y = np.zeros((n_paths, n)) if y0 is None else np.array(
-        np.broadcast_to(np.asarray(y0, dtype=float), (n_paths, n))
-    )
     out = np.empty((n_paths, n_steps + 1, n))
-    out[:, 0] = y
+    out[:, 0] = 0.0 if y0 is None else y0
+    y = out[:, 0]
     dt = brownian.grid.dt
     for k in range(n_steps):
         dw = brownian.increments[:, k]
-        drift = np.einsum("...ij,...j->...i", a_at(k), y)
-        if g1_at is not None:
-            drift = drift + g1_at(k)
+        drift = np.einsum("...ij,...j->...i", A(k), y)
+        if g1 is not None:
+            drift = drift + g1[:, k]
         noise = np.zeros((n_paths, d, n))
-        if d_at is not None:
-            noise = noise + np.einsum("...dij,...j->...di", d_at(k), y)
-        if g2_at is not None:
-            noise = noise + np.swapaxes(g2_at(k), -1, -2)
+        if D is not None:
+            noise = noise + np.einsum("...dij,...j->...di", D(k), y)
+        if g2 is not None:
+            noise = noise + np.swapaxes(g2[:, k], -1, -2)
         y = y + drift * dt + np.einsum("pdn,pd->pn", np.broadcast_to(noise, (n_paths, d, n)), dw)
         out[:, k + 1] = y
     return StateEnsemble(grid=brownian.grid, values=out, brownian=brownian)
@@ -455,10 +438,6 @@ class FundamentalMatrices:
     worst_path: int
     worst_node: int
 
-    @property
-    def per_path(self) -> bool:
-        return self.phi.shape[0] > 1
-
 
 def fundamental_matrices(
     A, D, brownian: BrownianEnsemble, tol: Optional[float] = None
@@ -468,43 +447,34 @@ def fundamental_matrices(
     phi_{k+1} = phi_k + A phi_k dt + sum_i D_i phi_k dW^i
     psi_{k+1} = psi_k - psi_k (A - sum_i D_i^2) dt - sum_i psi_k D_i dW^i
 
-    Tracks the worst deviation of psi*phi from the identity (Frobenius norm)
-    over all paths and nodes; raises FundamentalMatrixError if it exceeds tol.
+    A and D as in solve_linearized.  With D None the flow is deterministic
+    and keeps A's leading axis; otherwise it is per path.  Tracks the worst
+    deviation of psi*phi from the identity (Frobenius norm) over all paths
+    and nodes; raises FundamentalMatrixError if it exceeds tol.
     """
     n_paths, n_steps, d = brownian.increments.shape
-    a_at = _stepper(A, n_steps, 2)
-    d_at = _stepper(D, n_steps, 3)
-    n = a_at(0).shape[-1]
+    _check_coefficients(A, D, None, None, brownian)
+    a_0 = A(0)
+    n = a_0.shape[-1]
+    m_eff = a_0.shape[0] if D is None else n_paths
 
-    stochastic = False
-    if d_at is not None:
-        if callable(D):
-            stochastic = True
-        else:
-            stochastic = bool(np.any(np.asarray(D) != 0.0))
-    m_eff = n_paths if stochastic else max(a_at(0).shape[0], 1 if d_at is None else d_at(0).shape[0])
-
-    eye = np.broadcast_to(np.eye(n), (m_eff, n, n)).copy()
     phi = np.empty((m_eff, n_steps + 1, n, n))
     psi = np.empty((m_eff, n_steps + 1, n, n))
-    phi[:, 0] = eye
-    psi[:, 0] = eye
+    phi[:, 0] = psi[:, 0] = np.eye(n)
 
     dt = brownian.grid.dt
     worst = (0.0, 0, 0)
-    p_cur = phi[:, 0]
-    s_cur = psi[:, 0]
+    p_cur, s_cur = phi[:, 0], psi[:, 0]
     for k in range(n_steps):
-        a_k = a_at(k)
+        a_k = A(k)
         p_new = p_cur + np.einsum("...ij,...jk->...ik", a_k, p_cur) * dt
-        b_k = a_k
-        if d_at is not None:
-            d_k = d_at(k)
-            b_k = a_k - np.einsum("...dij,...djk->...ik", d_k, d_k)
-        s_new = s_cur - np.einsum("...ij,...jk->...ik", s_cur, b_k) * dt
-        if stochastic:
+        if D is None:
+            s_new = s_cur - np.einsum("...ij,...jk->...ik", s_cur, a_k) * dt
+        else:
+            d_k = D(k)
             dw = brownian.increments[:, k]
-            d_k = d_at(k)
+            b_k = a_k - np.einsum("...dij,...djk->...ik", d_k, d_k)
+            s_new = s_cur - np.einsum("...ij,...jk->...ik", s_cur, b_k) * dt
             p_new = p_new + np.einsum(
                 "pdik,pd->pik", np.einsum("...dij,...jk->...dik", d_k, p_cur), dw
             )
@@ -542,16 +512,14 @@ def representation_formula_check(
         y(t) = phi(t) [ int_0^t psi (g1 - sum_i D_i g2^i) ds
                         + sum_i int_0^t psi g2^i dW^i ],
 
-    both sides discretized on the shared grid.
+    both sides discretized on the shared grid.  The coefficients follow
+    solve_linearized's convention.
     """
     n_paths, n_steps, d = brownian.increments.shape
     direct = solve_linearized(A, D, g1, g2, brownian).values
     if fund is None:
         fund = fundamental_matrices(A, D, brownian)
     n = direct.shape[2]
-    d_at = _stepper(D, n_steps, 3)
-    g1_at = _stepper(g1, n_steps, 1)
-    g2_at = _stepper(g2, n_steps, 2)
 
     acc = np.zeros((n_paths, n))
     dt = brownian.grid.dt
@@ -559,13 +527,13 @@ def representation_formula_check(
     for k in range(n_steps):
         psi_k = fund.psi[:, k]
         integrand = np.zeros((n_paths, n))
-        if g1_at is not None:
-            integrand = integrand + g1_at(k)
-        if g2_at is not None and d_at is not None:
-            integrand = integrand - np.einsum("...dnm,...md->...n", d_at(k), g2_at(k))
+        if g1 is not None:
+            integrand = integrand + g1[:, k]
+        if g2 is not None and D is not None:
+            integrand = integrand - np.einsum("...dnm,...md->...n", D(k), g2[:, k])
         acc = acc + np.einsum("...nm,...m->...n", psi_k, integrand) * dt
-        if g2_at is not None:
-            psig2 = np.einsum("...nm,...md->...nd", psi_k, g2_at(k))
+        if g2 is not None:
+            psig2 = np.einsum("...nm,...md->...nd", psi_k, g2[:, k])
             acc = acc + np.einsum(
                 "pnd,pd->pn",
                 np.broadcast_to(psig2, (n_paths, n, d)),
@@ -608,8 +576,10 @@ def scalar_linear_dynamics(drift_coef: float, noise_coef: float) -> DynamicsSpec
     )
 
 
-def double_integrator_dynamics(cubic: float = 0.0, noise: float = 1.0,
-                               grid_points: int = 21) -> DynamicsSpec:
+DOUBLE_INTEGRATOR_GRID_POINTS = 21  # control_grid: that many points of [-1, 1]
+
+
+def double_integrator_dynamics(cubic: float = 0.0, noise: float = 1.0) -> DynamicsSpec:
     """dy = v dt + noise dW, dv = (u - cubic y^3) dt with u in [-1, 1].
 
     Without the cubic term the drift Jacobian is the same on every path and
@@ -640,7 +610,7 @@ def double_integrator_dynamics(cubic: float = 0.0, noise: float = 1.0,
     return DynamicsSpec(
         state_dim=2, control_dim=1, noise_dim=1,
         drift=drift, diffusion=diffusion, drift_jac=drift_jac,
-        control_grid=np.linspace(-1.0, 1.0, grid_points),
+        control_grid=np.linspace(-1.0, 1.0, DOUBLE_INTEGRATOR_GRID_POINTS),
     )
 
 

@@ -169,14 +169,9 @@ def selection_continuity(
     returns 0.
     """
     g1 = sel_a.g1 - sel_b.g1
-    if sel_a.g2 is None and sel_b.g2 is None:
+    g2 = (0.0 if sel_a.g2 is None else sel_a.g2) - (0.0 if sel_b.g2 is None else sel_b.g2)
+    if not np.any(g2):
         g2 = None
-    else:
-        za = sel_a.g2 if sel_a.g2 is not None else 0.0
-        zb = sel_b.g2 if sel_b.g2 is not None else 0.0
-        g2 = za - zb
-        if not np.any(g2):
-            g2 = None
 
     dt = states.grid.dt
     denom_sq = float(np.mean(np.sum(g1**2, axis=(1, 2)))) * dt

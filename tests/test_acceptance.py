@@ -234,7 +234,7 @@ def test_criterion_6_adjoint_correctness():
     bm = sample_brownian(grid, 1, n_paths, seed=SEED)
     law = ControlLaw.constant(0.0, n_steps)
     states = euler_maruyama(dyn, law, x0, bm)
-    fund = fundamental_matrices(a_mat, None, bm)
+    fund = fundamental_matrices(lambda k: a_mat[None], None, bm)
     terminal = assemble_terminal(np.ones(n_paths), states.terminal.copy())
     pair = solve_adjoint(dyn, states, terminal, fund)
     ode = np.empty_like(pair.p)

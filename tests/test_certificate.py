@@ -297,7 +297,7 @@ def test_states_without_brownian_rejected_by_name():
                            control=ControlLaw.constant(1.0, 3))
     dyn = toy_problem().dyn
     terminal = assemble_terminal(np.ones(2), np.ones((2, 2)))
-    fund = fundamental_matrices(np.zeros((2, 2)), None, sample_brownian(grid, 1, 2, 0))
+    fund = fundamental_matrices(lambda k: np.zeros((1, 2, 2)), None, sample_brownian(grid, 1, 2, 0))
     con = TerminalConstraint(fn=lambda x: x[:, 0], gradient=lambda x: np.ones_like(x))
     sel = tangent_from_control(dyn, states, ControlLaw.constant(-1.0, 3))
     still = TangentSelection(g1=np.zeros_like(sel.g1), g2=None)

@@ -1,13 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from riskpmp import export
-from riskpmp.cli import emit_plot_data, main
+from riskpmp.cli import emit_plot_data, load_scenario, main
 from riskpmp.risk import AVaR, risk_value
 
 SAFE_INSTANCE = {
@@ -117,6 +119,28 @@ def test_integral_floats_rejected_where_config_wants_integers(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert f"config rejected at {field}: {cfg[field]!r} is not of type 'integer'" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_integral_float_initial_sign_rejected(tmp_path, capsys):
+    # the enum [-1, 1] compares numbers by value, so it alone admits 1.0
+    cfg = {"kind": "adjoint", "seed": 1, "out_dir": str(tmp_path / "o"),
+           "instance": SAFE_INSTANCE, "policy": {"initial_sign": 1.0},
+           "n_steps": 10, "n_paths": 10}
+    assert main(["adjoint", "--config", write_cfg(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config rejected at policy/initial_sign: 1.0 is not of type 'integer'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_example_configs_validate(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme_{i}.json"
+        path.write_text(block)
+        cfg = json.loads(block)
+        assert load_scenario(path, cfg["kind"])["kind"] == cfg["kind"]
 
 
 def test_simulate_shape_mismatch_is_usage_error(tmp_path, capsys):
@@ -579,6 +603,7 @@ def test_one_path_runs_print_no_warnings(tmp_path, capsys):
     assert main(["sop-solve", "--config", write_cfg(tmp_path, sop, "sop.json")]) == 3
     bangbang = _strict_json(tmp_path / "sop" / "report.json")["results"]["bangbang"]
     assert bangbang["status"] == "consistent" and bangbang["pairing_band"] is None
+    assert not any("nan" in line for line in bangbang["chain"])
     capsys.readouterr()
 
 

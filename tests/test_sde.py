@@ -259,15 +259,15 @@ def test_apriori_bound_finite_and_monotone_under_x0_scaling():
 def _random_linear_inputs(rng, n_paths, n_steps, n, d):
     A = rng.normal(scale=0.5, size=(n_steps, n, n))
     D = rng.normal(scale=0.3, size=(n_steps, d, n, n))
-    g1 = rng.normal(size=(n_steps, n))
-    g2 = rng.normal(size=(n_steps, n, d))
-    return A, D, g1, g2
+    g1 = rng.normal(size=(1, n_steps, n))
+    g2 = rng.normal(size=(1, n_steps, n, d))
+    return lambda k: A[k][None], lambda k: D[k][None], g1, g2
 
 
 def test_solve_linearized_zero_inputs_stay_zero():
     ens = sample_brownian(make_grid(1.0, 30), 2, 10, seed=2)
     A, D, g1, g2 = _random_linear_inputs(np.random.default_rng(0), 10, 30, 3, 2)
-    y = solve_linearized(A, D, np.zeros((30, 3)), np.zeros((30, 3, 2)), ens)
+    y = solve_linearized(A, D, np.zeros((1, 30, 3)), np.zeros((1, 30, 3, 2)), ens)
     np.testing.assert_array_equal(y.values, 0.0)
 
 
@@ -275,8 +275,8 @@ def test_solve_linearized_linear_in_forcing_and_initial_condition():
     ens = sample_brownian(make_grid(1.0, 30), 2, 16, seed=14)
     rng = np.random.default_rng(5)
     A, D, g1, g2 = _random_linear_inputs(rng, 16, 30, 3, 2)
-    h1 = rng.normal(size=(30, 3))
-    h2 = rng.normal(size=(30, 3, 2))
+    h1 = rng.normal(size=(1, 30, 3))
+    h2 = rng.normal(size=(1, 30, 3, 2))
     y0a = rng.normal(size=3)
     y0b = rng.normal(size=3)
     ya = solve_linearized(A, D, g1, g2, ens, y0=y0a).values
@@ -297,11 +297,43 @@ def test_solve_linearized_superposition_property(seed, lam):
     ens = sample_brownian(make_grid(0.5, 12), 1, 6, seed=99)
     rng = np.random.default_rng(seed)
     A, D, g1, g2 = _random_linear_inputs(rng, 6, 12, 2, 1)
-    h1 = rng.normal(size=(12, 2))
+    h1 = rng.normal(size=(1, 12, 2))
     ya = solve_linearized(A, D, g1, g2, ens).values
     yb = solve_linearized(A, D, h1, None, ens).values
     mix = solve_linearized(A, D, g1 + lam * h1, g2, ens).values
     np.testing.assert_allclose(mix, ya + lam * yb, rtol=1e-9, atol=1e-9)
+
+
+def _zero_a(k):
+    return np.zeros((1, 2, 2))
+
+
+def test_linear_solvers_refuse_a_per_path_array():
+    # with M = K = 8 an (M, n, n) array reads exactly like a (K, n, n) series
+    ens = sample_brownian(make_grid(1.0, 8), 1, 8, seed=3)
+    per_path = np.zeros((8, 2, 2))
+    for solve in (lambda: fundamental_matrices(per_path, None, ens),
+                  lambda: solve_linearized(per_path, None, None, None, ens),
+                  lambda: fundamental_matrices(_zero_a, per_path, ens)):
+        with pytest.raises(TypeError, match=r"expected A, D: callables k -> \(M or 1, n, n\)"):
+            solve()
+
+
+def test_linear_solvers_refuse_a_time_series_forcing():
+    ens = sample_brownian(make_grid(1.0, 8), 1, 8, seed=3)
+    series = np.ones((8, 2))  # (K, n): no path axis
+    for solve in (solve_linearized, representation_formula_check):
+        with pytest.raises(ValueError, match=r"g1 has shape \(8, 2\).*\(M or 1, K, n\)"):
+            solve(_zero_a, None, series, None, ens)
+    with pytest.raises(ValueError, match=r"g2 has shape \(1, 8, 2\).*\(M or 1, K, n, d\)"):
+        solve_linearized(_zero_a, None, None, np.ones((1, 8, 2)), ens)
+
+
+def test_solve_linearized_gives_each_path_its_own_forcing():
+    ens = sample_brownian(make_grid(1.0, 8), 1, 8, seed=3)
+    g1 = np.random.default_rng(4).normal(size=(8, 8, 2))
+    y = solve_linearized(_zero_a, None, g1, None, ens).values
+    np.testing.assert_allclose(y[:, -1], g1.sum(axis=1) * ens.grid.dt, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +344,8 @@ def test_fundamental_matrices_scalar_closed_form():
     # dphi = a phi dt + b phi dW has the explicit Euler product form
     ens = sample_brownian(make_grid(1.0, 64), 1, 12, seed=33)
     a, b = 0.7, 0.4
-    A = np.full((1, 1), a)
-    D = np.full((1, 1, 1), b)
+    A = lambda k: np.full((1, 1, 1), a)
+    D = lambda k: np.full((1, 1, 1, 1), b)
     fund = fundamental_matrices(A, D, ens)
     inc = ens.increments[:, :, 0]
     prod = np.cumprod(1.0 + a * ens.grid.dt + b * inc, axis=1)
@@ -324,8 +356,8 @@ def test_fundamental_matrices_scalar_closed_form():
 
 def test_fundamental_matrices_inverse_identity_tightens_with_refinement():
     a, b = 1.0, 0.5
-    A = np.full((1, 1), a)
-    D = np.full((1, 1, 1), b)
+    A = lambda k: np.full((1, 1, 1), a)
+    D = lambda k: np.full((1, 1, 1, 1), b)
     errors = {}
     for k in (250, 1000, 4000):
         ens = sample_brownian(make_grid(1.0, k), 1, 200, seed=77)
@@ -338,8 +370,8 @@ def test_fundamental_matrices_deterministic_is_exact_inverse_for_nilpotent():
     # A = [[0, 1], [0, 0]] is nilpotent: Euler flow and inverse compose exactly
     ens = sample_brownian(make_grid(2.0, 32), 1, 4, seed=2)
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    fund = fundamental_matrices(A, None, ens)
-    assert not fund.per_path
+    fund = fundamental_matrices(lambda k: A[None], None, ens)
+    assert fund.phi.shape[0] == 1
     assert fund.inverse_error < 1e-13
     np.testing.assert_allclose(fund.phi[0, -1], [[1.0, 2.0], [0.0, 1.0]], atol=1e-12)
 
@@ -348,8 +380,8 @@ def test_fundamental_matrices_tolerance_raises():
     from riskpmp.sde import FundamentalMatrixError
 
     ens = sample_brownian(make_grid(1.0, 8), 1, 50, seed=4)
-    A = np.full((1, 1), 2.0)
-    D = np.full((1, 1, 1), 1.0)
+    A = lambda k: np.full((1, 1, 1), 2.0)
+    D = lambda k: np.full((1, 1, 1, 1), 1.0)
     with pytest.raises(FundamentalMatrixError, match="node"):
         fundamental_matrices(A, D, ens, tol=1e-6)
 
@@ -404,7 +436,7 @@ def test_representation_formula_check_deterministic_converges():
         t_mid = grid.nodes[:-1]
         A = np.stack([np.array([[0.0, 1.0], [-2.0, -0.3 * np.cos(t)]]) for t in t_mid])
         g1 = np.stack([np.array([np.sin(t), 1.0]) for t in t_mid])
-        res[k] = representation_formula_check(A, None, g1, None, ens)
+        res[k] = representation_formula_check(lambda j: A[j][None], None, g1[None], None, ens)
     assert res[800] < res[200] < res[50]
     assert res[800] < res[50] / 8
 
@@ -417,7 +449,9 @@ def test_representation_formula_check_stochastic_small_residual():
     D = 0.3 * np.eye(2)[None, :, :]
     g1 = rng.normal(size=(2,))
     g2 = rng.normal(size=(2, 1)) * 0.5
-    res = representation_formula_check(A, D, g1, g2, ens)
+    res = representation_formula_check(
+        lambda k: A[None], lambda k: D[None], np.broadcast_to(g1, (1, n_steps, 2)),
+        np.broadcast_to(g2, (1, n_steps, 2, 1)), ens)
     assert res < 0.05
 
 
