@@ -20,7 +20,6 @@ from .sde import (  # noqa: F401
     euler_maruyama,
     fundamental_matrices,
     make_grid,
-    representation_formula_check,
     sample_brownian,
     scalar_linear_dynamics,
     solve_linearized,

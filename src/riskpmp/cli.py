@@ -767,8 +767,8 @@ def _run_convergence(cfg, ctx):
     grid = make_grid(cfg["horizon"], cfg["n_steps"])
     brownian = sample_brownian(grid, dyn.noise_dim, cfg["n_paths"], cfg["seed"])
     states = euler_maruyama(dyn, ControlLaw.constant(cfg["u_star"], grid.n_steps), x0, brownian)
-    sel = tangent_from_control(dyn, states, ControlLaw.constant(cfg["w"], grid.n_steps))
     try:
+        sel = tangent_from_control(dyn, states, ControlLaw.constant(cfg["w"], grid.n_steps))
         table = linearization_rate(dyn, states, sel, cfg["epsilons"])
     except ValueError as exc:  # aborted reference paths
         raise UsageError(str(exc)) from exc

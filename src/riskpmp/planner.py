@@ -18,6 +18,7 @@ Hamiltonian-maximizing sweeps, each scored on an independent ensemble (the
 damped method of successive approximations of Li, Chen, Tai & E, 2018).
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
@@ -129,10 +130,64 @@ class ShootResult:
     incumbents: List[float]
 
 
+_BRENT_XATOL, _BRENT_MAXFUN = 1e-10, 500  # tolerance on a switching time; evaluation cap
+
+
+def _bounded_brent(fn, lo, hi):
+    """Brent's bounded minimization of fn on [lo, hi] (Brent 1973, ch. 5),
+    ported step for step from SciPy's optimize._minimize_scalar_bounded, so
+    it evaluates the same points in the same order and returns the same x."""
+    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    sign = lambda z: -1.0 if z < 0 else 1.0  # np.sign(z) + (z == 0): zero counts as +1
+    a, b = lo, hi
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    ffulc = fnfc = fx = fn(xf)
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + _BRENT_XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a) and num < _BRENT_MAXFUN:
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p = -p if q > 0.0 else p
+            q, r, e = abs(q), e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * sign(xm - xf)
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + sign(rat) * max(abs(rat), tol1)
+        fu = fn(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + _BRENT_XATOL / 3.0
+        tol2 = 2.0 * tol1
+    return xf
+
+
 def shoot(instance: SopInstance, brownian: BrownianEnsemble,
           config: Optional[ShootConfig] = None) -> ShootResult:
-    from scipy import optimize  # the one SciPy user; kept off the import path
-
+    """Search sign and switching times of a bang-bang profile with at most
+    two switches. Each switching time is placed by _bounded_brent, Brent's
+    bounded method ported step for step from SciPy."""
     cfg = config or ShootConfig()
     risk = AVaR(instance.alpha)
     w_T = brownian.levels()[:, -1, 0]
@@ -150,25 +205,21 @@ def shoot(instance: SopInstance, brownian: BrownianEnsemble,
         state["incumbents"].append(state["best"])
         return value
 
-    def golden(fn, lo, hi):
-        if hi - lo <= 1e-12:
-            return lo
-        res = optimize.minimize_scalar(fn, bounds=(lo, hi), method="bounded",
-                                       options={"xatol": 1e-10})
-        return float(res.x)
+    def argmin(fn, lo, hi):
+        return lo if hi - lo <= 1e-12 else float(_bounded_brent(fn, lo, hi))
 
     for sign in (1, -1):
         evaluate(sign, ())
         if cfg.max_switches >= 1:
-            golden(lambda s: evaluate(sign, (s,)), 0.0, horizon)
+            argmin(lambda s: evaluate(sign, (s,)), 0.0, horizon)
         if cfg.max_switches >= 2:
             mesh = np.linspace(0.0, horizon, cfg.lattice)
             pairs = [(a, b) for a in mesh for b in mesh if a <= b]
             scores = [evaluate(sign, pair) for pair in pairs]
             s1, s2 = pairs[int(np.argmin(scores))]
             for _ in range(cfg.coordinate_rounds):
-                s1 = golden(lambda s: evaluate(sign, (s, s2)), 0.0, s2)
-                s2 = golden(lambda s: evaluate(sign, (s1, s)), s1, horizon)
+                s1 = argmin(lambda s: evaluate(sign, (s, s2)), 0.0, s2)
+                s2 = argmin(lambda s: evaluate(sign, (s1, s)), s1, horizon)
 
     return ShootResult(policy=state["best_policy"], cost=state["best"],
                        evaluations=state["count"], incumbents=state["incumbents"])

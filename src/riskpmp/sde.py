@@ -6,8 +6,7 @@ State processes follow
 
 integrated with Euler-Maruyama over a path ensemble.  The module also solves
 the linearized dynamics around a reference pair, builds the fundamental
-matrix pair (phi, psi) with psi tracking the inverse flow, checks the
-variation-of-constants representation of linearized solutions, and estimates
+matrix pair (phi, psi) with psi tracking the inverse flow, and estimates
 strong convergence order against registered closed-form solutions.
 
 Array conventions (vectorized over paths):
@@ -500,48 +499,6 @@ def fundamental_matrices(
             f"(> {tol:.3e}) at node {fund.worst_node}, path {fund.worst_path}"
         )
     return fund
-
-
-def representation_formula_check(
-    A, D, g1, g2, brownian: BrownianEnsemble,
-    fund: Optional[FundamentalMatrices] = None,
-) -> float:
-    """Sup-norm discrepancy between the directly integrated linearized solution
-    and its variation-of-constants representation
-
-        y(t) = phi(t) [ int_0^t psi (g1 - sum_i D_i g2^i) ds
-                        + sum_i int_0^t psi g2^i dW^i ],
-
-    both sides discretized on the shared grid.  The coefficients follow
-    solve_linearized's convention.
-    """
-    n_paths, n_steps, d = brownian.increments.shape
-    direct = solve_linearized(A, D, g1, g2, brownian).values
-    if fund is None:
-        fund = fundamental_matrices(A, D, brownian)
-    n = direct.shape[2]
-
-    acc = np.zeros((n_paths, n))
-    dt = brownian.grid.dt
-    sup_err = 0.0
-    for k in range(n_steps):
-        psi_k = fund.psi[:, k]
-        integrand = np.zeros((n_paths, n))
-        if g1 is not None:
-            integrand = integrand + g1[:, k]
-        if g2 is not None and D is not None:
-            integrand = integrand - np.einsum("...dnm,...md->...n", D(k), g2[:, k])
-        acc = acc + np.einsum("...nm,...m->...n", psi_k, integrand) * dt
-        if g2 is not None:
-            psig2 = np.einsum("...nm,...md->...nd", psi_k, g2[:, k])
-            acc = acc + np.einsum(
-                "pnd,pd->pn",
-                np.broadcast_to(psig2, (n_paths, n, d)),
-                brownian.increments[:, k],
-            )
-        formula = np.einsum("...nm,...m->...n", fund.phi[:, k + 1], acc)
-        sup_err = max(sup_err, float(np.abs(direct[:, k + 1] - formula).max()))
-    return sup_err
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,18 @@ class TangentSelection:
         return not np.any(self.g1) and self.g2 is None
 
 
+def _refuse_aborted(states: StateEnsemble) -> None:
+    bad = ~np.isfinite(states.values).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"reference state is not finite on {int(bad.sum())} of {bad.size} "
+                         f"paths (first at path {int(np.argmax(bad))})")
+
+
 def tangent_from_control(dyn: DynamicsSpec, states: StateEnsemble, w) -> TangentSelection:
     """Pointwise control-difference selection along the candidate ensemble,
-    from the control it carries toward w (a ControlLaw or its grid values)."""
+    from the control it carries toward w (a ControlLaw or its grid values).
+    Aborted reference paths are rejected by count and first index."""
+    _refuse_aborted(states)
     u_law = states.recorded("control")
     w_law = as_control_law(w)
     m_paths = states.n_paths
@@ -107,11 +116,7 @@ def linearization_rate(
         raise ValueError("epsilons must be a nonempty list inside (0, 1]")
     if np.any(np.diff(eps) >= 0):
         raise ValueError("epsilons must be strictly decreasing")
-    bad = ~np.isfinite(states.values).all(axis=(1, 2))
-    if bad.any():
-        raise ValueError(f"reference state is not finite on {int(bad.sum())} of {bad.size} "
-                         f"paths (first at path {int(np.argmax(bad))})")
-
+    _refuse_aborted(states)
     a_fn, d_fn = linearization_along(dyn, states)
     u_law, brownian = states.control, states.recorded("brownian")
     n_eps, m_paths, n, d = eps.size, states.n_paths, states.state_dim, brownian.dim

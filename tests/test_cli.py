@@ -531,6 +531,29 @@ def test_sop_solve_end_to_end_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sop_solve_loads_no_scipy(tmp_path):
+    cfg = {
+        "kind": "sop-solve",
+        "seed": 42,
+        "out_dir": str(tmp_path / "out"),
+        "instance": SAFE_INSTANCE,
+        "n_steps": 20,
+        "n_paths": 500,
+        "write_costates": False,
+        "tolerances": CALIBRATED,
+    }
+    code = (
+        "import sys\n"
+        "from riskpmp.cli import main\n"
+        f"main(['sop-solve', '--config', {write_cfg(tmp_path, cfg)!r}])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"  # no scipy module loaded
+    assert (tmp_path / "out" / "report.json").exists()
+
+
 def test_sop_solve_reports_adapted_candidate(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = {

@@ -1,9 +1,12 @@
 """Double-integrator planning benchmark: exact displacement oracle, the
-shooting search contracts, the refinement's acceptance rule, safety margins,
-and the bang-bang analysis."""
+shooting search contracts and its bounded Brent port against SciPy's, the
+refinement's acceptance rule, safety margins, and the bang-bang analysis."""
+
+import functools
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from riskpmp import (
     AVaR,
@@ -25,6 +28,7 @@ from riskpmp import (
     solve_sop,
     terminal_mean,
 )
+from riskpmp.planner import _bounded_brent
 
 
 def test_instance_validation():
@@ -118,6 +122,47 @@ def test_shoot_risk_level_monotonicity_and_determinism():
     assert again.policy == averse.policy
     assert again.cost == averse.cost
     assert again.evaluations == averse.evaluations
+
+
+README = SopInstance(0.0, 0.0, 4.0, 2.0, 0.3, noise=1.0)
+
+
+@functools.cache
+def _readme_brownian():
+    return sample_brownian(make_grid(README.horizon, 100), 1, 10_000, seed=42)
+
+
+def _readme_one_switch_avar(s):
+    """shoot's objective on the README instance: one switch at s, u = +1 first."""
+    w_T = _readme_brownian().levels()[:, -1, 0]
+    y_T = terminal_mean(README, BangBangPolicy(1, (float(s),))) + README.noise * w_T
+    return risk_value(AVaR(README.alpha), 0.5 * (y_T - README.y_target) ** 2)
+
+
+@pytest.mark.parametrize("fn, lo, hi", [
+    pytest.param(lambda x: (x - 0.3) ** 2, 0.0, 2.0, id="quadratic"),
+    pytest.param(lambda x: abs(x - 0.7), 0.0, 2.0, id="kink"),
+    pytest.param(lambda x: (x - 1.0) ** 4, 0.0, 2.0, id="quartic"),  # flat bottom
+    pytest.param(lambda x: 1e-300 * (x - 0.4) ** 2, 0.0, 2.0, id="underflow"),  # zero steps
+    pytest.param(lambda x: 1.0, 0.0, 2.0, id="constant"),  # a noise=0 objective off target
+    pytest.param(lambda x: 0.0 if x > 1.1 else 1.0, 0.0, 2.0, id="step"),
+    pytest.param(lambda x: x, 0.5, 2.0, id="increasing"),  # minimizer on the lower bound
+    pytest.param(lambda x: -x, 0.5, 2.0, id="decreasing"),  # and on the upper bound
+    pytest.param(_readme_one_switch_avar, 0.0, 2.0, id="readme-avar"),
+])
+def test_bounded_brent_follows_scipy_point_for_point(fn, lo, hi):
+    ours, theirs = [], []
+    x = _bounded_brent(lambda s: ours.append(s) or fn(s), lo, hi)
+    res = optimize.minimize_scalar(lambda s: theirs.append(s) or fn(s), bounds=(lo, hi),
+                                   method="bounded", options={"xatol": 1e-10})
+    assert ours == theirs
+    assert x == res.x
+
+
+def test_shoot_readme_instance_is_pinned():
+    result = shoot(README, _readme_brownian())
+    assert result.cost == 6.8725068841966435
+    assert result.evaluations == 511
 
 
 def test_shoot_incumbent_monotone():

@@ -104,7 +104,7 @@ def test_import_path_loads_no_scipy_and_shooting_still_runs():
         "brownian = sample_brownian(make_grid(2.0, 20), 1, 64, seed=5)\n"
         "result = shoot(SopInstance(0.0, 0.0, 1.0, 2.0, 0.3), brownian)\n"
         "assert result.evaluations > 0\n"
-        "assert 'scipy.optimize' in sys.modules\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy imported'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
