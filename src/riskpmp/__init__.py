@@ -15,7 +15,6 @@ from .sde import (  # noqa: F401
     FundamentalMatrices,
     StateEnsemble,
     TimeGrid,
-    apriori_bound_report,
     double_integrator_dynamics,
     euler_maruyama,
     fundamental_matrices,
@@ -78,7 +77,6 @@ from .planner import (  # noqa: F401
     BangBangReport,
     Refinement,
     SafetyReport,
-    ShootConfig,
     ShootResult,
     SopInstance,
     SopSolution,

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sde import DynamicsSpec, FundamentalMatrices, StateEnsemble, TimeGrid
+from .sde import DynamicsSpec, FundamentalMatrices, StateEnsemble, TimeGrid, sample_std
 
 RIDGE = 1e-10
 RIDGE_FLAG_SHIFT = 1e-8
@@ -329,8 +329,7 @@ def solve_adjoint(
 @dataclass(frozen=True)
 class MartingaleReport:
     slopes: np.ndarray      # (n,) fitted drift of mean phi^T p per component
-    stderrs: np.ndarray     # (n,)
-    means: np.ndarray       # (K+1, n)
+    stderrs: np.ndarray     # (n,), NaN for one path
     passed: bool
 
 
@@ -346,24 +345,19 @@ def martingale_check(pair: CostatePair, sigma: float = 5.0) -> MartingaleReport:
     t_centered = pair.grid.nodes - pair.grid.nodes.mean()
     fund = pair.fund
     if fund.phi.shape[0] == 1:
-        # path-constant phi: apply it to the mean of p and fold it into the
-        # slope weights, so no (M, K+1, n) weighted costate is built.  einsum
-        # rather than BLAS: a product over K+1 nodes would raise peak RSS
-        means = np.einsum("kj,kji->ki", pair.p.mean(axis=0), fund.phi[0])
+        # path-constant phi: fold it into the slope weights, so no
+        # (M, K+1, n) weighted costate is built.  einsum rather than BLAS: a
+        # product over K+1 nodes would raise peak RSS
         path_slopes = np.einsum("pkj,kji->pi", pair.p, t_centered[:, None, None] * fund.phi[0])
     else:
         weighted = np.einsum("...kji,...kj->...ki", fund.phi, pair.p)
-        means = weighted.mean(axis=0)
         path_slopes = np.einsum("k,pki->pi", t_centered, weighted)
     path_slopes /= float(t_centered @ t_centered)
     slopes = path_slopes.mean(axis=0)
-    m_paths = path_slopes.shape[0]
-    if m_paths > 1:
-        stderrs = path_slopes.std(axis=0, ddof=1) / np.sqrt(m_paths)
-    else:
-        stderrs = np.zeros_like(slopes)
+    stderrs = sample_std(path_slopes) / np.sqrt(path_slopes.shape[0])
+    # a NaN band (one path) passes nothing
     passed = bool(np.all(np.abs(slopes) <= sigma * stderrs + 1e-12))
-    return MartingaleReport(slopes=slopes, stderrs=stderrs, means=means, passed=passed)
+    return MartingaleReport(slopes=slopes, stderrs=stderrs, passed=passed)
 
 
 @dataclass(frozen=True)

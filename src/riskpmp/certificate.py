@@ -16,7 +16,8 @@ import numpy as np
 from .adjoint import CostatePair, linearization_along, martingale_check
 from .export import jsonable
 from .risk import AVaR, Expectation, MixtureAVaR, SampledRandomVariable, risk_value
-from .sde import ControlLaw, DynamicsSpec, StateEnsemble, central_differences, solve_linearized
+from .sde import (ControlLaw, DynamicsSpec, StateEnsemble, central_differences, sample_std,
+                  solve_linearized)
 from .variational import tangent_from_control
 
 
@@ -110,7 +111,7 @@ def slackness_check(problem: ProblemSpec, states: StateEnsemble,
     for i, con in enumerate(problem.constraints):
         vals = np.asarray(con.fn(x_T), dtype=float)
         means[i] = vals.mean()
-        stderrs[i] = vals.std(ddof=1) / np.sqrt(m) if m > 1 else 0.0
+        stderrs[i] = sample_std(vals) / np.sqrt(m)
     residuals = np.abs(np.asarray(multipliers[1:]) * means)
     active = [i for i in range(n_con) if abs(means[i]) <= cfg.active_tol]
     feasible = bool(np.all(means <= cfg.feasibility_tol))

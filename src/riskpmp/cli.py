@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from datetime import datetime, timezone
 from importlib import metadata
 from pathlib import Path
@@ -31,7 +32,7 @@ from .adjoint import martingale_check
 from .certificate import CertifyConfig, certify
 from .planner import (
     BangBangPolicy,
-    ShootConfig,
+    BangBangReport,
     SopInstance,
     assemble_solution,
     bangbang_necessity,
@@ -48,6 +49,7 @@ from .sde import (
     euler_maruyama,
     make_grid,
     sample_brownian,
+    sample_std,
     scalar_linear_dynamics,
     strong_convergence_order,
 )
@@ -128,28 +130,7 @@ _POLICY = {
     ]
 }
 
-_TOLERANCES = _obj(
-    {
-        "scale": _POS,
-        "slackness_tol": _POS,
-        "active_tol": _POS,
-        "feasibility_tol": _POS,
-        "risk_gap_tol": _POS,
-        "gap_threshold": _POS,
-        "violating_measure_tol": _POS,
-        "bsde_residual_bound": _POS,
-        "normality_tol": _POS,
-        "martingale_sigma": _POS,
-    }
-)
-
-_SHOOT = _obj(
-    {
-        "max_switches": {"type": "integer", "minimum": 0, "maximum": 2},
-        "lattice": {"type": "integer", "minimum": 2},
-        "coordinate_rounds": {"type": "integer", "minimum": 0},
-    }
-)
+_TOLERANCES = _obj({f.name: _POS for f in fields(CertifyConfig)})
 
 _MEASURE = _obj(
     {
@@ -211,7 +192,6 @@ _SCHEMAS = {
         {
             "instance": _INSTANCE,
             "policy": _POLICY,
-            "shoot": _SHOOT,
             "tolerances": _TOLERANCES,
             "n_steps": _POSINT,
             "n_paths": _POSINT,
@@ -225,7 +205,6 @@ _SCHEMAS = {
         "sop-solve",
         {
             "instance": _INSTANCE,
-            "shoot": _SHOOT,
             "tolerances": _TOLERANCES,
             "certify": _BOOL,
             "n_steps": _POSINT,
@@ -249,7 +228,8 @@ _SCHEMAS = {
             "u_star": _NUM,
             "w": _NUM,
             "epsilons": {"type": "array", "items": _UNIT, "minItems": 1},
-            "n_steps_levels": {"type": "array", "items": _POSINT, "minItems": 2},
+            "n_steps_levels": {"type": "array", "items": _POSINT, "minItems": 2,
+                               "uniqueItems": True},
         },
         ["study"],
     ),
@@ -293,13 +273,8 @@ def _post_validate(cfg):
         if m["type"] == "mixture":
             if "alphas" not in m or "weights" not in m:
                 raise UsageError("mixture measure needs 'alphas' and 'weights'")
-            if len(m["alphas"]) != len(m["weights"]):
-                raise UsageError("mixture 'alphas' and 'weights' differ in length")
         if m["type"] == "expectation" and len(m) > 1:
             raise UsageError("expectation measure takes no parameters")
-    elif kind == "certify":
-        if "policy" in cfg and "shoot" in cfg:
-            raise UsageError("'shoot' settings only apply when no policy is given")
     elif kind == "convergence":
         rules = _STUDY_FIELDS[cfg["study"]]
         missing = [k for k in rules["required"] if k not in cfg]
@@ -451,9 +426,7 @@ def _code_version():
 
 def _costate_mean_rows(costates):
     p_y = costates.p[:, :, 0]
-    m = p_y.shape[0]
-    # one path has no sample spread: its standard error is undefined (null)
-    stderr = p_y.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.full(p_y.shape[1], np.nan)
+    stderr = sample_std(p_y) / np.sqrt(p_y.shape[0])
     return [
         {"t": t, "mean_p_y": mean, "stderr": s}
         for t, mean, s in zip(costates.grid.nodes, p_y.mean(axis=0), stderr)
@@ -572,7 +545,7 @@ def _run_simulate(cfg, ctx):
         "n_steps": cfg["n_steps"],
         "failed_paths": int(failed.size),
         "terminal_mean": terminal.mean(axis=0),
-        "terminal_std": terminal.std(axis=0, ddof=1) if cfg["n_paths"] > 1 else np.zeros(dyn.state_dim),
+        "terminal_std": sample_std(terminal),
     }
     artifacts = _write_bulk_artifacts(cfg, ctx, states, paths_default=True)
     return "completed", results, artifacts
@@ -648,11 +621,7 @@ def _run_adjoint(cfg, ctx):
 
 
 def _certify_solution(cfg, ctx, sol):
-    try:
-        config = CertifyConfig(**cfg.get("tolerances", {}))
-    except TypeError as exc:
-        raise UsageError(str(exc)) from exc
-    cert, gaps = certify(sol.problem, sol, config)
+    cert, gaps = certify(sol.problem, sol, CertifyConfig(**cfg.get("tolerances", {})))
     cert_text = json.dumps(cert.as_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
     ctx.file("certificate.json").write_text(cert_text)
     results = {
@@ -674,7 +643,6 @@ def _solved(cfg):
         n_steps=cfg["n_steps"],
         n_paths=cfg["n_paths"],
         seed=cfg["seed"],
-        config=ShootConfig(**cfg.get("shoot", {})),
     )
 
 
@@ -711,15 +679,8 @@ def _run_sop_solve(cfg, ctx):
             "band": safety.band,
             "safe": safety.safe,
         },
-        "bangbang": {
-            "status": necessity.status,
-            "saturation_fraction": necessity.saturation_fraction,
-            "interior_windows": necessity.interior_windows,
-            "zero_band_windows": necessity.zero_band_windows,
-            "pairing_mean": necessity.pairing_mean,
-            "pairing_band": necessity.pairing_band,
-            "chain": necessity.chain,
-        },
+        "bangbang": {f.name: getattr(necessity, f.name)
+                     for f in fields(BangBangReport) if f.name != "safety"},
         "costate_mean": _costate_mean_rows(sol.costates),
     }
     artifacts = {}

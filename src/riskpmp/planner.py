@@ -42,6 +42,7 @@ from .sde import (
     fundamental_matrices,
     make_grid,
     sample_brownian,
+    sample_std,
 )
 
 
@@ -63,6 +64,11 @@ class SopInstance:
             raise ValueError("horizon must be positive")
         if self.noise < 0.0:
             raise ValueError("noise scale must be nonnegative")
+
+    @property
+    def risk(self) -> AVaR:
+        """The terminal risk measure, AV@R at tail mass alpha."""
+        return AVaR(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,7 @@ def build_sop(instance: SopInstance) -> ProblemSpec:
         return np.stack([x[:, 0] - target, np.zeros(x.shape[0])], axis=1)
 
     return ProblemSpec(
-        dyn=dyn, risk=AVaR(instance.alpha), cost=cost, cost_gradient=cost_gradient,
+        dyn=dyn, risk=instance.risk, cost=cost, cost_gradient=cost_gradient,
         x0=np.array([instance.y0, instance.v0]),
     )
 
@@ -116,13 +122,6 @@ def terminal_mean(instance: SopInstance, policy: BangBangPolicy) -> float:
 
 
 @dataclass(frozen=True)
-class ShootConfig:
-    max_switches: int = 2
-    lattice: int = 9
-    coordinate_rounds: int = 3
-
-
-@dataclass(frozen=True)
 class ShootResult:
     policy: BangBangPolicy
     cost: float
@@ -131,6 +130,8 @@ class ShootResult:
 
 
 _BRENT_XATOL, _BRENT_MAXFUN = 1e-10, 500  # tolerance on a switching time; evaluation cap
+SHOOT_LATTICE = 9            # lattice points per axis seeding the two-switch search
+SHOOT_COORDINATE_ROUNDS = 3  # rounds of coordinate search from the best lattice pair
 
 
 def _bounded_brent(fn, lo, hi):
@@ -183,13 +184,11 @@ def _bounded_brent(fn, lo, hi):
     return xf
 
 
-def shoot(instance: SopInstance, brownian: BrownianEnsemble,
-          config: Optional[ShootConfig] = None) -> ShootResult:
+def shoot(instance: SopInstance, brownian: BrownianEnsemble) -> ShootResult:
     """Search sign and switching times of a bang-bang profile with at most
     two switches. Each switching time is placed by _bounded_brent, Brent's
     bounded method ported step for step from SciPy."""
-    cfg = config or ShootConfig()
-    risk = AVaR(instance.alpha)
+    risk = instance.risk
     w_T = brownian.levels()[:, -1, 0]
     horizon = instance.horizon
     state = {"count": 0, "best": np.inf, "best_policy": None, "incumbents": []}
@@ -210,16 +209,14 @@ def shoot(instance: SopInstance, brownian: BrownianEnsemble,
 
     for sign in (1, -1):
         evaluate(sign, ())
-        if cfg.max_switches >= 1:
-            argmin(lambda s: evaluate(sign, (s,)), 0.0, horizon)
-        if cfg.max_switches >= 2:
-            mesh = np.linspace(0.0, horizon, cfg.lattice)
-            pairs = [(a, b) for a in mesh for b in mesh if a <= b]
-            scores = [evaluate(sign, pair) for pair in pairs]
-            s1, s2 = pairs[int(np.argmin(scores))]
-            for _ in range(cfg.coordinate_rounds):
-                s1 = argmin(lambda s: evaluate(sign, (s, s2)), 0.0, s2)
-                s2 = argmin(lambda s: evaluate(sign, (s1, s)), s1, horizon)
+        argmin(lambda s: evaluate(sign, (s,)), 0.0, horizon)
+        mesh = np.linspace(0.0, horizon, SHOOT_LATTICE)
+        pairs = [(a, b) for a in mesh for b in mesh if a <= b]
+        scores = [evaluate(sign, pair) for pair in pairs]
+        s1, s2 = pairs[int(np.argmin(scores))]
+        for _ in range(SHOOT_COORDINATE_ROUNDS):
+            s1 = argmin(lambda s: evaluate(sign, (s, s2)), 0.0, s2)
+            s2 = argmin(lambda s: evaluate(sign, (s1, s)), s1, horizon)
 
     return ShootResult(policy=state["best_policy"], cost=state["best"],
                        evaluations=state["count"], incumbents=state["incumbents"])
@@ -333,13 +330,12 @@ def _refine(start: SopSolution, holdout: List[BrownianEnsemble]) -> SopSolution:
     return replace(best, refinement=Refinement(start=start.policy, scores=scores, sweeps=kept))
 
 
-def solve_sop(instance: SopInstance, n_steps: int, n_paths: int, seed: int,
-              config: Optional[ShootConfig] = None) -> SopSolution:
+def solve_sop(instance: SopInstance, n_steps: int, n_paths: int, seed: int) -> SopSolution:
     """Shoot over open-loop bang-bang profiles, then refine over adapted
     controls; the holdout ensemble is the same seed's next n_paths paths."""
     grid = make_grid(instance.horizon, n_steps)
     brownian = sample_brownian(grid, 1, n_paths, seed)
-    result = shoot(instance, brownian, config)
+    result = shoot(instance, brownian)
     values = result.policy.on_grid(grid)
     start = assemble_solution(instance, values, brownian, policy=result.policy,
                               cost=result.cost, incumbents=result.incumbents)
@@ -370,22 +366,13 @@ def safety_check(instance: SopInstance, terminal_positions) -> SafetyReport:
         y = terminal_positions.terminal[:, 0]
     else:
         y = np.asarray(terminal_positions, dtype=float).reshape(-1)
-    risk = AVaR(instance.alpha)
-    avar = risk_value(risk, y)
+    avar = risk_value(instance.risk, y)
     q = np.quantile(y, 1.0 - instance.alpha, method="inverted_cdf")
     influence = q + np.maximum(y - q, 0.0) / instance.alpha
     band = BAND_SIGMA * influence.std(ddof=1) / np.sqrt(y.size) if y.size > 1 else 0.0
     margin = instance.y_target - avar
     return SafetyReport(avar_value=avar, margin=float(margin), band=float(band),
                         safe=bool(margin > band))
-
-
-def _sample_std(samples: np.ndarray) -> np.ndarray:
-    """Sample standard deviation over the paths on axis 0; undefined (NaN)
-    for one path, which has no sample spread."""
-    if samples.shape[0] == 1:
-        return np.full(samples.shape[1:], np.nan)
-    return samples.std(axis=0, ddof=1)
 
 
 def _windows(mask: np.ndarray, min_len: int) -> List[Tuple[int, int]]:
@@ -463,8 +450,8 @@ def bangbang_necessity(solution: SopSolution) -> BangBangReport:
     m = p.shape[0]
     mean_py = p[:, :, 0].mean(axis=0)
     mean_pv = p[:, :, 1].mean(axis=0)
-    se_py = _sample_std(p[:, :, 0]) / np.sqrt(m)
-    se_pv = _sample_std(p[:, :, 1]) / np.sqrt(m)
+    se_py = sample_std(p[:, :, 0]) / np.sqrt(m)
+    se_pv = sample_std(p[:, :, 1]) / np.sqrt(m)
     inside = (np.abs(mean_py) <= BAND_SIGMA * se_py + 1e-12) & (
         np.abs(mean_pv) <= BAND_SIGMA * se_pv + 1e-12)
     zero_bands = [(grid.nodes[a], grid.nodes[min(b, grid.n_steps)])
@@ -474,7 +461,7 @@ def bangbang_necessity(solution: SopSolution) -> BangBangReport:
     xi = np.asarray(solution.costates.terminal.xi, dtype=float)
     pairing_samples = xi * (solution.states.terminal[:, 0] - instance.y_target)
     pairing = float(pairing_samples.mean())
-    pairing_band = float(BAND_SIGMA * _sample_std(pairing_samples) / np.sqrt(m))
+    pairing_band = float(BAND_SIGMA * sample_std(pairing_samples) / np.sqrt(m))
     band_text = (f"within +-{pairing_band:.4f}" if np.isfinite(pairing_band)
                  else "with no band (one path has no sample spread)")
     chain.append(f"E[xi (y(T) - y_target)] = {pairing:.4f} {band_text}")

@@ -5,8 +5,8 @@ Implements expectation, average value-at-risk
     AVaR_alpha(Z) = inf_t ( t + E[max(Z - t, 0)] / alpha ),
 
 and convex mixtures of AVaR levels, together with subgradients, the dual
-(sup over densities) representation check, directional derivatives, and a
-randomized audit of the coherence axioms.
+(sup over densities) representation check, and a randomized audit of the
+coherence axioms.
 
 Conventions on a finite weighted sample: quantiles use the lower convention
 q = inf{t : P(Z <= t) >= 1 - alpha}; the subgradient weight on the atom
@@ -16,7 +16,6 @@ contact flagged.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -95,15 +94,12 @@ def _lower_quantile(cum_weights: np.ndarray, level: float) -> int:
 
 
 class RiskMeasure:
-    """Base class; subclasses fill in value/subgradient/directional derivative."""
+    """Base class; subclasses fill in value and subgradient."""
 
     def value(self, z) -> float:
         raise NotImplementedError
 
     def subgradient(self, z) -> RiskSubgradient:
-        raise NotImplementedError
-
-    def directional_derivative(self, z, h, check: bool = True) -> float:
         raise NotImplementedError
 
 
@@ -114,11 +110,6 @@ class Expectation(RiskMeasure):
     def subgradient(self, z) -> RiskSubgradient:
         sample = _as_sample(z)
         return RiskSubgradient(xi=np.ones(sample.size))
-
-    def directional_derivative(self, z, h, check: bool = True) -> float:
-        sample = _as_sample(z)
-        h = np.asarray(h, dtype=float).reshape(-1)
-        return float(sample.weight_array() @ h)
 
 
 class AVaR(RiskMeasure):
@@ -210,56 +201,6 @@ class AVaR(RiskMeasure):
             boundary_hit=bool(boundary), unique=bool(unique),
         )
 
-    def directional_derivative(self, z, h, check: bool = True) -> float:
-        """max{ E[xi h] : xi in the subdifferential at Z }.
-
-        The face is parametrized by the atom weights: fixed 0/1-over-alpha
-        off the atom, and on the atom a continuous knapsack (cap 1/alpha,
-        budget fixed by mean one) filled greedily along descending h.
-        Cross-checked against the one-sided finite difference when check=True.
-        """
-        sample = _as_sample(z)
-        h = np.asarray(h, dtype=float).reshape(-1)
-        if h.shape != sample.values.shape:
-            raise ValueError("direction must match the sample shape")
-        w = sample.weight_array()
-        sub = self.subgradient(sample)
-        q = sub.quantile
-        above = sample.values > q
-        atom = sample.values == q
-        deriv = float((w[above] / self.alpha) @ h[above])
-        budget = 1.0 - float(w[above].sum()) / self.alpha  # total atom density mass
-        if budget > 1e-15:
-            idx = np.nonzero(atom)[0]
-            order = idx[np.argsort(-h[idx], kind="stable")]
-            cap = 1.0 / self.alpha
-            remaining = budget
-            for i in order:
-                take = min(cap * w[i], remaining)
-                deriv += take * h[i]
-                remaining -= take
-                if remaining <= 1e-18:
-                    break
-        if check:
-            self._check_directional(sample, h, deriv)
-        return deriv
-
-    def _check_directional(self, sample, h, deriv):
-        base = self.value(sample)
-        fds = []
-        for step in (1e-3, 1e-4):
-            shifted = SampledRandomVariable(sample.values + step * h, sample.weights)
-            fds.append((self.value(shifted) - base) / step)
-        extrapolated = fds[1] + (fds[1] - fds[0]) / 9.0  # h -> 0 limit of the linear trend
-        tol = 1e-4 * max(1.0, abs(deriv))
-        if abs(extrapolated - deriv) > tol:
-            warnings.warn(
-                f"directional derivative {deriv!r} differs from finite-difference "
-                f"extrapolation {extrapolated!r}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
 
 class MixtureAVaR(RiskMeasure):
     """Convex combination sum_j lambda_j AVaR_{alpha_j}."""
@@ -293,15 +234,6 @@ class MixtureAVaR(RiskMeasure):
             raise RiskConsistencyError(f"mixture subgradient mean {total!r} not 1")
         return RiskSubgradient(xi=xi, boundary_hit=boundary, unique=unique)
 
-    def directional_derivative(self, z, h, check: bool = True) -> float:
-        sample = _as_sample(z)
-        return float(
-            sum(
-                w * c.directional_derivative(sample, h, check=check)
-                for c, w in zip(self.components, self.mix_weights)
-            )
-        )
-
 
 # ---------------------------------------------------------------------------
 # module-level operations
@@ -320,8 +252,6 @@ class RepresentationReport:
     """Audit of rho(Z) = sup{E[xi Z] : xi in the risk envelope}."""
 
     risk: float
-    best_sampled: float
-    attained: float
     sup_gap: float          # rho - best sampled feasible density (>= -1e-9)
     attainment_error: float  # |rho - E[xi* Z]|
     n_trials: int
@@ -357,8 +287,6 @@ def representation_check(
     attained = float((w * measure.subgradient(sample).xi) @ sample.values)
     return RepresentationReport(
         risk=rho,
-        best_sampled=best,
-        attained=attained,
         sup_gap=rho - best,
         attainment_error=abs(rho - attained),
         n_trials=int(n_trials),

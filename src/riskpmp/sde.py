@@ -257,6 +257,14 @@ def central_differences(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -
     return np.stack(cols, axis=-1)
 
 
+def sample_std(samples: np.ndarray) -> np.ndarray:
+    """Sample standard deviation over the paths on axis 0; undefined (NaN)
+    for one path, which has no sample spread."""
+    if samples.shape[0] == 1:
+        return np.full(samples.shape[1:], np.nan)
+    return samples.std(axis=0, ddof=1)
+
+
 # ---------------------------------------------------------------------------
 # forward integration
 
@@ -598,6 +606,8 @@ def strong_convergence_order(
     levels = sorted(int(k) for k in n_steps_levels)
     if len(levels) < 2:
         raise ValueError("need at least two grid levels")
+    if len(set(levels)) < len(levels):
+        raise ValueError(f"grid levels repeat: {levels}")
     finest = levels[-1]
     for k in levels:
         if finest % k != 0:
@@ -627,26 +637,3 @@ def strong_convergence_order(
         pairwise_orders=pairwise,
         estimate=slope,
     )
-
-
-def apriori_bound_report(dyn: DynamicsSpec, law, x0, brownian: BrownianEnsemble) -> dict:
-    """Empirical version of the a priori estimate: compares E[sup_t |x|] with
-    E[|x0| + int |f(s, 0, u)| ds + (int |sigma(s, 0, u)|^2 ds)^(1/2)]."""
-    states = euler_maruyama(dyn, law, x0, brownian)
-    lhs = float(np.linalg.norm(states.values, axis=2).max(axis=1).mean())
-    n_paths = brownian.n_paths
-    zero = np.zeros((n_paths, dyn.state_dim))
-    dt = brownian.grid.dt
-    drift_part = np.zeros(n_paths)
-    diff_part = np.zeros(n_paths)
-    for k in range(brownian.grid.n_steps):
-        t = brownian.grid.nodes[k]
-        u = states.control.at(k, n_paths)
-        drift_part += np.linalg.norm(dyn.drift(t, zero, u), axis=1) * dt
-        sig = dyn.diffusion(t, zero, u)
-        diff_part += np.einsum("pnd,pnd->p", sig, sig) * dt
-    x0_norm = np.linalg.norm(np.broadcast_to(np.asarray(x0, dtype=float),
-                                             (n_paths, dyn.state_dim)), axis=1)
-    rhs = float((x0_norm + drift_part + np.sqrt(diff_part)).mean())
-    return {"sup_norm": lhs, "bound_argument": rhs,
-            "ratio": lhs / rhs if rhs > 0 else float("inf")}

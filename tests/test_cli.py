@@ -218,19 +218,21 @@ def test_convergence_study_field_rules(tmp_path, capsys):
     assert "decreasing" in capsys.readouterr().err
 
 
-def test_certify_policy_and_shoot_conflict(tmp_path, capsys):
+@pytest.mark.parametrize("verb", ["certify", "sop-solve"])
+def test_shoot_block_is_refused(tmp_path, capsys, verb):
+    # the shooting search has no settings: a 'shoot' block is a usage error
     cfg = {
-        "kind": "certify",
+        "kind": verb,
         "seed": 1,
         "out_dir": str(tmp_path / "o"),
         "instance": SAFE_INSTANCE,
-        "policy": {"constant": 1.0},
         "shoot": {"lattice": 5},
         "n_steps": 4,
         "n_paths": 4,
     }
-    assert main(["certify", "--config", write_cfg(tmp_path, cfg)]) == 1
-    assert "no policy" in capsys.readouterr().err
+    assert main([verb, "--config", write_cfg(tmp_path, cfg)]) == 1
+    assert "'shoot'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +617,22 @@ def test_reports_are_strict_json_with_null_for_undefined_values(tmp_path, capsys
 
 
 @pytest.mark.filterwarnings("error")
+def test_one_path_standard_errors_are_null(tmp_path, capsys):
+    adj = {"kind": "adjoint", "seed": 1, "out_dir": str(tmp_path / "adj"),
+           "instance": SAFE_INSTANCE, "policy": {"constant": 1.0}, "n_steps": 10, "n_paths": 1}
+    main(["adjoint", "--config", write_cfg(tmp_path, adj, "adj.json")])
+    martingale = _strict_json(tmp_path / "adj" / "report.json")["results"]["martingale"]
+    assert martingale["max_stderr"] is None and martingale["passed"] is False
+    sim = {"kind": "simulate", "seed": 1, "out_dir": str(tmp_path / "sim"),
+           "dynamics": {"name": "scalar-linear"}, "x0": [1.0], "horizon": 1.0,
+           "n_steps": 10, "n_paths": 1}
+    assert main(["simulate", "--config", write_cfg(tmp_path, sim, "sim.json")]) == 0
+    results = _strict_json(tmp_path / "sim" / "report.json")["results"]
+    assert results["terminal_std"] == [None]
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error")
 def test_one_path_runs_print_no_warnings(tmp_path, capsys):
     # one path has no standard error: it is reported as null, not computed
     # through std(ddof=1) and its NumPy warnings
@@ -715,6 +733,24 @@ def test_convergence_aborted_reference_paths_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "reference state is not finite on 168 of 1000 paths (first at path 1)" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_convergence_strong_order_refuses_repeated_levels(tmp_path, capsys):
+    cfg = {
+        "kind": "convergence",
+        "seed": 9,
+        "out_dir": str(tmp_path / "o"),
+        "study": "strong-order",
+        "problem": {"name": "scalar-linear"},
+        "x0": 1.0,
+        "horizon": 1.0,
+        "n_steps_levels": [8, 8],
+        "n_paths": 50,
+    }
+    assert main(["convergence", "--config", write_cfg(tmp_path, cfg)]) == 1
+    assert "n_steps_levels" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -248,64 +248,6 @@ def test_representation_check_expectation_degenerate_envelope():
 
 
 # ---------------------------------------------------------------------------
-# directional derivatives
-
-
-def fd_directional_oracle(measure, z, h):
-    base = risk_value(measure, z)
-    out = []
-    for step in (1e-3, 1e-4):
-        shifted = SampledRandomVariable(z.values + step * h, z.weights)
-        out.append((risk_value(measure, shifted) - base) / step)
-    return out[1] + (out[1] - out[0]) / 9.0
-
-
-def test_directional_derivative_atomless_matches_fd():
-    rng = np.random.default_rng(17)
-    z = SampledRandomVariable(rng.normal(size=400))
-    h = rng.normal(size=400)
-    measure = AVaR(0.3)
-    deriv = measure.directional_derivative(z, h)
-    assert deriv == pytest.approx(fd_directional_oracle(measure, z, h), abs=1e-4)
-
-
-def test_directional_derivative_on_atom_takes_face_maximum():
-    # two tied points at the quantile with different direction values: the
-    # derivative must allocate the atom budget to the larger h component
-    values = np.array([0.0, 1.0, 1.0, 2.0])
-    z = SampledRandomVariable(values)
-    measure = AVaR(0.5)
-    h = np.array([0.0, -1.0, 1.0, 0.0])
-    deriv = measure.directional_derivative(z, h)
-    # xi fixed: 2 on {2.0}; budget 0.5 density mass on the two tied points,
-    # best placed entirely on the h = +1 point with cap 2: 0.25 * 2 * 1
-    assert deriv == pytest.approx(0.5, abs=1e-12)
-    assert deriv == pytest.approx(fd_directional_oracle(measure, z, h), abs=1e-6)
-
-
-def test_directional_derivative_sublinear_in_direction():
-    rng = np.random.default_rng(5)
-    z = SampledRandomVariable(rng.normal(size=64))
-    h1 = rng.normal(size=64)
-    h2 = rng.normal(size=64)
-    measure = AVaR(0.2)
-    d12 = measure.directional_derivative(z, h1 + h2)
-    d1 = measure.directional_derivative(z, h1)
-    d2 = measure.directional_derivative(z, h2)
-    assert d12 <= d1 + d2 + 1e-9
-
-
-def test_directional_derivative_expectation_and_mixture():
-    rng = np.random.default_rng(11)
-    z = SampledRandomVariable(rng.normal(size=128))
-    h = rng.normal(size=128)
-    assert Expectation().directional_derivative(z, h) == pytest.approx(h.mean(), abs=1e-12)
-    mix = MixtureAVaR([0.2, 1.0], [0.5, 0.5])
-    expected = 0.5 * AVaR(0.2).directional_derivative(z, h) + 0.5 * h.mean()
-    assert mix.directional_derivative(z, h) == pytest.approx(expected, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # coherence audit
 
 

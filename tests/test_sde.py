@@ -9,7 +9,6 @@ from riskpmp.sde import (
     DynamicsSpec,
     FeedbackLaw,
     MissingClosedFormError,
-    apriori_bound_report,
     double_integrator_dynamics,
     euler_maruyama,
     fundamental_matrices,
@@ -224,31 +223,6 @@ def test_euler_maruyama_mixed_abort_leaves_survivors_untouched():
     assert first_bad > 0
     assert np.isnan(states.values[1, first_bad:]).all()
     assert np.isfinite(states.values[1, :first_bad]).all()
-
-
-def test_apriori_bound_with_feedback_law_uses_realized_controls():
-    dyn = double_integrator_dynamics()
-    grid = make_grid(1.0, 10)
-    ens = sample_brownian(grid, 1, 5, seed=4)
-    law = FeedbackLaw(lambda k, x, w: np.clip(-x[:, 1:] - w, -1.0, 1.0), dim=1)
-    x0 = np.array([1.0, 0.5])
-    report = apriori_bound_report(dyn, law, x0, ens)
-    realized = euler_maruyama(dyn, law, x0, ens).control
-    assert report == apriori_bound_report(dyn, realized, x0, ens)
-
-
-def test_apriori_bound_finite_and_monotone_under_x0_scaling():
-    dyn = scalar_linear_dynamics(0.3, 0.4)
-    grid = make_grid(1.0, 200)
-    ens = sample_brownian(grid, 1, 500, seed=21)
-    law = ControlLaw(np.zeros((200, 0)))
-    reports = [apriori_bound_report(dyn, law, np.array([s]), ens) for s in (0.5, 1.0, 2.0)]
-    for rep in reports:
-        assert np.isfinite(rep["sup_norm"]) and np.isfinite(rep["bound_argument"])
-    args = [rep["bound_argument"] for rep in reports]
-    sups = [rep["sup_norm"] for rep in reports]
-    assert args[0] < args[1] < args[2]
-    assert sups[0] < sups[1] < sups[2]
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +495,13 @@ def test_strong_convergence_order_rejects_nondivisible_levels():
     dyn = scalar_linear_dynamics(1.0, 0.5)
     with pytest.raises(ValueError, match="divide"):
         strong_convergence_order(dyn, [1.0], 1.0, [24, 64], 10, 1)
+
+
+def test_strong_convergence_order_rejects_repeated_levels():
+    # two equal levels have equal errors and dt: the order between them is 0/0
+    dyn = scalar_linear_dynamics(1.0, 0.5)
+    with pytest.raises(ValueError, match="repeat"):
+        strong_convergence_order(dyn, [1.0], 1.0, [8, 8], 10, 1)
 
 
 # ---------------------------------------------------------------------------
