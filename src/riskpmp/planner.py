@@ -369,7 +369,7 @@ def safety_check(instance: SopInstance, terminal_positions) -> SafetyReport:
     avar = risk_value(instance.risk, y)
     q = np.quantile(y, 1.0 - instance.alpha, method="inverted_cdf")
     influence = q + np.maximum(y - q, 0.0) / instance.alpha
-    band = BAND_SIGMA * influence.std(ddof=1) / np.sqrt(y.size) if y.size > 1 else 0.0
+    band = BAND_SIGMA * sample_std(influence) / np.sqrt(y.size)  # NaN for one path: not safe
     margin = instance.y_target - avar
     return SafetyReport(avar_value=avar, margin=float(margin), band=float(band),
                         safe=bool(margin > band))
@@ -425,10 +425,10 @@ def bangbang_necessity(solution: SopSolution) -> BangBangReport:
                               pairing_mean=nan, pairing_band=nan, chain=chain)
 
     safety = safety_check(instance, solution.states)
-    chain.append(
-        f"safety margin {safety.margin:.4f} vs band {safety.band:.4f}: "
-        f"{'safe' if safety.safe else 'not safe'}"
-    )
+    band_text = (f"band {safety.band:.4f}" if np.isfinite(safety.band)
+                 else "no band (one path)")
+    chain.append(f"safety margin {safety.margin:.4f} vs {band_text}: "
+                 f"{'safe' if safety.safe else 'not safe'}")
 
     grid = solution.states.grid
     u = solution.states.control.values

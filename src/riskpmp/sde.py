@@ -124,8 +124,8 @@ def sample_brownian(
         raise ValueError("n_paths must be >= 1")
     seed = validate_seed(seed)
     z = ensemble_normals(seed, n_paths, grid.n_steps * dim, path_offset=path_offset)
-    increments = math.sqrt(grid.dt) * z.reshape(n_paths, grid.n_steps, dim)
-    return BrownianEnsemble(grid=grid, increments=increments)
+    z *= math.sqrt(grid.dt)  # in place: no second (M, K, d) array
+    return BrownianEnsemble(grid=grid, increments=z.reshape(n_paths, grid.n_steps, dim))
 
 
 # ---------------------------------------------------------------------------

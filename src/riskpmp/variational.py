@@ -42,6 +42,28 @@ def _refuse_aborted(states: StateEnsemble) -> None:
                          f"paths (first at path {int(np.argmax(bad))})")
 
 
+def _warn_unattested(dyn: DynamicsSpec) -> None:
+    """Warn, at the caller of the public entry point, when the control enters
+    the diffusion and the dynamics do not attest convex velocity sets."""
+    if not dyn.convex_velocity_sets:
+        warnings.warn(
+            "control enters the diffusion but convex velocity sets are not "
+            "attested; control-difference tangents are only licensed for "
+            "uncontrolled diffusion or convex velocity sets",
+            stacklevel=3,
+        )
+
+
+def _forcing(dyn: DynamicsSpec, t: float, x_k: np.ndarray, u_k: np.ndarray,
+             w_k: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """One node's control-difference forcing (g1_k, g2_k) at the states x_k:
+    f(t, x*, w) - f(t, x*, u*) and the diffusion difference, None where that
+    is exactly zero."""
+    g1 = dyn.drift(t, x_k, w_k) - dyn.drift(t, x_k, u_k)
+    g2 = dyn.diffusion(t, x_k, w_k) - dyn.diffusion(t, x_k, u_k)
+    return g1, (g2 if np.any(g2) else None)
+
+
 def tangent_from_control(dyn: DynamicsSpec, states: StateEnsemble, w) -> TangentSelection:
     """Pointwise control-difference selection along the candidate ensemble,
     from the control it carries toward w (a ControlLaw or its grid values).
@@ -57,22 +79,12 @@ def tangent_from_control(dyn: DynamicsSpec, states: StateEnsemble, w) -> Tangent
     g2 = None  # allocated at the first step whose diffusion feels the control
     for k in range(n_steps):
         x_k = np.ascontiguousarray(states.values[:, k, :])
-        u_k = u_law.at(k, m_paths)
-        w_k = w_law.at(k, m_paths)
-        g1[:, k] = dyn.drift(nodes[k], x_k, w_k) - dyn.drift(nodes[k], x_k, u_k)
-        dg = dyn.diffusion(nodes[k], x_k, w_k) - dyn.diffusion(nodes[k], x_k, u_k)
-        if g2 is None and np.any(dg):
+        g1[:, k], g2_k = _forcing(dyn, nodes[k], x_k, u_law.at(k, m_paths), w_law.at(k, m_paths))
+        if g2 is None and g2_k is not None:
+            _warn_unattested(dyn)
             g2 = np.zeros((m_paths, n_steps, dyn.state_dim, dyn.noise_dim))
-        if g2 is not None:
-            g2[:, k] = dg
-
-    if g2 is not None and not dyn.convex_velocity_sets:
-        warnings.warn(
-            "control enters the diffusion but convex velocity sets are not "
-            "attested; control-difference tangents are only licensed for "
-            "uncontrolled diffusion or convex velocity sets",
-            stacklevel=2,
-        )
+        if g2_k is not None:
+            g2[:, k] = g2_k
     return TangentSelection(g1=g1, g2=g2)
 
 
@@ -100,16 +112,19 @@ class RateTable:
 def linearization_rate(
     dyn: DynamicsSpec,
     states: StateEnsemble,
-    sel: TangentSelection,
+    w,
     epsilons: Sequence[float],
 ) -> RateTable:
     """r(eps) = (1/eps) E[sup_k |x^eps_k - x*_k - eps y_k|] on the states'
-    Brownian paths.
+    Brownian paths, for the perturbation toward w (a ControlLaw or its grid
+    values) that tangent_from_control selects.
 
     y does not depend on eps, so one streaming pass integrates it once while
-    the E perturbed states advance as one (E, M, n) stack; holding only that
-    and current slices is what lets M=10^4, K=2000 runs fit in memory.
-    Aborted reference paths are rejected by count and first index.
+    the E perturbed states advance as one (E, M, n) stack.  Each step's
+    forcing is computed inside the pass, so beyond the states and their
+    Brownian ensemble it holds that stack and per-step (M, ...) slices,
+    never an (M, K, ...) array.  Aborted reference paths are rejected by
+    count and first index.
     """
     eps = np.asarray(list(epsilons), dtype=float)
     if eps.ndim != 1 or eps.size == 0 or np.any(eps <= 0) or np.any(eps > 1):
@@ -118,7 +133,7 @@ def linearization_rate(
         raise ValueError("epsilons must be strictly decreasing")
     _refuse_aborted(states)
     a_fn, d_fn = linearization_along(dyn, states)
-    u_law, brownian = states.control, states.recorded("brownian")
+    u_law, w_law, brownian = states.control, as_control_law(w), states.recorded("brownian")
     n_eps, m_paths, n, d = eps.size, states.n_paths, states.state_dim, brownian.dim
     nodes, dt = states.grid.nodes, states.grid.dt
     e3 = eps[:, None, None]
@@ -126,16 +141,20 @@ def linearization_rate(
     x = np.repeat(states.values[None, :, 0, :], n_eps, axis=0)  # (E, M, n)
     y = np.zeros((m_paths, n))
     worst = np.zeros((n_eps, m_paths))  # running sup of the squared gap
+    x_k = np.ascontiguousarray(states.values[:, 0, :])
+    checked = False  # the velocity-set attestation, read once
     for k in range(states.grid.n_steps):
         # contiguous per-step slices, so the (E, M, n) arithmetic runs flat
-        u_k = u_law.at(k, n_eps * m_paths) if u_law.deterministic else np.tile(
-            u_law.at(k, m_paths), (n_eps, 1))
+        u_k = u_law.at(k, m_paths)
+        g1, g2 = _forcing(dyn, nodes[k], x_k, u_k, w_law.at(k, m_paths))
+        if g2 is not None and not checked:
+            _warn_unattested(dyn)
+            checked = True
+        u_e = u_law.at(k, n_eps * m_paths) if u_law.deterministic else np.tile(u_k, (n_eps, 1))
         dw = np.ascontiguousarray(brownian.increments[:, k])
-        g1 = np.ascontiguousarray(sel.g1[:, k])
-        g2 = None if sel.g2 is None else np.ascontiguousarray(sel.g2[:, k])
         flat = x.reshape(n_eps * m_paths, n)
-        drift = dyn.drift(nodes[k], flat, u_k).reshape(n_eps, m_paths, n) + e3 * g1
-        noise = dyn.diffusion(nodes[k], flat, u_k).reshape(n_eps, m_paths, n, d)
+        drift = dyn.drift(nodes[k], flat, u_e).reshape(n_eps, m_paths, n) + e3 * g1
+        noise = dyn.diffusion(nodes[k], flat, u_e).reshape(n_eps, m_paths, n, d)
         if g2 is not None:
             noise = noise + e3[..., None] * g2
         x = x + drift * dt + np.einsum("epnd,pd->epn", noise, dw)
@@ -148,7 +167,8 @@ def linearization_rate(
         if d_fn is not None or g2 is not None:
             y = y + np.einsum("pdn,pd->pn", np.broadcast_to(dn, (m_paths, d, n)), dw)
 
-        gap = x - np.ascontiguousarray(states.values[:, k + 1, :])
+        x_k = np.ascontiguousarray(states.values[:, k + 1, :])  # x*_{k+1}: this gap, next forcing
+        gap = x - x_k
         gap -= e3 * y
         # the sum np.linalg.norm takes, without a reduce over the short axis
         np.maximum(worst, sum(gap[..., i] * gap[..., i] for i in range(n)), out=worst)

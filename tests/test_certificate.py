@@ -284,7 +284,8 @@ def test_states_without_control_rejected_by_name():
     dyn = toy_problem().dyn
     readers = [lambda: linearization_along(dyn, states),
                lambda: maximization_gap(toy_problem(), states, pair),
-               lambda: tangent_from_control(dyn, states, ControlLaw.constant(1.0, 3))]
+               lambda: tangent_from_control(dyn, states, ControlLaw.constant(1.0, 3)),
+               lambda: linearization_rate(dyn, states, ControlLaw.constant(1.0, 3), [0.5])]
     for read in readers:
         with pytest.raises(ValueError, match="carries no control"):
             read()
@@ -305,7 +306,7 @@ def test_states_without_brownian_rejected_by_name():
                lambda: conditional_expectation(np.zeros(2), states, 1),
                lambda: tower_check(np.zeros(2), states),
                lambda: normality_certificate(toy_problem([con]), states, active=[0]),
-               lambda: linearization_rate(dyn, states, sel, [0.5]),
+               lambda: linearization_rate(dyn, states, ControlLaw.constant(-1.0, 3), [0.5]),
                lambda: selection_continuity(dyn, states, sel, still)]
     for read in readers:
         with pytest.raises(ValueError, match="carries no Brownian ensemble"):

@@ -642,9 +642,34 @@ def test_one_path_runs_print_no_warnings(tmp_path, capsys):
     sop = {"kind": "sop-solve", "seed": 1, "out_dir": str(tmp_path / "sop"),
            "instance": dict(SAFE_INSTANCE, alpha=1.0), "n_steps": 10, "n_paths": 1}
     assert main(["sop-solve", "--config", write_cfg(tmp_path, sop, "sop.json")]) == 3
-    bangbang = _strict_json(tmp_path / "sop" / "report.json")["results"]["bangbang"]
-    assert bangbang["status"] == "consistent" and bangbang["pairing_band"] is None
+    results = _strict_json(tmp_path / "sop" / "report.json")["results"]
+    # one terminal position has no band, so it does not attest safety
+    assert results["safety"]["band"] is None and results["safety"]["safe"] is False
+    bangbang = results["bangbang"]
+    assert bangbang["status"] == "skipped_unsafe" and bangbang["pairing_band"] is None
     assert not any("nan" in line for line in bangbang["chain"])
+    assert "vs no band (one path): not safe" in bangbang["chain"][0]
+    capsys.readouterr()
+
+
+def test_sop_solve_runs_the_safety_check_once(tmp_path, capsys, monkeypatch):
+    from riskpmp import cli, planner
+
+    calls = []
+    original = planner.safety_check
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "safety_check", counted)
+    monkeypatch.setattr(cli, "safety_check", counted)
+    cfg = {"kind": "sop-solve", "seed": 1, "out_dir": str(tmp_path / "sop"),
+           "instance": SAFE_INSTANCE, "n_steps": 10, "n_paths": 200, "certify": False}
+    assert main(["sop-solve", "--config", write_cfg(tmp_path, cfg)]) == 0
+    assert len(calls) == 1
+    safety = load_report(tmp_path / "sop")["results"]["safety"]
+    assert safety["band"] > 0.0
     capsys.readouterr()
 
 

@@ -182,6 +182,14 @@ def test_safety_check_hand_cases():
     assert not above.safe and above.margin == pytest.approx(-1.0)
 
 
+def test_safety_check_one_path_is_not_safe():
+    # one terminal position has no sample spread: no band, so no safety claim
+    inst = SopInstance(0.0, 0.0, 1.0, 2.0, 0.3)
+    rep = safety_check(inst, np.array([0.0]))
+    assert rep.margin == pytest.approx(1.0)
+    assert np.isnan(rep.band) and not rep.safe
+
+
 def test_safety_avar_agrees_with_risk_value():
     inst = SopInstance(0.0, 0.0, 1.0, 2.0, 0.25)
     rng = np.random.default_rng(8)

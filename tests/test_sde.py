@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from riskpmp.rng import ensemble_normals
 from riskpmp.sde import (
     ControlLaw,
     DynamicsSpec,
@@ -51,6 +54,14 @@ def test_brownian_bit_exact_reproducible():
     np.testing.assert_array_equal(a.increments, b.increments)
     c = sample_brownian(make_grid(2.0, 32), dim=1, n_paths=20, seed=124)
     assert not np.array_equal(a.increments, c.increments)
+
+
+def test_brownian_increments_are_scaled_normals_bit_for_bit():
+    grid = make_grid(2.0, 30)
+    ens = sample_brownian(grid, dim=2, n_paths=40, seed=17, path_offset=5)
+    z = ensemble_normals(17, 40, 30 * 2, path_offset=5)
+    expected = (math.sqrt(grid.dt) * z).reshape(40, 30, 2)
+    assert np.array_equal(ens.increments.view(np.uint64), expected.view(np.uint64))
 
 
 def test_brownian_path_offset_matches_slice():

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -117,9 +120,8 @@ def test_tangent_warns_on_controlled_diffusion_without_attestation():
         tangent_from_control(dyn, states, w)
 
     attested = DynamicsSpec(diffusion=diffusion, convex_velocity_sets=True, **base)
-    import warnings as warnings_mod
-    with warnings_mod.catch_warnings(record=True) as record:
-        warnings_mod.simplefilter("always")
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
         sel = tangent_from_control(attested, states, w)
     assert len(record) == 0
     np.testing.assert_allclose(sel.g2, 0.6, atol=1e-12)
@@ -135,8 +137,7 @@ def test_rate_zero_selection_is_zero():
     bm = sample_brownian(grid, 1, 200, seed=5)
     law = ControlLaw.constant(0.0, 50)
     states = euler_maruyama(dyn, law, np.zeros(2), bm)
-    sel = tangent_from_control(dyn, states, law)
-    table = linearization_rate(dyn, states, sel, [0.5, 0.25, 0.125])
+    table = linearization_rate(dyn, states, law, [0.5, 0.25, 0.125])
     np.testing.assert_array_equal(table.rates, 0.0)
     assert table.passed
 
@@ -150,8 +151,8 @@ def test_rate_linear_dynamics_floor_is_roundoff(n_steps):
     bm = sample_brownian(grid, 1, 500, seed=6)
     u_star = ControlLaw.constant(0.1, n_steps)
     states = euler_maruyama(dyn, u_star, np.ones(1), bm)
-    sel = tangent_from_control(dyn, states, ControlLaw.constant(0.9, n_steps))
-    table = linearization_rate(dyn, states, sel, [0.2, 0.05, 0.0125])
+    w = ControlLaw.constant(0.9, n_steps)
+    table = linearization_rate(dyn, states, w, [0.2, 0.05, 0.0125])
     assert np.max(table.rates) <= 1e-9
     assert table.passed
 
@@ -163,15 +164,15 @@ def test_rate_nonlinear_drift_halves():
     bm = sample_brownian(grid, 1, 2000, seed=7)
     u_star = ControlLaw.constant(0.3, n_steps)
     states = euler_maruyama(dyn, u_star, np.zeros(2), bm)
-    sel = tangent_from_control(dyn, states, ControlLaw.constant(-0.8, n_steps))
+    w = ControlLaw.constant(-0.8, n_steps)
     eps = [0.2, 0.1, 0.05, 0.025]
-    table = linearization_rate(dyn, states, sel, eps)
+    table = linearization_rate(dyn, states, w, eps)
     assert table.passed
     assert table.rates[-1] < 0.5 * table.rates[0]
     # smooth drift: the rate is close to linear in eps
     assert table.rates[-1] < 0.25 * table.rates[0]
 
-    rerun = linearization_rate(dyn, states, sel, eps)
+    rerun = linearization_rate(dyn, states, w, eps)
     assert np.array_equal(table.rates, rerun.rates)
 
 
@@ -181,10 +182,9 @@ def test_rate_rejects_bad_epsilons():
     bm = sample_brownian(grid, 1, 8, seed=8)
     law = ControlLaw.constant(0.0, 4)
     states = euler_maruyama(dyn, law, np.ones(1), bm)
-    sel = tangent_from_control(dyn, states, law)
     for bad in ([], [0.5, 0.5], [0.1, 0.2], [1.5, 0.2], [-0.1]):
         with pytest.raises(ValueError):
-            linearization_rate(dyn, states, sel, bad)
+            linearization_rate(dyn, states, law, bad)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -199,9 +199,12 @@ def test_rate_names_aborted_reference_paths():
         states = euler_maruyama(dyn, law, np.array([1.5, 0.0]), bm)
     failed = states.failed_paths
     assert failed.size > 0
-    with pytest.raises(ValueError, match=rf"not finite on {failed.size} of 1000 paths "
-                                         rf"\(first at path {failed[0]}\)"):
-        tangent_from_control(dyn, states, ControlLaw.constant(0.5, 50))
+    refusal = rf"not finite on {failed.size} of 1000 paths \(first at path {failed[0]}\)"
+    w = ControlLaw.constant(0.5, 50)
+    with pytest.raises(ValueError, match=refusal):
+        tangent_from_control(dyn, states, w)
+    with pytest.raises(ValueError, match=refusal):
+        linearization_rate(dyn, states, w, [0.5, 0.25])
 
 
 def _rate_per_epsilon(dyn, states, u_star, sel, epsilons, brownian):
@@ -236,6 +239,43 @@ def _rate_per_epsilon(dyn, states, u_star, sel, epsilons, brownian):
             np.maximum(worst, np.linalg.norm(gap, axis=1), out=worst)
         rates[j] = float(worst.mean()) / e
     return rates
+
+
+def _rate_from_selection(dyn, states, sel, epsilons):
+    """Oracle: the single pass over a materialized TangentSelection, reading
+    the whole (M, K, ...) forcing arrays one step at a time."""
+    eps = np.asarray(epsilons, dtype=float)
+    a_fn, d_fn = linearization_along(dyn, states)
+    u_law, brownian = states.control, states.brownian
+    n_eps, m_paths, n, d = eps.size, states.n_paths, states.state_dim, brownian.dim
+    nodes, dt = states.grid.nodes, states.grid.dt
+    e3 = eps[:, None, None]
+    x = np.repeat(states.values[None, :, 0, :], n_eps, axis=0)
+    y = np.zeros((m_paths, n))
+    worst = np.zeros((n_eps, m_paths))
+    for k in range(states.grid.n_steps):
+        u_k = u_law.at(k, n_eps * m_paths) if u_law.deterministic else np.tile(
+            u_law.at(k, m_paths), (n_eps, 1))
+        dw = np.ascontiguousarray(brownian.increments[:, k])
+        g1 = np.ascontiguousarray(sel.g1[:, k])
+        g2 = None if sel.g2 is None else np.ascontiguousarray(sel.g2[:, k])
+        flat = x.reshape(n_eps * m_paths, n)
+        drift = dyn.drift(nodes[k], flat, u_k).reshape(n_eps, m_paths, n) + e3 * g1
+        noise = dyn.diffusion(nodes[k], flat, u_k).reshape(n_eps, m_paths, n, d)
+        if g2 is not None:
+            noise = noise + e3[..., None] * g2
+        x = x + drift * dt + np.einsum("epnd,pd->epn", noise, dw)
+        dy = np.einsum("...ij,...j->...i", a_fn(k), y) + g1
+        dn = np.einsum("...dij,...j->...di", d_fn(k), y) if d_fn is not None else 0.0
+        if g2 is not None:
+            dn = dn + np.swapaxes(g2, -1, -2)
+        y = y + dy * dt
+        if d_fn is not None or g2 is not None:
+            y = y + np.einsum("pdn,pd->pn", np.broadcast_to(dn, (m_paths, d, n)), dw)
+        gap = x - np.ascontiguousarray(states.values[:, k + 1, :])
+        gap -= e3 * y
+        np.maximum(worst, sum(gap[..., i] * gap[..., i] for i in range(n)), out=worst)
+    return np.sqrt(worst).mean(axis=1) / eps
 
 
 def _tangent_full_g2(dyn, states, u_star, w):
@@ -293,12 +333,14 @@ def test_rate_single_pass_matches_per_epsilon_oracle():
     bm = sample_brownian(grid, 1, m_paths, seed=13)
     u_star = ControlLaw.constant(0.5, n_steps)
     states = euler_maruyama(dyn, u_star, np.zeros(2), bm)
-    sel = tangent_from_control(dyn, states, ControlLaw.constant(-0.5, n_steps))
+    w = ControlLaw.constant(-0.5, n_steps)
+    sel = tangent_from_control(dyn, states, w)
     assert sel.g2 is None
-    table = linearization_rate(dyn, states, sel, eps)
+    table = linearization_rate(dyn, states, w, eps)
     oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
     assert np.max(table.rates) > 1e-6
     np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
+    assert np.array_equal(table.rates, _rate_from_selection(dyn, states, sel, eps))
 
     # (b) controlled diffusion with a declared diffusion_jac: g2 and d_fn both set
     dyn = controlled_diffusion_2d()
@@ -312,10 +354,11 @@ def test_rate_single_pass_matches_per_epsilon_oracle():
     # zero diffusion difference before w departs from u*, filled in after
     np.testing.assert_array_equal(sel.g2, _tangent_full_g2(dyn, states, u_star, w))
     assert not np.any(sel.g2[:, : n_steps // 3]) and np.any(sel.g2[:, n_steps // 3])
-    table = linearization_rate(dyn, states, sel, eps)
+    table = linearization_rate(dyn, states, w, eps)
     oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
     assert np.max(table.rates) > 1e-6
     np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
+    assert np.array_equal(table.rates, _rate_from_selection(dyn, states, sel, eps))
 
     # (c) a per-path (M, K, m) control
     dyn = double_integrator_dynamics(cubic=0.5)
@@ -325,10 +368,51 @@ def test_rate_single_pass_matches_per_epsilon_oracle():
     w = ControlLaw(rng.uniform(-1.0, 1.0, size=(m_paths, n_steps, 1)))
     sel = tangent_from_control(dyn, states, w)
     assert sel.g2 is None
-    table = linearization_rate(dyn, states, sel, eps)
+    table = linearization_rate(dyn, states, w, eps)
     oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
     assert np.max(table.rates) > 1e-6
     np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
+    assert np.array_equal(table.rates, _rate_from_selection(dyn, states, sel, eps))
+
+
+def test_rate_holds_no_whole_grid_array():
+    # the forcing is streamed: the pass never holds an (M, K, n) float array
+    m_paths, n_steps = 2000, 200
+    dyn = double_integrator_dynamics(cubic=0.5)
+    grid = make_grid(2.0, n_steps)
+    bm = sample_brownian(grid, 1, m_paths, seed=5)
+    states = euler_maruyama(dyn, ControlLaw.constant(0.5, n_steps), np.zeros(2), bm)
+    w = ControlLaw.constant(-0.5, n_steps)
+    tracemalloc.start()
+    try:
+        table = linearization_rate(dyn, states, w, [0.5, 0.25, 0.125, 0.0625])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.passed
+    assert peak < m_paths * n_steps * dyn.state_dim * 8
+
+
+def test_rate_warns_once_on_controlled_diffusion_without_attestation():
+    dyn = DynamicsSpec(
+        state_dim=1, control_dim=1, noise_dim=1,
+        drift=lambda t, x, u: -x,
+        diffusion=lambda t, x, u: u[:, :, None] * np.ones((x.shape[0], 1, 1)),
+        drift_jac=lambda t, x, u: np.full((x.shape[0], 1, 1), -1.0),
+    )
+    grid = make_grid(1.0, 5)
+    bm = sample_brownian(grid, 1, 10, seed=4)
+    states = euler_maruyama(dyn, ControlLaw.constant(0.2, 5), np.ones(1), bm)
+    w = ControlLaw.constant(0.8, 5)  # the diffusion differs at every step
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        tangent_from_control(dyn, states, w)
+        linearization_rate(dyn, states, w, [0.5, 0.25])
+    assert len(record) == 2
+    assert record[0].category is record[1].category is UserWarning
+    assert str(record[0].message) == str(record[1].message)
+    assert "velocity sets" in str(record[1].message)
+    assert record[1].filename == __file__
 
 
 # ---------------------------------------------------------------------------
