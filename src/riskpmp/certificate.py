@@ -397,8 +397,7 @@ def certify(problem: ProblemSpec, bundle: CandidateBundle,
     if norm.status == "not_found":
         causes.append("no strict inward direction found for the active constraints")
 
-    hard_fail = any(conditions[name]["status"] == "fail"
-                    for name in ("feasibility", "slackness", "risk_parameter", "maximization"))
+    hard_fail = any(cond["status"] == "fail" for cond in conditions.values())
     soft = any(cond["status"] == "inconclusive" for cond in conditions.values())
     verdict = "fail" if hard_fail else ("inconclusive" if soft else "pass")
 

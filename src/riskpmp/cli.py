@@ -7,7 +7,8 @@ version) so artifacts can be regenerated byte for byte; the only field that
 varies between reruns of one scenario is created_utc.
 
 Exit codes: 0 when the run passed or completed, 1 on a usage error
-(bad flags, unreadable or schema-invalid config; nothing is written),
+(bad flags, or a config that is unreadable, that the schema refuses, or
+whose values a library object refuses; nothing is written),
 2 when a requested check or certificate failed, 3 when the certificate
 came back inconclusive.
 """
@@ -19,7 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 from importlib import metadata
 from pathlib import Path
@@ -36,11 +37,10 @@ from .planner import (
     SopInstance,
     assemble_solution,
     bangbang_necessity,
-    safety_check,
     solve_sop,
 )
 from .risk import AVaR, Expectation, MixtureAVaR, risk_subgradient, risk_value
-from .rng import ensemble_normals
+from .rng import ensemble_normals, validate_seed
 from .sde import (
     ControlLaw,
     DynamicsSpec,
@@ -83,7 +83,6 @@ _NONNEG = {"type": "number", "minimum": 0}
 _POSINT = {"type": "integer", "minimum": 1}
 _BOOL = {"type": "boolean"}
 _NUMS = {"type": "array", "items": _NUM}
-_SEED = {"type": "integer", "minimum": 0, "maximum": 2**64 - 1}
 _UNIT = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
 
 
@@ -107,27 +106,16 @@ _DYNAMICS = _obj(
     ["name"],
 )
 
+# value rules (ranges, lengths, signs) belong to the library objects built
+# from these blocks; the schemas state keys and types only
 _INSTANCE = _obj(
-    {
-        "y0": _NUM,
-        "v0": _NUM,
-        "y_target": _NUM,
-        "horizon": _POS,
-        "alpha": _UNIT,
-        "noise": _NONNEG,
-    },
-    ["y0", "v0", "y_target", "horizon", "alpha"],
+    {f.name: _NUM for f in fields(SopInstance)},
+    [f.name for f in fields(SopInstance) if f.default is MISSING],
 )
 
 _POLICY = {
     "oneOf": [
-        _obj(
-            {
-                "initial_sign": {"type": "integer", "enum": [-1, 1]},
-                "switches": {"type": "array", "items": _NUM, "maxItems": 2},
-            },
-            ["initial_sign"],
-        ),
+        _obj({"initial_sign": {"type": "integer"}, "switches": _NUMS}, ["initial_sign"]),
         _obj({"constant": _NUM}, ["constant"]),
     ]
 }
@@ -137,16 +125,25 @@ _TOLERANCES = _obj({f.name: _POS for f in fields(CertifyConfig)})
 _MEASURE = _obj(
     {
         "type": {"enum": ["expectation", "avar", "mixture"]},
-        "alpha": _UNIT,
-        "alphas": {"type": "array", "items": _UNIT, "minItems": 1},
-        "weights": {"type": "array", "items": _POS, "minItems": 1},
+        "alpha": _NUM,
+        "alphas": _NUMS,
+        "weights": _NUMS,
     },
     ["type"],
 )
 
+_CANDIDATE = {
+    "instance": _INSTANCE,
+    "n_steps": _POSINT,
+    "n_paths": _POSINT,
+    "write_costates": _BOOL,
+    "write_paths": _BOOL,
+    "binary": _BOOL,
+}
+
 
 def _scenario(kind, props, required=()):
-    base = {"kind": {"const": kind}, "seed": _SEED, "out_dir": {"type": "string"}}
+    base = {"kind": {"const": kind}, "seed": {"type": "integer"}, "out_dir": {"type": "string"}}
     base.update(props)
     return _obj(base, ["kind", "seed"] + list(required))
 
@@ -178,43 +175,17 @@ _SCHEMAS = {
     ),
     "adjoint": _scenario(
         "adjoint",
-        {
-            "instance": _INSTANCE,
-            "policy": _POLICY,
-            "n_steps": _POSINT,
-            "n_paths": _POSINT,
-            "write_costates": _BOOL,
-            "write_paths": _BOOL,
-            "binary": _BOOL,
-        },
+        dict(_CANDIDATE, policy=_POLICY),
         ["instance", "policy", "n_steps", "n_paths"],
     ),
     "certify": _scenario(
         "certify",
-        {
-            "instance": _INSTANCE,
-            "policy": _POLICY,
-            "tolerances": _TOLERANCES,
-            "n_steps": _POSINT,
-            "n_paths": _POSINT,
-            "write_costates": _BOOL,
-            "write_paths": _BOOL,
-            "binary": _BOOL,
-        },
+        dict(_CANDIDATE, policy=_POLICY, tolerances=_TOLERANCES),
         ["instance", "n_steps", "n_paths"],
     ),
     "sop-solve": _scenario(
         "sop-solve",
-        {
-            "instance": _INSTANCE,
-            "tolerances": _TOLERANCES,
-            "certify": _BOOL,
-            "n_steps": _POSINT,
-            "n_paths": _POSINT,
-            "write_costates": _BOOL,
-            "write_paths": _BOOL,
-            "binary": _BOOL,
-        },
+        dict(_CANDIDATE, tolerances=_TOLERANCES, certify=_BOOL),
         ["instance", "n_steps", "n_paths"],
     ),
     "counterexample": _scenario("counterexample", {}),
@@ -230,8 +201,7 @@ _SCHEMAS = {
             "u_star": _NUM,
             "w": _NUM,
             "epsilons": {"type": "array", "items": _UNIT, "minItems": 1},
-            "n_steps_levels": {"type": "array", "items": _POSINT, "minItems": 2,
-                               "uniqueItems": True},
+            "n_steps_levels": {"type": "array", "items": _POSINT},
         },
         ["study"],
     ),
@@ -290,12 +260,6 @@ def _post_validate(cfg):
             eps = cfg["epsilons"]
             if any(b >= a for a, b in zip(eps, eps[1:])):
                 raise UsageError("epsilons must be strictly decreasing")
-        if cfg["study"] == "strong-order":
-            if cfg["problem"]["name"] != "scalar-linear":
-                raise UsageError("strong-order needs dynamics with a closed form: scalar-linear")
-            levels = sorted(cfg["n_steps_levels"])
-            if any(levels[-1] % k for k in levels):
-                raise UsageError("every level in n_steps_levels must divide the finest level")
 
 
 def _finite_number(token):
@@ -343,7 +307,7 @@ def load_scenario(path, kind):
 def _dynamics(cfg) -> DynamicsSpec:
     if cfg["name"] == "scalar-linear":
         return scalar_linear_dynamics(cfg.get("a", 0.8), cfg.get("b", 0.3))
-    return double_integrator_dynamics(cfg.get("cubic", 0.0), cfg.get("noise", 1.0))
+    return double_integrator_dynamics(**{k: v for k, v in cfg.items() if k != "name"})
 
 
 def _measure(cfg):
@@ -354,14 +318,14 @@ def _measure(cfg):
             return AVaR(cfg["alpha"])
         return MixtureAVaR(cfg["alphas"], cfg["weights"])
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"measure: {exc}") from exc
 
 
 def _instance(cfg) -> SopInstance:
     try:  # the schema's field names and noise default are SopInstance's
         return SopInstance(**cfg)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"instance: {exc}") from exc
 
 
 def _policy_values(cfg, instance, grid):
@@ -375,10 +339,10 @@ def _policy_values(cfg, instance, grid):
             switches=tuple(float(s) for s in cfg.get("switches", ())),
         )
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    for s in policy.switches:
+        raise UsageError(f"policy: {exc}") from exc
+    for s in policy.switches:  # the policy alone does not know the horizon
         if not 0.0 <= s <= instance.horizon:
-            raise UsageError(f"switch time {s} lies outside [0, {instance.horizon}]")
+            raise UsageError(f"policy: switch time {s} lies outside [0, {instance.horizon}]")
     return policy, policy.on_grid(grid)
 
 
@@ -445,27 +409,15 @@ def _gap_hist_rows(gaps, bins=32):
     ]
 
 
-def _dump_block(cfg, ctx, label, grid, values):
-    export.write_dump(
-        ctx.file(f"{label}.bin"),
-        values,
-        state_dim=values.shape[2],
-        noise_dim=1,
-        n_steps=grid.n_steps,
-        n_paths=values.shape[0],
-        seed=cfg["seed"],
-    )
-    return f"{label}.bin"
-
-
-def _write_bulk_artifacts(cfg, ctx, states, costates=None, paths_default=False):
+def _write_bulk_artifacts(cfg, ctx, states, noise_dim, costates=None, paths_default=False):
     """Write the run's per-path CSVs in one export call, plus any dumps."""
     jobs, artifacts = [], {}
     if cfg.get("write_paths", paths_default):
         jobs.append((ctx.file("paths.csv"), states.grid.nodes, states.values, "x"))
         artifacts["paths_csv"] = "paths.csv"
         if cfg.get("binary", False):
-            artifacts["paths_dump"] = _dump_block(cfg, ctx, "paths", states.grid, states.values)
+            export.write_dump(ctx.file("paths.bin"), states.values, noise_dim, cfg["seed"])
+            artifacts["paths_dump"] = "paths.bin"
     if costates is not None and cfg.get("write_costates", True):
         grid, q = costates.grid, costates.q
         jobs.append((ctx.file("costates.csv"), grid.nodes, costates.p, "p"))
@@ -473,7 +425,8 @@ def _write_bulk_artifacts(cfg, ctx, states, costates=None, paths_default=False):
                      q.reshape(q.shape[0], q.shape[1], -1), "q"))
         artifacts.update(costates_csv="costates.csv", martingale_integrand_csv="qcoef.csv")
         if cfg.get("binary", False):
-            artifacts["costates_dump"] = _dump_block(cfg, ctx, "costates", grid, costates.p)
+            export.write_dump(ctx.file("costates.bin"), costates.p, noise_dim, cfg["seed"])
+            artifacts["costates_dump"] = "costates.bin"
     export.write_csvs(jobs)
     return artifacts
 
@@ -531,14 +484,11 @@ def _run_simulate(cfg, ctx):
     x0 = np.asarray(cfg["x0"], dtype=float)
     if x0.shape != (dyn.state_dim,):
         raise UsageError(f"x0 must have {dyn.state_dim} components")
-    if "control" in cfg:
-        u = np.atleast_1d(np.asarray(cfg["control"]["constant"], dtype=float))
-    else:
-        u = np.zeros(dyn.control_dim)
-    if u.shape != (dyn.control_dim,):
-        raise UsageError(f"control must have {dyn.control_dim} components")
     grid = make_grid(cfg["horizon"], cfg["n_steps"])
-    law = ControlLaw(np.tile(u, (grid.n_steps, 1)))
+    u = cfg["control"]["constant"] if "control" in cfg else np.zeros(dyn.control_dim)
+    law = ControlLaw.constant(u, grid.n_steps)
+    if law.values.shape[1] != dyn.control_dim:
+        raise UsageError(f"control must have {dyn.control_dim} components")
     states = _simulate_ensemble(dyn, law, x0, grid, cfg["n_paths"], cfg["seed"], ctx.threads)
     failed = states.failed_paths
     terminal = states.values[:, -1, :]
@@ -549,7 +499,7 @@ def _run_simulate(cfg, ctx):
         "terminal_mean": terminal.mean(axis=0),
         "terminal_std": sample_std(terminal),
     }
-    artifacts = _write_bulk_artifacts(cfg, ctx, states, paths_default=True)
+    artifacts = _write_bulk_artifacts(cfg, ctx, states, dyn.noise_dim, paths_default=True)
     return "completed", results, artifacts
 
 
@@ -590,8 +540,8 @@ def _run_risk_eval(cfg, ctx):
 def _candidate_solution(cfg, ctx):
     instance = _instance(cfg["instance"])
     grid = make_grid(instance.horizon, cfg["n_steps"])
-    brownian = sample_brownian(grid, 1, cfg["n_paths"], cfg["seed"])
     policy, values = _policy_values(cfg["policy"], instance, grid)
+    brownian = sample_brownian(grid, 1, cfg["n_paths"], cfg["seed"])
     return assemble_solution(instance, values, brownian, policy=policy)
 
 
@@ -618,7 +568,7 @@ def _run_adjoint(cfg, ctx):
         },
         "costate_mean": _costate_mean_rows(sol.costates),
     }
-    artifacts = _write_bulk_artifacts(cfg, ctx, sol.states, sol.costates)
+    artifacts = _write_bulk_artifacts(cfg, ctx, sol.states, sol.problem.dyn.noise_dim, sol.costates)
     return ("pass" if mart.passed else "fail"), results, artifacts
 
 
@@ -634,7 +584,6 @@ def _certify_solution(cfg, ctx, sol):
             "violating_fractions": {format(k, "g"): v for k, v in gaps.violating_fractions.items()},
         },
         "gap_hist": _gap_hist_rows(gaps.gaps),
-        "costate_mean": _costate_mean_rows(sol.costates),
     }
     return cert.verdict, results, {"certificate": "certificate.json"}
 
@@ -651,16 +600,16 @@ def _solved(cfg):
 def _run_certify(cfg, ctx):
     sol = _candidate_solution(cfg, ctx) if "policy" in cfg else _solved(cfg)
     status, results, artifacts = _certify_solution(cfg, ctx, sol)
-    artifacts.update(_write_bulk_artifacts(cfg, ctx, sol.states, sol.costates))
+    results["costate_mean"] = _costate_mean_rows(sol.costates)
+    artifacts.update(_write_bulk_artifacts(
+        cfg, ctx, sol.states, sol.problem.dyn.noise_dim, sol.costates))
     return status, results, artifacts
 
 
 def _run_sop_solve(cfg, ctx):
     sol = _solved(cfg)
     necessity = bangbang_necessity(sol)
-    # the necessity check ran the safety check unless the noise is zero
-    safety = necessity.safety if necessity.safety is not None else safety_check(
-        sol.instance, sol.states)
+    safety = necessity.safety
     refinement = sol.refinement
     start = {"initial_sign": refinement.start.initial_sign,
              "switches": list(refinement.start.switches)}
@@ -691,9 +640,9 @@ def _run_sop_solve(cfg, ctx):
     status = "completed"
     if cfg.get("certify", True):
         status, cert_results, artifacts = _certify_solution(cfg, ctx, sol)
-        cert_results.pop("costate_mean")
         results.update(cert_results)
-    artifacts.update(_write_bulk_artifacts(cfg, ctx, sol.states, sol.costates))
+    artifacts.update(_write_bulk_artifacts(
+        cfg, ctx, sol.states, sol.problem.dyn.noise_dim, sol.costates))
     return status, results, artifacts
 
 
@@ -717,9 +666,12 @@ def _run_convergence(cfg, ctx):
     if x0.shape != (dyn.state_dim,):
         raise UsageError(f"x0 must have {dyn.state_dim} components")
     if cfg["study"] == "strong-order":
-        rep = strong_convergence_order(
-            dyn, x0, cfg["horizon"], cfg["n_steps_levels"], cfg["n_paths"], cfg["seed"]
-        )
+        try:
+            rep = strong_convergence_order(
+                dyn, x0, cfg["horizon"], cfg["n_steps_levels"], cfg["n_paths"], cfg["seed"]
+            )
+        except ValueError as exc:  # levels, or dynamics without a closed form
+            raise UsageError(str(exc)) from exc
         results = {
             "estimate": rep.estimate,
             "pairwise_orders": rep.pairwise_orders,
@@ -797,9 +749,11 @@ def run(argv):
     threads = _resolve_threads(args.threads)
     cfg = load_scenario(args.config, args.verb)
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise UsageError(f"seed must lie in [0, 2^64), got {args.seed}")
         cfg["seed"] = args.seed
+    try:
+        validate_seed(cfg["seed"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.out is not None:
         cfg["out_dir"] = args.out
     out_dir = Path(cfg.get("out_dir", "riskpmp_out"))

@@ -80,13 +80,14 @@ def write_csvs(jobs) -> None:
         raise RuntimeError(f"writing {', '.join(failed)} failed in a child process")
 
 
-def write_dump(path, values: np.ndarray, state_dim: int, noise_dim: int,
-               n_steps: int, n_paths: int, seed: int) -> None:
-    """Write the binary dump: magic, header (n, d, K, M, seed), float64 payload."""
+def write_dump(path, values: np.ndarray, noise_dim: int, seed: int) -> None:
+    """Write the binary dump of an (M, K+1, n) block: magic, header
+    (n, d, K, M, seed), float64 payload."""
     values = np.ascontiguousarray(np.asarray(values, dtype="<f8"))
+    n_paths, n_nodes, state_dim = values.shape
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(_HEADER.pack(state_dim, noise_dim, n_steps, n_paths, seed))
+        fh.write(_HEADER.pack(state_dim, noise_dim, n_nodes - 1, n_paths, seed))
         fh.write(values.tobytes())
 
 

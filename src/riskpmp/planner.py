@@ -189,7 +189,7 @@ def shoot(instance: SopInstance, brownian: BrownianEnsemble) -> ShootResult:
     two switches. Each switching time is placed by _bounded_brent, Brent's
     bounded method ported step for step from SciPy."""
     risk = instance.risk
-    w_T = brownian.levels()[:, -1, 0]
+    w_T = brownian.terminal()[:, 0]
     horizon = instance.horizon
     state = {"count": 0, "best": np.inf, "best_policy": None, "incumbents": []}
 
@@ -393,7 +393,7 @@ def _windows(mask: np.ndarray, min_len: int) -> List[Tuple[int, int]]:
 @dataclass(frozen=True)
 class BangBangReport:
     status: str                   # consistent | inconsistent | not_applicable | skipped_unsafe
-    safety: Optional[SafetyReport]
+    safety: SafetyReport
     saturation_fraction: float
     interior_windows: List[Tuple[float, float]]
     zero_band_windows: List[Tuple[float, float]]
@@ -417,14 +417,14 @@ def bangbang_necessity(solution: SopSolution) -> BangBangReport:
     instance = solution.instance
     chain: List[str] = []
     nan = float("nan")
+    safety = safety_check(instance, solution.states)
     if instance.noise == 0.0:
         chain.append("noise scale is zero: the Brownian argument does not apply")
-        return BangBangReport(status="not_applicable", safety=None,
+        return BangBangReport(status="not_applicable", safety=safety,
                               saturation_fraction=nan,
                               interior_windows=[], zero_band_windows=[],
                               pairing_mean=nan, pairing_band=nan, chain=chain)
 
-    safety = safety_check(instance, solution.states)
     band_text = (f"band {safety.band:.4f}" if np.isfinite(safety.band)
                  else "no band (one path)")
     chain.append(f"safety margin {safety.margin:.4f} vs {band_text}: "

@@ -97,7 +97,12 @@ class BrownianEnsemble:
         return out
 
     def terminal(self) -> np.ndarray:
-        return self.increments.sum(axis=1)
+        """W(T), shape (M, d): the running sum of levels(), bit for bit at its
+        last node, without holding every node."""
+        w = self.increments[:, 0].copy()
+        for k in range(1, self.increments.shape[1]):
+            w += self.increments[:, k]
+        return w
 
     def coarsen(self, factor: int) -> "BrownianEnsemble":
         """Aggregate increments onto a grid with n_steps/factor steps (exact coupling)."""
@@ -602,16 +607,16 @@ def strong_convergence_order(
     log(error) against log(dt).
     """
     if dyn.exact_terminal is None:
-        raise MissingClosedFormError("dynamics has no registered closed-form solution")
+        raise MissingClosedFormError("the dynamics has no closed form to compare against")
     levels = sorted(int(k) for k in n_steps_levels)
     if len(levels) < 2:
-        raise ValueError("need at least two grid levels")
+        raise ValueError("n_steps_levels needs at least two levels")
     if len(set(levels)) < len(levels):
-        raise ValueError(f"grid levels repeat: {levels}")
+        raise ValueError(f"n_steps_levels repeat: {levels}")
     finest = levels[-1]
     for k in levels:
         if finest % k != 0:
-            raise ValueError(f"level {k} must divide the finest level {finest}")
+            raise ValueError(f"n_steps_levels: level {k} must divide the finest level {finest}")
     fine = sample_brownian(make_grid(horizon, finest), dyn.noise_dim, n_paths, seed)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     exact = dyn.exact_terminal(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from riskpmp import export
+from riskpmp import cli
 from riskpmp.cli import emit_plot_data, load_scenario, main
 from riskpmp.risk import AVaR, risk_value
 
@@ -133,6 +134,8 @@ def test_integral_float_initial_sign_rejected(tmp_path, capsys):
 
 
 def test_readme_example_configs_validate(tmp_path):
+    # load_scenario checks structure and types; the values are checked by
+    # building the library objects, as the verbs do before sampling
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
     assert blocks
@@ -141,6 +144,78 @@ def test_readme_example_configs_validate(tmp_path):
         path.write_text(block)
         cfg = json.loads(block)
         assert load_scenario(path, cfg["kind"])["kind"] == cfg["kind"]
+        if "measure" in cfg:
+            cli._measure(cfg["measure"])
+        if "instance" in cfg:
+            instance = cli._instance(cfg["instance"])
+        if "policy" in cfg:
+            grid = cli.make_grid(instance.horizon, cfg["n_steps"])
+            cli._policy_values(cfg["policy"], instance, grid)
+
+
+def _candidate(**over):
+    cfg = {"kind": "adjoint", "instance": SAFE_INSTANCE, "policy": {"initial_sign": 1},
+           "n_steps": 10, "n_paths": 10}
+    cfg.update(over)
+    return cfg
+
+
+_STRONG = {"kind": "convergence", "study": "strong-order", "problem": {"name": "scalar-linear"},
+           "x0": 1.0, "horizon": 1.0, "n_steps_levels": [8, 16], "n_paths": 10}
+
+
+@pytest.mark.parametrize("cfg, flags, message", [
+    (_candidate(instance=dict(SAFE_INSTANCE, alpha=2.0)), [], "instance: alpha must lie in (0, 1]"),
+    (_candidate(instance=dict(SAFE_INSTANCE, horizon=0.0)), [],
+     "instance: horizon must be positive"),
+    (_candidate(instance=dict(SAFE_INSTANCE, noise=-1.0)), [], "instance: noise scale"),
+    ({"kind": "sop-solve", "instance": dict(SAFE_INSTANCE, y0=4.0), "n_steps": 10, "n_paths": 10},
+     [], "instance: the start must lie strictly left of the target"),
+    (_candidate(policy={"initial_sign": 2}), [], "policy: initial_sign must be -1 or +1"),
+    (_candidate(policy={"initial_sign": 1, "switches": [0.5, 1.0, 1.5]}), [],
+     "policy: at most two switching times"),
+    (_candidate(policy={"initial_sign": 1, "switches": [3.0]}), [],
+     "policy: switch time 3.0 lies outside [0, 2.0]"),
+    ({"kind": "risk-eval", "measure": {"type": "avar", "alpha": 1.5}, "sample": {"n": 5}}, [],
+     "measure: alpha must lie in (0, 1]"),
+    ({"kind": "risk-eval", "measure": {"type": "mixture", "alphas": [0.2, 0.5], "weights": [1.0]},
+      "sample": {"n": 5}}, [], "measure: alphas and weights must be equal-length"),
+    ({"kind": "risk-eval", "measure": {"type": "mixture", "alphas": [0.2, 0.5],
+                                       "weights": [1.5, -0.5]}, "sample": {"n": 5}}, [],
+     "measure: mixture weights must be nonnegative"),
+    (dict(_STRONG, n_steps_levels=[8, 8]), [], "n_steps_levels repeat"),
+    (dict(_STRONG, n_steps_levels=[16]), [], "n_steps_levels needs at least two levels"),
+    (dict(_STRONG, n_steps_levels=[24, 64]), [], "n_steps_levels: level 24 must divide"),
+    (dict(_STRONG, problem={"name": "double-integrator"}, x0=[0.0, 0.0]), [], "closed form"),
+    (_candidate(), ["--seed=-1"], "seed must be in [0, 2**64), got -1"),
+    (_candidate(seed=2**64), [], "seed must be in [0, 2**64)"),
+])
+def test_bad_values_are_refused_before_sampling(tmp_path, capsys, monkeypatch, cfg, flags, message):
+    # each value rule lives in the library object the verb builds; the verb
+    # builds it before drawing a normal, so a bad value writes nothing
+    from riskpmp import planner, rng, sde
+
+    draws = []
+    for module, name in [(cli, "sample_brownian"), (planner, "sample_brownian"),
+                         (sde, "sample_brownian"), (cli, "ensemble_normals"),
+                         (sde, "ensemble_normals"), (rng, "ensemble_normals")]:
+        monkeypatch.setattr(module, name, lambda *a, _name=name, **k: draws.append(_name))
+    out = tmp_path / "o"
+    cfg = dict({"seed": 1, "out_dir": str(out)}, **cfg)
+    assert main([cfg["kind"], "--config", write_cfg(tmp_path, cfg)] + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert draws == []
+
+
+def test_mixture_weight_zero_is_accepted(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = {"kind": "risk-eval", "seed": 1, "out_dir": str(out), "samples": [0.1, -1.2, 3.4, 0.0],
+           "measure": {"type": "mixture", "alphas": [0.25, 1.0], "weights": [1.0, 0.0]}}
+    assert main(["risk-eval", "--config", write_cfg(tmp_path, cfg)]) == 0
+    value = load_report(out)["results"]["value"]
+    assert value == pytest.approx(risk_value(AVaR(0.25), np.array([0.1, -1.2, 3.4, 0.0])))
+    capsys.readouterr()
 
 
 def test_simulate_shape_mismatch_is_usage_error(tmp_path, capsys):
@@ -442,6 +517,19 @@ def test_adjoint_artifacts_and_martingale(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_adjoint_costate_dump_header_comes_from_the_costates(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = {"kind": "adjoint", "seed": 4, "out_dir": str(out), "instance": SAFE_INSTANCE,
+           "policy": {"initial_sign": 1, "switches": [1.0]}, "n_steps": 10, "n_paths": 50,
+           "binary": True}
+    assert main(["adjoint", "--config", write_cfg(tmp_path, cfg)]) == 0
+    header, payload = export.read_dump(out / "costates.bin")
+    assert header == {"state_dim": 2, "noise_dim": 1, "n_steps": 10, "n_paths": 50, "seed": 4}
+    rows = np.loadtxt(out / "costates.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(payload.reshape(50 * 11, 2), rows[:, 3:])
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # certify and sop-solve
 
@@ -653,7 +741,7 @@ def test_one_path_runs_print_no_warnings(tmp_path, capsys):
 
 
 def test_sop_solve_runs_the_safety_check_once(tmp_path, capsys, monkeypatch):
-    from riskpmp import cli, planner
+    from riskpmp import planner
 
     calls = []
     original = planner.safety_check
@@ -663,7 +751,6 @@ def test_sop_solve_runs_the_safety_check_once(tmp_path, capsys, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(planner, "safety_check", counted)
-    monkeypatch.setattr(cli, "safety_check", counted)
     cfg = {"kind": "sop-solve", "seed": 1, "out_dir": str(tmp_path / "sop"),
            "instance": SAFE_INSTANCE, "n_steps": 10, "n_paths": 200, "certify": False}
     assert main(["sop-solve", "--config", write_cfg(tmp_path, cfg)]) == 0

@@ -48,6 +48,13 @@ def test_brownian_levels_start_at_zero_and_cumulate():
     np.testing.assert_allclose(lev[:, -1], ens.increments.sum(axis=1))
 
 
+def test_brownian_terminal_is_the_last_level_bit_for_bit():
+    # W(T) is the running sum a FeedbackLaw reads at the last node; a pairwise
+    # sum over the steps differs from it in the last bits
+    ens = sample_brownian(make_grid(2.0, 100), dim=1, n_paths=1000, seed=42)
+    assert np.array_equal(ens.terminal(), ens.levels()[:, -1])
+
+
 def test_brownian_bit_exact_reproducible():
     a = sample_brownian(make_grid(2.0, 32), dim=1, n_paths=20, seed=123)
     b = sample_brownian(make_grid(2.0, 32), dim=1, n_paths=20, seed=123)
