@@ -39,7 +39,6 @@ from .risk import (  # noqa: F401
 from .variational import (  # noqa: F401
     ItoGapReport,
     RateTable,
-    TangentSelection,
     ito_counterexample,
     linearization_rate,
     selection_continuity,

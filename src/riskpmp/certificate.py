@@ -69,6 +69,9 @@ class CertifyConfig:
     martingale_sigma: float = 5.0
 
     def __post_init__(self):
+        # a zero forcing has margins 0: only a nonnegative tolerance keeps it from being a witness
+        if not self.normality_tol >= 0:
+            raise ValueError(f"normality_tol must be nonnegative, got {self.normality_tol}")
         for name, factor in (("slackness_tol", 1e-3), ("active_tol", 1e-2),
                              ("feasibility_tol", 1e-2), ("bsde_residual_bound", 0.1)):
             if getattr(self, name) is None:
@@ -249,11 +252,8 @@ def normality_certificate(problem: ProblemSpec, states: StateEnsemble,
     grads = [np.asarray(problem.constraints[i].gradient(states.terminal), dtype=float)
              for i in active]
     for desc, values in candidates:
-        sel = tangent_from_control(dyn, states, ControlLaw(values))
-        if sel.zero:
-            continue
-        y = solve_linearized(a_fn, d_fn, sel.g1, sel.g2, brownian)
-        y_T = y.terminal
+        forcing = tangent_from_control(dyn, states, ControlLaw(values))
+        y_T = solve_linearized(a_fn, d_fn, forcing, brownian).terminal
         margins = [float(np.mean(np.einsum("pn,pn->p", g, y_T))) for g in grads]
         if all(m < -cfg.normality_tol for m in margins):
             return NormalityReport(status="certified", witness=desc,
@@ -304,6 +304,7 @@ class PmpCertificate:
                 "violating_measure": self.config.violating_measure_tol,
                 "bsde_residual": self.config.bsde_residual_bound,
                 "normality": self.config.normality_tol,
+                "martingale_sigma": self.config.martingale_sigma,
             },
         }
 

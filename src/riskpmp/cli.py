@@ -28,7 +28,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from . import export
+from . import export, sde
 from .adjoint import martingale_check
 from .certificate import CertifyConfig, certify
 from .planner import (
@@ -454,7 +454,7 @@ def _simulate_ensemble(dyn, law, x0, grid, n_paths, seed, threads):
     # paths are independent and the generator is counter-based in the global
     # path index, so disjoint chunks reproduce the single-pass ensemble
     # bit for bit in any chunking; each chunk runs its own step loop, so
-    # there is one per worker
+    # there is one per worker, and the aborted paths are named once for all
     values = np.empty((n_paths, grid.n_steps + 1, dyn.state_dim))
     failures = np.full(n_paths, -1, dtype=int)
     chunk = -(-n_paths // workers)
@@ -463,12 +463,13 @@ def _simulate_ensemble(dyn, law, x0, grid, n_paths, seed, threads):
     def work(span):
         lo, hi = span
         bm = sample_brownian(grid, dyn.noise_dim, hi - lo, seed, path_offset=lo)
-        part = euler_maruyama(dyn, law, x0, bm)
+        part = sde._integrate(dyn, law, x0, bm)
         values[lo:hi] = part.values
         failures[lo:hi] = part.first_failure
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(work, spans))
+    sde._warn_aborted(failures)
     return StateEnsemble(grid, values, failures, law)
 
 

@@ -18,10 +18,12 @@ Array conventions (vectorized over paths):
   diffusion Jacobian (M, d, n, n), [p, i, :, :] = d sigma_i / d x
 A Jacobian that does not depend on the path may have a leading axis of 1
 instead of M; the fundamental pair along it is then built once, not per path.
-The linear solvers take one coefficient convention, the shapes that
-adjoint.linearization_along and TangentSelection hold: A and D are callables
-of the step index k returning (M or 1, n, n) and (M or 1, d, n, n), D may be
-None; g1 and g2 are arrays (M or 1, K, n) and (M or 1, K, n, d), or None.
+The linear solvers take one coefficient convention, the accessors that
+adjoint.linearization_along and variational.tangent_from_control return:
+callables of the step index k.  A(k) is (M or 1, n, n) and D(k) is
+(M or 1, d, n, n), D may be None; the forcing g(k) is the pair (g1_k, g2_k)
+of shapes (M or 1, n) and (M or 1, n, d), g2_k None where it is exactly
+zero, and g may be None.
 """
 
 from __future__ import annotations
@@ -156,11 +158,6 @@ class ControlLaw:
     def constant(cls, u, n_steps: int) -> "ControlLaw":
         u = np.atleast_1d(np.asarray(u, dtype=float))
         return cls(np.tile(u, (n_steps, 1)))
-
-    @classmethod
-    def from_function(cls, fn: Callable[[float], np.ndarray], grid: TimeGrid) -> "ControlLaw":
-        rows = [np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in grid.nodes[:-1]]
-        return cls(np.stack(rows))
 
     @property
     def deterministic(self) -> bool:
@@ -329,9 +326,27 @@ def euler_maruyama(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEns
     running sum of the increments.  The ensemble carries the ControlLaw, or
     the feedback law's realized controls, as its control.  x0 may be a single
     state (broadcast to all paths) or one state per path.  Paths that turn
-    non-finite are aborted: their values stay NaN from the offending node on
-    and the first bad step is recorded on the ensemble.
+    non-finite are aborted: their values stay NaN from the offending node on,
+    the first bad step is recorded on the ensemble, and one RuntimeWarning
+    names how many aborted.
     """
+    states = _integrate(dyn, law, x0, brownian)
+    _warn_aborted(states.first_failure)
+    return states
+
+
+def _warn_aborted(first_failure: np.ndarray) -> None:
+    """Warn, at the caller of the integrating function, how many paths
+    aborted and at which step the first did; silent when none did."""
+    failed = first_failure[first_failure >= 0]
+    if failed.size:
+        warnings.warn(f"{failed.size} path(s) aborted on non-finite state "
+                      f"(first at step {int(failed.min())})", RuntimeWarning, stacklevel=3)
+
+
+def _integrate(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEnsemble) -> StateEnsemble:
+    """euler_maruyama without its warning, for a caller that integrates one
+    ensemble in path chunks and warns once for the whole."""
     grid = brownian.grid
     n_paths, n_steps, d = brownian.increments.shape
     n = dyn.state_dim
@@ -376,15 +391,6 @@ def euler_maruyama(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEns
                 first_failure[bad] = k + 1
                 x[first_failure >= 0] = np.nan
             out[:, k + 1] = x
-
-    n_failed = int((first_failure >= 0).sum())
-    if n_failed:
-        warnings.warn(
-            f"{n_failed} path(s) aborted on non-finite state "
-            f"(first at step {int(first_failure[first_failure >= 0].min())})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return StateEnsemble(grid=grid, values=out, first_failure=first_failure,
                          control=ControlLaw(realized) if feedback else law, brownian=brownian)
 
@@ -394,32 +400,55 @@ def euler_maruyama(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEns
 
 
 _CONVENTION = ("A, D: callables k -> (M or 1, n, n), (M or 1, d, n, n) or None; "
-               "g1, g2: arrays (M or 1, K, n), (M or 1, K, n, d) or None")
+               "g: callable k -> ((M or 1, n), (M or 1, n, d) or None), or None")
 
 
-def _check_coefficients(A, D, g1, g2, brownian: BrownianEnsemble) -> None:
+def _check_coefficients(A, D, g=None) -> None:
     """Refuse coefficients outside the linear solvers' convention."""
-    m, k, _ = brownian.increments.shape
-    if not callable(A) or not (D is None or callable(D)):
-        raise TypeError(f"A or D is not callable; expected {_CONVENTION}")
-    for name, g, rank in (("g1", g1, 3), ("g2", g2, 4)):
-        if g is not None and (np.ndim(g) != rank or np.shape(g)[0] not in (1, m)
-                              or np.shape(g)[1] != k):
-            raise ValueError(f"{name} has shape {np.shape(g)} for {m} paths and {k} steps; "
-                             f"expected {_CONVENTION}")
+    if not callable(A) or not all(c is None or callable(c) for c in (D, g)):
+        raise TypeError(f"A, D or g is not callable; expected {_CONVENTION}")
+
+
+def _check_forcing(g_0, brownian: BrownianEnsemble, n: int) -> None:
+    """Refuse a forcing whose pair g_0 at step 0 has shapes outside the
+    convention; solve_linearized checks the pair its step loop reads, so
+    the accessor runs once per step."""
+    m, _, d = brownian.increments.shape
+    for name, part, tail in zip(("g1", "g2"), g_0, ((n,), (n, d))):
+        if part is not None and (np.ndim(part) != 1 + len(tail) or np.shape(part)[0] not in (1, m)
+                                 or np.shape(part)[1:] != tail):
+            raise ValueError(f"forcing {name} has shape {np.shape(part)} at step 0 for {m} "
+                             f"paths; expected {_CONVENTION}")
+
+
+def _linear_step(y, a_k, d_k, g1_k, g2_k, dt: float, dw: np.ndarray) -> np.ndarray:
+    """One Euler step y + (A y + g1) dt + sum_i (D_i y + g2^i) dW^i of the
+    linear equation, for y (M, n) and dW (M, d); the noise term is skipped
+    when D and g2 are both None."""
+    drift = np.einsum("...ij,...j->...i", a_k, y)
+    if g1_k is not None:
+        drift = drift + g1_k
+    if d_k is None and g2_k is None:
+        return y + drift * dt
+    noise = 0.0 if d_k is None else np.einsum("...dij,...j->...di", d_k, y)
+    if g2_k is not None:
+        noise = noise + np.swapaxes(g2_k, -1, -2)
+    return y + drift * dt + np.einsum(
+        "pdn,pd->pn", np.broadcast_to(noise, dw.shape + y.shape[-1:]), dw)
 
 
 def solve_linearized(
-    A, D, g1, g2, brownian: BrownianEnsemble, y0: Optional[np.ndarray] = None
+    A, D, g, brownian: BrownianEnsemble, y0: Optional[np.ndarray] = None
 ) -> StateEnsemble:
     """Integrate dy = (A y + g1) dt + sum_i (D_i y + g2^i) dW^i, y(0) = y0 (default 0).
 
-    A and D are callables of the step index k returning (M or 1, n, n) and
-    (M or 1, d, n, n); D may be None.  g1 (M or 1, K, n) and g2
-    (M or 1, K, n, d) are arrays; either may be None.
+    A, D and the forcing g are accessors of the step index k: A(k) is
+    (M or 1, n, n), D(k) is (M or 1, d, n, n), g(k) is (g1_k, g2_k) of
+    shapes (M or 1, n) and (M or 1, n, d) with g2_k None where it is zero.
+    D and g may be None.
     """
-    n_paths, n_steps, d = brownian.increments.shape
-    _check_coefficients(A, D, g1, g2, brownian)
+    n_paths, n_steps, _ = brownian.increments.shape
+    _check_coefficients(A, D, g)
     n = A(0).shape[-1]
 
     out = np.empty((n_paths, n_steps + 1, n))
@@ -427,16 +456,11 @@ def solve_linearized(
     y = out[:, 0]
     dt = brownian.grid.dt
     for k in range(n_steps):
-        dw = brownian.increments[:, k]
-        drift = np.einsum("...ij,...j->...i", A(k), y)
-        if g1 is not None:
-            drift = drift + g1[:, k]
-        noise = np.zeros((n_paths, d, n))
-        if D is not None:
-            noise = noise + np.einsum("...dij,...j->...di", D(k), y)
-        if g2 is not None:
-            noise = noise + np.swapaxes(g2[:, k], -1, -2)
-        y = y + drift * dt + np.einsum("pdn,pd->pn", np.broadcast_to(noise, (n_paths, d, n)), dw)
+        g1, g2 = (None, None) if g is None else g(k)
+        if k == 0:
+            _check_forcing((g1, g2), brownian, n)
+        y = _linear_step(y, A(k), None if D is None else D(k), g1, g2, dt,
+                         brownian.increments[:, k])
         out[:, k + 1] = y
     return StateEnsemble(grid=brownian.grid, values=out, brownian=brownian)
 
@@ -465,7 +489,7 @@ def fundamental_matrices(
     and nodes; raises FundamentalMatrixError if it exceeds tol.
     """
     n_paths, n_steps, d = brownian.increments.shape
-    _check_coefficients(A, D, None, None, brownian)
+    _check_coefficients(A, D)
     a_0 = A(0)
     n = a_0.shape[-1]
     m_eff = a_0.shape[0] if D is None else n_paths
@@ -614,6 +638,8 @@ def strong_convergence_order(
     if len(set(levels)) < len(levels):
         raise ValueError(f"n_steps_levels repeat: {levels}")
     finest = levels[-1]
+    if levels[0] < 1:
+        raise ValueError(f"n_steps_levels: level {levels[0]} must be at least 1")
     for k in levels:
         if finest % k != 0:
             raise ValueError(f"n_steps_levels: level {k} must divide the finest level {finest}")

@@ -9,30 +9,12 @@ integral, while the Lebesgue integral closes it with a two-piece selection.
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .adjoint import linearization_along
-from .sde import DynamicsSpec, StateEnsemble, as_control_law, solve_linearized
-
-
-@dataclass(frozen=True)
-class TangentSelection:
-    """Forcing pair for the linearized dynamics, built from two controls.
-
-    g1[path, step] and g2[path, step] hold f(t, x*, w) - f(t, x*, u*) and the
-    matching diffusion difference; g2 is stored as None when the diffusion
-    does not feel the control, which is the regime where these selections
-    are unconditionally valid.
-    """
-
-    g1: np.ndarray                 # (M, K, n)
-    g2: Optional[np.ndarray]       # (M, K, n, d) or None when exactly zero
-
-    @property
-    def zero(self) -> bool:
-        return not np.any(self.g1) and self.g2 is None
+from .sde import DynamicsSpec, StateEnsemble, _linear_step, as_control_law, solve_linearized
 
 
 def _refuse_aborted(states: StateEnsemble) -> None:
@@ -42,50 +24,46 @@ def _refuse_aborted(states: StateEnsemble) -> None:
                          f"paths (first at path {int(np.argmax(bad))})")
 
 
-def _warn_unattested(dyn: DynamicsSpec) -> None:
-    """Warn, at the caller of the public entry point, when the control enters
-    the diffusion and the dynamics do not attest convex velocity sets."""
-    if not dyn.convex_velocity_sets:
-        warnings.warn(
-            "control enters the diffusion but convex velocity sets are not "
-            "attested; control-difference tangents are only licensed for "
-            "uncontrolled diffusion or convex velocity sets",
-            stacklevel=3,
-        )
-
-
-def _forcing(dyn: DynamicsSpec, t: float, x_k: np.ndarray, u_k: np.ndarray,
-             w_k: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """One node's control-difference forcing (g1_k, g2_k) at the states x_k:
-    f(t, x*, w) - f(t, x*, u*) and the diffusion difference, None where that
-    is exactly zero."""
-    g1 = dyn.drift(t, x_k, w_k) - dyn.drift(t, x_k, u_k)
-    g2 = dyn.diffusion(t, x_k, w_k) - dyn.diffusion(t, x_k, u_k)
-    return g1, (g2 if np.any(g2) else None)
-
-
-def tangent_from_control(dyn: DynamicsSpec, states: StateEnsemble, w) -> TangentSelection:
+def tangent_from_control(dyn: DynamicsSpec, states: StateEnsemble, w) -> Callable:
     """Pointwise control-difference selection along the candidate ensemble,
-    from the control it carries toward w (a ControlLaw or its grid values).
-    Aborted reference paths are rejected by count and first index."""
+    from the control it carries toward w (a ControlLaw or its grid values),
+    as the forcing accessor of solve_linearized: g(k) is (g1_k, g2_k) with
+    g1_k = f(t_k, x*_k, w_k) - f(t_k, x*_k, u*_k), shape (M, n), and g2_k
+    the matching diffusion difference (M, n, d), None where it is exactly
+    zero, the regime where these selections are unconditionally valid.
+
+    g(k, x_k) takes x*_k from a caller that already holds it as a
+    contiguous (M, n) copy, as the rate pass does, and saves copying it.
+    Aborted reference paths are rejected by count and first index.  The
+    first nonzero g2_k warns, at the caller of the function stepping
+    through g, when the dynamics do not attest convex velocity sets.
+    """
     _refuse_aborted(states)
     u_law = states.recorded("control")
     w_law = as_control_law(w)
-    m_paths = states.n_paths
-    n_steps = states.grid.n_steps
-    nodes = states.grid.nodes
+    m_paths, nodes = states.n_paths, states.grid.nodes
+    checked = False  # the velocity-set attestation, read once
 
-    g1 = np.empty((m_paths, n_steps, dyn.state_dim))
-    g2 = None  # allocated at the first step whose diffusion feels the control
-    for k in range(n_steps):
-        x_k = np.ascontiguousarray(states.values[:, k, :])
-        g1[:, k], g2_k = _forcing(dyn, nodes[k], x_k, u_law.at(k, m_paths), w_law.at(k, m_paths))
-        if g2 is None and g2_k is not None:
-            _warn_unattested(dyn)
-            g2 = np.zeros((m_paths, n_steps, dyn.state_dim, dyn.noise_dim))
-        if g2_k is not None:
-            g2[:, k] = g2_k
-    return TangentSelection(g1=g1, g2=g2)
+    def g(k: int, x_k: Optional[np.ndarray] = None) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        nonlocal checked
+        if x_k is None:
+            x_k = np.ascontiguousarray(states.values[:, k, :])
+        t, u_k, w_k = nodes[k], u_law.at(k, m_paths), w_law.at(k, m_paths)
+        g1 = dyn.drift(t, x_k, w_k) - dyn.drift(t, x_k, u_k)
+        g2 = dyn.diffusion(t, x_k, w_k) - dyn.diffusion(t, x_k, u_k)
+        if not np.any(g2):
+            return g1, None
+        if not (checked or dyn.convex_velocity_sets):
+            warnings.warn(
+                "control enters the diffusion but convex velocity sets are not "
+                "attested; control-difference tangents are only licensed for "
+                "uncontrolled diffusion or convex velocity sets",
+                stacklevel=3,
+            )
+        checked = True
+        return g1, g2
+
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +98,8 @@ def linearization_rate(
     values) that tangent_from_control selects.
 
     y does not depend on eps, so one streaming pass integrates it once while
-    the E perturbed states advance as one (E, M, n) stack.  Each step's
-    forcing is computed inside the pass, so beyond the states and their
+    the E perturbed states advance as one (E, M, n) stack.  The pass reads
+    the forcing accessor step by step, so beyond the states and their
     Brownian ensemble it holds that stack and per-step (M, ...) slices,
     never an (M, K, ...) array.  Aborted reference paths are rejected by
     count and first index.
@@ -131,9 +109,9 @@ def linearization_rate(
         raise ValueError("epsilons must be a nonempty list inside (0, 1]")
     if np.any(np.diff(eps) >= 0):
         raise ValueError("epsilons must be strictly decreasing")
-    _refuse_aborted(states)
+    g = tangent_from_control(dyn, states, w)
     a_fn, d_fn = linearization_along(dyn, states)
-    u_law, w_law, brownian = states.control, as_control_law(w), states.recorded("brownian")
+    u_law, brownian = states.control, states.recorded("brownian")
     n_eps, m_paths, n, d = eps.size, states.n_paths, states.state_dim, brownian.dim
     nodes, dt = states.grid.nodes, states.grid.dt
     e3 = eps[:, None, None]
@@ -142,15 +120,11 @@ def linearization_rate(
     y = np.zeros((m_paths, n))
     worst = np.zeros((n_eps, m_paths))  # running sup of the squared gap
     x_k = np.ascontiguousarray(states.values[:, 0, :])
-    checked = False  # the velocity-set attestation, read once
     for k in range(states.grid.n_steps):
+        g1, g2 = g(k, x_k)
         # contiguous per-step slices, so the (E, M, n) arithmetic runs flat
-        u_k = u_law.at(k, m_paths)
-        g1, g2 = _forcing(dyn, nodes[k], x_k, u_k, w_law.at(k, m_paths))
-        if g2 is not None and not checked:
-            _warn_unattested(dyn)
-            checked = True
-        u_e = u_law.at(k, n_eps * m_paths) if u_law.deterministic else np.tile(u_k, (n_eps, 1))
+        u_e = (u_law.at(k, n_eps * m_paths) if u_law.deterministic
+               else np.tile(u_law.at(k, m_paths), (n_eps, 1)))
         dw = np.ascontiguousarray(brownian.increments[:, k])
         flat = x.reshape(n_eps * m_paths, n)
         drift = dyn.drift(nodes[k], flat, u_e).reshape(n_eps, m_paths, n) + e3 * g1
@@ -158,14 +132,7 @@ def linearization_rate(
         if g2 is not None:
             noise = noise + e3[..., None] * g2
         x = x + drift * dt + np.einsum("epnd,pd->epn", noise, dw)
-
-        dy = np.einsum("...ij,...j->...i", a_fn(k), y) + g1
-        dn = np.einsum("...dij,...j->...di", d_fn(k), y) if d_fn is not None else 0.0
-        if g2 is not None:
-            dn = dn + np.swapaxes(g2, -1, -2)
-        y = y + dy * dt
-        if d_fn is not None or g2 is not None:
-            y = y + np.einsum("pdn,pd->pn", np.broadcast_to(dn, (m_paths, d, n)), dw)
+        y = _linear_step(y, a_fn(k), None if d_fn is None else d_fn(k), g1, g2, dt, dw)
 
         x_k = np.ascontiguousarray(states.values[:, k + 1, :])  # x*_{k+1}: this gap, next forcing
         gap = x - x_k
@@ -179,13 +146,9 @@ def linearization_rate(
 # selection continuity
 
 
-def selection_continuity(
-    dyn: DynamicsSpec,
-    states: StateEnsemble,
-    sel_a: TangentSelection,
-    sel_b: TangentSelection,
-) -> float:
-    """Ratio of the linearized-solution gap to the selection gap.
+def selection_continuity(dyn: DynamicsSpec, states: StateEnsemble, g_a, g_b) -> float:
+    """Ratio of the linearized-solution gap to the selection gap, for two
+    forcing accessors such as tangent_from_control returns.
 
     Numerator: E[sup_k |y_a - y_b|^2]^(1/2); denominator: the discrete
     L2 norm of (g1_a - g1_b, g2_a - g2_b).  The linearized flow is
@@ -193,20 +156,24 @@ def selection_continuity(
     depending only on the data; the degenerate case of equal selections
     returns 0.
     """
-    g1 = sel_a.g1 - sel_b.g1
-    g2 = (0.0 if sel_a.g2 is None else sel_a.g2) - (0.0 if sel_b.g2 is None else sel_b.g2)
-    if not np.any(g2):
-        g2 = None
 
-    dt = states.grid.dt
-    denom_sq = float(np.mean(np.sum(g1**2, axis=(1, 2)))) * dt
-    if g2 is not None:
-        denom_sq += float(np.mean(np.sum(g2**2, axis=(1, 2, 3)))) * dt
+    def g(k):
+        (a1, a2), (b1, b2) = g_a(k), g_b(k)
+        g2 = (0.0 if a2 is None else a2) - (0.0 if b2 is None else b2)
+        return a1 - b1, (g2 if np.any(g2) else None)
+
+    sq = 0.0  # per path, summed over the steps
+    for k in range(states.grid.n_steps):
+        g1, g2 = g(k)
+        sq = sq + np.sum(g1 * g1, axis=-1)
+        if g2 is not None:
+            sq = sq + np.sum(g2 * g2, axis=(-2, -1))
+    denom_sq = float(np.mean(sq)) * states.grid.dt
     if denom_sq == 0.0:
         return 0.0
 
     a_fn, d_fn = linearization_along(dyn, states)
-    diff = solve_linearized(a_fn, d_fn, g1, g2, states.recorded("brownian"))
+    diff = solve_linearized(a_fn, d_fn, g, states.recorded("brownian"))
     num_sq = float(np.mean(np.max(np.sum(diff.values**2, axis=2), axis=1)))
     return np.sqrt(num_sq / denom_sq)
 

@@ -2,7 +2,7 @@
 linear-quadratic benchmark whose optimal feedback has a closed form."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from riskpmp import (
     Expectation,
     FeedbackLaw,
     MixtureAVaR,
+    PmpCertificate,
     ProblemSpec,
     SampledRandomVariable,
     TerminalConstraint,
@@ -43,7 +44,7 @@ from riskpmp.adjoint import (
     tower_check,
 )
 from riskpmp.sde import FundamentalMatrices, StateEnsemble
-from riskpmp.variational import TangentSelection, linearization_rate, selection_continuity
+from riskpmp.variational import linearization_rate, selection_continuity
 
 
 def double_integrator(noise=1.0, grid_points=21):
@@ -300,14 +301,17 @@ def test_states_without_brownian_rejected_by_name():
     terminal = assemble_terminal(np.ones(2), np.ones((2, 2)))
     fund = fundamental_matrices(lambda k: np.zeros((1, 2, 2)), None, sample_brownian(grid, 1, 2, 0))
     con = TerminalConstraint(fn=lambda x: x[:, 0], gradient=lambda x: np.ones_like(x))
-    sel = tangent_from_control(dyn, states, ControlLaw.constant(-1.0, 3))
-    still = TangentSelection(g1=np.zeros_like(sel.g1), g2=None)
+    g = tangent_from_control(dyn, states, ControlLaw.constant(-1.0, 3))
+
+    def still(k):
+        return np.zeros((2, 2)), None
+
     readers = [lambda: solve_adjoint(dyn, states, terminal, fund),
                lambda: conditional_expectation(np.zeros(2), states, 1),
                lambda: tower_check(np.zeros(2), states),
                lambda: normality_certificate(toy_problem([con]), states, active=[0]),
                lambda: linearization_rate(dyn, states, ControlLaw.constant(-1.0, 3), [0.5]),
-               lambda: selection_continuity(dyn, states, sel, still)]
+               lambda: selection_continuity(dyn, states, g, still)]
     for read in readers:
         with pytest.raises(ValueError, match="carries no Brownian ensemble"):
             read()
@@ -364,6 +368,13 @@ def test_normality_witness_found_for_one_sided_constraint():
     assert rep.status == "certified"
     assert rep.margins[0] < -1e-3
     assert "constant" in rep.witness or "switch" in rep.witness
+
+
+def test_normality_tolerance_below_zero_is_refused():
+    # with normality_tol < 0 the zero forcing of u = u* would certify on margins of 0
+    for bad in (-1e-3, float("nan")):
+        with pytest.raises(ValueError, match="normality_tol must be nonnegative"):
+            CertifyConfig(normality_tol=bad)
 
 
 def test_normality_not_found_for_pinned_constraint_pair():
@@ -480,6 +491,15 @@ def test_lq_certificate_deterministic(lq_solution):
     assert json.dumps(one.as_dict(), sort_keys=True) == json.dumps(two.as_dict(), sort_keys=True)
     parsed = json.loads(json.dumps(one.as_dict()))
     assert parsed["version"] == "pmp_certificate_v1"
+
+
+def test_tolerances_stanza_reports_every_config_field():
+    # one distinct value per field, so each field is found by its value
+    values = {f.name: float(i + 2) for i, f in enumerate(fields(CertifyConfig))}
+    cert = PmpCertificate(verdict="pass", conditions={}, causes=[], active_set=[],
+                          multipliers=(-1.0,), config=CertifyConfig(**values))
+    stanza = cert.as_dict()["tolerances"]
+    assert sorted(stanza.values()) == sorted(values.values())
 
 
 def test_lq_flipped_control_fails_maximization(lq_solution):

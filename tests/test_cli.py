@@ -426,6 +426,25 @@ def test_simulate_env_threads_matches_flag(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_simulate_names_aborted_paths_once_at_any_thread_count(tmp_path, capsys, monkeypatch):
+    # dv = (u - 50 y^3) dt blows up on some paths of both halves of the ensemble
+    out = tmp_path / "out"
+    cfg = simulate_cfg(out, seed=3, dynamics={"name": "double-integrator", "cubic": 50.0},
+                       x0=[0.0, 0.0], horizon=2.0, n_steps=200, binary=False)
+    cfg_path = write_cfg(tmp_path, cfg)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    texts = {}
+    for threads in ("1", "2"):
+        with pytest.warns(RuntimeWarning) as record:
+            assert main(["simulate", "--config", cfg_path, "--threads", threads]) == 0
+        texts[threads] = [(w.category, str(w.message), Path(w.filename).name) for w in record]
+    assert len(texts["1"]) == 1
+    assert re.fullmatch(r"\d+ path\(s\) aborted on non-finite state \(first at step \d+\)",
+                        texts["1"][0][1])
+    assert texts["2"] == texts["1"]
+    capsys.readouterr()
+
+
 def test_simulate_seed_override_changes_draws(tmp_path, capsys):
     out = tmp_path / "out"
     cfg_path = write_cfg(tmp_path, simulate_cfg(out))

@@ -255,10 +255,15 @@ def _random_linear_inputs(rng, n_paths, n_steps, n, d):
     return lambda k: A[k][None], lambda k: D[k][None], g1, g2
 
 
+def _forcing(g1, g2=None):
+    """The forcing accessor over (M or 1, K, n) and (M or 1, K, n, d) arrays."""
+    return lambda k: (g1[:, k], None if g2 is None else g2[:, k])
+
+
 def test_solve_linearized_zero_inputs_stay_zero():
     ens = sample_brownian(make_grid(1.0, 30), 2, 10, seed=2)
     A, D, g1, g2 = _random_linear_inputs(np.random.default_rng(0), 10, 30, 3, 2)
-    y = solve_linearized(A, D, np.zeros((1, 30, 3)), np.zeros((1, 30, 3, 2)), ens)
+    y = solve_linearized(A, D, _forcing(np.zeros((1, 30, 3)), np.zeros((1, 30, 3, 2))), ens)
     np.testing.assert_array_equal(y.values, 0.0)
 
 
@@ -270,11 +275,11 @@ def test_solve_linearized_linear_in_forcing_and_initial_condition():
     h2 = rng.normal(size=(1, 30, 3, 2))
     y0a = rng.normal(size=3)
     y0b = rng.normal(size=3)
-    ya = solve_linearized(A, D, g1, g2, ens, y0=y0a).values
-    yb = solve_linearized(A, D, h1, h2, ens, y0=y0b).values
+    ya = solve_linearized(A, D, _forcing(g1, g2), ens, y0=y0a).values
+    yb = solve_linearized(A, D, _forcing(h1, h2), ens, y0=y0b).values
     for lam in (0.25, 1.7, -0.4):
         mix = solve_linearized(
-            A, D, g1 + lam * h1, g2 + lam * h2, ens, y0=y0a + lam * y0b
+            A, D, _forcing(g1 + lam * h1, g2 + lam * h2), ens, y0=y0a + lam * y0b
         ).values
         np.testing.assert_allclose(mix, ya + lam * yb, rtol=1e-10, atol=1e-12)
 
@@ -289,9 +294,9 @@ def test_solve_linearized_superposition_property(seed, lam):
     rng = np.random.default_rng(seed)
     A, D, g1, g2 = _random_linear_inputs(rng, 6, 12, 2, 1)
     h1 = rng.normal(size=(1, 12, 2))
-    ya = solve_linearized(A, D, g1, g2, ens).values
-    yb = solve_linearized(A, D, h1, None, ens).values
-    mix = solve_linearized(A, D, g1 + lam * h1, g2, ens).values
+    ya = solve_linearized(A, D, _forcing(g1, g2), ens).values
+    yb = solve_linearized(A, D, _forcing(h1), ens).values
+    mix = solve_linearized(A, D, _forcing(g1 + lam * h1, g2), ens).values
     np.testing.assert_allclose(mix, ya + lam * yb, rtol=1e-9, atol=1e-9)
 
 
@@ -304,7 +309,7 @@ def test_linear_solvers_refuse_a_per_path_array():
     ens = sample_brownian(make_grid(1.0, 8), 1, 8, seed=3)
     per_path = np.zeros((8, 2, 2))
     for solve in (lambda: fundamental_matrices(per_path, None, ens),
-                  lambda: solve_linearized(per_path, None, None, None, ens),
+                  lambda: solve_linearized(per_path, None, None, ens),
                   lambda: fundamental_matrices(_zero_a, per_path, ens)):
         with pytest.raises(TypeError, match=r"expected A, D: callables k -> \(M or 1, n, n\)"):
             solve()
@@ -314,16 +319,18 @@ def test_linear_solvers_refuse_a_time_series_forcing():
     ens = sample_brownian(make_grid(1.0, 8), 1, 8, seed=3)
     series = np.ones((8, 2))  # (K, n): no path axis
     for solve in (solve_linearized, representation_formula_check):
-        with pytest.raises(ValueError, match=r"g1 has shape \(8, 2\).*\(M or 1, K, n\)"):
-            solve(_zero_a, None, series, None, ens)
-    with pytest.raises(ValueError, match=r"g2 has shape \(1, 8, 2\).*\(M or 1, K, n, d\)"):
-        solve_linearized(_zero_a, None, None, np.ones((1, 8, 2)), ens)
+        with pytest.raises(TypeError, match=r"g: callable k -> \(\(M or 1, n\)"):
+            solve(_zero_a, None, series, ens)
+        with pytest.raises(ValueError, match=r"g1 has shape \(2,\) at step 0.*\(M or 1, n\)"):
+            solve(_zero_a, None, lambda k: (series[k], None), ens)
+    with pytest.raises(ValueError, match=r"g2 has shape \(1, 2\) at step 0.*\(M or 1, n, d\)"):
+        solve_linearized(_zero_a, None, lambda k: (None, np.ones((1, 2))), ens)
 
 
 def test_solve_linearized_gives_each_path_its_own_forcing():
     ens = sample_brownian(make_grid(1.0, 8), 1, 8, seed=3)
     g1 = np.random.default_rng(4).normal(size=(8, 8, 2))
-    y = solve_linearized(_zero_a, None, g1, None, ens).values
+    y = solve_linearized(_zero_a, None, _forcing(g1), ens).values
     np.testing.assert_allclose(y[:, -1], g1.sum(axis=1) * ens.grid.dt, rtol=1e-12)
 
 
@@ -381,7 +388,7 @@ def test_fundamental_matrices_tolerance_raises():
 # representation formula
 
 
-def representation_formula_check(A, D, g1, g2, brownian):
+def representation_formula_check(A, D, g, brownian):
     """Oracle for the fundamental pair: sup-norm discrepancy between the
     directly integrated linearized solution and its variation-of-constants
     representation
@@ -393,7 +400,7 @@ def representation_formula_check(A, D, g1, g2, brownian):
     solve_linearized's convention.
     """
     n_paths, n_steps, d = brownian.increments.shape
-    direct = solve_linearized(A, D, g1, g2, brownian).values
+    direct = solve_linearized(A, D, g, brownian).values
     fund = fundamental_matrices(A, D, brownian)
     n = direct.shape[2]
 
@@ -402,14 +409,15 @@ def representation_formula_check(A, D, g1, g2, brownian):
     sup_err = 0.0
     for k in range(n_steps):
         psi_k = fund.psi[:, k]
+        g1, g2 = g(k)
         integrand = np.zeros((n_paths, n))
         if g1 is not None:
-            integrand = integrand + g1[:, k]
+            integrand = integrand + g1
         if g2 is not None and D is not None:
-            integrand = integrand - np.einsum("...dnm,...md->...n", D(k), g2[:, k])
+            integrand = integrand - np.einsum("...dnm,...md->...n", D(k), g2)
         acc = acc + np.einsum("...nm,...m->...n", psi_k, integrand) * dt
         if g2 is not None:
-            psig2 = np.einsum("...nm,...md->...nd", psi_k, g2[:, k])
+            psig2 = np.einsum("...nm,...md->...nd", psi_k, g2)
             acc = acc + np.einsum(
                 "pnd,pd->pn",
                 np.broadcast_to(psig2, (n_paths, n, d)),
@@ -466,7 +474,7 @@ def test_representation_formula_check_deterministic_converges():
         t_mid = grid.nodes[:-1]
         A = np.stack([np.array([[0.0, 1.0], [-2.0, -0.3 * np.cos(t)]]) for t in t_mid])
         g1 = np.stack([np.array([np.sin(t), 1.0]) for t in t_mid])
-        res[k] = representation_formula_check(lambda j: A[j][None], None, g1[None], None, ens)
+        res[k] = representation_formula_check(lambda j: A[j][None], None, _forcing(g1[None]), ens)
     assert res[800] < res[200] < res[50]
     assert res[800] < res[50] / 8
 
@@ -480,8 +488,7 @@ def test_representation_formula_check_stochastic_small_residual():
     g1 = rng.normal(size=(2,))
     g2 = rng.normal(size=(2, 1)) * 0.5
     res = representation_formula_check(
-        lambda k: A[None], lambda k: D[None], np.broadcast_to(g1, (1, n_steps, 2)),
-        np.broadcast_to(g2, (1, n_steps, 2, 1)), ens)
+        lambda k: A[None], lambda k: D[None], lambda k: (g1[None], g2[None]), ens)
     assert res < 0.05
 
 
@@ -520,6 +527,14 @@ def test_strong_convergence_order_rejects_repeated_levels():
     dyn = scalar_linear_dynamics(1.0, 0.5)
     with pytest.raises(ValueError, match="repeat"):
         strong_convergence_order(dyn, [1.0], 1.0, [8, 8], 10, 1)
+
+
+@pytest.mark.parametrize("levels, low", [([0, 8], 0), ([-4, 8], -4), ([8, -8], -8)])
+def test_strong_convergence_order_rejects_levels_below_one(levels, low):
+    # a level of 0 used to reach finest % 0, a bare ZeroDivisionError
+    dyn = scalar_linear_dynamics(1.0, 0.5)
+    with pytest.raises(ValueError, match=rf"n_steps_levels: level {low} must be at least 1"):
+        strong_convergence_order(dyn, [1.0], 1.0, levels, 10, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ from riskpmp.sde import (
     euler_maruyama,
     make_grid,
     sample_brownian,
+    solve_linearized,
 )
 from riskpmp.variational import (
     ItoGapReport,
-    TangentSelection,
     ito_counterexample,
     linearization_rate,
     selection_continuity,
@@ -64,16 +64,26 @@ def scalar_linear(a=0.8, b=0.3):
 # tangent selections
 
 
+def _materialize(g, n_steps):
+    """The forcing accessor's pairs stacked over the steps: g1 (M, K, n) and
+    g2 (M, K, n, d), or None when every step's g2 is."""
+    pairs = [g(k) for k in range(n_steps)]
+    g1 = np.stack([p[0] for p in pairs], axis=1)
+    if all(p[1] is None for p in pairs):
+        return g1, None
+    g2 = next(p[1] for p in pairs if p[1] is not None)
+    return g1, np.stack([np.zeros_like(g2) if p[1] is None else p[1] for p in pairs], axis=1)
+
+
 def test_tangent_same_control_is_zero():
     dyn = double_integrator()
     grid = make_grid(1.0, 10)
     bm = sample_brownian(grid, 1, 30, seed=1)
     law = ControlLaw.constant(0.5, 10)
     states = euler_maruyama(dyn, law, np.zeros(2), bm)
-    sel = tangent_from_control(dyn, states, law)
-    assert sel.zero
-    assert not np.any(sel.g1)
-    assert sel.g2 is None
+    g1, g2 = _materialize(tangent_from_control(dyn, states, law), 10)
+    assert not np.any(g1)
+    assert g2 is None
 
 
 def test_tangent_sop_substitution():
@@ -82,10 +92,10 @@ def test_tangent_sop_substitution():
     bm = sample_brownian(grid, 1, 25, seed=2)
     u_star = ControlLaw.constant(-1.0, 8)
     states = euler_maruyama(dyn, u_star, np.zeros(2), bm)
-    sel = tangent_from_control(dyn, states, ControlLaw.constant(1.0, 8))
-    np.testing.assert_allclose(sel.g1[:, :, 0], 0.0)
-    np.testing.assert_allclose(sel.g1[:, :, 1], 2.0)
-    assert sel.g2 is None
+    g1, g2 = _materialize(tangent_from_control(dyn, states, ControlLaw.constant(1.0, 8)), 8)
+    np.testing.assert_allclose(g1[:, :, 0], 0.0)
+    np.testing.assert_allclose(g1[:, :, 1], 2.0)
+    assert g2 is None
 
 
 def test_tangent_control_affine_difference():
@@ -95,9 +105,9 @@ def test_tangent_control_affine_difference():
     u_star = ControlLaw.constant(0.25, 6)
     states = euler_maruyama(dyn, u_star, np.ones(1), bm)
     w = ControlLaw(np.linspace(-1, 1, 6)[:, None])
-    sel = tangent_from_control(dyn, states, w)
+    g1, _ = _materialize(tangent_from_control(dyn, states, w), 6)
     expected = np.linspace(-1, 1, 6) - 0.25
-    np.testing.assert_allclose(sel.g1[:, :, 0] - expected[None, :], 0.0, atol=1e-12)
+    np.testing.assert_allclose(g1[:, :, 0] - expected[None, :], 0.0, atol=1e-12)
 
 
 def test_tangent_warns_on_controlled_diffusion_without_attestation():
@@ -117,14 +127,14 @@ def test_tangent_warns_on_controlled_diffusion_without_attestation():
     dyn = DynamicsSpec(diffusion=diffusion, **base)
     states = euler_maruyama(dyn, u_star, np.ones(1), bm)
     with pytest.warns(UserWarning, match="velocity sets"):
-        tangent_from_control(dyn, states, w)
+        _materialize(tangent_from_control(dyn, states, w), 5)
 
     attested = DynamicsSpec(diffusion=diffusion, convex_velocity_sets=True, **base)
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        sel = tangent_from_control(attested, states, w)
+        _, g2 = _materialize(tangent_from_control(attested, states, w), 5)
     assert len(record) == 0
-    np.testing.assert_allclose(sel.g2, 0.6, atol=1e-12)
+    np.testing.assert_allclose(g2, 0.6, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +219,7 @@ def test_rate_names_aborted_reference_paths():
 
 def _rate_per_epsilon(dyn, states, u_star, sel, epsilons, brownian):
     """Oracle: one streaming pass per epsilon, y integrated again each time."""
+    g1, g2 = sel
     eps = np.asarray(epsilons, dtype=float)
     m_paths = states.n_paths
     nodes = states.grid.nodes
@@ -222,17 +233,17 @@ def _rate_per_epsilon(dyn, states, u_star, sel, epsilons, brownian):
         for k in range(states.grid.n_steps):
             u_k = u_star.at(k, m_paths)
             dw = brownian.increments[:, k]
-            drift = dyn.drift(nodes[k], x, u_k) + e * sel.g1[:, k]
+            drift = dyn.drift(nodes[k], x, u_k) + e * g1[:, k]
             noise = dyn.diffusion(nodes[k], x, u_k)
-            if sel.g2 is not None:
-                noise = noise + e * sel.g2[:, k]
+            if g2 is not None:
+                noise = noise + e * g2[:, k]
             x = x + drift * dt + np.einsum("pnd,pd->pn", noise, dw)
-            dy = np.einsum("...ij,...j->...i", a_fn(k), y) + sel.g1[:, k]
+            dy = np.einsum("...ij,...j->...i", a_fn(k), y) + g1[:, k]
             dn = np.einsum("...dij,...j->...di", d_fn(k), y) if d_fn is not None else 0.0
-            if sel.g2 is not None:
-                dn = dn + np.swapaxes(sel.g2[:, k], -1, -2)
+            if g2 is not None:
+                dn = dn + np.swapaxes(g2[:, k], -1, -2)
             y = y + dy * dt
-            if d_fn is not None or sel.g2 is not None:
+            if d_fn is not None or g2 is not None:
                 shape = (m_paths,) + noise.shape[1:][::-1]
                 y = y + np.einsum("pdn,pd->pn", np.broadcast_to(dn, shape), dw)
             gap = x - states.values[:, k + 1, :] - e * y
@@ -242,8 +253,9 @@ def _rate_per_epsilon(dyn, states, u_star, sel, epsilons, brownian):
 
 
 def _rate_from_selection(dyn, states, sel, epsilons):
-    """Oracle: the single pass over a materialized TangentSelection, reading
-    the whole (M, K, ...) forcing arrays one step at a time."""
+    """Oracle: the single pass over the accessor's forcing materialized as
+    whole (M, K, ...) arrays, read one step at a time."""
+    sel_g1, sel_g2 = sel
     eps = np.asarray(epsilons, dtype=float)
     a_fn, d_fn = linearization_along(dyn, states)
     u_law, brownian = states.control, states.brownian
@@ -257,8 +269,8 @@ def _rate_from_selection(dyn, states, sel, epsilons):
         u_k = u_law.at(k, n_eps * m_paths) if u_law.deterministic else np.tile(
             u_law.at(k, m_paths), (n_eps, 1))
         dw = np.ascontiguousarray(brownian.increments[:, k])
-        g1 = np.ascontiguousarray(sel.g1[:, k])
-        g2 = None if sel.g2 is None else np.ascontiguousarray(sel.g2[:, k])
+        g1 = np.ascontiguousarray(sel_g1[:, k])
+        g2 = None if sel_g2 is None else np.ascontiguousarray(sel_g2[:, k])
         flat = x.reshape(n_eps * m_paths, n)
         drift = dyn.drift(nodes[k], flat, u_k).reshape(n_eps, m_paths, n) + e3 * g1
         noise = dyn.diffusion(nodes[k], flat, u_k).reshape(n_eps, m_paths, n, d)
@@ -334,8 +346,8 @@ def test_rate_single_pass_matches_per_epsilon_oracle():
     u_star = ControlLaw.constant(0.5, n_steps)
     states = euler_maruyama(dyn, u_star, np.zeros(2), bm)
     w = ControlLaw.constant(-0.5, n_steps)
-    sel = tangent_from_control(dyn, states, w)
-    assert sel.g2 is None
+    sel = _materialize(tangent_from_control(dyn, states, w), n_steps)
+    assert sel[1] is None
     table = linearization_rate(dyn, states, w, eps)
     oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
     assert np.max(table.rates) > 1e-6
@@ -349,11 +361,11 @@ def test_rate_single_pass_matches_per_epsilon_oracle():
     u_star = ControlLaw(np.linspace(-0.5, 0.5, n_steps)[:, None])
     states = euler_maruyama(dyn, u_star, np.array([0.3, -0.2]), bm)
     w = ControlLaw(np.where(np.arange(n_steps) < n_steps // 3, u_star.values[:, 0], 0.9)[:, None])
-    sel = tangent_from_control(dyn, states, w)
-    assert sel.g2 is not None
+    sel = _materialize(tangent_from_control(dyn, states, w), n_steps)
+    assert sel[1] is not None
     # zero diffusion difference before w departs from u*, filled in after
-    np.testing.assert_array_equal(sel.g2, _tangent_full_g2(dyn, states, u_star, w))
-    assert not np.any(sel.g2[:, : n_steps // 3]) and np.any(sel.g2[:, n_steps // 3])
+    np.testing.assert_array_equal(sel[1], _tangent_full_g2(dyn, states, u_star, w))
+    assert not np.any(sel[1][:, : n_steps // 3]) and np.any(sel[1][:, n_steps // 3])
     table = linearization_rate(dyn, states, w, eps)
     oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
     assert np.max(table.rates) > 1e-6
@@ -366,8 +378,8 @@ def test_rate_single_pass_matches_per_epsilon_oracle():
     u_star = ControlLaw(rng.uniform(-1.0, 1.0, size=(m_paths, n_steps, 1)))
     states = euler_maruyama(dyn, u_star, np.array([0.5, 0.0]), bm)
     w = ControlLaw(rng.uniform(-1.0, 1.0, size=(m_paths, n_steps, 1)))
-    sel = tangent_from_control(dyn, states, w)
-    assert sel.g2 is None
+    sel = _materialize(tangent_from_control(dyn, states, w), n_steps)
+    assert sel[1] is None
     table = linearization_rate(dyn, states, w, eps)
     oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
     assert np.max(table.rates) > 1e-6
@@ -406,13 +418,15 @@ def test_rate_warns_once_on_controlled_diffusion_without_attestation():
     w = ControlLaw.constant(0.8, 5)  # the diffusion differs at every step
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        tangent_from_control(dyn, states, w)
+        g = tangent_from_control(dyn, states, w)
+        assert len(record) == 0  # the accessor warns when it is stepped through
+        solve_linearized(*linearization_along(dyn, states), g, bm)
         linearization_rate(dyn, states, w, [0.5, 0.25])
     assert len(record) == 2
     assert record[0].category is record[1].category is UserWarning
     assert str(record[0].message) == str(record[1].message)
     assert "velocity sets" in str(record[1].message)
-    assert record[1].filename == __file__
+    assert record[0].filename == record[1].filename == __file__
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +439,8 @@ def test_continuity_equal_selections_zero():
     bm = sample_brownian(grid, 1, 50, seed=9)
     law = ControlLaw.constant(0.0, 20)
     states = euler_maruyama(dyn, law, np.zeros(2), bm)
-    sel = tangent_from_control(dyn, states, ControlLaw.constant(1.0, 20))
-    assert selection_continuity(dyn, states, sel, sel) == 0.0
+    g = tangent_from_control(dyn, states, ControlLaw.constant(1.0, 20))
+    assert selection_continuity(dyn, states, g, g) == 0.0
 
 
 def test_continuity_scaled_pair_matches_zero_pair():
@@ -436,22 +450,21 @@ def test_continuity_scaled_pair_matches_zero_pair():
     bm = sample_brownian(grid, 1, 300, seed=10)
     u_star = ControlLaw.constant(0.0, n_steps)
     states = euler_maruyama(dyn, u_star, np.ones(1), bm)
-    sel = tangent_from_control(dyn, states, ControlLaw.constant(0.7, n_steps))
-    doubled = TangentSelection(g1=2 * sel.g1, g2=None)
+    g = tangent_from_control(dyn, states, ControlLaw.constant(0.7, n_steps))
+
+    def doubled(k):
+        return 2 * g(k)[0], None
+
     zero = tangent_from_control(dyn, states, u_star)
-    r_scaled = selection_continuity(dyn, states, sel, doubled)
-    r_zero = selection_continuity(dyn, states, sel, zero)
+    r_scaled = selection_continuity(dyn, states, g, doubled)
+    r_zero = selection_continuity(dyn, states, g, zero)
     assert r_scaled == pytest.approx(r_zero, rel=1e-12)
 
 
 def _staircase_law(rng, grid, n_pieces=20):
     levels = rng.uniform(-1.0, 1.0, size=n_pieces)
-
-    def fn(t):
-        idx = min(int(t / grid.horizon * n_pieces), n_pieces - 1)
-        return np.array([levels[idx]])
-
-    return ControlLaw.from_function(fn, grid)
+    idx = np.minimum((grid.nodes[:-1] / grid.horizon * n_pieces).astype(int), n_pieces - 1)
+    return ControlLaw(levels[idx][:, None])
 
 
 def test_continuity_ratio_stable_under_refinement():
@@ -465,9 +478,9 @@ def test_continuity_ratio_stable_under_refinement():
         rng = np.random.default_rng(123)
         ratios = []
         for _ in range(100):
-            sel_a = tangent_from_control(dyn, states, _staircase_law(rng, grid))
-            sel_b = tangent_from_control(dyn, states, _staircase_law(rng, grid))
-            ratios.append(selection_continuity(dyn, states, sel_a, sel_b))
+            g_a = tangent_from_control(dyn, states, _staircase_law(rng, grid))
+            g_b = tangent_from_control(dyn, states, _staircase_law(rng, grid))
+            ratios.append(selection_continuity(dyn, states, g_a, g_b))
         maxima[n_steps] = max(ratios)
         assert np.isfinite(maxima[n_steps])
     assert abs(maxima[40] - maxima[80]) <= 0.1 * max(maxima.values())
