@@ -8,7 +8,7 @@ violation was detected at the configured tolerances, since the principle is
 a necessary condition only.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,13 +69,20 @@ class CertifyConfig:
     martingale_sigma: float = 5.0
 
     def __post_init__(self):
-        # a zero forcing has margins 0: only a nonnegative tolerance keeps it from being a witness
-        if not self.normality_tol >= 0:
-            raise ValueError(f"normality_tol must be nonnegative, got {self.normality_tol}")
         for name, factor in (("slackness_tol", 1e-3), ("active_tol", 1e-2),
                              ("feasibility_tol", 1e-2), ("bsde_residual_bound", 0.1)):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, factor * self.scale)
+        # 0 means something for two tolerances: a zero forcing has margins 0, so
+        # only a nonnegative normality_tol keeps it from being a witness, and
+        # violating_measure_tol = 0 allows no violating cell
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("normality_tol", "violating_measure_tol"):
+                if not value >= 0:
+                    raise ValueError(f"{f.name} must be nonnegative, got {value}")
+            elif not value > 0:
+                raise ValueError(f"{f.name} must be positive, got {value}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ version) so artifacts can be regenerated byte for byte; the only field that
 varies between reruns of one scenario is created_utc.
 
 Exit codes: 0 when the run passed or completed, 1 on a usage error
-(bad flags, or a config that is unreadable, that the schema refuses, or
-whose values a library object refuses; nothing is written),
+(bad flags, or a config that is unreadable, whose keys or types the schema
+refuses, or whose values a library object refuses; nothing is written),
 2 when a requested check or certificate failed, 3 when the certificate
 came back inconclusive.
 """
@@ -20,12 +20,12 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, fields
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from importlib import metadata
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import export, sde
@@ -52,8 +52,9 @@ from .sde import (
     sample_std,
     scalar_linear_dynamics,
     strong_convergence_order,
+    validate_n_paths,
 )
-from .variational import ito_counterexample, linearization_rate
+from .variational import ito_counterexample, linearization_rate, validate_epsilons
 # unused here, kept for the benchmark's span site cli:tangent_from_control
 from .variational import tangent_from_control  # noqa: F401
 
@@ -76,190 +77,139 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------------------
 # scenario schemas
-
-_NUM = {"type": "number"}
-_POS = {"type": "number", "exclusiveMinimum": 0}
-_NONNEG = {"type": "number", "minimum": 0}
-_POSINT = {"type": "integer", "minimum": 1}
-_BOOL = {"type": "boolean"}
-_NUMS = {"type": "array", "items": _NUM}
-_UNIT = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
-
-
-def _obj(props, required=()):
-    return {
-        "type": "object",
-        "properties": props,
-        "required": list(required),
-        "additionalProperties": False,
-    }
+#
+# A schema is plain Python and states keys and types only: float, int, bool
+# and str for JSON leaves (a bool is not a number, and 1.0 is not an
+# integer), [s] for an array of s, a tuple for either of its members, _Obj
+# for an object with exactly its keys, and _Tagged for an object whose tag
+# field picks its keys.  Value rules (ranges, lengths, signs) belong to the
+# library objects built from the blocks.
 
 
-_DYNAMICS = _obj(
-    {
-        "name": {"enum": ["scalar-linear", "double-integrator"]},
-        "a": _NUM,
-        "b": _NUM,
-        "cubic": _NUM,
-        "noise": _NONNEG,
-    },
-    ["name"],
+@dataclass(frozen=True)
+class _Obj:
+    keys: dict
+    required: tuple = ()
+
+
+@dataclass(frozen=True)
+class _Tagged:
+    tag: str
+    forms: dict  # tag value -> _Obj of the other keys
+
+
+_LEAVES = {float: ("number", (int, float)), int: ("integer", int), bool: ("boolean", bool),
+           str: ("string", str)}
+
+
+def _type(schema):
+    """JSON type name and Python types of a schema's top level."""
+    if isinstance(schema, list):
+        return "array", list
+    if isinstance(schema, (_Obj, _Tagged)):
+        return "object", dict
+    return _LEAVES[schema]
+
+
+def _fits(value, schema):
+    return isinstance(value, _type(schema)[1]) and (schema is bool or not isinstance(value, bool))
+
+
+def _rejected(path, message):
+    return UsageError(f"config rejected at {'/'.join(map(str, path)) or 'config'}: {message}")
+
+
+def _check(value, schema, path=()):
+    """Raise a UsageError naming the first key or type the schema refuses."""
+    alternatives = schema if isinstance(schema, tuple) else (schema,)
+    alt = next((a for a in alternatives if _fits(value, a)), None)
+    if alt is None:
+        wanted = " or ".join(repr(_type(a)[0]) for a in alternatives)
+        raise _rejected(path, f"{value!r} is not of type {wanted}")
+    if isinstance(alt, list):
+        for i, item in enumerate(value):
+            _check(item, alt[0], path + (i,))
+        return
+    context = ""
+    if isinstance(alt, _Tagged):
+        if alt.tag not in value:
+            raise _rejected(path, f"missing keys {[alt.tag]}")
+        tag = value[alt.tag]
+        if not isinstance(tag, str) or tag not in alt.forms:
+            raise _rejected(path + (alt.tag,), f"{tag!r} is not one of {list(alt.forms)}")
+        context = f" for {alt.tag} {tag!r}"
+        value = {k: v for k, v in value.items() if k != alt.tag}
+        alt = alt.forms[tag]
+    if isinstance(alt, _Obj):
+        missing = [k for k in alt.required if k not in value]
+        if missing:
+            raise _rejected(path, f"missing keys {missing}{context}")
+        extra = sorted(set(value) - set(alt.keys))
+        if extra:
+            raise _rejected(path, f"keys {extra} do not apply{context}")
+        for key, item in value.items():
+            _check(item, alt.keys[key], path + (key,))
+
+
+_DYNAMICS = _Tagged("name", {
+    "scalar-linear": _Obj({"a": float, "b": float}),
+    "double-integrator": _Obj({"cubic": float, "noise": float}),
+})
+
+_INSTANCE = _Obj(
+    {f.name: float for f in fields(SopInstance)},
+    tuple(f.name for f in fields(SopInstance) if f.default is MISSING),
 )
 
-# value rules (ranges, lengths, signs) belong to the library objects built
-# from these blocks; the schemas state keys and types only
-_INSTANCE = _obj(
-    {f.name: _NUM for f in fields(SopInstance)},
-    [f.name for f in fields(SopInstance) if f.default is MISSING],
-)
+# exactly one of initial_sign and constant: _policy_values
+_POLICY = _Obj({"initial_sign": int, "switches": [float], "constant": float})
 
-_POLICY = {
-    "oneOf": [
-        _obj({"initial_sign": {"type": "integer"}, "switches": _NUMS}, ["initial_sign"]),
-        _obj({"constant": _NUM}, ["constant"]),
-    ]
-}
+_TOLERANCES = _Obj({f.name: float for f in fields(CertifyConfig)})
 
-_TOLERANCES = _obj({f.name: _POS for f in fields(CertifyConfig)})
+_MEASURE = _Tagged("type", {
+    "expectation": _Obj({}),
+    "avar": _Obj({"alpha": float}, ("alpha",)),
+    "mixture": _Obj({"alphas": [float], "weights": [float]}, ("alphas", "weights")),
+})
 
-_MEASURE = _obj(
-    {
-        "type": {"enum": ["expectation", "avar", "mixture"]},
-        "alpha": _NUM,
-        "alphas": _NUMS,
-        "weights": _NUMS,
-    },
-    ["type"],
-)
-
-_CANDIDATE = {
-    "instance": _INSTANCE,
-    "n_steps": _POSINT,
-    "n_paths": _POSINT,
-    "write_costates": _BOOL,
-    "write_paths": _BOOL,
-    "binary": _BOOL,
-}
+_CANDIDATE = dict(instance=_INSTANCE, n_steps=int, n_paths=int,
+                  write_costates=bool, write_paths=bool, binary=bool)
 
 
-def _scenario(kind, props, required=()):
-    base = {"kind": {"const": kind}, "seed": {"type": "integer"}, "out_dir": {"type": "string"}}
-    base.update(props)
-    return _obj(base, ["kind", "seed"] + list(required))
+def _scenario(props, required=()):
+    return _Obj(dict(kind=str, seed=int, out_dir=str, **props), ("kind", "seed") + tuple(required))
+
+
+def _study(props):
+    return _scenario(dict(problem=_DYNAMICS, x0=(float, [float]), horizon=float, n_paths=int,
+                          **props), ("problem", "x0", "horizon", "n_paths") + tuple(props))
 
 
 _SCHEMAS = {
     "simulate": _scenario(
-        "simulate",
-        {
-            "dynamics": _DYNAMICS,
-            "x0": _NUMS,
-            "control": _obj({"constant": {"anyOf": [_NUM, _NUMS]}}, ["constant"]),
-            "horizon": _POS,
-            "n_steps": _POSINT,
-            "n_paths": _POSINT,
-            "write_paths": _BOOL,
-            "binary": _BOOL,
-        },
-        ["dynamics", "x0", "horizon", "n_steps", "n_paths"],
+        dict(dynamics=_DYNAMICS, x0=[float], horizon=float, n_steps=int, n_paths=int,
+             control=_Obj({"constant": (float, [float])}, ("constant",)),
+             write_paths=bool, binary=bool),
+        ("dynamics", "x0", "horizon", "n_steps", "n_paths"),
     ),
+    # exactly one of samples and sample: _run_risk_eval
     "risk-eval": _scenario(
-        "risk-eval",
-        {
-            "measure": _MEASURE,
-            "samples": {"type": "array", "items": _NUM, "minItems": 1},
-            "sample": _obj({"n": _POSINT, "mean": _NUM, "std": _NONNEG}, ["n"]),
-            "write_xi": _BOOL,
-        },
-        ["measure"],
+        dict(measure=_MEASURE, samples=[float], write_xi=bool,
+             sample=_Obj({"n": int, "mean": float, "std": float}, ("n",))),
+        ("measure",),
     ),
-    "adjoint": _scenario(
-        "adjoint",
-        dict(_CANDIDATE, policy=_POLICY),
-        ["instance", "policy", "n_steps", "n_paths"],
-    ),
-    "certify": _scenario(
-        "certify",
-        dict(_CANDIDATE, policy=_POLICY, tolerances=_TOLERANCES),
-        ["instance", "n_steps", "n_paths"],
-    ),
-    "sop-solve": _scenario(
-        "sop-solve",
-        dict(_CANDIDATE, tolerances=_TOLERANCES, certify=_BOOL),
-        ["instance", "n_steps", "n_paths"],
-    ),
-    "counterexample": _scenario("counterexample", {}),
-    "convergence": _scenario(
-        "convergence",
-        {
-            "study": {"enum": ["linearization-rate", "strong-order"]},
-            "problem": _DYNAMICS,
-            "x0": {"anyOf": [_NUM, _NUMS]},
-            "horizon": _POS,
-            "n_steps": _POSINT,
-            "n_paths": _POSINT,
-            "u_star": _NUM,
-            "w": _NUM,
-            "epsilons": {"type": "array", "items": _UNIT, "minItems": 1},
-            "n_steps_levels": {"type": "array", "items": _POSINT},
-        },
-        ["study"],
-    ),
+    "adjoint": _scenario(dict(_CANDIDATE, policy=_POLICY),
+                         ("instance", "policy", "n_steps", "n_paths")),
+    "certify": _scenario(dict(_CANDIDATE, policy=_POLICY, tolerances=_TOLERANCES),
+                         ("instance", "n_steps", "n_paths")),
+    "sop-solve": _scenario(dict(_CANDIDATE, tolerances=_TOLERANCES, certify=bool),
+                           ("instance", "n_steps", "n_paths")),
+    "counterexample": _scenario({}),
+    "convergence": _Tagged("study", {
+        "linearization-rate": _study(dict(n_steps=int, u_star=float, w=float, epsilons=[float])),
+        "strong-order": _study(dict(n_steps_levels=[int])),
+    }),
 }
-
-_STUDY_FIELDS = {
-    "linearization-rate": {
-        "required": ["problem", "x0", "horizon", "n_steps", "n_paths", "u_star", "w", "epsilons"],
-        "forbidden": ["n_steps_levels"],
-    },
-    "strong-order": {
-        "required": ["problem", "x0", "horizon", "n_steps_levels", "n_paths"],
-        "forbidden": ["u_star", "w", "epsilons", "n_steps"],
-    },
-}
-
-_DYNAMICS_PARAMS = {
-    "scalar-linear": {"a", "b"},
-    "double-integrator": {"cubic", "noise"},
-}
-
-
-def _check_dynamics(cfg, where):
-    extra = (set(cfg) - {"name"}) - _DYNAMICS_PARAMS[cfg["name"]]
-    if extra:
-        raise UsageError(
-            f"{where}: {sorted(extra)} do not apply to dynamics {cfg['name']!r}"
-        )
-
-
-def _post_validate(cfg):
-    kind = cfg["kind"]
-    if kind == "simulate":
-        _check_dynamics(cfg["dynamics"], "dynamics")
-    elif kind == "risk-eval":
-        if ("samples" in cfg) == ("sample" in cfg):
-            raise UsageError("provide exactly one of 'samples' and 'sample'")
-        m = cfg["measure"]
-        if m["type"] == "avar" and "alpha" not in m:
-            raise UsageError("avar measure needs an 'alpha'")
-        if m["type"] == "mixture":
-            if "alphas" not in m or "weights" not in m:
-                raise UsageError("mixture measure needs 'alphas' and 'weights'")
-        if m["type"] == "expectation" and len(m) > 1:
-            raise UsageError("expectation measure takes no parameters")
-    elif kind == "convergence":
-        rules = _STUDY_FIELDS[cfg["study"]]
-        missing = [k for k in rules["required"] if k not in cfg]
-        if missing:
-            raise UsageError(f"study {cfg['study']!r} needs {missing}")
-        present = [k for k in rules["forbidden"] if k in cfg]
-        if present:
-            raise UsageError(f"study {cfg['study']!r} does not use {present}")
-        _check_dynamics(cfg["problem"], "problem")
-        if "epsilons" in cfg:
-            eps = cfg["epsilons"]
-            if any(b >= a for a, b in zip(eps, eps[1:])):
-                raise UsageError("epsilons must be strictly decreasing")
 
 
 def _finite_number(token):
@@ -269,16 +219,8 @@ def _finite_number(token):
     return value
 
 
-# JSON Schema's "integer" admits 100.0; a config integer must be a JSON integer
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda checker, value: isinstance(value, int) and not isinstance(value, bool)),
-)
-
-
 def load_scenario(path, kind):
-    """Read, parse, and schema-validate a scenario config for the given verb."""
+    """Read, parse, and check the keys and types of a scenario config for the given verb."""
     try:
         raw = Path(path).read_text()
     except OSError as exc:
@@ -291,12 +233,7 @@ def load_scenario(path, kind):
         raise UsageError("config must be a JSON object")
     if cfg.get("kind") != kind:
         raise UsageError(f"config kind {cfg.get('kind')!r} does not match verb {kind!r}")
-    try:
-        jsonschema.validate(cfg, _SCHEMAS[kind], cls=_Validator)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "config"
-        raise UsageError(f"config rejected at {where}: {exc.message}") from exc
-    _post_validate(cfg)
+    _check(cfg, _SCHEMAS[kind])
     return cfg
 
 
@@ -304,42 +241,53 @@ def load_scenario(path, kind):
 # config -> domain objects
 
 
-def _dynamics(cfg) -> DynamicsSpec:
+@contextmanager
+def _refused(where=""):
+    """A library object's ValueError for a bad value, as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"{where}{exc}") from exc
+
+
+def _dynamics(cfg, where) -> DynamicsSpec:
     if cfg["name"] == "scalar-linear":
         return scalar_linear_dynamics(cfg.get("a", 0.8), cfg.get("b", 0.3))
-    return double_integrator_dynamics(**{k: v for k, v in cfg.items() if k != "name"})
+    with _refused(f"{where}: "):
+        return double_integrator_dynamics(**{k: v for k, v in cfg.items() if k != "name"})
+
+
+def _grid(horizon, n_steps):
+    with _refused():
+        return make_grid(horizon, n_steps)
 
 
 def _measure(cfg):
-    try:
+    with _refused("measure: "):
         if cfg["type"] == "expectation":
             return Expectation()
         if cfg["type"] == "avar":
             return AVaR(cfg["alpha"])
         return MixtureAVaR(cfg["alphas"], cfg["weights"])
-    except ValueError as exc:
-        raise UsageError(f"measure: {exc}") from exc
 
 
 def _instance(cfg) -> SopInstance:
-    try:  # the schema's field names and noise default are SopInstance's
+    with _refused("instance: "):  # the schema's field names and noise default are SopInstance's
         return SopInstance(**cfg)
-    except ValueError as exc:
-        raise UsageError(f"instance: {exc}") from exc
 
 
 def _policy_values(cfg, instance, grid):
     """Control values on the grid for an explicit candidate policy."""
+    if ("initial_sign" in cfg) == ("constant" in cfg) or {"constant", "switches"} <= set(cfg):
+        raise UsageError("policy: give 'initial_sign' (with optional 'switches') or 'constant'")
     if "constant" in cfg:
         c = float(cfg["constant"])
         return None, np.full((grid.n_steps, 1), c)
-    try:
+    with _refused("policy: "):
         policy = BangBangPolicy(
             initial_sign=float(cfg["initial_sign"]),
             switches=tuple(float(s) for s in cfg.get("switches", ())),
         )
-    except ValueError as exc:
-        raise UsageError(f"policy: {exc}") from exc
     for s in policy.switches:  # the policy alone does not know the horizon
         if not 0.0 <= s <= instance.horizon:
             raise UsageError(f"policy: switch time {s} lies outside [0, {instance.horizon}]")
@@ -481,11 +429,11 @@ def _usable_cpus():
 
 
 def _run_simulate(cfg, ctx):
-    dyn = _dynamics(cfg["dynamics"])
+    dyn = _dynamics(cfg["dynamics"], "dynamics")
     x0 = np.asarray(cfg["x0"], dtype=float)
     if x0.shape != (dyn.state_dim,):
         raise UsageError(f"x0 must have {dyn.state_dim} components")
-    grid = make_grid(cfg["horizon"], cfg["n_steps"])
+    grid = _grid(cfg["horizon"], cfg["n_steps"])
     u = cfg["control"]["constant"] if "control" in cfg else np.zeros(dyn.control_dim)
     law = ControlLaw.constant(u, grid.n_steps)
     if law.values.shape[1] != dyn.control_dim:
@@ -506,13 +454,18 @@ def _run_simulate(cfg, ctx):
 
 def _run_risk_eval(cfg, ctx):
     measure = _measure(cfg["measure"])
+    if ("samples" in cfg) == ("sample" in cfg):
+        raise UsageError("provide exactly one of 'samples' and 'sample'")
     if "samples" in cfg:
         z = np.asarray(cfg["samples"], dtype=float)
     else:
         spec = cfg["sample"]
-        draws = ensemble_normals(cfg["seed"], spec["n"], 1)[:, 0]
-        z = spec.get("mean", 0.0) + spec.get("std", 1.0) * draws
-    value = risk_value(measure, z)
+        n, std = spec["n"], spec.get("std", 1.0)
+        if n < 1 or std < 0:
+            raise UsageError(f"sample: n must be at least 1 and std nonnegative, got {n} and {std}")
+        z = spec.get("mean", 0.0) + std * ensemble_normals(cfg["seed"], n, 1)[:, 0]
+    with _refused("samples: "):  # an empty sample
+        value = risk_value(measure, z)
     sub = risk_subgradient(measure, z)
     mean_xi = float(sub.xi.mean())
     pairing = float(np.mean(sub.xi * z))
@@ -540,7 +493,7 @@ def _run_risk_eval(cfg, ctx):
 
 def _candidate_solution(cfg, ctx):
     instance = _instance(cfg["instance"])
-    grid = make_grid(instance.horizon, cfg["n_steps"])
+    grid = _grid(instance.horizon, cfg["n_steps"])
     policy, values = _policy_values(cfg["policy"], instance, grid)
     brownian = sample_brownian(grid, 1, cfg["n_paths"], cfg["seed"])
     return assemble_solution(instance, values, brownian, policy=policy)
@@ -573,8 +526,13 @@ def _run_adjoint(cfg, ctx):
     return ("pass" if mart.passed else "fail"), results, artifacts
 
 
-def _certify_solution(cfg, ctx, sol):
-    cert, gaps = certify(sol.problem, sol, CertifyConfig(**cfg.get("tolerances", {})))
+def _certify_config(cfg):
+    with _refused("tolerances: "):
+        return CertifyConfig(**cfg.get("tolerances", {}))
+
+
+def _certify_solution(ctx, sol, config):
+    cert, gaps = certify(sol.problem, sol, config)
     cert_text = json.dumps(cert.as_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
     ctx.file("certificate.json").write_text(cert_text)
     results = {
@@ -590,17 +548,15 @@ def _certify_solution(cfg, ctx, sol):
 
 
 def _solved(cfg):
-    return solve_sop(
-        _instance(cfg["instance"]),
-        n_steps=cfg["n_steps"],
-        n_paths=cfg["n_paths"],
-        seed=cfg["seed"],
-    )
+    instance = _instance(cfg["instance"])
+    _grid(instance.horizon, cfg["n_steps"])  # solve_sop builds it after this check
+    return solve_sop(instance, n_steps=cfg["n_steps"], n_paths=cfg["n_paths"], seed=cfg["seed"])
 
 
 def _run_certify(cfg, ctx):
+    config = _certify_config(cfg)
     sol = _candidate_solution(cfg, ctx) if "policy" in cfg else _solved(cfg)
-    status, results, artifacts = _certify_solution(cfg, ctx, sol)
+    status, results, artifacts = _certify_solution(ctx, sol, config)
     results["costate_mean"] = _costate_mean_rows(sol.costates)
     artifacts.update(_write_bulk_artifacts(
         cfg, ctx, sol.states, sol.problem.dyn.noise_dim, sol.costates))
@@ -608,6 +564,7 @@ def _run_certify(cfg, ctx):
 
 
 def _run_sop_solve(cfg, ctx):
+    config = _certify_config(cfg)
     sol = _solved(cfg)
     necessity = bangbang_necessity(sol)
     safety = necessity.safety
@@ -640,7 +597,7 @@ def _run_sop_solve(cfg, ctx):
     artifacts = {}
     status = "completed"
     if cfg.get("certify", True):
-        status, cert_results, artifacts = _certify_solution(cfg, ctx, sol)
+        status, cert_results, artifacts = _certify_solution(ctx, sol, config)
         results.update(cert_results)
     artifacts.update(_write_bulk_artifacts(
         cfg, ctx, sol.states, sol.problem.dyn.noise_dim, sol.costates))
@@ -662,17 +619,15 @@ def _run_counterexample(cfg, ctx):
 
 
 def _run_convergence(cfg, ctx):
-    dyn = _dynamics(cfg["problem"])
+    dyn = _dynamics(cfg["problem"], "problem")
     x0 = np.atleast_1d(np.asarray(cfg["x0"], dtype=float))
     if x0.shape != (dyn.state_dim,):
         raise UsageError(f"x0 must have {dyn.state_dim} components")
     if cfg["study"] == "strong-order":
-        try:
+        with _refused():  # horizon, levels, or dynamics without a closed form
             rep = strong_convergence_order(
                 dyn, x0, cfg["horizon"], cfg["n_steps_levels"], cfg["n_paths"], cfg["seed"]
             )
-        except ValueError as exc:  # levels, or dynamics without a closed form
-            raise UsageError(str(exc)) from exc
         results = {
             "estimate": rep.estimate,
             "pairwise_orders": rep.pairwise_orders,
@@ -682,14 +637,14 @@ def _run_convergence(cfg, ctx):
             ],
         }
         return "completed", results, {}
-    grid = make_grid(cfg["horizon"], cfg["n_steps"])
+    grid = _grid(cfg["horizon"], cfg["n_steps"])
+    with _refused():
+        epsilons = validate_epsilons(cfg["epsilons"])
     brownian = sample_brownian(grid, dyn.noise_dim, cfg["n_paths"], cfg["seed"])
     states = euler_maruyama(dyn, ControlLaw.constant(cfg["u_star"], grid.n_steps), x0, brownian)
-    try:
+    with _refused():  # aborted reference paths
         table = linearization_rate(
-            dyn, states, ControlLaw.constant(cfg["w"], grid.n_steps), cfg["epsilons"])
-    except ValueError as exc:  # aborted reference paths
-        raise UsageError(str(exc)) from exc
+            dyn, states, ControlLaw.constant(cfg["w"], grid.n_steps), epsilons)
     results = {
         "passed": table.passed,
         "rates": [{"eps": e, "r": r} for e, r in table.rows()],
@@ -751,10 +706,10 @@ def run(argv):
     cfg = load_scenario(args.config, args.verb)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    try:
+    with _refused():  # the value rules every runner reads before it draws
         validate_seed(cfg["seed"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        if "n_paths" in cfg:
+            validate_n_paths(cfg["n_paths"])
     if args.out is not None:
         cfg["out_dir"] = args.out
     out_dir = Path(cfg.get("out_dir", "riskpmp_out"))

@@ -60,10 +60,9 @@ class SopInstance:
             raise ValueError("the start must lie strictly left of the target")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-        if self.noise < 0.0:
-            raise ValueError("noise scale must be nonnegative")
+        # the grid owns the horizon rule and the dynamics the noise rule
+        make_grid(self.horizon, 1)
+        double_integrator_dynamics(noise=self.noise)
 
     @property
     def risk(self) -> AVaR:

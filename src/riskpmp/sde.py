@@ -116,6 +116,11 @@ class BrownianEnsemble:
         return BrownianEnsemble(grid=make_grid(self.grid.horizon, k // factor), increments=coarse)
 
 
+def validate_n_paths(n_paths: int) -> None:
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+
+
 def sample_brownian(
     grid: TimeGrid, dim: int, n_paths: int, seed: int, path_offset: int = 0
 ) -> BrownianEnsemble:
@@ -127,8 +132,7 @@ def sample_brownian(
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    validate_n_paths(n_paths)
     seed = validate_seed(seed)
     z = ensemble_normals(seed, n_paths, grid.n_steps * dim, path_offset=path_offset)
     z *= math.sqrt(grid.dt)  # in place: no second (M, K, d) array
@@ -579,6 +583,8 @@ def double_integrator_dynamics(cubic: float = 0.0, noise: float = 1.0) -> Dynami
     Without the cubic term the drift Jacobian is the same on every path and
     comes back read-only with a leading axis of 1; with it, it is per path.
     """
+    if not noise >= 0.0:
+        raise ValueError(f"noise scale must be nonnegative, got {noise}")
     jac = np.array([[[0.0, 1.0], [0.0, 0.0]]])
     jac.setflags(write=False)
 

@@ -87,6 +87,16 @@ class RateTable:
         return list(zip(self.epsilons.tolist(), self.rates.tolist()))
 
 
+def validate_epsilons(epsilons: Sequence[float]) -> np.ndarray:
+    """The perturbation sizes as an array: nonempty, inside (0, 1], strictly decreasing."""
+    eps = np.asarray(list(epsilons), dtype=float)
+    if eps.ndim != 1 or eps.size == 0 or np.any(eps <= 0) or np.any(eps > 1):
+        raise ValueError("epsilons must be a nonempty list inside (0, 1]")
+    if np.any(np.diff(eps) >= 0):
+        raise ValueError("epsilons must be strictly decreasing")
+    return eps
+
+
 def linearization_rate(
     dyn: DynamicsSpec,
     states: StateEnsemble,
@@ -104,11 +114,7 @@ def linearization_rate(
     never an (M, K, ...) array.  Aborted reference paths are rejected by
     count and first index.
     """
-    eps = np.asarray(list(epsilons), dtype=float)
-    if eps.ndim != 1 or eps.size == 0 or np.any(eps <= 0) or np.any(eps > 1):
-        raise ValueError("epsilons must be a nonempty list inside (0, 1]")
-    if np.any(np.diff(eps) >= 0):
-        raise ValueError("epsilons must be strictly decreasing")
+    eps = validate_epsilons(epsilons)
     g = tangent_from_control(dyn, states, w)
     a_fn, d_fn = linearization_along(dyn, states)
     u_law, brownian = states.control, states.recorded("brownian")

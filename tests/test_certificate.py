@@ -377,6 +377,19 @@ def test_normality_tolerance_below_zero_is_refused():
             CertifyConfig(normality_tol=bad)
 
 
+@pytest.mark.parametrize("name", [f.name for f in fields(CertifyConfig)])
+def test_certify_config_owns_its_tolerance_ranges(name):
+    # normality_tol and violating_measure_tol may be 0; every other field must be positive
+    if name in ("normality_tol", "violating_measure_tol"):
+        assert getattr(CertifyConfig(**{name: 0.0}), name) == 0.0
+        bad, rule = (-1e-3, float("nan")), "nonnegative"
+    else:
+        bad, rule = (0.0, -1.0, float("nan")), "positive"
+    for value in bad:
+        with pytest.raises(ValueError, match=f"{name} must be {rule}"):
+            CertifyConfig(**{name: value})
+
+
 def test_normality_not_found_for_pinned_constraint_pair():
     dyn, states = scalar_run()
     center = float(states.terminal[:, 0].mean())

@@ -153,6 +153,68 @@ def test_readme_example_configs_validate(tmp_path):
             cli._policy_values(cfg["policy"], instance, grid)
 
 
+_README_BLOCKS = re.findall(r"```json\n(.*?)```",
+                            (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+                            flags=re.S)
+# keys a README config may drop; the verb runs without them
+_OPTIONAL = {"a", "b", "binary", "noise", "tolerances", "scale", "bsde_residual_bound",
+             "gap_threshold", "policy", "switches"}
+
+
+def _mutations(node, path=()):
+    """(mutated copy maker, key path, messages) for every mutation below node."""
+    where = "/".join(map(str, path))
+    if isinstance(node, dict):
+        yield (lambda n: n.__setitem__("bogus", 1)), path, [
+            f"config rejected at {where or 'config'}: ", "'bogus'"]
+        for key in node:
+            if key not in _OPTIONAL and path + (key,) != ("kind",):
+                yield (lambda n, k=key: n.pop(k)), path, [where, repr(key)]
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        at = "/".join(map(str, path + (key,)))
+        if path + (key,) == ("kind",):
+            continue
+        if isinstance(child, (dict, list)):
+            for mutate, p, messages in _mutations(child, path + (key,)):
+                yield (lambda n, m=mutate, k=key: m(n[k])), p, messages
+            continue
+        wrong = 1 if isinstance(child, str) else "x"
+        bad = [(wrong, f"config rejected at {at}: ")]
+        if isinstance(child, (int, float)) and not isinstance(child, bool):
+            bad.append((True, f"config rejected at {at}: True is not of type"))
+        if isinstance(child, int) and not isinstance(child, bool):
+            bad.append((float(child),
+                        f"config rejected at {at}: {float(child)!r} is not of type 'integer'"))
+        for value, message in bad:
+            yield (lambda n, k=key, v=value: n.__setitem__(k, v)), path + (key,), [message]
+
+
+@pytest.mark.parametrize("block", range(len(_README_BLOCKS)))
+def test_readme_config_mutations_are_usage_errors_naming_the_key(tmp_path, capsys, block):
+    # a dropped required key, an unknown key at any level, a wrong-typed leaf,
+    # true for a number and 1.0 for an integer: each is refused before
+    # anything runs, with the key path in the message
+    original = json.loads(_README_BLOCKS[block])
+    out = tmp_path / "o"
+    cases = list(_mutations(original))
+    assert len(cases) > 10
+    for mutate, path, messages in cases:
+        cfg = json.loads(_README_BLOCKS[block])
+        mutate(cfg)
+        code = main([original["kind"], "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, (path, cfg)
+        for message in messages:
+            assert message in err, (path, err)
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def _candidate(**over):
     cfg = {"kind": "adjoint", "instance": SAFE_INSTANCE, "policy": {"initial_sign": 1},
            "n_steps": 10, "n_paths": 10}
@@ -162,6 +224,13 @@ def _candidate(**over):
 
 _STRONG = {"kind": "convergence", "study": "strong-order", "problem": {"name": "scalar-linear"},
            "x0": 1.0, "horizon": 1.0, "n_steps_levels": [8, 16], "n_paths": 10}
+_RATE = {"kind": "convergence", "study": "linearization-rate",
+         "problem": {"name": "double-integrator"}, "x0": [0.0, 0.0], "horizon": 1.0,
+         "n_steps": 8, "n_paths": 8, "u_star": 0.0, "w": 0.5, "epsilons": [0.2, 0.1]}
+_SIMULATE = {"kind": "simulate", "dynamics": {"name": "scalar-linear"}, "x0": [1.0],
+             "horizon": 1.0, "n_steps": 4, "n_paths": 4}
+_SOP = {"kind": "sop-solve", "instance": SAFE_INSTANCE, "n_steps": 10, "n_paths": 10}
+_RISK = {"kind": "risk-eval", "measure": {"type": "expectation"}}
 
 
 @pytest.mark.parametrize("cfg, flags, message", [
@@ -189,6 +258,36 @@ _STRONG = {"kind": "convergence", "study": "strong-order", "problem": {"name": "
     (dict(_STRONG, problem={"name": "double-integrator"}, x0=[0.0, 0.0]), [], "closed form"),
     (_candidate(), ["--seed=-1"], "seed must be in [0, 2**64), got -1"),
     (_candidate(seed=2**64), [], "seed must be in [0, 2**64)"),
+    # the grid's rules, for each runner that builds one
+    (dict(_SIMULATE, n_steps=0), [], "n_steps must be a positive integer, got 0"),
+    (dict(_SIMULATE, horizon=-1.0), [], "horizon must be positive and finite, got -1.0"),
+    (dict(_RATE, n_steps=0), [], "n_steps must be a positive integer, got 0"),
+    (dict(_STRONG, horizon=0.0), [], "horizon must be positive and finite, got 0.0"),
+    (_candidate(n_steps=0), [], "n_steps must be a positive integer, got 0"),
+    (dict(_SOP, n_steps=0), [], "n_steps must be a positive integer, got 0"),
+    # the ensemble size, also where the threaded simulation would split it
+    (dict(_SIMULATE, n_paths=0), [], "n_paths must be >= 1"),
+    (dict(_SIMULATE, n_paths=0), ["--threads", "2"], "n_paths must be >= 1"),
+    (_candidate(n_paths=0), [], "n_paths must be >= 1"),
+    (dict(_SOP, n_paths=0), [], "n_paths must be >= 1"),
+    (dict(_RATE, n_paths=0), [], "n_paths must be >= 1"),
+    (dict(_STRONG, n_paths=-3), [], "n_paths must be >= 1"),
+    (dict(_SIMULATE, dynamics={"name": "double-integrator", "noise": -1.0}, x0=[0.0, 0.0]), [],
+     "dynamics: noise scale must be nonnegative, got -1.0"),
+    (dict(_RATE, epsilons=[0.1, 0.2]), [], "epsilons must be strictly decreasing"),
+    (dict(_RATE, epsilons=[]), [], "epsilons must be a nonempty list inside (0, 1]"),
+    (dict(_RATE, epsilons=[1.5, 0.5]), [], "epsilons must be a nonempty list inside (0, 1]"),
+    (dict(_RISK, samples=[]), [], "samples: sample is empty"),
+    (dict(_RISK, sample={"n": 0}), [], "sample: n must be at least 1"),
+    (dict(_RISK, sample={"n": 5, "std": -1.0}), [], "std nonnegative, got 5 and -1.0"),
+    (dict(_SOP, tolerances={"gap_threshold": 0.0}), [],
+     "tolerances: gap_threshold must be positive, got 0.0"),
+    (_candidate(kind="certify", tolerances={"scale": -8.0}), [],
+     "tolerances: scale must be positive, got -8.0"),
+    (_candidate(policy={"initial_sign": 1, "constant": 0.5}), [],
+     "policy: give 'initial_sign' (with optional 'switches') or 'constant'"),
+    (_candidate(policy={"constant": 0.5, "switches": [1.0]}), [],
+     "policy: give 'initial_sign' (with optional 'switches') or 'constant'"),
 ])
 def test_bad_values_are_refused_before_sampling(tmp_path, capsys, monkeypatch, cfg, flags, message):
     # each value rule lives in the library object the verb builds; the verb
@@ -206,6 +305,18 @@ def test_bad_values_are_refused_before_sampling(tmp_path, capsys, monkeypatch, c
     assert message in capsys.readouterr().err
     assert not out.exists()
     assert draws == []
+
+
+def test_cli_takes_the_zero_tolerances_certify_config_allows(tmp_path, capsys):
+    # CertifyConfig allows normality_tol = 0 and violating_measure_tol = 0;
+    # the tolerances block takes the same ranges
+    out = tmp_path / "o"
+    tolerances = dict(CALIBRATED, normality_tol=0.0, violating_measure_tol=0.0)
+    cfg = dict(_SOP, seed=1, out_dir=str(out), tolerances=tolerances)
+    assert main(["sop-solve", "--config", write_cfg(tmp_path, cfg)]) in (0, 2, 3)
+    stanza = json.loads((out / "certificate.json").read_text())["tolerances"]
+    assert stanza["normality"] == 0.0 and stanza["violating_measure"] == 0.0
+    capsys.readouterr()
 
 
 def test_mixture_weight_zero_is_accepted(tmp_path, capsys):
@@ -655,11 +766,12 @@ def test_sop_solve_loads_no_scipy(tmp_path):
         "import sys\n"
         "from riskpmp.cli import main\n"
         f"main(['sop-solve', '--config', {write_cfg(tmp_path, cfg)!r}])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+        "             ('scipy', 'jsonschema', 'referencing', 'rpds', 'attrs', 'attr')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"  # no scipy module loaded
+    assert proc.stdout.splitlines()[-1] == "[]"  # no scipy or jsonschema module loaded
     assert (tmp_path / "out" / "report.json").exists()
 
 

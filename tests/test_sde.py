@@ -581,6 +581,12 @@ def test_dynamics_spec_jacobian_probe_catches_mismatch():
         dyn_const_bad.check_jacobians(0.0, x, np.zeros(1))
 
 
+def test_double_integrator_refuses_negative_noise():
+    assert double_integrator_dynamics(noise=0.0).noise_dim == 1
+    with pytest.raises(ValueError, match="noise scale must be nonnegative, got -0.5"):
+        double_integrator_dynamics(noise=-0.5)
+
+
 def test_double_integrator_jacobian_is_path_constant_without_cubic_term():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(6, 2))
