@@ -21,7 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sde import DynamicsSpec, FundamentalMatrices, StateEnsemble, TimeGrid, sample_std
+from .sde import (ControlLaw, DynamicsSpec, FundamentalMatrices, StateEnsemble, TimeGrid,
+                  sample_std)
 
 RIDGE = 1e-10
 RIDGE_FLAG_SHIFT = 1e-8
@@ -216,6 +217,26 @@ class CostatePair:
         return self.p.shape[0]
 
 
+def _jacobian_steps(dyn: DynamicsSpec, law: ControlLaw, nodes: np.ndarray,
+                    n_paths: int) -> Tuple:
+    """A_k and D_k as functions of (k, x_k): the drift and diffusion
+    Jacobians at node k for states x_k (M, n) under the grid control law;
+    the D function is None when the dynamics declare no diffusion_jac."""
+    if dyn.drift_jac is None:
+        raise ValueError("adjoint machinery needs drift_jac on the dynamics")
+
+    def a_at(k: int, x_k: np.ndarray) -> np.ndarray:
+        return dyn.drift_jac(nodes[k], x_k, law.at(k, n_paths))
+
+    if dyn.diffusion_jac is None:
+        return a_at, None
+
+    def d_at(k: int, x_k: np.ndarray) -> np.ndarray:
+        return dyn.diffusion_jac(nodes[k], x_k, law.at(k, n_paths))
+
+    return a_at, d_at
+
+
 def linearization_along(dyn: DynamicsSpec, states: StateEnsemble) -> Tuple:
     """Per-step accessors for A_k, D_k along the candidate trajectory and the
     control it carries, suitable for fundamental_matrices and solve_adjoint.
@@ -224,22 +245,16 @@ def linearization_along(dyn: DynamicsSpec, states: StateEnsemble) -> Tuple:
     leaving it None for additive noise keeps the fundamental pair
     deterministic, which is much cheaper.
     """
-    if dyn.drift_jac is None:
-        raise ValueError("adjoint machinery needs drift_jac on the dynamics")
-    law = states.recorded("control")
-    nodes = states.grid.nodes
-    n_paths = states.n_paths
+    a_at, d_at = _jacobian_steps(dyn, states.recorded("control"), states.grid.nodes,
+                                 states.n_paths)
 
     def a_fn(k: int) -> np.ndarray:
-        return dyn.drift_jac(nodes[k], states.values[:, k, :], law.at(k, n_paths))
-
-    if dyn.diffusion_jac is None:
-        return a_fn, None
+        return a_at(k, states.values[:, k, :])
 
     def d_fn(k: int) -> np.ndarray:
-        return dyn.diffusion_jac(nodes[k], states.values[:, k, :], law.at(k, n_paths))
+        return d_at(k, states.values[:, k, :])
 
-    return a_fn, d_fn
+    return a_fn, (None if d_at is None else d_fn)
 
 
 def solve_adjoint(

@@ -16,8 +16,8 @@ import numpy as np
 from .adjoint import CostatePair, linearization_along, martingale_check
 from .export import jsonable
 from .risk import AVaR, Expectation, MixtureAVaR, SampledRandomVariable, risk_value
-from .sde import (ControlLaw, DynamicsSpec, StateEnsemble, central_differences, sample_std,
-                  solve_linearized)
+from .sde import (ControlLaw, DynamicsSpec, StateEnsemble, _linear_step, central_differences,
+                  sample_std)
 from .variational import tangent_from_control
 
 
@@ -260,7 +260,12 @@ def normality_certificate(problem: ProblemSpec, states: StateEnsemble,
              for i in active]
     for desc, values in candidates:
         forcing = tangent_from_control(dyn, states, ControlLaw(values))
-        y_T = solve_linearized(a_fn, d_fn, forcing, brownian).terminal
+        # solve_linearized's steps, holding y_k alone: only y(T) is read
+        y_T = np.zeros((states.n_paths, states.state_dim))
+        for k in range(n_steps):
+            g1, g2 = forcing(k)
+            y_T = _linear_step(y_T, a_fn(k), None if d_fn is None else d_fn(k), g1, g2,
+                               states.grid.dt, brownian.increments[:, k])
         margins = [float(np.mean(np.einsum("pn,pn->p", g, y_T))) for g in grads]
         if all(m < -cfg.normality_tol for m in margins):
             return NormalityReport(status="certified", witness=desc,

@@ -37,6 +37,7 @@ from .planner import (
     SopInstance,
     assemble_solution,
     bangbang_necessity,
+    build_sop,
     solve_sop,
 )
 from .risk import AVaR, Expectation, MixtureAVaR, risk_subgradient, risk_value
@@ -281,8 +282,10 @@ def _policy_values(cfg, instance, grid):
     if ("initial_sign" in cfg) == ("constant" in cfg) or {"constant", "switches"} <= set(cfg):
         raise UsageError("policy: give 'initial_sign' (with optional 'switches') or 'constant'")
     if "constant" in cfg:
-        c = float(cfg["constant"])
-        return None, np.full((grid.n_steps, 1), c)
+        values = np.full((grid.n_steps, 1), float(cfg["constant"]))
+        with _refused("policy: "):  # the dynamics own the control set
+            build_sop(instance).dyn.check_controls(values)
+        return None, values
     with _refused("policy: "):
         policy = BangBangPolicy(
             initial_sign=float(cfg["initial_sign"]),
@@ -641,10 +644,9 @@ def _run_convergence(cfg, ctx):
     with _refused():
         epsilons = validate_epsilons(cfg["epsilons"])
     brownian = sample_brownian(grid, dyn.noise_dim, cfg["n_paths"], cfg["seed"])
-    states = euler_maruyama(dyn, ControlLaw.constant(cfg["u_star"], grid.n_steps), x0, brownian)
-    with _refused():  # aborted reference paths
-        table = linearization_rate(
-            dyn, states, ControlLaw.constant(cfg["w"], grid.n_steps), epsilons)
+    u_star, w = (ControlLaw.constant(cfg[key], grid.n_steps) for key in ("u_star", "w"))
+    with _refused():  # aborted reference paths, or controls that move nothing
+        table = linearization_rate(dyn, u_star, x0, brownian, w, epsilons)
     results = {
         "passed": table.passed,
         "rates": [{"eps": e, "r": r} for e, r in table.rows()],

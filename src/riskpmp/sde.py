@@ -233,6 +233,20 @@ class DynamicsSpec:
                 raise ValueError("control_grid width must equal control_dim")
             self.control_grid = grid
 
+    def check_controls(self, values) -> None:
+        """Refuse control values (..., m) outside the box that control_grid
+        spans, naming the first such value and the box; without a control
+        grid there is no box to check against."""
+        if self.control_grid is None:
+            return
+        lo, hi = self.control_grid.min(axis=0), self.control_grid.max(axis=0)
+        rows = np.asarray(values, dtype=float).reshape(-1, self.control_dim)
+        outside = ~((rows >= lo) & (rows <= hi)).all(axis=1)
+        if outside.any():
+            u = ", ".join(str(float(c)) for c in rows[np.argmax(outside)])
+            box = " x ".join(f"[{float(a)}, {float(b)}]" for a, b in zip(lo, hi))
+            raise ValueError(f"control {u} lies outside the control set {box}")
+
     def check_jacobians(self, t: float, x: np.ndarray, u: np.ndarray,
                         rtol: float = 1e-4, atol: float = 1e-6) -> None:
         """Probe the declared Jacobians against central finite differences.
@@ -348,14 +362,30 @@ def _warn_aborted(first_failure: np.ndarray) -> None:
                       f"(first at step {int(failed.min())})", RuntimeWarning, stacklevel=3)
 
 
+def _check_noise_dim(dyn: DynamicsSpec, brownian: BrownianEnsemble) -> None:
+    if brownian.dim != dyn.noise_dim:
+        raise ValueError(f"Brownian dim {brownian.dim} does not match dynamics noise_dim "
+                         f"{dyn.noise_dim}")
+
+
+def _abort_nonfinite(x: np.ndarray, first_failure: np.ndarray, node: int) -> None:
+    """The abort rule, in place on the states x (M, n) at a node: a path that
+    is not finite there is NaN from there on, and the node is recorded in
+    first_failure (-1 while a path has not aborted)."""
+    # an aborted path is NaN and stays NaN, so all finite means none aborted
+    if not np.isfinite(x).all():
+        bad = (first_failure < 0) & ~np.isfinite(x).all(axis=1)
+        first_failure[bad] = node
+        x[first_failure >= 0] = np.nan
+
+
 def _integrate(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEnsemble) -> StateEnsemble:
     """euler_maruyama without its warning, for a caller that integrates one
     ensemble in path chunks and warns once for the whole."""
     grid = brownian.grid
     n_paths, n_steps, d = brownian.increments.shape
     n = dyn.state_dim
-    if d != dyn.noise_dim:
-        raise ValueError(f"Brownian dim {d} does not match dynamics noise_dim {dyn.noise_dim}")
+    _check_noise_dim(dyn, brownian)
     feedback = isinstance(law, FeedbackLaw)
     if not feedback:
         law = as_control_law(law)
@@ -389,11 +419,7 @@ def _integrate(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEnsembl
             if sig.shape != (n_paths, n, d):
                 raise ValueError(f"diffusion returned shape {sig.shape}, expected {(n_paths, n, d)}")
             x = x + f * dt + np.einsum("pnd,pd->pn", sig, dw)
-            # an aborted path is NaN and stays NaN, so all finite means none aborted
-            if not np.isfinite(x).all():
-                bad = (first_failure < 0) & ~np.isfinite(x).all(axis=1)
-                first_failure[bad] = k + 1
-                x[first_failure >= 0] = np.nan
+            _abort_nonfinite(x, first_failure, k + 1)
             out[:, k + 1] = x
     return StateEnsemble(grid=grid, values=out, first_failure=first_failure,
                          control=ControlLaw(realized) if feedback else law, brownian=brownian)

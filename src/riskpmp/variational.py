@@ -13,15 +13,45 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adjoint import linearization_along
-from .sde import DynamicsSpec, StateEnsemble, _linear_step, as_control_law, solve_linearized
+from .adjoint import _jacobian_steps, linearization_along
+from .sde import (BrownianEnsemble, ControlLaw, DynamicsSpec, StateEnsemble, _abort_nonfinite,
+                  _check_noise_dim, _linear_step, _warn_aborted, as_control_law,
+                  solve_linearized)
 
 
-def _refuse_aborted(states: StateEnsemble) -> None:
-    bad = ~np.isfinite(states.values).all(axis=(1, 2))
+def _refuse_aborted(bad: np.ndarray) -> None:
+    """Refuse a reference with paths flagged in bad (M,) as not finite."""
     if bad.any():
         raise ValueError(f"reference state is not finite on {int(bad.sum())} of {bad.size} "
                          f"paths (first at path {int(np.argmax(bad))})")
+
+
+def _control_difference(dyn: DynamicsSpec, u_law: ControlLaw, w_law: ControlLaw,
+                        nodes: np.ndarray, n_paths: int, stacklevel: int) -> Callable:
+    """The control-difference forcing as a function of (k, x*_k), x*_k the
+    contiguous (M, n) reference states at node k; the first nonzero g2_k
+    warns, stacklevel frames up, when the dynamics do not attest convex
+    velocity sets."""
+    checked = False  # the velocity-set attestation, read once
+
+    def g(k: int, x_k: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        nonlocal checked
+        t, u_k, w_k = nodes[k], u_law.at(k, n_paths), w_law.at(k, n_paths)
+        g1 = dyn.drift(t, x_k, w_k) - dyn.drift(t, x_k, u_k)
+        g2 = dyn.diffusion(t, x_k, w_k) - dyn.diffusion(t, x_k, u_k)
+        if not np.any(g2):
+            return g1, None
+        if not (checked or dyn.convex_velocity_sets):
+            warnings.warn(
+                "control enters the diffusion but convex velocity sets are not "
+                "attested; control-difference tangents are only licensed for "
+                "uncontrolled diffusion or convex velocity sets",
+                stacklevel=stacklevel,
+            )
+        checked = True
+        return g1, g2
+
+    return g
 
 
 def tangent_from_control(dyn: DynamicsSpec, states: StateEnsemble, w) -> Callable:
@@ -32,36 +62,16 @@ def tangent_from_control(dyn: DynamicsSpec, states: StateEnsemble, w) -> Callabl
     the matching diffusion difference (M, n, d), None where it is exactly
     zero, the regime where these selections are unconditionally valid.
 
-    g(k, x_k) takes x*_k from a caller that already holds it as a
-    contiguous (M, n) copy, as the rate pass does, and saves copying it.
     Aborted reference paths are rejected by count and first index.  The
     first nonzero g2_k warns, at the caller of the function stepping
     through g, when the dynamics do not attest convex velocity sets.
     """
-    _refuse_aborted(states)
-    u_law = states.recorded("control")
-    w_law = as_control_law(w)
-    m_paths, nodes = states.n_paths, states.grid.nodes
-    checked = False  # the velocity-set attestation, read once
+    _refuse_aborted(~np.isfinite(states.values).all(axis=(1, 2)))
+    step = _control_difference(dyn, states.recorded("control"), as_control_law(w),
+                               states.grid.nodes, states.n_paths, stacklevel=4)
 
-    def g(k: int, x_k: Optional[np.ndarray] = None) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        nonlocal checked
-        if x_k is None:
-            x_k = np.ascontiguousarray(states.values[:, k, :])
-        t, u_k, w_k = nodes[k], u_law.at(k, m_paths), w_law.at(k, m_paths)
-        g1 = dyn.drift(t, x_k, w_k) - dyn.drift(t, x_k, u_k)
-        g2 = dyn.diffusion(t, x_k, w_k) - dyn.diffusion(t, x_k, u_k)
-        if not np.any(g2):
-            return g1, None
-        if not (checked or dyn.convex_velocity_sets):
-            warnings.warn(
-                "control enters the diffusion but convex velocity sets are not "
-                "attested; control-difference tangents are only licensed for "
-                "uncontrolled diffusion or convex velocity sets",
-                stacklevel=3,
-            )
-        checked = True
-        return g1, g2
+    def g(k: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        return step(k, np.ascontiguousarray(states.values[:, k, :]))
 
     return g
 
@@ -97,54 +107,91 @@ def validate_epsilons(epsilons: Sequence[float]) -> np.ndarray:
     return eps
 
 
+def _rate_control(dyn: DynamicsSpec, law, name: str, n_steps: int) -> ControlLaw:
+    law = as_control_law(law)
+    if law.n_steps != n_steps:
+        raise ValueError(f"{name} has {law.n_steps} steps; the grid has {n_steps}")
+    if law.dim != dyn.control_dim:
+        raise ValueError(f"{name} has width {law.dim}; the dynamics take control_dim "
+                         f"{dyn.control_dim}")
+    return law
+
+
 def linearization_rate(
     dyn: DynamicsSpec,
-    states: StateEnsemble,
+    u_star,
+    x0: np.ndarray,
+    brownian: BrownianEnsemble,
     w,
     epsilons: Sequence[float],
 ) -> RateTable:
-    """r(eps) = (1/eps) E[sup_k |x^eps_k - x*_k - eps y_k|] on the states'
-    Brownian paths, for the perturbation toward w (a ControlLaw or its grid
-    values) that tangent_from_control selects.
+    """r(eps) = (1/eps) E[sup_k |x^eps_k - x*_k - eps y_k|] on the Brownian
+    paths, for the reference x* under u_star from x0 and the perturbation
+    toward w that the control difference selects.  u_star and w are
+    ControlLaws or their grid values, x0 one state or one per path, as
+    euler_maruyama takes them.
 
-    y does not depend on eps, so one streaming pass integrates it once while
-    the E perturbed states advance as one (E, M, n) stack.  The pass reads
-    the forcing accessor step by step, so beyond the states and their
-    Brownian ensemble it holds that stack and per-step (M, ...) slices,
-    never an (M, K, ...) array.  Aborted reference paths are rejected by
-    count and first index.
+    One streaming pass integrates the reference as member eps = 0 of the
+    (E+1, M, n) stack of perturbed states: the stack's step x + (f + eps g1)
+    dt + sum_i (sigma_i + eps g2^i) dW^i is the Euler-Maruyama step there.
+    y does not depend on eps and is integrated once alongside.  The forcing
+    and A_k, D_k are evaluated on the reference's slice, so the pass holds
+    the stack, y and per-step (M, ...) slices, and no (paths x nodes) array.
+    Reference paths that turn non-finite abort as in euler_maruyama: after
+    the pass one RuntimeWarning names how many, and the rate is refused by
+    count and first index.  Perturbed paths that turn non-finite on a finite
+    reference warn by count and first index, and their rates are not
+    finite.  Dynamics without a control are refused, since u_star and w
+    move nothing there and every rate would be 0.
     """
     eps = validate_epsilons(epsilons)
-    g = tangent_from_control(dyn, states, w)
-    a_fn, d_fn = linearization_along(dyn, states)
-    u_law, brownian = states.control, states.recorded("brownian")
-    n_eps, m_paths, n, d = eps.size, states.n_paths, states.state_dim, brownian.dim
-    nodes, dt = states.grid.nodes, states.grid.dt
-    e3 = eps[:, None, None]
+    if dyn.control_dim == 0:
+        raise ValueError("the dynamics take no control (control_dim 0): u_star and w "
+                         "move nothing, so every rate would be 0")
+    n_eps, (m_paths, n_steps, d), n = eps.size, brownian.increments.shape, dyn.state_dim
+    u_law = _rate_control(dyn, u_star, "u_star", n_steps)
+    w_law = _rate_control(dyn, w, "w", n_steps)
+    _check_noise_dim(dyn, brownian)
+    nodes, dt = brownian.grid.nodes, brownian.grid.dt
+    g = _control_difference(dyn, u_law, w_law, nodes, m_paths, stacklevel=3)
+    a_at, d_at = _jacobian_steps(dyn, u_law, nodes, m_paths)
+    e3 = np.concatenate(([0.0], eps))[:, None, None]  # member 0 is the reference x*
+    stack = n_eps + 1
 
-    x = np.repeat(states.values[None, :, 0, :], n_eps, axis=0)  # (E, M, n)
+    x = np.empty((stack, m_paths, n))
+    x[:] = np.broadcast_to(np.asarray(x0, dtype=float), (m_paths, n))
     y = np.zeros((m_paths, n))
     worst = np.zeros((n_eps, m_paths))  # running sup of the squared gap
-    x_k = np.ascontiguousarray(states.values[:, 0, :])
-    for k in range(states.grid.n_steps):
-        g1, g2 = g(k, x_k)
-        # contiguous per-step slices, so the (E, M, n) arithmetic runs flat
-        u_e = (u_law.at(k, n_eps * m_paths) if u_law.deterministic
-               else np.tile(u_law.at(k, m_paths), (n_eps, 1)))
-        dw = np.ascontiguousarray(brownian.increments[:, k])
-        flat = x.reshape(n_eps * m_paths, n)
-        drift = dyn.drift(nodes[k], flat, u_e).reshape(n_eps, m_paths, n) + e3 * g1
-        noise = dyn.diffusion(nodes[k], flat, u_e).reshape(n_eps, m_paths, n, d)
-        if g2 is not None:
-            noise = noise + e3[..., None] * g2
-        x = x + drift * dt + np.einsum("epnd,pd->epn", noise, dw)
-        y = _linear_step(y, a_fn(k), None if d_fn is None else d_fn(k), g1, g2, dt, dw)
+    first_failure = np.full(m_paths, -1, dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):  # aborted paths are refused below
+        for k in range(n_steps):
+            x_k = x[0]
+            g1, g2 = g(k, x_k)
+            # contiguous per-step slices, so the (E+1, M, n) arithmetic runs flat
+            u_e = (u_law.at(k, stack * m_paths) if u_law.deterministic
+                   else np.tile(u_law.at(k, m_paths), (stack, 1)))
+            dw = np.ascontiguousarray(brownian.increments[:, k])
+            flat = x.reshape(stack * m_paths, n)
+            drift = dyn.drift(nodes[k], flat, u_e).reshape(stack, m_paths, n) + e3 * g1
+            noise = dyn.diffusion(nodes[k], flat, u_e).reshape(stack, m_paths, n, d)
+            if g2 is not None:
+                noise = noise + e3[..., None] * g2
+            x = x + drift * dt + np.einsum("epnd,pd->epn", noise, dw)
+            _abort_nonfinite(x[0], first_failure, k + 1)
+            y = _linear_step(y, a_at(k, x_k), None if d_at is None else d_at(k, x_k),
+                             g1, g2, dt, dw)
 
-        x_k = np.ascontiguousarray(states.values[:, k + 1, :])  # x*_{k+1}: this gap, next forcing
-        gap = x - x_k
-        gap -= e3 * y
-        # the sum np.linalg.norm takes, without a reduce over the short axis
-        np.maximum(worst, sum(gap[..., i] * gap[..., i] for i in range(n)), out=worst)
+            gap = x[1:] - x[0]
+            gap -= e3[1:] * y
+            # the sum np.linalg.norm takes, without a reduce over the short axis
+            np.maximum(worst, sum(gap[..., i] * gap[..., i] for i in range(n)), out=worst)
+    _warn_aborted(first_failure)
+    _refuse_aborted(first_failure >= 0)
+    blown = ~np.isfinite(worst).all(axis=0)  # the overflow the errstate above kept quiet
+    if blown.any():
+        warnings.warn(f"perturbed state is not finite on {int(blown.sum())} of {m_paths} paths "
+                      f"(first at path {int(np.argmax(blown))}), so some rates are not finite",
+                      RuntimeWarning, stacklevel=2)
     return RateTable(epsilons=eps, rates=np.sqrt(worst).mean(axis=1) / eps)
 
 

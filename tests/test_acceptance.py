@@ -195,8 +195,8 @@ def test_criterion_5_linearization_rate():
     grid = make_grid(1.0, 2000)
     bm = sample_brownian(grid, 1, 10_000, seed=SEED)
     u_star = ControlLaw.constant(0.3, 2000)
-    states = euler_maruyama(dyn, u_star, np.zeros(2), bm)
-    table = linearization_rate(dyn, states, ControlLaw.constant(-0.8, 2000), [0.2, 0.025])
+    table = linearization_rate(dyn, u_star, np.zeros(2), bm, ControlLaw.constant(-0.8, 2000),
+                               [0.2, 0.025])
     elapsed = time.perf_counter() - t0
     r_big, r_small = table.rates
     ok = r_small < 0.5 * r_big and elapsed < 120.0

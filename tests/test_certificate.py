@@ -2,6 +2,7 @@
 linear-quadratic benchmark whose optimal feedback has a closed form."""
 
 import json
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -34,6 +35,7 @@ from riskpmp import (
     sample_brownian,
     slackness_check,
     solve_adjoint,
+    solve_linearized,
     tangent_from_control,
 )
 from riskpmp.adjoint import (
@@ -44,7 +46,7 @@ from riskpmp.adjoint import (
     tower_check,
 )
 from riskpmp.sde import FundamentalMatrices, StateEnsemble
-from riskpmp.variational import linearization_rate, selection_continuity
+from riskpmp.variational import selection_continuity
 
 
 def double_integrator(noise=1.0, grid_points=21):
@@ -285,8 +287,7 @@ def test_states_without_control_rejected_by_name():
     dyn = toy_problem().dyn
     readers = [lambda: linearization_along(dyn, states),
                lambda: maximization_gap(toy_problem(), states, pair),
-               lambda: tangent_from_control(dyn, states, ControlLaw.constant(1.0, 3)),
-               lambda: linearization_rate(dyn, states, ControlLaw.constant(1.0, 3), [0.5])]
+               lambda: tangent_from_control(dyn, states, ControlLaw.constant(1.0, 3))]
     for read in readers:
         with pytest.raises(ValueError, match="carries no control"):
             read()
@@ -310,7 +311,6 @@ def test_states_without_brownian_rejected_by_name():
                lambda: conditional_expectation(np.zeros(2), states, 1),
                lambda: tower_check(np.zeros(2), states),
                lambda: normality_certificate(toy_problem([con]), states, active=[0]),
-               lambda: linearization_rate(dyn, states, ControlLaw.constant(-1.0, 3), [0.5]),
                lambda: selection_continuity(dyn, states, g, still)]
     for read in readers:
         with pytest.raises(ValueError, match="carries no Brownian ensemble"):
@@ -403,6 +403,41 @@ def test_normality_not_found_for_pinned_constraint_pair():
     rep = normality_certificate(prob, states, active=[0, 1])
     assert rep.status == "not_found"
     assert rep.candidates_tried >= 5
+
+
+def test_normality_search_holds_no_whole_path():
+    # each candidate's y is stepped to y(T) alone, never held over the grid
+    m_paths, n_steps = 2000, 200
+    dyn = double_integrator()
+    grid = make_grid(2.0, n_steps)
+    brownian = sample_brownian(grid, 1, m_paths, 41)
+    states = euler_maruyama(dyn, ControlLaw(np.zeros((n_steps, 1))), np.zeros(2), brownian)
+    center = float(states.terminal[:, 0].mean())
+    e_y = np.array([1.0, 0.0])
+    up = TerminalConstraint(fn=lambda x: x[:, 0] - center,
+                            gradient=lambda x: np.tile(e_y, (len(x), 1)))
+    down = TerminalConstraint(fn=lambda x: center - x[:, 0],
+                              gradient=lambda x: np.tile(-e_y, (len(x), 1)))
+    pinned = ProblemSpec(dyn=dyn, risk=Expectation(), cost=lambda x: x[:, 0],
+                         cost_gradient=lambda x: np.ones_like(x), x0=np.zeros(2),
+                         constraints=(up, down))
+    tracemalloc.start()
+    try:
+        rep = normality_certificate(pinned, states, active=[0, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.status == "not_found" and rep.candidates_tried == 27
+    assert peak < states.values.nbytes
+
+    # the witness margins are those of the whole linearized path's terminal
+    one_sided = replace(pinned, constraints=(up,))
+    rep = normality_certificate(one_sided, states, active=[0])
+    assert rep.status == "certified" and rep.witness == "constant u=[-1.]"
+    g = tangent_from_control(dyn, states, ControlLaw(np.full((n_steps, 1), -1.0)))
+    y_T = solve_linearized(*linearization_along(dyn, states), g, brownian).terminal
+    assert rep.margins == [float(np.mean(np.einsum("pn,pn->p", up.gradient(states.terminal),
+                                                   y_T)))]
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,11 @@ _RISK = {"kind": "risk-eval", "measure": {"type": "expectation"}}
      "policy: give 'initial_sign' (with optional 'switches') or 'constant'"),
     (_candidate(policy={"constant": 0.5, "switches": [1.0]}), [],
      "policy: give 'initial_sign' (with optional 'switches') or 'constant'"),
+    # the dynamics own the control set U = [-1, 1]
+    (_candidate(policy={"constant": 5.0}), [],
+     "policy: control 5.0 lies outside the control set [-1.0, 1.0]"),
+    (_candidate(kind="certify", policy={"constant": -1.5}), [],
+     "policy: control -1.5 lies outside the control set [-1.0, 1.0]"),
 ])
 def test_bad_values_are_refused_before_sampling(tmp_path, capsys, monkeypatch, cfg, flags, message):
     # each value rule lives in the library object the verb builds; the verb
@@ -975,6 +980,17 @@ def test_convergence_aborted_reference_paths_is_usage_error(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "reference state is not finite on 168 of 1000 paths (first at path 1)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_convergence_rate_refuses_a_control_free_problem(tmp_path, capsys):
+    # u_star and w move nothing in scalar-linear: every rate would read 0, a pass on no evidence
+    cfg = dict(_RATE, seed=1, out_dir=str(tmp_path / "o"), problem={"name": "scalar-linear"},
+               x0=[1.0], epsilons=[0.5])
+    assert main(["convergence", "--config", write_cfg(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "the dynamics take no control (control_dim 0)" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 

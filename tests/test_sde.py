@@ -581,6 +581,23 @@ def test_dynamics_spec_jacobian_probe_catches_mismatch():
         dyn_const_bad.check_jacobians(0.0, x, np.zeros(1))
 
 
+def test_dynamics_refuse_controls_outside_the_box_of_their_grid():
+    dyn = double_integrator_dynamics()
+    dyn.check_controls(np.array([[-1.0], [0.25], [1.0]]))
+    with pytest.raises(ValueError, match=r"control 5.0 lies outside the control set \[-1.0, 1.0\]"):
+        dyn.check_controls(np.array([[0.0], [5.0], [-7.0]]))
+    with pytest.raises(ValueError, match="control nan lies outside"):
+        dyn.check_controls(np.full((3, 1), np.nan))
+    # a box in two control dimensions, and no box without a control grid
+    corners = np.array([[-1.0, 0.0], [-1.0, 2.0], [1.0, 0.0], [1.0, 2.0]])
+    plane = DynamicsSpec(2, 2, 1, None, None, control_grid=corners)
+    plane.check_controls(np.array([[0.5, 1.5]]))
+    with pytest.raises(ValueError, match=r"control 0.5, 3.0 lies outside the control set "
+                                         r"\[-1.0, 1.0\] x \[0.0, 2.0\]"):
+        plane.check_controls(np.array([[0.5, 3.0]]))
+    DynamicsSpec(2, 1, 1, None, None).check_controls(np.array([[5.0]]))
+
+
 def test_double_integrator_refuses_negative_noise():
     assert double_integrator_dynamics(noise=0.0).noise_dim == 1
     with pytest.raises(ValueError, match="noise scale must be nonnegative, got -0.5"):

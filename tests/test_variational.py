@@ -12,6 +12,7 @@ from riskpmp.sde import (
     euler_maruyama,
     make_grid,
     sample_brownian,
+    scalar_linear_dynamics,
     solve_linearized,
 )
 from riskpmp.variational import (
@@ -146,8 +147,7 @@ def test_rate_zero_selection_is_zero():
     grid = make_grid(1.0, 50)
     bm = sample_brownian(grid, 1, 200, seed=5)
     law = ControlLaw.constant(0.0, 50)
-    states = euler_maruyama(dyn, law, np.zeros(2), bm)
-    table = linearization_rate(dyn, states, law, [0.5, 0.25, 0.125])
+    table = linearization_rate(dyn, law, np.zeros(2), bm, law, [0.5, 0.25, 0.125])
     np.testing.assert_array_equal(table.rates, 0.0)
     assert table.passed
 
@@ -160,9 +160,8 @@ def test_rate_linear_dynamics_floor_is_roundoff(n_steps):
     grid = make_grid(1.0, n_steps)
     bm = sample_brownian(grid, 1, 500, seed=6)
     u_star = ControlLaw.constant(0.1, n_steps)
-    states = euler_maruyama(dyn, u_star, np.ones(1), bm)
     w = ControlLaw.constant(0.9, n_steps)
-    table = linearization_rate(dyn, states, w, [0.2, 0.05, 0.0125])
+    table = linearization_rate(dyn, u_star, np.ones(1), bm, w, [0.2, 0.05, 0.0125])
     assert np.max(table.rates) <= 1e-9
     assert table.passed
 
@@ -173,16 +172,15 @@ def test_rate_nonlinear_drift_halves():
     grid = make_grid(1.0, n_steps)
     bm = sample_brownian(grid, 1, 2000, seed=7)
     u_star = ControlLaw.constant(0.3, n_steps)
-    states = euler_maruyama(dyn, u_star, np.zeros(2), bm)
     w = ControlLaw.constant(-0.8, n_steps)
     eps = [0.2, 0.1, 0.05, 0.025]
-    table = linearization_rate(dyn, states, w, eps)
+    table = linearization_rate(dyn, u_star, np.zeros(2), bm, w, eps)
     assert table.passed
     assert table.rates[-1] < 0.5 * table.rates[0]
     # smooth drift: the rate is close to linear in eps
     assert table.rates[-1] < 0.25 * table.rates[0]
 
-    rerun = linearization_rate(dyn, states, w, eps)
+    rerun = linearization_rate(dyn, u_star, np.zeros(2), bm, w, eps)
     assert np.array_equal(table.rates, rerun.rates)
 
 
@@ -191,10 +189,9 @@ def test_rate_rejects_bad_epsilons():
     grid = make_grid(1.0, 4)
     bm = sample_brownian(grid, 1, 8, seed=8)
     law = ControlLaw.constant(0.0, 4)
-    states = euler_maruyama(dyn, law, np.ones(1), bm)
     for bad in ([], [0.5, 0.5], [0.1, 0.2], [1.5, 0.2], [-0.1]):
         with pytest.raises(ValueError):
-            linearization_rate(dyn, states, law, bad)
+            linearization_rate(dyn, law, np.ones(1), bm, law, bad)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -205,16 +202,36 @@ def test_rate_names_aborted_reference_paths():
     grid = make_grid(1.0, 50)
     bm = sample_brownian(grid, 1, 1000, seed=3)
     law = ControlLaw.constant(0.0, 50)
-    with pytest.warns(RuntimeWarning, match="aborted"):
-        states = euler_maruyama(dyn, law, np.array([1.5, 0.0]), bm)
+    x0 = np.array([1.5, 0.0])
+    with pytest.warns(RuntimeWarning, match="aborted") as integrated:
+        states = euler_maruyama(dyn, law, x0, bm)
     failed = states.failed_paths
     assert failed.size > 0
     refusal = rf"not finite on {failed.size} of 1000 paths \(first at path {failed[0]}\)"
     w = ControlLaw.constant(0.5, 50)
     with pytest.raises(ValueError, match=refusal):
         tangent_from_control(dyn, states, w)
-    with pytest.raises(ValueError, match=refusal):
-        linearization_rate(dyn, states, w, [0.5, 0.25])
+    # the rate integrates its own reference: one call warns as the integrator
+    # does, then refuses
+    with pytest.warns(RuntimeWarning) as streamed:
+        with pytest.raises(ValueError, match=refusal):
+            linearization_rate(dyn, law, x0, bm, w, [0.5, 0.25])
+    assert [str(r.message) for r in streamed] == [str(r.message) for r in integrated]
+    assert streamed[0].filename == __file__
+
+
+def test_rate_names_perturbed_paths_that_blow_up():
+    # the reference stays finite from y = 0.75, but the pull toward w = 1 at
+    # eps = 1 and 0.5 drives perturbed paths past the blow-up
+    dyn = double_integrator_dynamics(cubic=-2.0)
+    bm = sample_brownian(make_grid(1.0, 50), 1, 200, seed=3)
+    u_star, w = ControlLaw.constant(-1.0, 50), ControlLaw.constant(1.0, 50)
+    with pytest.warns(RuntimeWarning, match=r"perturbed state is not finite on \d+ of 200 "
+                                            r"paths \(first at path \d+\)") as record:
+        table = linearization_rate(dyn, u_star, np.array([0.75, 0.0]), bm, w, [1.0, 0.5])
+    assert len(record) == 1 and record[0].filename == __file__
+    assert not np.isfinite(table.rates).any()
+    assert not table.passed
 
 
 def _rate_per_epsilon(dyn, states, u_star, sel, epsilons, brownian):
@@ -343,12 +360,12 @@ def test_rate_single_pass_matches_per_epsilon_oracle():
     # (a) cubic double integrator: the drift Jacobian differs between paths
     dyn = double_integrator_dynamics(cubic=0.5)
     bm = sample_brownian(grid, 1, m_paths, seed=13)
-    u_star = ControlLaw.constant(0.5, n_steps)
-    states = euler_maruyama(dyn, u_star, np.zeros(2), bm)
+    u_star, x0 = ControlLaw.constant(0.5, n_steps), np.zeros(2)
+    states = euler_maruyama(dyn, u_star, x0, bm)
     w = ControlLaw.constant(-0.5, n_steps)
     sel = _materialize(tangent_from_control(dyn, states, w), n_steps)
     assert sel[1] is None
-    table = linearization_rate(dyn, states, w, eps)
+    table = linearization_rate(dyn, u_star, x0, bm, w, eps)
     oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
     assert np.max(table.rates) > 1e-6
     np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
@@ -359,14 +376,15 @@ def test_rate_single_pass_matches_per_epsilon_oracle():
     dyn.check_jacobians(0.0, rng.normal(size=(5, 2)), rng.uniform(-1, 1, size=(5, 1)))
     bm = sample_brownian(grid, 2, m_paths, seed=14)
     u_star = ControlLaw(np.linspace(-0.5, 0.5, n_steps)[:, None])
-    states = euler_maruyama(dyn, u_star, np.array([0.3, -0.2]), bm)
+    x0 = np.array([0.3, -0.2])
+    states = euler_maruyama(dyn, u_star, x0, bm)
     w = ControlLaw(np.where(np.arange(n_steps) < n_steps // 3, u_star.values[:, 0], 0.9)[:, None])
     sel = _materialize(tangent_from_control(dyn, states, w), n_steps)
     assert sel[1] is not None
     # zero diffusion difference before w departs from u*, filled in after
     np.testing.assert_array_equal(sel[1], _tangent_full_g2(dyn, states, u_star, w))
     assert not np.any(sel[1][:, : n_steps // 3]) and np.any(sel[1][:, n_steps // 3])
-    table = linearization_rate(dyn, states, w, eps)
+    table = linearization_rate(dyn, u_star, x0, bm, w, eps)
     oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
     assert np.max(table.rates) > 1e-6
     np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
@@ -376,11 +394,12 @@ def test_rate_single_pass_matches_per_epsilon_oracle():
     dyn = double_integrator_dynamics(cubic=0.5)
     bm = sample_brownian(grid, 1, m_paths, seed=15)
     u_star = ControlLaw(rng.uniform(-1.0, 1.0, size=(m_paths, n_steps, 1)))
-    states = euler_maruyama(dyn, u_star, np.array([0.5, 0.0]), bm)
+    x0 = np.array([0.5, 0.0])
+    states = euler_maruyama(dyn, u_star, x0, bm)
     w = ControlLaw(rng.uniform(-1.0, 1.0, size=(m_paths, n_steps, 1)))
     sel = _materialize(tangent_from_control(dyn, states, w), n_steps)
     assert sel[1] is None
-    table = linearization_rate(dyn, states, w, eps)
+    table = linearization_rate(dyn, u_star, x0, bm, w, eps)
     oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
     assert np.max(table.rates) > 1e-6
     np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
@@ -388,21 +407,41 @@ def test_rate_single_pass_matches_per_epsilon_oracle():
 
 
 def test_rate_holds_no_whole_grid_array():
-    # the forcing is streamed: the pass never holds an (M, K, n) float array
+    # the reference and the forcing are streamed: from integrating x* to the
+    # rates, the pass never holds an (M, K, n) float array
     m_paths, n_steps = 2000, 200
     dyn = double_integrator_dynamics(cubic=0.5)
     grid = make_grid(2.0, n_steps)
     bm = sample_brownian(grid, 1, m_paths, seed=5)
-    states = euler_maruyama(dyn, ControlLaw.constant(0.5, n_steps), np.zeros(2), bm)
-    w = ControlLaw.constant(-0.5, n_steps)
+    u_star, w = ControlLaw.constant(0.5, n_steps), ControlLaw.constant(-0.5, n_steps)
     tracemalloc.start()
     try:
-        table = linearization_rate(dyn, states, w, [0.5, 0.25, 0.125, 0.0625])
+        table = linearization_rate(dyn, u_star, np.zeros(2), bm, w, [0.5, 0.25, 0.125, 0.0625])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert table.passed
     assert peak < m_paths * n_steps * dyn.state_dim * 8
+
+
+def test_rate_refuses_controls_that_move_nothing_or_do_not_fit():
+    grid = make_grid(1.0, 8)
+    bm = sample_brownian(grid, 1, 8, seed=2)
+    # the control-free scalar linear problem: u and w move nothing, rates read 0
+    free = scalar_linear_dynamics(0.8, 0.3)
+    law = ControlLaw(np.zeros((8, 0)))
+    with pytest.raises(ValueError, match=r"take no control \(control_dim 0\)"):
+        linearization_rate(free, law, np.ones(1), bm, law, [0.5])
+    dyn = double_integrator_dynamics(cubic=0.5)
+    one, two = ControlLaw.constant(0.5, 8), ControlLaw.constant([0.5, 0.5], 8)
+    with pytest.raises(ValueError, match="u_star has width 2; the dynamics take control_dim 1"):
+        linearization_rate(dyn, two, np.zeros(2), bm, one, [0.5])
+    with pytest.raises(ValueError, match="w has width 2; the dynamics take control_dim 1"):
+        linearization_rate(dyn, one, np.zeros(2), bm, two, [0.5])
+    with pytest.raises(ValueError, match="w has 4 steps; the grid has 8"):
+        linearization_rate(dyn, one, np.zeros(2), bm, ControlLaw.constant(0.5, 4), [0.5])
+    with pytest.raises(ValueError, match="Brownian dim 1 does not match dynamics noise_dim 2"):
+        linearization_rate(controlled_diffusion_2d(), one, np.zeros(2), bm, one, [0.5])
 
 
 def test_rate_warns_once_on_controlled_diffusion_without_attestation():
@@ -414,14 +453,15 @@ def test_rate_warns_once_on_controlled_diffusion_without_attestation():
     )
     grid = make_grid(1.0, 5)
     bm = sample_brownian(grid, 1, 10, seed=4)
-    states = euler_maruyama(dyn, ControlLaw.constant(0.2, 5), np.ones(1), bm)
+    u_star = ControlLaw.constant(0.2, 5)
+    states = euler_maruyama(dyn, u_star, np.ones(1), bm)
     w = ControlLaw.constant(0.8, 5)  # the diffusion differs at every step
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         g = tangent_from_control(dyn, states, w)
         assert len(record) == 0  # the accessor warns when it is stepped through
         solve_linearized(*linearization_along(dyn, states), g, bm)
-        linearization_rate(dyn, states, w, [0.5, 0.25])
+        linearization_rate(dyn, u_star, np.ones(1), bm, w, [0.5, 0.25])
     assert len(record) == 2
     assert record[0].category is record[1].category is UserWarning
     assert str(record[0].message) == str(record[1].message)
