@@ -361,13 +361,14 @@ def _gap_hist_rows(gaps, bins=32):
 
 
 def _write_bulk_artifacts(cfg, ctx, states, noise_dim, costates=None, paths_default=False):
-    """Write the run's per-path CSVs in one export call, plus any dumps."""
-    jobs, artifacts = [], {}
+    """Start the run's per-path CSV writers in one export call, recorded on
+    ctx for run() to join, then write any dumps here."""
+    jobs, dumps, artifacts = [], [], {}
     if cfg.get("write_paths", paths_default):
         jobs.append((ctx.file("paths.csv"), states.grid.nodes, states.values, "x"))
         artifacts["paths_csv"] = "paths.csv"
         if cfg.get("binary", False):
-            export.write_dump(ctx.file("paths.bin"), states.values, noise_dim, cfg["seed"])
+            dumps.append((ctx.file("paths.bin"), states.values))
             artifacts["paths_dump"] = "paths.bin"
     if costates is not None and cfg.get("write_costates", True):
         grid, q = costates.grid, costates.q
@@ -376,9 +377,11 @@ def _write_bulk_artifacts(cfg, ctx, states, noise_dim, costates=None, paths_defa
                      q.reshape(q.shape[0], q.shape[1], -1), "q"))
         artifacts.update(costates_csv="costates.csv", martingale_integrand_csv="qcoef.csv")
         if cfg.get("binary", False):
-            export.write_dump(ctx.file("costates.bin"), costates.p, noise_dim, cfg["seed"])
+            dumps.append((ctx.file("costates.bin"), costates.p))
             artifacts["costates_dump"] = "costates.bin"
-    export.write_csvs(jobs)
+    ctx.writers.append(export.write_csvs(jobs))
+    for path, values in dumps:
+        export.write_dump(path, values, noise_dim, cfg["seed"])
     return artifacts
 
 
@@ -390,6 +393,8 @@ class RunContext:
     def __init__(self, out_dir, threads):
         self.out_dir = Path(out_dir)
         self.threads = threads
+        # joins of the CSV writers still running; run() calls each before report.json
+        self.writers = []
 
     def file(self, name):
         """Path of an artifact; the output directory is made on first use, so a
@@ -442,6 +447,7 @@ def _run_simulate(cfg, ctx):
     if law.values.shape[1] != dyn.control_dim:
         raise UsageError(f"control must have {dyn.control_dim} components")
     states = _simulate_ensemble(dyn, law, x0, grid, cfg["n_paths"], cfg["seed"], ctx.threads)
+    artifacts = _write_bulk_artifacts(cfg, ctx, states, dyn.noise_dim, paths_default=True)
     failed = states.failed_paths
     terminal = states.values[:, -1, :]
     results = {
@@ -451,7 +457,6 @@ def _run_simulate(cfg, ctx):
         "terminal_mean": terminal.mean(axis=0),
         "terminal_std": sample_std(terminal),
     }
-    artifacts = _write_bulk_artifacts(cfg, ctx, states, dyn.noise_dim, paths_default=True)
     return "completed", results, artifacts
 
 
@@ -515,6 +520,7 @@ def _diagnostics_summary(costates):
 
 def _run_adjoint(cfg, ctx):
     sol = _candidate_solution(cfg, ctx)
+    artifacts = _write_bulk_artifacts(cfg, ctx, sol.states, sol.problem.dyn.noise_dim, sol.costates)
     mart = martingale_check(sol.costates)
     results = {
         "regression": _diagnostics_summary(sol.costates),
@@ -525,7 +531,6 @@ def _run_adjoint(cfg, ctx):
         },
         "costate_mean": _costate_mean_rows(sol.costates),
     }
-    artifacts = _write_bulk_artifacts(cfg, ctx, sol.states, sol.problem.dyn.noise_dim, sol.costates)
     return ("pass" if mart.passed else "fail"), results, artifacts
 
 
@@ -559,16 +564,16 @@ def _solved(cfg):
 def _run_certify(cfg, ctx):
     config = _certify_config(cfg)
     sol = _candidate_solution(cfg, ctx) if "policy" in cfg else _solved(cfg)
-    status, results, artifacts = _certify_solution(ctx, sol, config)
+    artifacts = _write_bulk_artifacts(cfg, ctx, sol.states, sol.problem.dyn.noise_dim, sol.costates)
+    status, results, cert_artifacts = _certify_solution(ctx, sol, config)
     results["costate_mean"] = _costate_mean_rows(sol.costates)
-    artifacts.update(_write_bulk_artifacts(
-        cfg, ctx, sol.states, sol.problem.dyn.noise_dim, sol.costates))
-    return status, results, artifacts
+    return status, results, {**artifacts, **cert_artifacts}
 
 
 def _run_sop_solve(cfg, ctx):
     config = _certify_config(cfg)
     sol = _solved(cfg)
+    artifacts = _write_bulk_artifacts(cfg, ctx, sol.states, sol.problem.dyn.noise_dim, sol.costates)
     necessity = bangbang_necessity(sol)
     safety = necessity.safety
     refinement = sol.refinement
@@ -597,13 +602,11 @@ def _run_sop_solve(cfg, ctx):
                      for f in fields(BangBangReport) if f.name != "safety"},
         "costate_mean": _costate_mean_rows(sol.costates),
     }
-    artifacts = {}
     status = "completed"
     if cfg.get("certify", True):
-        status, cert_results, artifacts = _certify_solution(ctx, sol, config)
+        status, cert_results, cert_artifacts = _certify_solution(ctx, sol, config)
         results.update(cert_results)
-    artifacts.update(_write_bulk_artifacts(
-        cfg, ctx, sol.states, sol.problem.dyn.noise_dim, sol.costates))
+        artifacts.update(cert_artifacts)
     return status, results, artifacts
 
 
@@ -716,8 +719,11 @@ def run(argv):
         cfg["out_dir"] = args.out
     out_dir = Path(cfg.get("out_dir", "riskpmp_out"))
     ctx = RunContext(out_dir, threads)
-
-    status, results, artifacts = _RUNNERS[args.verb](cfg, ctx)
+    try:
+        status, results, artifacts = _RUNNERS[args.verb](cfg, ctx)
+    finally:  # a verb that raises leaves no writer running either
+        for join in ctx.writers:
+            join()
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # the report must not record the invocation itself: thread count and

@@ -10,6 +10,7 @@ from __future__ import annotations
 import struct
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +21,16 @@ _HEADER = struct.Struct("<4qQ")
 _BLOCK_ROWS = 1 << 13
 
 
+def _block(nodes, values) -> np.ndarray:
+    """values as a float (M, S, r) array whose time axis matches nodes."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3:
+        raise ValueError("values must have shape (n_paths, n_nodes, width)")
+    if len(nodes) != values.shape[1]:
+        raise ValueError("nodes length does not match the block's time axis")
+    return values
+
+
 def write_csv(path, nodes: np.ndarray, values: np.ndarray, prefix: str = "x") -> None:
     """Write a (M, S, r) block as rows (path, step, t, prefix_0..prefix_{r-1}).
 
@@ -28,12 +39,8 @@ def write_csv(path, nodes: np.ndarray, values: np.ndarray, prefix: str = "x") ->
     formatted by one ``%`` on one path's row template, repeated over the
     block with each path's index filled in.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 3:
-        raise ValueError("values must have shape (n_paths, n_nodes, width)")
+    values = _block(nodes, values)
     m, s, r = values.shape
-    if len(nodes) != s:
-        raise ValueError("nodes length does not match the block's time axis")
     # one path's rows; NUL stands for the "path," field, filled in per path
     rows = "".join("\0%d,%.17g" % (k, t) + ",%.17g" * r + "\n"
                    for k, t in enumerate(np.asarray(nodes, dtype=float).tolist()))
@@ -46,16 +53,20 @@ def write_csv(path, nodes: np.ndarray, values: np.ndarray, prefix: str = "x") ->
             fh.write(template % tuple(values[lo:hi].ravel().tolist()))
 
 
-def write_csvs(jobs) -> None:
-    """Write several CSV blocks, each job a tuple of ``write_csv`` arguments.
+def write_csvs(jobs) -> Callable[[], None]:
+    """Start writing several CSV blocks, each job a tuple of ``write_csv``
+    arguments, and return the join that waits for them.
 
-    The first job is written here and each further one in its own forked
-    process, so the files are formatted concurrently; their bytes do not
-    depend on it.  Without ``fork`` the jobs run one after another.
+    Every job's shape and node count is checked here first, so a bad job
+    raises ValueError before any file is written.  Each job is then written
+    by its own forked process while the caller goes on; join waits for all
+    of them and raises RuntimeError naming the files whose writer failed.
+    Without ``fork`` the jobs are written here, one after another, and join
+    has nothing to wait for.  The bytes are those of ``write_csv`` either way.
     """
     jobs = list(jobs)
-    if not jobs:
-        return
+    for job in jobs:
+        _block(job[1], job[2])
     import multiprocessing
 
     # fork, not spawn: a child reads the parent's arrays in place instead of
@@ -66,18 +77,19 @@ def write_csvs(jobs) -> None:
     except ValueError:
         for job in jobs:
             write_csv(*job)
-        return
-    children = [(job[0], context.Process(target=write_csv, args=job)) for job in jobs[1:]]
+        return lambda: None
+    children = [(job[0], context.Process(target=write_csv, args=job)) for job in jobs]
     for _, child in children:
         child.start()
-    try:
-        write_csv(*jobs[0])
-    finally:
+
+    def join() -> None:
         for _, child in children:
             child.join()
-    failed = [str(path) for path, child in children if child.exitcode != 0]
-    if failed:
-        raise RuntimeError(f"writing {', '.join(failed)} failed in a child process")
+        failed = [str(path) for path, child in children if child.exitcode != 0]
+        if failed:
+            raise RuntimeError(f"writing {', '.join(failed)} failed in a child process")
+
+    return join
 
 
 def write_dump(path, values: np.ndarray, noise_dim: int, seed: int) -> None:

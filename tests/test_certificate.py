@@ -430,14 +430,16 @@ def test_normality_search_holds_no_whole_path():
     assert rep.status == "not_found" and rep.candidates_tried == 27
     assert peak < states.values.nbytes
 
-    # the witness margins are those of the whole linearized path's terminal
-    one_sided = replace(pinned, constraints=(up,))
-    rep = normality_certificate(one_sided, states, active=[0])
-    assert rep.status == "certified" and rep.witness == "constant u=[-1.]"
-    g = tangent_from_control(dyn, states, ControlLaw(np.full((n_steps, 1), -1.0)))
-    y_T = solve_linearized(*linearization_along(dyn, states), g, brownian).terminal
-    assert rep.margins == [float(np.mean(np.einsum("pn,pn->p", up.gradient(states.terminal),
-                                                   y_T)))]
+    # the witness is the first certifying candidate in list order, and its
+    # margins are those of the whole linearized path's terminal, bit for bit
+    for con, index, witness in ((up, 0, "constant u=[-1.]"), (down, 11, "constant u=[0.1]")):
+        rep = normality_certificate(replace(pinned, constraints=(con,)), states, active=[0])
+        assert rep.status == "certified" and rep.witness == witness
+        u = np.tile(dyn.control_grid[index], (n_steps, 1))
+        g = tangent_from_control(dyn, states, ControlLaw(u))
+        y_T = solve_linearized(*linearization_along(dyn, states), g, brownian).terminal
+        assert np.array_equal(rep.margins, [np.mean(np.einsum(
+            "pn,pn->p", con.gradient(states.terminal), y_T))])
 
 
 # ---------------------------------------------------------------------------

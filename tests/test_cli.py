@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -754,6 +755,48 @@ def test_sop_solve_end_to_end_byte_identical(tmp_path, capsys):
     incumbents = [r["best_cost"] for r in rep["results"]["incumbents"]]
     assert incumbents == sorted(incumbents, reverse=True)
     capsys.readouterr()
+
+
+def small_sop_cfg(out):
+    return {"kind": "sop-solve", "seed": 11, "out_dir": str(out), "instance": SAFE_INSTANCE,
+            "n_steps": 30, "n_paths": 400, "tolerances": dict(CALIBRATED)}
+
+
+def test_sop_solve_bytes_do_not_depend_on_forked_writers(tmp_path, capsys, monkeypatch):
+    # the CSV writers run while the certificate does; written in order
+    # (a platform without fork) every artifact has the same bytes
+    def no_fork(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    outs = [tmp_path / "forked", tmp_path / "serial"]
+    for out in outs:
+        if out.name == "serial":
+            monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        assert main(["sop-solve", "--config", write_cfg(tmp_path, small_sop_cfg(out))]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert {"costates.csv", "qcoef.csv"} <= set(names)
+    for name in names:
+        if name != "report.json":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    reports = [load_report(out) for out in outs]
+    for rep in reports:
+        del rep["created_utc"], rep["reproduction"]["config"]["out_dir"]
+    assert reports[0] == reports[1]
+    capsys.readouterr()
+
+
+def test_verb_that_raises_leaves_no_writer_running(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        assert multiprocessing.active_children()  # the CSV writers started first
+        raise RuntimeError("certificate broke")
+
+    monkeypatch.setattr(cli, "certify", broken)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="certificate broke"):
+        main(["sop-solve", "--config", write_cfg(tmp_path, small_sop_cfg(out))])
+    assert not multiprocessing.active_children()
+    assert not (out / "report.json").exists()
 
 
 def test_sop_solve_loads_no_scipy(tmp_path):

@@ -1,5 +1,7 @@
 """The bulk CSV writer against the np.savetxt bytes it replaces."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -51,23 +53,41 @@ def test_write_csv_default_block_matches_savetxt(tmp_path):
         tmp_path / "ref.csv", nodes, values, "q")
 
 
-def test_write_csvs_matches_single_writes(tmp_path):
+def no_fork(method):
+    raise ValueError(f"cannot find context for {method!r}")
+
+
+def test_write_csvs_matches_single_writes(tmp_path, monkeypatch):
     nodes = np.linspace(0.0, 1.0, 6)
     blocks = [block(9, 6, r, seed=r) for r in (1, 2, 4)]
-    jobs = [(tmp_path / f"many_{i}.csv", nodes, v, "x") for i, v in enumerate(blocks)]
-    export.write_csvs(jobs)
     for i, v in enumerate(blocks):
         export.write_csv(tmp_path / f"one_{i}.csv", nodes, v, "x")
-        assert (tmp_path / f"many_{i}.csv").read_bytes() == (tmp_path / f"one_{i}.csv").read_bytes()
+    # forked writers, then the platform without fork: the jobs run in order
+    for mode in ("fork", "serial"):
+        if mode == "serial":
+            monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        jobs = [(tmp_path / f"{mode}_{i}.csv", nodes, v, "x") for i, v in enumerate(blocks)]
+        export.write_csvs(jobs)()
+        assert not multiprocessing.active_children()
+        for i in range(len(blocks)):
+            assert (tmp_path / f"{mode}_{i}.csv").read_bytes() == \
+                (tmp_path / f"one_{i}.csv").read_bytes(), (mode, i)
 
 
 def test_write_csvs_reports_a_failing_child(tmp_path):
     nodes = np.linspace(0.0, 1.0, 3)
     good = (tmp_path / "good.csv", nodes, np.zeros((2, 3, 1)), "x")
+    # a bad shape or node count raises in the calling process, before any file
     flat = (tmp_path / "flat.csv", nodes, np.zeros((2, 3)), "x")
-    with pytest.raises(RuntimeError, match="flat.csv"):
-        export.write_csvs([good, flat])
+    short = (tmp_path / "short.csv", nodes[:2], np.zeros((2, 3, 1)), "x")
+    for bad, match in ((flat, "shape"), (short, "nodes length")):
+        with pytest.raises(ValueError, match=match):
+            export.write_csvs([good, bad])
+    assert not list(tmp_path.iterdir())
+    # a child that fails for another reason is named when its writers are joined
+    lost = (tmp_path / "missing" / "lost.csv", nodes, np.zeros((2, 3, 1)), "x")
+    join = export.write_csvs([good, lost])
+    with pytest.raises(RuntimeError, match="lost.csv"):
+        join()
+    assert not multiprocessing.active_children()
     assert (tmp_path / "good.csv").exists()
-    # the job written in the calling process raises its own error
-    with pytest.raises(ValueError, match="shape"):
-        export.write_csvs([flat, good])
