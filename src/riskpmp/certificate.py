@@ -13,14 +13,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adjoint import CostatePair, _jacobian_steps, martingale_check
+from .adjoint import CostatePair, linearization_along, martingale_check
 from .export import jsonable
 from .risk import AVaR, Expectation, MixtureAVaR, SampledRandomVariable, risk_value
 from .sde import (ControlLaw, DynamicsSpec, StateEnsemble, _linear_step, central_differences,
                   sample_std)
-from .variational import _control_difference, _refuse_aborted
-# unused here, kept for the benchmark's span site certificate:tangent_from_control
-from .variational import tangent_from_control  # noqa: F401
+from .variational import tangent_from_control
 
 
 @dataclass(frozen=True)
@@ -257,24 +255,17 @@ def normality_certificate(problem: ProblemSpec, states: StateEnsemble,
                 (f"switch at node {s}: {np.array2string(u_a, precision=3)} -> "
                  f"{np.array2string(u_b, precision=3)}", values))
 
-    u_law, nodes = states.recorded("control"), states.grid.nodes
-    a_at, d_at = _jacobian_steps(dyn, u_law, nodes, states.n_paths)
+    a_fn, d_fn = linearization_along(dyn, states)
     grads = [np.asarray(problem.constraints[i].gradient(states.terminal), dtype=float)
              for i in active]
-    _refuse_aborted(~np.isfinite(states.values).all(axis=(1, 2)))
-    forcings = _control_difference(dyn, u_law, [ControlLaw(v) for _, v in candidates], nodes,
-                                   states.n_paths, stacklevel=3)
-    # solve_linearized's steps for every candidate in lockstep, holding the
-    # (C, M, n) stack of y_k alone: only y(T) is read, and x*_k, A_k, D_k and
-    # f, sigma at u*_k are evaluated once per node for all candidates
-    y = np.zeros((len(candidates), states.n_paths, states.state_dim))
-    for k in range(n_steps):
-        x_k = np.ascontiguousarray(states.values[:, k, :])
-        a_k, d_k = a_at(k, x_k), (None if d_at is None else d_at(k, x_k))
-        for y_c, (g1, g2) in zip(y, forcings(k, x_k)):
-            y_c[:] = _linear_step(y_c, a_k, d_k, g1, g2, states.grid.dt,
-                                  brownian.increments[:, k])
-    for (desc, _), y_T in zip(candidates, y):
+    for desc, values in candidates:
+        forcing = tangent_from_control(dyn, states, ControlLaw(values))
+        # solve_linearized's steps, holding y_k alone: only y(T) is read
+        y_T = np.zeros((states.n_paths, states.state_dim))
+        for k in range(n_steps):
+            g1, g2 = forcing(k)
+            y_T = _linear_step(y_T, a_fn(k), None if d_fn is None else d_fn(k), g1, g2,
+                               states.grid.dt, brownian.increments[:, k])
         margins = [float(np.mean(np.einsum("pn,pn->p", g, y_T))) for g in grads]
         if all(m < -cfg.normality_tol for m in margins):
             return NormalityReport(status="certified", witness=desc,

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from importlib import metadata
@@ -361,8 +361,8 @@ def _gap_hist_rows(gaps, bins=32):
 
 
 def _write_bulk_artifacts(cfg, ctx, states, noise_dim, costates=None, paths_default=False):
-    """Start the run's per-path CSV writers in one export call, recorded on
-    ctx for run() to join, then write any dumps here."""
+    """Start the run's per-path CSV writers in one export call, their join
+    kept on ctx for run(), then write any dumps here."""
     jobs, dumps, artifacts = [], [], {}
     if cfg.get("write_paths", paths_default):
         jobs.append((ctx.file("paths.csv"), states.grid.nodes, states.values, "x"))
@@ -379,7 +379,7 @@ def _write_bulk_artifacts(cfg, ctx, states, noise_dim, costates=None, paths_defa
         if cfg.get("binary", False):
             dumps.append((ctx.file("costates.bin"), costates.p))
             artifacts["costates_dump"] = "costates.bin"
-    ctx.writers.append(export.write_csvs(jobs))
+    ctx.join_writers = export.write_csvs(jobs)
     for path, values in dumps:
         export.write_dump(path, values, noise_dim, cfg["seed"])
     return artifacts
@@ -393,8 +393,8 @@ class RunContext:
     def __init__(self, out_dir, threads):
         self.out_dir = Path(out_dir)
         self.threads = threads
-        # joins of the CSV writers still running; run() calls each before report.json
-        self.writers = []
+        # waits for the CSV writers still running; run() calls it before report.json
+        self.join_writers = lambda: None
 
     def file(self, name):
         """Path of an artifact; the output directory is made on first use, so a
@@ -721,9 +721,13 @@ def run(argv):
     ctx = RunContext(out_dir, threads)
     try:
         status, results, artifacts = _RUNNERS[args.verb](cfg, ctx)
-    finally:  # a verb that raises leaves no writer running either
-        for join in ctx.writers:
-            join()
+    except BaseException:
+        # a verb that raises leaves no writer running either; the verb's
+        # error, not a writer's, is the one raised
+        with suppress(RuntimeError):
+            ctx.join_writers()
+        raise
+    ctx.join_writers()
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # the report must not record the invocation itself: thread count and

@@ -26,36 +26,30 @@ def _refuse_aborted(bad: np.ndarray) -> None:
                          f"paths (first at path {int(np.argmax(bad))})")
 
 
-def _control_difference(dyn: DynamicsSpec, u_law: ControlLaw, w_laws: Sequence[ControlLaw],
+def _control_difference(dyn: DynamicsSpec, u_law: ControlLaw, w_law: ControlLaw,
                         nodes: np.ndarray, n_paths: int, stacklevel: int) -> Callable:
-    """The control-difference forcings toward each of w_laws as a function
-    of (k, x*_k), x*_k the contiguous (M, n) reference states at node k: the
-    list of (g1_k, g2_k), one per law, with f and sigma at u*_k evaluated
-    once for them all.  The first nonzero g2_k warns, stacklevel frames up,
-    when the dynamics do not attest convex velocity sets."""
+    """The control-difference forcing as a function of (k, x*_k), x*_k the
+    contiguous (M, n) reference states at node k; the first nonzero g2_k
+    warns, stacklevel frames up, when the dynamics do not attest convex
+    velocity sets."""
     checked = False  # the velocity-set attestation, read once
 
-    def g(k: int, x_k: np.ndarray) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
+    def g(k: int, x_k: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         nonlocal checked
-        t, u_k = nodes[k], u_law.at(k, n_paths)
-        f_u, s_u = dyn.drift(t, x_k, u_k), dyn.diffusion(t, x_k, u_k)
-        out = []
-        for w_law in w_laws:
-            w_k = w_law.at(k, n_paths)
-            g1, g2 = dyn.drift(t, x_k, w_k) - f_u, dyn.diffusion(t, x_k, w_k) - s_u
-            if not np.any(g2):
-                g2 = None
-            else:
-                if not (checked or dyn.convex_velocity_sets):
-                    warnings.warn(
-                        "control enters the diffusion but convex velocity sets are not "
-                        "attested; control-difference tangents are only licensed for "
-                        "uncontrolled diffusion or convex velocity sets",
-                        stacklevel=stacklevel,
-                    )
-                checked = True
-            out.append((g1, g2))
-        return out
+        t, u_k, w_k = nodes[k], u_law.at(k, n_paths), w_law.at(k, n_paths)
+        g1 = dyn.drift(t, x_k, w_k) - dyn.drift(t, x_k, u_k)
+        g2 = dyn.diffusion(t, x_k, w_k) - dyn.diffusion(t, x_k, u_k)
+        if not np.any(g2):
+            return g1, None
+        if not (checked or dyn.convex_velocity_sets):
+            warnings.warn(
+                "control enters the diffusion but convex velocity sets are not "
+                "attested; control-difference tangents are only licensed for "
+                "uncontrolled diffusion or convex velocity sets",
+                stacklevel=stacklevel,
+            )
+        checked = True
+        return g1, g2
 
     return g
 
@@ -73,11 +67,11 @@ def tangent_from_control(dyn: DynamicsSpec, states: StateEnsemble, w) -> Callabl
     through g, when the dynamics do not attest convex velocity sets.
     """
     _refuse_aborted(~np.isfinite(states.values).all(axis=(1, 2)))
-    step = _control_difference(dyn, states.recorded("control"), [as_control_law(w)],
+    step = _control_difference(dyn, states.recorded("control"), as_control_law(w),
                                states.grid.nodes, states.n_paths, stacklevel=4)
 
     def g(k: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        return step(k, np.ascontiguousarray(states.values[:, k, :]))[0]
+        return step(k, np.ascontiguousarray(states.values[:, k, :]))
 
     return g
 
@@ -159,7 +153,7 @@ def linearization_rate(
     w_law = _rate_control(dyn, w, "w", n_steps)
     _check_noise_dim(dyn, brownian)
     nodes, dt = brownian.grid.nodes, brownian.grid.dt
-    g = _control_difference(dyn, u_law, [w_law], nodes, m_paths, stacklevel=3)
+    g = _control_difference(dyn, u_law, w_law, nodes, m_paths, stacklevel=3)
     a_at, d_at = _jacobian_steps(dyn, u_law, nodes, m_paths)
     e3 = np.concatenate(([0.0], eps))[:, None, None]  # member 0 is the reference x*
     stack = n_eps + 1
@@ -172,7 +166,7 @@ def linearization_rate(
     with np.errstate(over="ignore", invalid="ignore"):  # aborted paths are refused below
         for k in range(n_steps):
             x_k = x[0]
-            g1, g2 = g(k, x_k)[0]
+            g1, g2 = g(k, x_k)
             # contiguous per-step slices, so the (E+1, M, n) arithmetic runs flat
             u_e = (u_law.at(k, stack * m_paths) if u_law.deterministic
                    else np.tile(u_law.at(k, m_paths), (stack, 1)))

@@ -786,17 +786,38 @@ def test_sop_solve_bytes_do_not_depend_on_forked_writers(tmp_path, capsys, monke
     capsys.readouterr()
 
 
-def test_verb_that_raises_leaves_no_writer_running(tmp_path, capsys, monkeypatch):
-    def broken(*args, **kwargs):
-        assert multiprocessing.active_children()  # the CSV writers started first
-        raise RuntimeError("certificate broke")
+@pytest.mark.parametrize("verb_fails, writer_fails, match", [
+    (True, False, "certificate broke"),
+    (True, True, "certificate broke"),  # the verb's error, not the writer's
+    (False, True, "costates.csv"),
+])
+def test_verb_that_raises_leaves_no_writer_running(tmp_path, capsys, monkeypatch,
+                                                   verb_fails, writer_fails, match):
+    started = []
 
-    monkeypatch.setattr(cli, "certify", broken)
+    def recording(jobs, write_csvs=export.write_csvs):
+        started.append([Path(job[0]).name for job in jobs])
+        return write_csvs(jobs)
+
+    def certify(*args, certify=cli.certify, **kwargs):
+        assert started == [["costates.csv", "qcoef.csv"]]  # the CSV writers started first
+        if verb_fails:
+            raise RuntimeError("certificate broke")
+        return certify(*args, **kwargs)
+
+    def failing(path, *args):
+        raise OSError(f"cannot write {path}")
+
+    monkeypatch.setattr(export, "write_csvs", recording)
+    monkeypatch.setattr(cli, "certify", certify)
+    if writer_fails:  # in the forked children only: the parent writes no CSV
+        monkeypatch.setattr(export, "write_csv", failing)
     out = tmp_path / "out"
-    with pytest.raises(RuntimeError, match="certificate broke"):
+    with pytest.raises(RuntimeError, match=match):
         main(["sop-solve", "--config", write_cfg(tmp_path, small_sop_cfg(out))])
     assert not multiprocessing.active_children()
     assert not (out / "report.json").exists()
+    capsys.readouterr()
 
 
 def test_sop_solve_loads_no_scipy(tmp_path):

@@ -4,6 +4,8 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskpmp import export
 
@@ -51,6 +53,47 @@ def test_write_csv_default_block_matches_savetxt(tmp_path):
     export.write_csv(tmp_path / "fast.csv", nodes, values, prefix="q")
     assert (tmp_path / "fast.csv").read_bytes() == savetxt_bytes(
         tmp_path / "ref.csv", nodes, values, "q")
+
+
+def python_g17(values):
+    return [b"%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+def g17_battery(seed):
+    """Values '%.17g' prints in every way: each decimal exponent in fixed and
+    exponent notation, either side of a power of ten, trailing zeros, exact
+    half-way ties at the 18th digit, and any bit pattern."""
+    rng = np.random.default_rng(seed)
+    n = 20000
+    p10 = 10.0 ** np.arange(-7, 20)
+    digits = rng.integers(0, 17, n)
+    ties = (rng.integers(10**16, 10**17, n) * 10 + 5).astype(float) / 10.0 ** rng.integers(0, 23, n)
+    parts = [
+        rng.standard_normal(n) * 10.0 ** rng.integers(-8, 20, n),
+        np.rint(rng.standard_normal(n) * 10.0 ** digits) / 10.0 ** digits,
+        rng.integers(-10**6, 10**6, n).astype(float),
+        rng.integers(1, 2**53, n) / 2.0 ** rng.integers(0, 70, n),  # short exact expansions
+        rng.integers(1, 10**17, n).astype(float) / 10.0 ** rng.integers(0, 23, n),
+        ties, -ties,
+        p10, -p10, np.nextafter(p10, 0), np.nextafter(p10, np.inf),
+        26215 / 2.0 ** np.arange(18, 22),  # 0.100002288818359375: a tie rounding up
+        rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True).view(float),
+        np.array(SPECIAL + [0.0, 1e-4, -1e-4, 1e16, 1e17, 2.0**53, 2.0**57, 5e-5,
+                            2.2250738585072014e-308, 1.7976931348623157e308]),
+    ]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_format_g17_is_python_percent(seed):
+    values = g17_battery(seed)
+    assert export._format_g17(values).tolist() == python_g17(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), max_size=40))
+def test_format_g17_is_python_percent_on_any_floats(values):
+    assert export._format_g17(np.array(values, dtype=float)).tolist() == python_g17(values)
 
 
 def no_fork(method):
