@@ -624,6 +624,9 @@ def _run_counterexample(cfg, ctx):
     return ("pass" if ok else "fail"), results, {}
 
 
+RATE_BLOCK = 4096  # Brownian paths sampled and passed to the rate pass at a time
+
+
 def _run_convergence(cfg, ctx):
     dyn = _dynamics(cfg["problem"], "problem")
     x0 = np.atleast_1d(np.asarray(cfg["x0"], dtype=float))
@@ -646,10 +649,14 @@ def _run_convergence(cfg, ctx):
     grid = _grid(cfg["horizon"], cfg["n_steps"])
     with _refused():
         epsilons = validate_epsilons(cfg["epsilons"])
-    brownian = sample_brownian(grid, dyn.noise_dim, cfg["n_paths"], cfg["seed"])
+    m_paths = cfg["n_paths"]
+    # each block is drawn as the pass reaches it and released before the next
+    blocks = (sample_brownian(grid, dyn.noise_dim, min(RATE_BLOCK, m_paths - lo), cfg["seed"],
+                              path_offset=lo)
+              for lo in range(0, m_paths, RATE_BLOCK))
     u_star, w = (ControlLaw.constant(cfg[key], grid.n_steps) for key in ("u_star", "w"))
     with _refused():  # aborted reference paths, or controls that move nothing
-        table = linearization_rate(dyn, u_star, x0, brownian, w, epsilons)
+        table = linearization_rate(dyn, u_star, x0, blocks, w, epsilons)
     results = {
         "passed": table.passed,
         "rates": [{"eps": e, "r": r} for e, r in table.rows()],

@@ -26,19 +26,21 @@ def _refuse_aborted(bad: np.ndarray) -> None:
                          f"paths (first at path {int(np.argmax(bad))})")
 
 
-def _control_difference(dyn: DynamicsSpec, u_law: ControlLaw, w_law: ControlLaw,
-                        nodes: np.ndarray, n_paths: int, stacklevel: int) -> Callable:
-    """The control-difference forcing as a function of (k, x*_k), x*_k the
-    contiguous (M, n) reference states at node k; the first nonzero g2_k
-    warns, stacklevel frames up, when the dynamics do not attest convex
-    velocity sets."""
+def _control_difference(dyn: DynamicsSpec) -> Callable:
+    """The control-difference forcing at one node as a function of
+    (t, x*_k, w_k, f_u, s_u): x*_k the contiguous (M, n) reference states,
+    w_k the comparison control there, and f_u, s_u the drift and diffusion
+    at (x*_k, u*_k), which the caller has already evaluated.  The first
+    nonzero g2_k warns, when the dynamics do not attest convex velocity
+    sets, four frames up: at the caller of the function that steps through
+    the forcing."""
     checked = False  # the velocity-set attestation, read once
 
-    def g(k: int, x_k: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    def g(t: float, x_k: np.ndarray, w_k: np.ndarray, f_u: np.ndarray,
+          s_u: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         nonlocal checked
-        t, u_k, w_k = nodes[k], u_law.at(k, n_paths), w_law.at(k, n_paths)
-        g1 = dyn.drift(t, x_k, w_k) - dyn.drift(t, x_k, u_k)
-        g2 = dyn.diffusion(t, x_k, w_k) - dyn.diffusion(t, x_k, u_k)
+        g1 = dyn.drift(t, x_k, w_k) - f_u
+        g2 = dyn.diffusion(t, x_k, w_k) - s_u
         if not np.any(g2):
             return g1, None
         if not (checked or dyn.convex_velocity_sets):
@@ -46,7 +48,7 @@ def _control_difference(dyn: DynamicsSpec, u_law: ControlLaw, w_law: ControlLaw,
                 "control enters the diffusion but convex velocity sets are not "
                 "attested; control-difference tangents are only licensed for "
                 "uncontrolled diffusion or convex velocity sets",
-                stacklevel=stacklevel,
+                stacklevel=4,
             )
         checked = True
         return g1, g2
@@ -67,11 +69,14 @@ def tangent_from_control(dyn: DynamicsSpec, states: StateEnsemble, w) -> Callabl
     through g, when the dynamics do not attest convex velocity sets.
     """
     _refuse_aborted(~np.isfinite(states.values).all(axis=(1, 2)))
-    step = _control_difference(dyn, states.recorded("control"), as_control_law(w),
-                               states.grid.nodes, states.n_paths, stacklevel=4)
+    u_law, w_law = states.recorded("control"), as_control_law(w)
+    nodes, m_paths = states.grid.nodes, states.n_paths
+    step = _control_difference(dyn)
 
     def g(k: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        return step(k, np.ascontiguousarray(states.values[:, k, :]))
+        t, x_k, u_k = nodes[k], np.ascontiguousarray(states.values[:, k, :]), u_law.at(k, m_paths)
+        return step(t, x_k, w_law.at(k, m_paths), dyn.drift(t, x_k, u_k),
+                    dyn.diffusion(t, x_k, u_k))
 
     return g
 
@@ -107,76 +112,68 @@ def validate_epsilons(epsilons: Sequence[float]) -> np.ndarray:
     return eps
 
 
-def _rate_control(dyn: DynamicsSpec, law, name: str, n_steps: int) -> ControlLaw:
+def _rate_control(dyn: DynamicsSpec, law, name: str) -> ControlLaw:
     law = as_control_law(law)
-    if law.n_steps != n_steps:
-        raise ValueError(f"{name} has {law.n_steps} steps; the grid has {n_steps}")
     if law.dim != dyn.control_dim:
         raise ValueError(f"{name} has width {law.dim}; the dynamics take control_dim "
                          f"{dyn.control_dim}")
     return law
 
 
-def linearization_rate(
-    dyn: DynamicsSpec,
-    u_star,
-    x0: np.ndarray,
-    brownian: BrownianEnsemble,
-    w,
-    epsilons: Sequence[float],
-) -> RateTable:
-    """r(eps) = (1/eps) E[sup_k |x^eps_k - x*_k - eps y_k|] on the Brownian
-    paths, for the reference x* under u_star from x0 and the perturbation
-    toward w that the control difference selects.  u_star and w are
-    ControlLaws or their grid values, x0 one state or one per path, as
-    euler_maruyama takes them.
+def _check_paths(per_path: List[Tuple[str, tuple]], m_paths: int, final: bool) -> None:
+    """Refuse a per-path argument, given as its (name, shape), with fewer rows
+    than the m_paths Brownian paths so far, or, when final, not as many."""
+    for name, shape in per_path:
+        if shape[0] < m_paths or (final and shape[0] != m_paths):
+            need = f"{'' if final else 'at least '}{(m_paths,) + shape[1:]}"
+            raise ValueError(f"{name} has shape {shape}; the Brownian paths need {need}")
 
-    One streaming pass integrates the reference as member eps = 0 of the
-    (E+1, M, n) stack of perturbed states: the stack's step x + (f + eps g1)
-    dt + sum_i (sigma_i + eps g2^i) dW^i is the Euler-Maruyama step there.
-    y does not depend on eps and is integrated once alongside.  The forcing
-    and A_k, D_k are evaluated on the reference's slice, so the pass holds
-    the stack, y and per-step (M, ...) slices, and no (paths x nodes) array.
-    Reference paths that turn non-finite abort as in euler_maruyama: after
-    the pass one RuntimeWarning names how many, and the rate is refused by
-    count and first index.  Perturbed paths that turn non-finite on a finite
-    reference warn by count and first index, and their rates are not
-    finite.  Dynamics without a control are refused, since u_star and w
-    move nothing there and every rate would be 0.
-    """
-    eps = validate_epsilons(epsilons)
-    if dyn.control_dim == 0:
-        raise ValueError("the dynamics take no control (control_dim 0): u_star and w "
-                         "move nothing, so every rate would be 0")
-    n_eps, (m_paths, n_steps, d), n = eps.size, brownian.increments.shape, dyn.state_dim
-    u_law = _rate_control(dyn, u_star, "u_star", n_steps)
-    w_law = _rate_control(dyn, w, "w", n_steps)
-    _check_noise_dim(dyn, brownian)
+
+def _check_block(dyn: DynamicsSpec, block: BrownianEnsemble, grid, laws) -> None:
+    """Refuse a path block off the first block's grid, or whose steps or
+    noise dimension the controls, given as (name, law), or dynamics do not fit."""
+    if block.grid != grid:
+        raise ValueError(f"Brownian blocks lie on two grids: {block.grid} and {grid}")
+    for name, law in laws:
+        if law.n_steps != grid.n_steps:
+            raise ValueError(f"{name} has {law.n_steps} steps; the grid has {grid.n_steps}")
+    _check_noise_dim(dyn, block)
+
+
+def _block_law(law: ControlLaw, lo: int, hi: int) -> ControlLaw:
+    """The law on paths lo..hi-1: a per-path law sliced, a deterministic one as is."""
+    return law if law.deterministic else ControlLaw(law.values[lo:hi])
+
+
+def _rate_block(dyn: DynamicsSpec, forcing: Callable, e3: np.ndarray, u_law: ControlLaw,
+                w_law: ControlLaw, x0: np.ndarray,
+                brownian: BrownianEnsemble) -> Tuple[np.ndarray, np.ndarray]:
+    """The rate pass on one path block: the running sup over the nodes of
+    the squared gap |x^eps - x* - eps y|^2, shape (E, b), and each path's
+    abort node (b,), -1 where the reference stays finite."""
+    (m_paths, n_steps, d), n = brownian.increments.shape, dyn.state_dim
+    stack = e3.shape[0]
     nodes, dt = brownian.grid.nodes, brownian.grid.dt
-    g = _control_difference(dyn, u_law, w_law, nodes, m_paths, stacklevel=3)
     a_at, d_at = _jacobian_steps(dyn, u_law, nodes, m_paths)
-    e3 = np.concatenate(([0.0], eps))[:, None, None]  # member 0 is the reference x*
-    stack = n_eps + 1
-
     x = np.empty((stack, m_paths, n))
-    x[:] = np.broadcast_to(np.asarray(x0, dtype=float), (m_paths, n))
+    x[:] = x0
     y = np.zeros((m_paths, n))
-    worst = np.zeros((n_eps, m_paths))  # running sup of the squared gap
+    worst = np.zeros((stack - 1, m_paths))
     first_failure = np.full(m_paths, -1, dtype=int)
-    with np.errstate(over="ignore", invalid="ignore"):  # aborted paths are refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses aborted paths
         for k in range(n_steps):
-            x_k = x[0]
-            g1, g2 = g(k, x_k)
+            t, x_k = nodes[k], x[0]
             # contiguous per-step slices, so the (E+1, M, n) arithmetic runs flat
             u_e = (u_law.at(k, stack * m_paths) if u_law.deterministic
                    else np.tile(u_law.at(k, m_paths), (stack, 1)))
             dw = np.ascontiguousarray(brownian.increments[:, k])
             flat = x.reshape(stack * m_paths, n)
-            drift = dyn.drift(nodes[k], flat, u_e).reshape(stack, m_paths, n) + e3 * g1
-            noise = dyn.diffusion(nodes[k], flat, u_e).reshape(stack, m_paths, n, d)
-            if g2 is not None:
-                noise = noise + e3[..., None] * g2
-            x = x + drift * dt + np.einsum("epnd,pd->epn", noise, dw)
+            f = dyn.drift(t, flat, u_e).reshape(stack, m_paths, n)
+            s = dyn.diffusion(t, flat, u_e).reshape(stack, m_paths, n, d)
+            # member 0 holds f and sigma at (x*, u*), which the forcing subtracts
+            g1, g2 = forcing(t, x_k, w_law.at(k, m_paths), f[0], s[0])
+            noise = s if g2 is None else s + e3[..., None] * g2
+            x = x + (f + e3 * g1) * dt + np.einsum("epnd,pd->epn", noise, dw)
             _abort_nonfinite(x[0], first_failure, k + 1)
             y = _linear_step(y, a_at(k, x_k), None if d_at is None else d_at(k, x_k),
                              g1, g2, dt, dw)
@@ -185,11 +182,79 @@ def linearization_rate(
             gap -= e3[1:] * y
             # the sum np.linalg.norm takes, without a reduce over the short axis
             np.maximum(worst, sum(gap[..., i] * gap[..., i] for i in range(n)), out=worst)
+    return worst, first_failure
+
+
+def linearization_rate(
+    dyn: DynamicsSpec,
+    u_star,
+    x0: np.ndarray,
+    brownian,
+    w,
+    epsilons: Sequence[float],
+) -> RateTable:
+    """r(eps) = (1/eps) E[sup_k |x^eps_k - x*_k - eps y_k|] on the Brownian
+    paths, for the reference x* under u_star from x0 and the perturbation
+    toward w that the control difference selects.  u_star and w are
+    ControlLaws or their grid values, x0 one state (n,) or one per path
+    (M, n).  brownian is one BrownianEnsemble, or an iterable of path blocks
+    in path order on one grid, such as a generator that samples each block
+    at its path_offset; a per-path x0, u_star or w is sliced to each block.
+
+    One streaming pass integrates the reference as member eps = 0 of the
+    (E+1, b, n) stack of perturbed states over each block of b paths: the
+    stack's step x + (f + eps g1) dt + sum_i (sigma_i + eps g2^i) dW^i is
+    the Euler-Maruyama step there.  y does not depend on eps and is
+    integrated once alongside.  The forcing and A_k, D_k are evaluated on
+    the reference's slice, so the pass holds one block's increments, the
+    stack, y and per-step slices, and no (paths x nodes) array beyond the
+    block it is given.  The blocks' running sups are joined into one (E, M)
+    array before the rates are taken, so the rates, warnings and refusals
+    are those of the whole ensemble, whatever the blocks.  Reference paths that turn non-finite
+    abort as in euler_maruyama: after the pass one RuntimeWarning names how
+    many, and the rate is refused by count and first index.  Perturbed
+    paths that turn non-finite on a finite reference warn by count and
+    first index, and their rates are not finite.  Dynamics without a
+    control are refused, since u_star and w move nothing there and every
+    rate would be 0.
+    """
+    eps = validate_epsilons(epsilons)
+    if dyn.control_dim == 0:
+        raise ValueError("the dynamics take no control (control_dim 0): u_star and w "
+                         "move nothing, so every rate would be 0")
+    u_law, w_law = _rate_control(dyn, u_star, "u_star"), _rate_control(dyn, w, "w")
+    x0, n = np.asarray(x0, dtype=float), dyn.state_dim
+    if x0.ndim not in (1, 2) or x0.shape[-1] != n:
+        raise ValueError(f"x0 has shape {x0.shape}; the dynamics need ({n},) or (paths, {n})")
+    per_path = [(name, v.shape) for name, v, ndim in
+                (("x0", x0, 2), ("u_star", u_law.values, 3), ("w", w_law.values, 3))
+                if v.ndim == ndim]
+    whole = isinstance(brownian, BrownianEnsemble)
+    if whole:
+        _check_paths(per_path, brownian.n_paths, final=True)
+    e3 = np.concatenate(([0.0], eps))[:, None, None]  # member 0 is the reference x*
+    forcing = _control_difference(dyn)
+    worst, first_failure, grid, lo = [], [], None, 0
+    for block in ([brownian] if whole else brownian):
+        grid = block.grid if grid is None else grid
+        _check_block(dyn, block, grid, (("u_star", u_law), ("w", w_law)))
+        hi = lo + block.n_paths
+        _check_paths(per_path, hi, final=False)
+        part = _rate_block(dyn, forcing, e3, _block_law(u_law, lo, hi), _block_law(w_law, lo, hi),
+                           x0 if x0.ndim == 1 else x0[lo:hi], block)
+        worst.append(part[0])
+        first_failure.append(part[1])
+        lo = hi
+        del block  # released before the next block is drawn
+    if lo == 0:
+        raise ValueError("the Brownian ensemble holds no paths")
+    _check_paths(per_path, lo, final=True)
+    worst, first_failure = np.concatenate(worst, axis=1), np.concatenate(first_failure)
     _warn_aborted(first_failure)
     _refuse_aborted(first_failure >= 0)
-    blown = ~np.isfinite(worst).all(axis=0)  # the overflow the errstate above kept quiet
+    blown = ~np.isfinite(worst).all(axis=0)  # the overflow the block pass kept quiet
     if blown.any():
-        warnings.warn(f"perturbed state is not finite on {int(blown.sum())} of {m_paths} paths "
+        warnings.warn(f"perturbed state is not finite on {int(blown.sum())} of {lo} paths "
                       f"(first at path {int(np.argmax(blown))}), so some rates are not finite",
                       RuntimeWarning, stacklevel=2)
     return RateTable(epsilons=eps, rates=np.sqrt(worst).mean(axis=1) / eps)

@@ -45,6 +45,7 @@ from riskpmp.adjoint import (
     conditional_expectation,
     tower_check,
 )
+from riskpmp.certificate import _row_dot
 from riskpmp.sde import FundamentalMatrices, StateEnsemble
 from riskpmp.variational import selection_continuity
 
@@ -114,6 +115,28 @@ def test_hamiltonian_linear_in_adjoint_variables():
     h = lambda p, q: hamiltonian(dyn, 0.3, x, u, p, q)
     np.testing.assert_allclose(h(p1 + p2, q1 + q2), h(p1, q1) + h(p2, q2), atol=1e-12)
     np.testing.assert_allclose(h(2.5 * p1, 2.5 * q1), 2.5 * h(p1, q1), atol=1e-12)
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 2)])
+def test_hamiltonian_sums_match_einsum(n, d):
+    # the pathwise dot products of H as sums over the short axes: equal bit
+    # for bit to the einsum when two terms are summed (the double integrator),
+    # and within 1e-12 relative for longer axes
+    rng = np.random.default_rng(n * 10 + d)
+    p, f = rng.normal(size=(2, 500, n))
+    q, s = rng.normal(size=(2, 500, n, d))
+    got = _row_dot(p, f) + _row_dot(q, s)
+    want = np.einsum("pn,pn->p", p, f) + np.einsum("pnd,pnd->p", q, s)
+    if n * d <= 2:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    dyn = double_integrator()
+    x, u = rng.normal(size=(500, 2)), rng.uniform(-1, 1, size=(500, 1))
+    p, q = rng.normal(size=(500, 2)), rng.normal(size=(500, 2, 1))
+    want = (np.einsum("pn,pn->p", p, dyn.drift(0.3, x, u))
+            + np.einsum("pnd,pnd->p", q, dyn.diffusion(0.3, x, u)))
+    assert np.array_equal(hamiltonian(dyn, 0.3, x, u, p, q), want)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from riskpmp import export
 from riskpmp import cli
 from riskpmp.cli import emit_plot_data, load_scenario, main
 from riskpmp.risk import AVaR, risk_value
+from riskpmp.sde import ControlLaw, double_integrator_dynamics, make_grid, sample_brownian
+from riskpmp.variational import linearization_rate
 
 SAFE_INSTANCE = {
     "y0": 0.0,
@@ -1021,6 +1023,22 @@ def test_convergence_rate_table_sorted_descending(tmp_path, capsys):
     rep = load_report(out)
     assert rep["status"] == "pass"
     assert rep["results"]["passed"] is True
+    capsys.readouterr()
+
+
+def test_convergence_rate_over_sampled_blocks_equals_one_pass(tmp_path, capsys, monkeypatch):
+    # blocks of 64 with a ragged tail of 44, each drawn at its path offset:
+    # the report's rates are those of one pass over the whole ensemble
+    monkeypatch.setattr(cli, "RATE_BLOCK", 64)
+    out = tmp_path / "out"
+    cfg = dict(_RATE, seed=9, out_dir=str(out), problem={"name": "double-integrator", "cubic": 0.1},
+               n_steps=40, n_paths=300, u_star=0.3, w=-0.8, epsilons=[0.2, 0.1, 0.05])
+    assert main(["convergence", "--config", write_cfg(tmp_path, cfg)]) == 0
+    grid = make_grid(1.0, 40)
+    whole = linearization_rate(double_integrator_dynamics(cubic=0.1), ControlLaw.constant(0.3, 40),
+                               np.zeros(2), sample_brownian(grid, 1, 300, 9),
+                               ControlLaw.constant(-0.8, 40), cfg["epsilons"])
+    assert [row["r"] for row in load_report(out)["results"]["rates"]] == whole.rates.tolist()
     capsys.readouterr()
 
 

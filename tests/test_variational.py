@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 
@@ -220,6 +221,25 @@ def test_rate_names_aborted_reference_paths():
     assert streamed[0].filename == __file__
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rate_names_an_abort_in_a_later_block_as_the_whole_ensemble_does():
+    # only paths 150 on start at the blow-up, so the first abort falls in the
+    # third block of 64; the warning and refusal name steps and global paths
+    dyn = double_integrator_dynamics(cubic=-2.0)
+    grid = make_grid(1.0, 50)
+    x0 = np.zeros((200, 2))
+    x0[150:, 0] = 1.5
+    law, w = ControlLaw.constant(0.0, 50), ControlLaw.constant(0.5, 50)
+    texts = []
+    for brownian in (sample_brownian(grid, 1, 200, seed=3), _blocks(grid, 1, 200, 3, 64)):
+        with pytest.warns(RuntimeWarning, match="aborted") as record:
+            with pytest.raises(ValueError, match=r"of 200 paths \(first at path 1[5-9]\d\)") as refusal:
+                linearization_rate(dyn, law, x0, brownian, w, [0.5, 0.25])
+        assert len(record) == 1 and record[0].filename == __file__
+        texts.append((str(record[0].message), str(refusal.value)))
+    assert texts[0] == texts[1]
+
+
 def test_rate_names_perturbed_paths_that_blow_up():
     # the reference stays finite from y = 0.75, but the pull toward w = 1 at
     # eps = 1 and 0.5 drives perturbed paths past the blow-up
@@ -351,59 +371,70 @@ def controlled_diffusion_2d():
     )
 
 
-def test_rate_single_pass_matches_per_epsilon_oracle():
-    n_steps, m_paths = 60, 400
-    grid = make_grid(1.0, n_steps)
-    eps = [0.5, 0.2, 0.05, 0.01]
+ORACLE_STEPS, ORACLE_PATHS = 60, 400
+
+
+def _oracle_cases(m_paths=ORACLE_PATHS):
+    """(name, dyn, u_star, x0, seed, w) for the cubic double integrator, a
+    controlled diffusion whose g2 and D are both set, and a per-path control
+    on m_paths paths."""
+    n_steps = ORACLE_STEPS
     rng = np.random.default_rng(12)
-
-    # (a) cubic double integrator: the drift Jacobian differs between paths
-    dyn = double_integrator_dynamics(cubic=0.5)
-    bm = sample_brownian(grid, 1, m_paths, seed=13)
-    u_star, x0 = ControlLaw.constant(0.5, n_steps), np.zeros(2)
-    states = euler_maruyama(dyn, u_star, x0, bm)
-    w = ControlLaw.constant(-0.5, n_steps)
-    sel = _materialize(tangent_from_control(dyn, states, w), n_steps)
-    assert sel[1] is None
-    table = linearization_rate(dyn, u_star, x0, bm, w, eps)
-    oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
-    assert np.max(table.rates) > 1e-6
-    np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
-    assert np.array_equal(table.rates, _rate_from_selection(dyn, states, sel, eps))
-
-    # (b) controlled diffusion with a declared diffusion_jac: g2 and d_fn both set
+    cubic = double_integrator_dynamics(cubic=0.5)
+    yield ("cubic", cubic, ControlLaw.constant(0.5, n_steps), np.zeros(2), 13,
+           ControlLaw.constant(-0.5, n_steps))
     dyn = controlled_diffusion_2d()
     dyn.check_jacobians(0.0, rng.normal(size=(5, 2)), rng.uniform(-1, 1, size=(5, 1)))
-    bm = sample_brownian(grid, 2, m_paths, seed=14)
     u_star = ControlLaw(np.linspace(-0.5, 0.5, n_steps)[:, None])
-    x0 = np.array([0.3, -0.2])
-    states = euler_maruyama(dyn, u_star, x0, bm)
+    # w departs from u* a third of the way in, so g2 is zero before and set after
     w = ControlLaw(np.where(np.arange(n_steps) < n_steps // 3, u_star.values[:, 0], 0.9)[:, None])
-    sel = _materialize(tangent_from_control(dyn, states, w), n_steps)
-    assert sel[1] is not None
-    # zero diffusion difference before w departs from u*, filled in after
-    np.testing.assert_array_equal(sel[1], _tangent_full_g2(dyn, states, u_star, w))
-    assert not np.any(sel[1][:, : n_steps // 3]) and np.any(sel[1][:, n_steps // 3])
-    table = linearization_rate(dyn, u_star, x0, bm, w, eps)
-    oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
-    assert np.max(table.rates) > 1e-6
-    np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
-    assert np.array_equal(table.rates, _rate_from_selection(dyn, states, sel, eps))
+    yield "controlled diffusion", dyn, u_star, np.array([0.3, -0.2]), 14, w
+    yield ("per-path control", cubic, ControlLaw(rng.uniform(-1.0, 1.0, size=(m_paths, n_steps, 1))),
+           np.array([0.5, 0.0]), 15, ControlLaw(rng.uniform(-1.0, 1.0, size=(m_paths, n_steps, 1))))
 
-    # (c) a per-path (M, K, m) control
-    dyn = double_integrator_dynamics(cubic=0.5)
-    bm = sample_brownian(grid, 1, m_paths, seed=15)
-    u_star = ControlLaw(rng.uniform(-1.0, 1.0, size=(m_paths, n_steps, 1)))
-    x0 = np.array([0.5, 0.0])
-    states = euler_maruyama(dyn, u_star, x0, bm)
-    w = ControlLaw(rng.uniform(-1.0, 1.0, size=(m_paths, n_steps, 1)))
-    sel = _materialize(tangent_from_control(dyn, states, w), n_steps)
-    assert sel[1] is None
-    table = linearization_rate(dyn, u_star, x0, bm, w, eps)
-    oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
-    assert np.max(table.rates) > 1e-6
-    np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
-    assert np.array_equal(table.rates, _rate_from_selection(dyn, states, sel, eps))
+
+def _blocks(grid, dim, m_paths, seed, size):
+    """The ensemble's paths as a generator of blocks of size paths, each
+    sampled at its path offset."""
+    return (sample_brownian(grid, dim, min(size, m_paths - lo), seed, path_offset=lo)
+            for lo in range(0, m_paths, size))
+
+
+def test_rate_single_pass_matches_per_epsilon_oracle():
+    grid = make_grid(1.0, ORACLE_STEPS)
+    eps = [0.5, 0.2, 0.05, 0.01]
+    for name, dyn, u_star, x0, seed, w in _oracle_cases():
+        bm = sample_brownian(grid, dyn.noise_dim, ORACLE_PATHS, seed=seed)
+        states = euler_maruyama(dyn, u_star, x0, bm)
+        sel = _materialize(tangent_from_control(dyn, states, w), ORACLE_STEPS)
+        assert (sel[1] is not None) == (name == "controlled diffusion")
+        if sel[1] is not None:
+            np.testing.assert_array_equal(sel[1], _tangent_full_g2(dyn, states, u_star, w))
+            third = ORACLE_STEPS // 3
+            assert not np.any(sel[1][:, :third]) and np.any(sel[1][:, third])
+        table = linearization_rate(dyn, u_star, x0, bm, w, eps)
+        oracle = _rate_per_epsilon(dyn, states, u_star, sel, eps, bm)
+        assert np.max(table.rates) > 1e-6
+        np.testing.assert_allclose(table.rates, oracle, rtol=1e-12, atol=0)
+        assert np.array_equal(table.rates, _rate_from_selection(dyn, states, sel, eps))
+
+
+def test_rate_over_path_blocks_equals_whole_ensemble():
+    # any path slice regenerates bit for bit and every step acts row by row,
+    # so the blocks change no rate; a per-path x0 is sliced like the controls
+    m_paths, grid = 100, make_grid(1.0, ORACLE_STEPS)
+    eps = [0.5, 0.2, 0.05, 0.01]
+    spread = np.random.default_rng(3).normal(scale=0.1, size=(m_paths, 2))
+    for name, dyn, u_star, x0, seed, w in _oracle_cases(m_paths):
+        if name == "per-path control":
+            x0 = x0 + spread
+        bm = sample_brownian(grid, dyn.noise_dim, m_paths, seed=seed)
+        whole = linearization_rate(dyn, u_star, x0, bm, w, eps).rates
+        assert np.max(whole) > 1e-6
+        for size in (1, 7, m_paths - 1):
+            blocks = _blocks(grid, dyn.noise_dim, m_paths, seed, size)
+            assert np.array_equal(linearization_rate(dyn, u_star, x0, blocks, w, eps).rates,
+                                  whole), (name, size)
 
 
 def test_rate_holds_no_whole_grid_array():
@@ -422,6 +453,27 @@ def test_rate_holds_no_whole_grid_array():
         tracemalloc.stop()
     assert table.passed
     assert peak < m_paths * n_steps * dyn.state_dim * 8
+
+
+def test_rate_over_sampled_blocks_holds_less_than_one_ensemble():
+    # blocks drawn on demand: sampling included, the pass never holds the
+    # (M, K, d) increments of the whole ensemble
+    m_paths, n_steps = 2000, 200
+    dyn = double_integrator_dynamics(cubic=0.5)
+    grid = make_grid(2.0, n_steps)
+    u_star, w = ControlLaw.constant(0.5, n_steps), ControlLaw.constant(-0.5, n_steps)
+    eps = [0.5, 0.25, 0.125, 0.0625]
+    tracemalloc.start()
+    try:
+        table = linearization_rate(dyn, u_star, np.zeros(2), _blocks(grid, 1, m_paths, 5, 250),
+                                   w, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m_paths * n_steps * dyn.noise_dim * 8
+    whole = linearization_rate(dyn, u_star, np.zeros(2), sample_brownian(grid, 1, m_paths, 5),
+                               w, eps)
+    assert np.array_equal(table.rates, whole.rates)
 
 
 def test_rate_refuses_controls_that_move_nothing_or_do_not_fit():
@@ -444,6 +496,39 @@ def test_rate_refuses_controls_that_move_nothing_or_do_not_fit():
         linearization_rate(controlled_diffusion_2d(), one, np.zeros(2), bm, one, [0.5])
 
 
+def test_rate_refuses_per_path_inputs_that_do_not_fit_the_paths():
+    grid = make_grid(1.0, 8)
+    bm = sample_brownian(grid, 1, 8, seed=2)
+    dyn = double_integrator_dynamics(cubic=0.5)
+    law = ControlLaw.constant(0.5, 8)
+    paths = lambda m: ControlLaw(np.full((m, 8, 1), 0.5))
+    cases = [
+        (np.zeros(3), law, law, r"x0 has shape \(3,\); the dynamics need \(2,\) or \(paths, 2\)"),
+        (np.zeros((8, 3)), law, law, r"x0 has shape \(8, 3\); the dynamics need"),
+        (np.zeros((5, 2)), law, law, r"x0 has shape \(5, 2\); the Brownian paths need \(8, 2\)"),
+        (np.zeros((1, 2)), law, law, r"x0 has shape \(1, 2\); the Brownian paths need \(8, 2\)"),
+        (np.zeros(2), paths(5), law,
+         r"u_star has shape \(5, 8, 1\); the Brownian paths need \(8, 8, 1\)"),
+        (np.zeros(2), law, paths(9), r"w has shape \(9, 8, 1\); the Brownian paths need \(8, 8, 1\)"),
+    ]
+    for x0, u_star, w, message in cases:
+        with pytest.raises(ValueError, match=message):
+            linearization_rate(dyn, u_star, x0, bm, w, [0.5])
+    # over blocks, a short argument is refused at the first block it cannot
+    # cover, a long one after the last
+    with pytest.raises(ValueError, match=r"x0 has shape \(5, 2\); the Brownian paths need at "
+                                         r"least \(6, 2\)"):
+        linearization_rate(dyn, law, np.zeros((5, 2)), _blocks(grid, 1, 8, 2, 3), law, [0.5])
+    with pytest.raises(ValueError, match=r"w has shape \(9, 8, 1\); the Brownian paths need "
+                                         r"\(8, 8, 1\)"):
+        linearization_rate(dyn, law, np.zeros(2), _blocks(grid, 1, 8, 2, 3), paths(9), [0.5])
+    with pytest.raises(ValueError, match="the Brownian ensemble holds no paths"):
+        linearization_rate(dyn, law, np.zeros(2), iter(()), law, [0.5])
+    with pytest.raises(ValueError, match="Brownian blocks lie on two grids"):
+        linearization_rate(dyn, law, np.zeros(2), [bm, sample_brownian(make_grid(2.0, 8), 1, 4, 2)],
+                           law, [0.5])
+
+
 def test_rate_warns_once_on_controlled_diffusion_without_attestation():
     dyn = DynamicsSpec(
         state_dim=1, control_dim=1, noise_dim=1,
@@ -462,11 +547,14 @@ def test_rate_warns_once_on_controlled_diffusion_without_attestation():
         assert len(record) == 0  # the accessor warns when it is stepped through
         solve_linearized(*linearization_along(dyn, states), g, bm)
         linearization_rate(dyn, u_star, np.ones(1), bm, w, [0.5, 0.25])
-    assert len(record) == 2
-    assert record[0].category is record[1].category is UserWarning
-    assert str(record[0].message) == str(record[1].message)
+        line = sys._getframe().f_lineno + 1
+        linearization_rate(dyn, u_star, np.ones(1), _blocks(grid, 1, 10, 4, 3), w, [0.5, 0.25])
+    assert len(record) == 3  # once per call, over one ensemble or four blocks
+    assert all(r.category is UserWarning for r in record)
+    assert len({str(r.message) for r in record}) == 1
     assert "velocity sets" in str(record[1].message)
-    assert record[0].filename == record[1].filename == __file__
+    assert all(r.filename == __file__ for r in record)
+    assert record[2].lineno == line
 
 
 # ---------------------------------------------------------------------------
