@@ -212,10 +212,6 @@ class CostatePair:
     fund: FundamentalMatrices
     node_coef: Optional[np.ndarray] = None  # (K, B, n): m_k = features(x_k, W_k) @ node_coef[k]
 
-    @property
-    def n_paths(self) -> int:
-        return self.p.shape[0]
-
 
 def _jacobian_steps(dyn: DynamicsSpec, law: ControlLaw, nodes: np.ndarray,
                     n_paths: int) -> Tuple:

@@ -438,14 +438,11 @@ def _usable_cpus():
 
 def _run_simulate(cfg, ctx):
     dyn = _dynamics(cfg["dynamics"], "dynamics")
-    x0 = np.asarray(cfg["x0"], dtype=float)
-    if x0.shape != (dyn.state_dim,):
-        raise UsageError(f"x0 must have {dyn.state_dim} components")
     grid = _grid(cfg["horizon"], cfg["n_steps"])
     u = cfg["control"]["constant"] if "control" in cfg else np.zeros(dyn.control_dim)
-    law = ControlLaw.constant(u, grid.n_steps)
-    if law.values.shape[1] != dyn.control_dim:
-        raise UsageError(f"control must have {dyn.control_dim} components")
+    with _refused():  # the integrator's shape rules, before any normal is drawn
+        x0 = sde.as_initial_state(dyn, cfg["x0"])
+        law = sde.as_control_law(ControlLaw.constant(u, grid.n_steps), dyn, grid.n_steps)
     states = _simulate_ensemble(dyn, law, x0, grid, cfg["n_paths"], cfg["seed"], ctx.threads)
     artifacts = _write_bulk_artifacts(cfg, ctx, states, dyn.noise_dim, paths_default=True)
     failed = states.failed_paths
@@ -629,11 +626,9 @@ RATE_BLOCK = 4096  # Brownian paths sampled and passed to the rate pass at a tim
 
 def _run_convergence(cfg, ctx):
     dyn = _dynamics(cfg["problem"], "problem")
-    x0 = np.atleast_1d(np.asarray(cfg["x0"], dtype=float))
-    if x0.shape != (dyn.state_dim,):
-        raise UsageError(f"x0 must have {dyn.state_dim} components")
+    x0 = np.atleast_1d(cfg["x0"])  # both studies apply the x0 rule before they sample
     if cfg["study"] == "strong-order":
-        with _refused():  # horizon, levels, or dynamics without a closed form
+        with _refused():  # x0, horizon, levels, or dynamics without a closed form
             rep = strong_convergence_order(
                 dyn, x0, cfg["horizon"], cfg["n_steps_levels"], cfg["n_paths"], cfg["seed"]
             )
@@ -655,7 +650,7 @@ def _run_convergence(cfg, ctx):
                               path_offset=lo)
               for lo in range(0, m_paths, RATE_BLOCK))
     u_star, w = (ControlLaw.constant(cfg[key], grid.n_steps) for key in ("u_star", "w"))
-    with _refused():  # aborted reference paths, or controls that move nothing
+    with _refused():  # x0, controls that move nothing, or aborted reference paths
         table = linearization_rate(dyn, u_star, x0, blocks, w, epsilons)
     results = {
         "passed": table.passed,

@@ -58,8 +58,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
-            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
+        object.__setattr__(self, "n_steps", positive_int(self.n_steps, "n_steps"))
 
     @property
     def dt(self) -> float:
@@ -70,9 +69,17 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
 
+def positive_int(value, name: str) -> int:
+    """The one rule for a count: a Python or NumPy integer of at least 1, as
+    an int; anything else, a float included, is refused by name."""
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return int(value)
+
+
 def make_grid(horizon: float, n_steps: int) -> TimeGrid:
     """Uniform grid {0, dt, ..., horizon} with dt = horizon / n_steps."""
-    return TimeGrid(float(horizon), int(n_steps))
+    return TimeGrid(float(horizon), n_steps)
 
 
 @dataclass(frozen=True)
@@ -116,9 +123,10 @@ class BrownianEnsemble:
         return BrownianEnsemble(grid=make_grid(self.grid.horizon, k // factor), increments=coarse)
 
 
-def validate_n_paths(n_paths: int) -> None:
+def validate_n_paths(n_paths: int) -> int:
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    return positive_int(n_paths, "n_paths")
 
 
 def sample_brownian(
@@ -130,9 +138,7 @@ def sample_brownian(
     the counter-derived stream of global path index path_offset + p, so any
     path slice of a larger ensemble regenerates bit-exactly.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    validate_n_paths(n_paths)
+    dim, n_paths = positive_int(dim, "dim"), validate_n_paths(n_paths)
     seed = validate_seed(seed)
     z = ensemble_normals(seed, n_paths, grid.n_steps * dim, path_offset=path_offset)
     z *= math.sqrt(grid.dt)  # in place: no second (M, K, d) array
@@ -326,14 +332,55 @@ class StateEnsemble:
         return value
 
 
-def as_control_law(law) -> ControlLaw:
-    """A recorded control signal: a ControlLaw as given, or its values wrapped."""
-    if isinstance(law, ControlLaw):
-        return law
-    if callable(law) or isinstance(law, FeedbackLaw):
+def as_control_law(law, dyn: DynamicsSpec, n_steps: int, name: str = "control",
+                   feedback: bool = False):
+    """The one control coercion: a ControlLaw, or its grid values wrapped,
+    refused by name unless dyn.control_dim wide and n_steps long.  Only where
+    feedback is taken may law be a FeedbackLaw, whose width is checked."""
+    if callable(law) or isinstance(law, FeedbackLaw) and not feedback:
         raise TypeError("a control here is a ControlLaw or its grid values; only "
                         "euler_maruyama takes feedback, as a FeedbackLaw")
-    return ControlLaw(np.asarray(law, dtype=float))
+    law = law if isinstance(law, (ControlLaw, FeedbackLaw)) else ControlLaw(law)
+    if law.dim != dyn.control_dim:
+        takes = (f"control_dim {dyn.control_dim}" if dyn.control_dim
+                 else "no control (control_dim 0)")
+        raise ValueError(f"{name} has width {law.dim}; the dynamics take {takes}")
+    if isinstance(law, ControlLaw) and law.n_steps != n_steps:
+        raise ValueError(f"{name} has {law.n_steps} steps; the grid has {n_steps}")
+    return law
+
+
+def as_initial_state(dyn: DynamicsSpec, x0) -> np.ndarray:
+    """The one x0 rule: one state (n,) for every path, or one per path
+    (paths, n), as a float array; any other shape is refused."""
+    x0, n = np.asarray(x0, dtype=float), dyn.state_dim
+    if x0.ndim not in (1, 2) or x0.shape[-1] != n:
+        raise ValueError(f"x0 has shape {x0.shape}; the dynamics need ({n},) or (paths, {n})")
+    return x0
+
+
+def _check_paths(m_paths: int, final: bool = True, **inputs) -> None:
+    """The one path-count rule: refuse, by name, a per-path x0 (paths, n) or
+    ControlLaw (paths, K, m) with fewer paths than the m_paths Brownian paths
+    so far or, when final, not as many; an input given as None is absent."""
+    for name, value in inputs.items():
+        if isinstance(value, ControlLaw):
+            shape, per_path = value.values.shape, not value.deterministic
+        else:
+            shape, per_path = np.shape(value), np.ndim(value) == 2
+        if per_path and (shape[0] < m_paths or (final and shape[0] != m_paths)):
+            need = f"{'' if final else 'at least '}{(m_paths,) + shape[1:]}"
+            raise ValueError(f"{name} has shape {shape}; the Brownian paths need {need}")
+
+
+def _coefficients(dyn: DynamicsSpec, t: float, x: np.ndarray, u: np.ndarray):
+    """f and sigma at (t, x, u), refused by name unless (M, n) and (M, n, d)."""
+    m, n = x.shape
+    f, sig = dyn.drift(t, x, u), dyn.diffusion(t, x, u)
+    for name, value, shape in (("drift", f, (m, n)), ("diffusion", sig, (m, n, dyn.noise_dim))):
+        if np.shape(value) != shape:
+            raise ValueError(f"{name} returned shape {np.shape(value)}, expected {shape}")
+    return f, sig
 
 
 def euler_maruyama(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEnsemble) -> StateEnsemble:
@@ -342,8 +389,8 @@ def euler_maruyama(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEns
     law is a ControlLaw (or its grid values), or a FeedbackLaw, which is
     evaluated at every step on the current states and on W_k, kept as the
     running sum of the increments.  The ensemble carries the ControlLaw, or
-    the feedback law's realized controls, as its control.  x0 may be a single
-    state (broadcast to all paths) or one state per path.  Paths that turn
+    the feedback law's realized controls, as its control.  The control and
+    x0 must meet as_control_law, as_initial_state and _check_paths.  Paths that turn
     non-finite are aborted: their values stay NaN from the offending node on,
     the first bad step is recorded on the ensemble, and one RuntimeWarning
     names how many aborted.
@@ -384,17 +431,14 @@ def _integrate(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEnsembl
     ensemble in path chunks and warns once for the whole."""
     grid = brownian.grid
     n_paths, n_steps, d = brownian.increments.shape
-    n = dyn.state_dim
     _check_noise_dim(dyn, brownian)
+    law, x0 = as_control_law(law, dyn, n_steps, feedback=True), as_initial_state(dyn, x0)
     feedback = isinstance(law, FeedbackLaw)
-    if not feedback:
-        law = as_control_law(law)
-        if law.n_steps != n_steps:
-            raise ValueError("control law length does not match the grid")
+    _check_paths(n_paths, x0=x0, control=None if feedback else law)
 
-    x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, n)))
-    out = np.empty((n_paths, n_steps + 1, n))
-    out[:, 0] = x
+    out = np.empty((n_paths, n_steps + 1, dyn.state_dim))
+    out[:, 0] = x0
+    x = out[:, 0].copy()
     first_failure = np.full(n_paths, -1, dtype=int)
     if feedback:
         realized = np.empty((n_paths, n_steps, law.dim))
@@ -412,12 +456,7 @@ def _integrate(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEnsembl
                 w = w + dw
             else:
                 u = law.at(k, n_paths)
-            f = dyn.drift(t, x, u)
-            sig = dyn.diffusion(t, x, u)
-            if f.shape != (n_paths, n):
-                raise ValueError(f"drift returned shape {f.shape}, expected {(n_paths, n)}")
-            if sig.shape != (n_paths, n, d):
-                raise ValueError(f"diffusion returned shape {sig.shape}, expected {(n_paths, n, d)}")
+            f, sig = _coefficients(dyn, t, x, u)
             x = x + f * dt + np.einsum("pnd,pd->pn", sig, dw)
             _abort_nonfinite(x, first_failure, k + 1)
             out[:, k + 1] = x
@@ -664,28 +703,28 @@ def strong_convergence_order(
     """
     if dyn.exact_terminal is None:
         raise MissingClosedFormError("the dynamics has no closed form to compare against")
-    levels = sorted(int(k) for k in n_steps_levels)
+    levels = sorted(n_steps_levels)
     if len(levels) < 2:
         raise ValueError("n_steps_levels needs at least two levels")
+    if levels[0] < 1:
+        raise ValueError(f"n_steps_levels: level {levels[0]} must be at least 1")
+    levels = [positive_int(k, "n_steps_levels: level") for k in levels]
     if len(set(levels)) < len(levels):
         raise ValueError(f"n_steps_levels repeat: {levels}")
     finest = levels[-1]
-    if levels[0] < 1:
-        raise ValueError(f"n_steps_levels: level {levels[0]} must be at least 1")
     for k in levels:
         if finest % k != 0:
             raise ValueError(f"n_steps_levels: level {k} must divide the finest level {finest}")
+    x0 = as_initial_state(dyn, x0)
+    _check_paths(n_paths, x0=x0)
     fine = sample_brownian(make_grid(horizon, finest), dyn.noise_dim, n_paths, seed)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     exact = dyn.exact_terminal(
         np.broadcast_to(x0, (n_paths, dyn.state_dim)), horizon, fine.terminal()
     )
-    law_width = dyn.control_dim
     errors = []
     for k in levels:
         ens = fine.coarsen(finest // k)
-        law = ControlLaw(np.zeros((k, law_width)))
-        states = euler_maruyama(dyn, law, x0, ens)
+        states = euler_maruyama(dyn, np.zeros((k, dyn.control_dim)), x0, ens)
         err = np.linalg.norm(states.terminal - exact, axis=1).mean()
         errors.append(float(err))
     dts = [horizon / k for k in levels]

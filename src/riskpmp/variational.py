@@ -15,8 +15,8 @@ import numpy as np
 
 from .adjoint import _jacobian_steps, linearization_along
 from .sde import (BrownianEnsemble, ControlLaw, DynamicsSpec, StateEnsemble, _abort_nonfinite,
-                  _check_noise_dim, _linear_step, _warn_aborted, as_control_law,
-                  solve_linearized)
+                  _check_noise_dim, _check_paths, _coefficients, _linear_step, _warn_aborted,
+                  as_control_law, as_initial_state, solve_linearized)
 
 
 def _refuse_aborted(bad: np.ndarray) -> None:
@@ -39,8 +39,8 @@ def _control_difference(dyn: DynamicsSpec) -> Callable:
     def g(t: float, x_k: np.ndarray, w_k: np.ndarray, f_u: np.ndarray,
           s_u: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         nonlocal checked
-        g1 = dyn.drift(t, x_k, w_k) - f_u
-        g2 = dyn.diffusion(t, x_k, w_k) - s_u
+        f_w, s_w = _coefficients(dyn, t, x_k, w_k)
+        g1, g2 = f_w - f_u, s_w - s_u
         if not np.any(g2):
             return g1, None
         if not (checked or dyn.convex_velocity_sets):
@@ -58,7 +58,7 @@ def _control_difference(dyn: DynamicsSpec) -> Callable:
 
 def tangent_from_control(dyn: DynamicsSpec, states: StateEnsemble, w) -> Callable:
     """Pointwise control-difference selection along the candidate ensemble,
-    from the control it carries toward w (a ControlLaw or its grid values),
+    from the control it carries toward w (a control as_control_law takes),
     as the forcing accessor of solve_linearized: g(k) is (g1_k, g2_k) with
     g1_k = f(t_k, x*_k, w_k) - f(t_k, x*_k, u*_k), shape (M, n), and g2_k
     the matching diffusion difference (M, n, d), None where it is exactly
@@ -69,14 +69,14 @@ def tangent_from_control(dyn: DynamicsSpec, states: StateEnsemble, w) -> Callabl
     through g, when the dynamics do not attest convex velocity sets.
     """
     _refuse_aborted(~np.isfinite(states.values).all(axis=(1, 2)))
-    u_law, w_law = states.recorded("control"), as_control_law(w)
+    u_law, w_law = states.recorded("control"), as_control_law(w, dyn, states.grid.n_steps, "w")
     nodes, m_paths = states.grid.nodes, states.n_paths
+    _check_paths(m_paths, w=w_law)
     step = _control_difference(dyn)
 
     def g(k: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        t, x_k, u_k = nodes[k], np.ascontiguousarray(states.values[:, k, :]), u_law.at(k, m_paths)
-        return step(t, x_k, w_law.at(k, m_paths), dyn.drift(t, x_k, u_k),
-                    dyn.diffusion(t, x_k, u_k))
+        t, x_k = nodes[k], np.ascontiguousarray(states.values[:, k, :])
+        return step(t, x_k, w_law.at(k, m_paths), *_coefficients(dyn, t, x_k, u_law.at(k, m_paths)))
 
     return g
 
@@ -112,34 +112,6 @@ def validate_epsilons(epsilons: Sequence[float]) -> np.ndarray:
     return eps
 
 
-def _rate_control(dyn: DynamicsSpec, law, name: str) -> ControlLaw:
-    law = as_control_law(law)
-    if law.dim != dyn.control_dim:
-        raise ValueError(f"{name} has width {law.dim}; the dynamics take control_dim "
-                         f"{dyn.control_dim}")
-    return law
-
-
-def _check_paths(per_path: List[Tuple[str, tuple]], m_paths: int, final: bool) -> None:
-    """Refuse a per-path argument, given as its (name, shape), with fewer rows
-    than the m_paths Brownian paths so far, or, when final, not as many."""
-    for name, shape in per_path:
-        if shape[0] < m_paths or (final and shape[0] != m_paths):
-            need = f"{'' if final else 'at least '}{(m_paths,) + shape[1:]}"
-            raise ValueError(f"{name} has shape {shape}; the Brownian paths need {need}")
-
-
-def _check_block(dyn: DynamicsSpec, block: BrownianEnsemble, grid, laws) -> None:
-    """Refuse a path block off the first block's grid, or whose steps or
-    noise dimension the controls, given as (name, law), or dynamics do not fit."""
-    if block.grid != grid:
-        raise ValueError(f"Brownian blocks lie on two grids: {block.grid} and {grid}")
-    for name, law in laws:
-        if law.n_steps != grid.n_steps:
-            raise ValueError(f"{name} has {law.n_steps} steps; the grid has {grid.n_steps}")
-    _check_noise_dim(dyn, block)
-
-
 def _block_law(law: ControlLaw, lo: int, hi: int) -> ControlLaw:
     """The law on paths lo..hi-1: a per-path law sliced, a deterministic one as is."""
     return law if law.deterministic else ControlLaw(law.values[lo:hi])
@@ -167,9 +139,8 @@ def _rate_block(dyn: DynamicsSpec, forcing: Callable, e3: np.ndarray, u_law: Con
             u_e = (u_law.at(k, stack * m_paths) if u_law.deterministic
                    else np.tile(u_law.at(k, m_paths), (stack, 1)))
             dw = np.ascontiguousarray(brownian.increments[:, k])
-            flat = x.reshape(stack * m_paths, n)
-            f = dyn.drift(t, flat, u_e).reshape(stack, m_paths, n)
-            s = dyn.diffusion(t, flat, u_e).reshape(stack, m_paths, n, d)
+            f, s = _coefficients(dyn, t, x.reshape(stack * m_paths, n), u_e)
+            f, s = f.reshape(stack, m_paths, n), s.reshape(stack, m_paths, n, d)
             # member 0 holds f and sigma at (x*, u*), which the forcing subtracts
             g1, g2 = forcing(t, x_k, w_law.at(k, m_paths), f[0], s[0])
             noise = s if g2 is None else s + e3[..., None] * g2
@@ -195,11 +166,11 @@ def linearization_rate(
 ) -> RateTable:
     """r(eps) = (1/eps) E[sup_k |x^eps_k - x*_k - eps y_k|] on the Brownian
     paths, for the reference x* under u_star from x0 and the perturbation
-    toward w that the control difference selects.  u_star and w are
-    ControlLaws or their grid values, x0 one state (n,) or one per path
-    (M, n).  brownian is one BrownianEnsemble, or an iterable of path blocks
-    in path order on one grid, such as a generator that samples each block
-    at its path_offset; a per-path x0, u_star or w is sliced to each block.
+    toward w that the control difference selects.  u_star, w and x0 are
+    taken as euler_maruyama takes them.  brownian is one BrownianEnsemble,
+    or an iterable of path blocks in path order on one grid, such as a
+    generator that samples each block at its path_offset; a per-path x0,
+    u_star or w is sliced to each block.
 
     One streaming pass integrates the reference as member eps = 0 of the
     (E+1, b, n) stack of perturbed states over each block of b paths: the
@@ -222,24 +193,21 @@ def linearization_rate(
     if dyn.control_dim == 0:
         raise ValueError("the dynamics take no control (control_dim 0): u_star and w "
                          "move nothing, so every rate would be 0")
-    u_law, w_law = _rate_control(dyn, u_star, "u_star"), _rate_control(dyn, w, "w")
-    x0, n = np.asarray(x0, dtype=float), dyn.state_dim
-    if x0.ndim not in (1, 2) or x0.shape[-1] != n:
-        raise ValueError(f"x0 has shape {x0.shape}; the dynamics need ({n},) or (paths, {n})")
-    per_path = [(name, v.shape) for name, v, ndim in
-                (("x0", x0, 2), ("u_star", u_law.values, 3), ("w", w_law.values, 3))
-                if v.ndim == ndim]
+    x0 = as_initial_state(dyn, x0)
     whole = isinstance(brownian, BrownianEnsemble)
-    if whole:
-        _check_paths(per_path, brownian.n_paths, final=True)
     e3 = np.concatenate(([0.0], eps))[:, None, None]  # member 0 is the reference x*
     forcing = _control_difference(dyn)
     worst, first_failure, grid, lo = [], [], None, 0
     for block in ([brownian] if whole else brownian):
-        grid = block.grid if grid is None else grid
-        _check_block(dyn, block, grid, (("u_star", u_law), ("w", w_law)))
+        if grid is None:  # the first block sets the grid the controls must fit
+            grid = block.grid
+            u_law, w_law = (as_control_law(law, dyn, grid.n_steps, name)
+                            for name, law in (("u_star", u_star), ("w", w)))
+        elif block.grid != grid:
+            raise ValueError(f"Brownian blocks lie on two grids: {block.grid} and {grid}")
+        _check_noise_dim(dyn, block)
         hi = lo + block.n_paths
-        _check_paths(per_path, hi, final=False)
+        _check_paths(hi, final=whole, x0=x0, u_star=u_law, w=w_law)
         part = _rate_block(dyn, forcing, e3, _block_law(u_law, lo, hi), _block_law(w_law, lo, hi),
                            x0 if x0.ndim == 1 else x0[lo:hi], block)
         worst.append(part[0])
@@ -248,7 +216,7 @@ def linearization_rate(
         del block  # released before the next block is drawn
     if lo == 0:
         raise ValueError("the Brownian ensemble holds no paths")
-    _check_paths(per_path, lo, final=True)
+    _check_paths(lo, x0=x0, u_star=u_law, w=w_law)
     worst, first_failure = np.concatenate(worst, axis=1), np.concatenate(first_failure)
     _warn_aborted(first_failure)
     _refuse_aborted(first_failure >= 0)

@@ -277,6 +277,18 @@ _RISK = {"kind": "risk-eval", "measure": {"type": "expectation"}}
     (dict(_STRONG, n_paths=-3), [], "n_paths must be >= 1"),
     (dict(_SIMULATE, dynamics={"name": "double-integrator", "noise": -1.0}, x0=[0.0, 0.0]), [],
      "dynamics: noise scale must be nonnegative, got -1.0"),
+    # the integrator's shape rules for x0 and the control, as sde states them
+    (dict(_SIMULATE, x0=[1.0, 2.0]), ["--threads", "2"],
+     "x0 has shape (2,); the dynamics need (1,) or (paths, 1)"),
+    (dict(_SIMULATE, control={"constant": 0.5}), [],
+     "control has width 1; the dynamics take no control (control_dim 0)"),
+    (dict(_SIMULATE, dynamics={"name": "double-integrator"}, x0=[0.0, 0.0],
+          control={"constant": [0.5, 0.5]}), [],
+     "control has width 2; the dynamics take control_dim 1"),
+    (dict(_RATE, x0=[0.0]), [], "x0 has shape (1,); the dynamics need (2,) or (paths, 2)"),
+    (dict(_RATE, problem={"name": "scalar-linear"}, x0=[1.0]), [],
+     "the dynamics take no control (control_dim 0)"),
+    (dict(_STRONG, x0=[1.0, 2.0]), [], "x0 has shape (2,); the dynamics need (1,) or (paths, 1)"),
     (dict(_RATE, epsilons=[0.1, 0.2]), [], "epsilons must be strictly decreasing"),
     (dict(_RATE, epsilons=[]), [], "epsilons must be a nonempty list inside (0, 1]"),
     (dict(_RATE, epsilons=[1.5, 0.5]), [], "epsilons must be a nonempty list inside (0, 1]"),
@@ -349,7 +361,7 @@ def test_simulate_shape_mismatch_is_usage_error(tmp_path, capsys):
         "n_paths": 4,
     }
     assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 1
-    assert "x0 must have 1 components" in capsys.readouterr().err
+    assert "x0 has shape (2,); the dynamics need (1,) or (paths, 1)" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

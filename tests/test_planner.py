@@ -21,6 +21,7 @@ from riskpmp import (
     euler_maruyama,
     make_grid,
     martingale_check,
+    planner,
     risk_value,
     safety_check,
     sample_brownian,
@@ -307,6 +308,17 @@ def test_refinement_lowers_holdout_avar_with_adapted_control():
     assert set(np.unique(u)) == {-1.0, 1.0}
     assert np.any(u != u[:1])
     assert sol.cost == pytest.approx(risk_value(sol.problem.risk, sol.problem.cost(sol.states.terminal)))
+
+
+def test_holdout_chunk_size_does_not_move_the_refinement(monkeypatch):
+    # the holdout is scored chunk by chunk: 29 chunks of 7 paths, a ragged
+    # tail included, give the floats of one 200-path chunk
+    whole = solve_sop(REACH, n_steps=20, n_paths=200, seed=1)
+    monkeypatch.setattr(planner, "HOLDOUT_CHUNK", 7)
+    chunked = solve_sop(REACH, n_steps=20, n_paths=200, seed=1)
+    assert whole.refinement.sweeps >= 1
+    assert chunked.refinement.scores == whole.refinement.scores
+    assert (chunked.cost, chunked.refinement.sweeps) == (whole.cost, whole.refinement.sweeps)
 
 
 def test_refinement_keeps_start_when_first_sweep_does_not_lower():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,22 @@ from riskpmp.sde import (
     solve_linearized,
     strong_convergence_order,
 )
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_grid(1.0, 2.5), "n_steps must be a positive integer, got 2.5"),
+    (lambda: make_grid(1.0, np.float64(3.9)), "n_steps must be a positive integer, got 3.9"),
+    (lambda: sample_brownian(make_grid(1.0, 4), 1, 2.5, seed=1),
+     "n_paths must be a positive integer, got 2.5"),
+    (lambda: strong_convergence_order(scalar_linear_dynamics(1.0, 0.5), [1.0], 1.0, [4.5, 8],
+                                      10, 1),
+     "n_steps_levels: level must be a positive integer, got 4.5"),
+])
+def test_counts_that_are_not_integers_are_refused_by_name(call, message):
+    # a float count used to be truncated: 2.5 steps ran as 2, levels [4.5, 8] as (4, 8)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+    assert make_grid(1.0, np.int64(4)).n_steps == 4
 
 
 def test_make_grid_nodes():

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ from riskpmp.adjoint import linearization_along
 from riskpmp.sde import (
     ControlLaw,
     DynamicsSpec,
+    FeedbackLaw,
     double_integrator_dynamics,
     euler_maruyama,
     make_grid,
@@ -527,6 +529,61 @@ def test_rate_refuses_per_path_inputs_that_do_not_fit_the_paths():
     with pytest.raises(ValueError, match="Brownian blocks lie on two grids"):
         linearization_rate(dyn, law, np.zeros(2), [bm, sample_brownian(make_grid(2.0, 8), 1, 4, 2)],
                            law, [0.5])
+
+
+@pytest.mark.parametrize("kind, bad, message", [
+    ("control", ControlLaw.constant([0.5, 0.5], 8), "has width 2; the dynamics take control_dim 1"),
+    ("control", ControlLaw.constant(0.5, 4), "has 4 steps; the grid has 8"),
+    ("control", ControlLaw(np.full((5, 8, 1), 0.5)),
+     r"has shape \(5, 8, 1\); the Brownian paths need \(8, 8, 1\)"),
+    ("feedback", FeedbackLaw(lambda k, x, w: 0.5, dim=2),
+     "has width 2; the dynamics take control_dim 1"),
+    ("x0", np.float64(0.0), r"x0 has shape \(\); the dynamics need \(2,\) or \(paths, 2\)"),
+    ("x0", np.zeros((1, 2)), r"x0 has shape \(1, 2\); the Brownian paths need \(8, 2\)"),
+    ("x0", np.zeros((8, 1)), r"x0 has shape \(8, 1\); the dynamics need \(2,\) or \(paths, 2\)"),
+    ("x0", np.zeros(3), r"x0 has shape \(3,\); the dynamics need \(2,\) or \(paths, 2\)"),
+])
+def test_forward_integrators_refuse_one_bad_input_alike(kind, bad, message):
+    # euler_maruyama, the control-difference forcing and the rate pass take
+    # their controls, x0 and per-path counts under the one set of rules in sde
+    dyn = double_integrator_dynamics(cubic=0.5)
+    bm = sample_brownian(make_grid(1.0, 8), 1, 8, seed=2)
+    law, x0 = ControlLaw.constant(0.5, 8), np.zeros(2)
+    states = euler_maruyama(dyn, law, x0, bm)
+    calls = {
+        "control": [lambda: euler_maruyama(dyn, bad, x0, bm),
+                    lambda: tangent_from_control(dyn, states, bad),
+                    lambda: linearization_rate(dyn, law, x0, bm, bad, [0.5])],
+        "feedback": [lambda: euler_maruyama(dyn, bad, x0, bm)],
+        "x0": [lambda: euler_maruyama(dyn, law, bad, bm),
+               lambda: linearization_rate(dyn, law, bad, bm, law, [0.5])],
+    }[kind]
+    refusals = set()
+    for call in calls:
+        with pytest.raises(ValueError, match=message) as refused:
+            call()
+        refusals.add(str(refused.value).split(" ", 1)[1])  # past the argument's name
+    assert len(refusals) == 1
+
+
+@pytest.mark.parametrize("name, wrong, message", [
+    ("drift", lambda t, x, u: np.zeros((x.shape[0], 3)),
+     r"drift returned shape \(\d+, 3\), expected \(\d+, 2\)"),
+    ("diffusion", lambda t, x, u: np.zeros((x.shape[0], 2, 2)),
+     r"diffusion returned shape \(\d+, 2, 2\), expected \(\d+, 2, 1\)"),
+])
+def test_forward_integrators_name_a_coefficient_of_the_wrong_shape(name, wrong, message):
+    # the rate pass used to fail in NumPy ("cannot reshape array of size 30")
+    good = double_integrator_dynamics(cubic=0.5)
+    bad = dataclasses.replace(good, **{name: wrong})
+    bm = sample_brownian(make_grid(1.0, 5), 1, 5, seed=1)
+    law = ControlLaw.constant(0.5, 5)
+    states = euler_maruyama(good, law, np.zeros(2), bm)
+    for call in (lambda: euler_maruyama(bad, law, np.zeros(2), bm),
+                 lambda: tangent_from_control(bad, states, law)(0),
+                 lambda: linearization_rate(bad, law, np.zeros(2), bm, law, [0.5])):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_rate_warns_once_on_controlled_diffusion_without_attestation():
