@@ -277,18 +277,6 @@ _RISK = {"kind": "risk-eval", "measure": {"type": "expectation"}}
     (dict(_STRONG, n_paths=-3), [], "n_paths must be >= 1"),
     (dict(_SIMULATE, dynamics={"name": "double-integrator", "noise": -1.0}, x0=[0.0, 0.0]), [],
      "dynamics: noise scale must be nonnegative, got -1.0"),
-    # the integrator's shape rules for x0 and the control, as sde states them
-    (dict(_SIMULATE, x0=[1.0, 2.0]), ["--threads", "2"],
-     "x0 has shape (2,); the dynamics need (1,) or (paths, 1)"),
-    (dict(_SIMULATE, control={"constant": 0.5}), [],
-     "control has width 1; the dynamics take no control (control_dim 0)"),
-    (dict(_SIMULATE, dynamics={"name": "double-integrator"}, x0=[0.0, 0.0],
-          control={"constant": [0.5, 0.5]}), [],
-     "control has width 2; the dynamics take control_dim 1"),
-    (dict(_RATE, x0=[0.0]), [], "x0 has shape (1,); the dynamics need (2,) or (paths, 2)"),
-    (dict(_RATE, problem={"name": "scalar-linear"}, x0=[1.0]), [],
-     "the dynamics take no control (control_dim 0)"),
-    (dict(_STRONG, x0=[1.0, 2.0]), [], "x0 has shape (2,); the dynamics need (1,) or (paths, 1)"),
     (dict(_RATE, epsilons=[0.1, 0.2]), [], "epsilons must be strictly decreasing"),
     (dict(_RATE, epsilons=[]), [], "epsilons must be a nonempty list inside (0, 1]"),
     (dict(_RATE, epsilons=[1.5, 0.5]), [], "epsilons must be a nonempty list inside (0, 1]"),
@@ -308,6 +296,18 @@ _RISK = {"kind": "risk-eval", "measure": {"type": "expectation"}}
      "policy: control 5.0 lies outside the control set [-1.0, 1.0]"),
     (_candidate(kind="certify", policy={"constant": -1.5}), [],
      "policy: control -1.5 lies outside the control set [-1.0, 1.0]"),
+    # the integrator's shape rules for x0 and the control, as sde states them
+    (dict(_SIMULATE, x0=[1.0, 2.0]), ["--threads", "2"],
+     "x0 has shape (2,); the dynamics need (1,) or (paths, 1)"),
+    (dict(_SIMULATE, control={"constant": 0.5}), [],
+     "control has width 1; the dynamics take no control (control_dim 0)"),
+    (dict(_SIMULATE, dynamics={"name": "double-integrator"}, x0=[0.0, 0.0],
+          control={"constant": [0.5, 0.5]}), [],
+     "control has width 2; the dynamics take control_dim 1"),
+    (dict(_RATE, x0=[0.0]), [], "x0 has shape (1,); the dynamics need (2,) or (paths, 2)"),
+    (dict(_RATE, problem={"name": "scalar-linear"}, x0=[1.0]), [],
+     "the dynamics take no control (control_dim 0)"),
+    (dict(_STRONG, x0=[1.0, 2.0]), [], "x0 has shape (2,); the dynamics need (1,) or (paths, 1)"),
 ])
 def test_bad_values_are_refused_before_sampling(tmp_path, capsys, monkeypatch, cfg, flags, message):
     # each value rule lives in the library object the verb builds; the verb
