@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import export, sde
+from . import export, forked, sde
 from .adjoint import martingale_check
 from .certificate import CertifyConfig, certify
 from .planner import (
@@ -43,11 +42,11 @@ from .planner import (
 from .risk import AVaR, Expectation, MixtureAVaR, risk_subgradient, risk_value
 from .rng import ensemble_normals, validate_seed
 from .sde import (
+    BrownianSource,
     ControlLaw,
     DynamicsSpec,
     StateEnsemble,
     double_integrator_dynamics,
-    euler_maruyama,
     make_grid,
     sample_brownian,
     sample_std,
@@ -56,7 +55,9 @@ from .sde import (
     validate_n_paths,
 )
 from .variational import ito_counterexample, linearization_rate, validate_epsilons
-# unused here, kept for the benchmark's span site cli:tangent_from_control
+# unused here, kept for the benchmark's span sites cli:euler_maruyama and
+# cli:tangent_from_control
+from .sde import euler_maruyama  # noqa: F401
 from .variational import tangent_from_control  # noqa: F401
 
 REPORT_VERSION = "riskpmp_report_v1"
@@ -390,9 +391,9 @@ def _write_bulk_artifacts(cfg, ctx, states, noise_dim, costates=None, paths_defa
 
 
 class RunContext:
-    def __init__(self, out_dir, threads):
+    def __init__(self, out_dir, workers):
         self.out_dir = Path(out_dir)
-        self.threads = threads
+        self.workers = workers  # processes a verb may run its paths on
         # waits for the CSV writers still running; run() calls it before report.json
         self.join_writers = lambda: None
 
@@ -403,28 +404,24 @@ class RunContext:
         return self.out_dir / name
 
 
-def _simulate_ensemble(dyn, law, x0, grid, n_paths, seed, threads):
-    workers = min(threads, _usable_cpus())
-    if workers <= 1:
-        return euler_maruyama(dyn, law, x0, sample_brownian(grid, dyn.noise_dim, n_paths, seed))
-    # paths are independent and the generator is counter-based in the global
-    # path index, so disjoint chunks reproduce the single-pass ensemble
-    # bit for bit in any chunking; each chunk runs its own step loop, so
-    # there is one per worker, and the aborted paths are named once for all
-    values = np.empty((n_paths, grid.n_steps + 1, dyn.state_dim))
-    failures = np.full(n_paths, -1, dtype=int)
-    chunk = -(-n_paths // workers)
-    spans = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+def _simulate_ensemble(dyn, law, x0, source, workers):
+    """The ensemble euler_maruyama integrates on the source's paths, run in
+    one span per worker (forked.run_spans): each integrates its span's
+    blocks, drawn at their path offsets, into shared arrays, and the
+    aborted paths are named once for all."""
+    grid, n_paths = source.grid, source.n_paths
+    values = forked.shared_empty((n_paths, grid.n_steps + 1, dyn.state_dim))
+    failures = forked.shared_empty((n_paths,), int)
 
-    def work(span):
-        lo, hi = span
-        bm = sample_brownian(grid, dyn.noise_dim, hi - lo, seed, path_offset=lo)
-        part = sde._integrate(dyn, law, x0, bm)
-        values[lo:hi] = part.values
-        failures[lo:hi] = part.first_failure
+    def span(lo, hi):
+        for block in source.blocks(lo, hi):
+            part = sde._integrate(dyn, law, x0, block)
+            values[lo:lo + block.n_paths] = part.values
+            failures[lo:lo + block.n_paths] = part.first_failure
+            lo += block.n_paths
+            del block, part  # released before the next block is drawn
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, spans))
+    forked.run_spans(n_paths, workers, span)
     sde._warn_aborted(failures)
     return StateEnsemble(grid, values, failures, law)
 
@@ -443,7 +440,8 @@ def _run_simulate(cfg, ctx):
     with _refused():  # the integrator's shape rules, before any normal is drawn
         x0 = sde.as_initial_state(dyn, cfg["x0"])
         law = sde.as_control_law(ControlLaw.constant(u, grid.n_steps), dyn, grid.n_steps)
-    states = _simulate_ensemble(dyn, law, x0, grid, cfg["n_paths"], cfg["seed"], ctx.threads)
+    source = BrownianSource(grid, dyn.noise_dim, cfg["n_paths"], cfg["seed"], RATE_BLOCK)
+    states = _simulate_ensemble(dyn, law, x0, source, ctx.workers)
     artifacts = _write_bulk_artifacts(cfg, ctx, states, dyn.noise_dim, paths_default=True)
     failed = states.failed_paths
     terminal = states.values[:, -1, :]
@@ -621,7 +619,7 @@ def _run_counterexample(cfg, ctx):
     return ("pass" if ok else "fail"), results, {}
 
 
-RATE_BLOCK = 4096  # Brownian paths sampled and passed to the rate pass at a time
+RATE_BLOCK = 4096  # Brownian paths a worker of simulate or the rate study draws at a time
 
 
 def _run_convergence(cfg, ctx):
@@ -644,14 +642,11 @@ def _run_convergence(cfg, ctx):
     grid = _grid(cfg["horizon"], cfg["n_steps"])
     with _refused():
         epsilons = validate_epsilons(cfg["epsilons"])
-    m_paths = cfg["n_paths"]
-    # each block is drawn as the pass reaches it and released before the next
-    blocks = (sample_brownian(grid, dyn.noise_dim, min(RATE_BLOCK, m_paths - lo), cfg["seed"],
-                              path_offset=lo)
-              for lo in range(0, m_paths, RATE_BLOCK))
+    # each worker draws its blocks as it reaches them and releases each before the next
+    source = BrownianSource(grid, dyn.noise_dim, cfg["n_paths"], cfg["seed"], RATE_BLOCK)
     u_star, w = (ControlLaw.constant(cfg[key], grid.n_steps) for key in ("u_star", "w"))
     with _refused():  # x0, controls that move nothing, or aborted reference paths
-        table = linearization_rate(dyn, u_star, x0, blocks, w, epsilons)
+        table = linearization_rate(dyn, u_star, x0, source, w, epsilons, ctx.workers)
     results = {
         "passed": table.passed,
         "rates": [{"eps": e, "r": r} for e, r in table.rows()],
@@ -680,7 +675,7 @@ def _resolve_threads(flag_value):
     else:
         raw = os.environ.get(THREADS_ENV)
         if raw is None:
-            return 1
+            return _usable_cpus()
         try:
             value = int(raw)
         except ValueError as exc:
@@ -702,7 +697,9 @@ def build_parser():
         p.add_argument(
             "--threads",
             type=int,
-            help=f"worker threads; results do not depend on it (env {THREADS_ENV})",
+            help=("worker processes for the paths of simulate and of the rate study, at most "
+                  "one per usable CPU (the default); results do not depend on it "
+                  f"(env {THREADS_ENV})"),
         )
     return parser
 
@@ -720,7 +717,7 @@ def run(argv):
     if args.out is not None:
         cfg["out_dir"] = args.out
     out_dir = Path(cfg.get("out_dir", "riskpmp_out"))
-    ctx = RunContext(out_dir, threads)
+    ctx = RunContext(out_dir, min(threads, _usable_cpus()))
     try:
         status, results, artifacts = _RUNNERS[args.verb](cfg, ctx)
     except BaseException:

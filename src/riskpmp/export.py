@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import forked
+
 MAGIC = b"RPMP1"
 # n, d, K, M as signed 64-bit; seed unsigned so the full 64-bit seed range fits
 _HEADER = struct.Struct("<4qQ")
@@ -171,37 +173,16 @@ def write_csvs(jobs) -> Callable[[], None]:
 
     Every job's shape and node count is checked here first, so a bad job
     raises ValueError before any file is written.  Each job is then written
-    by its own forked process while the caller goes on; join waits for all
-    of them and raises RuntimeError naming the files whose writer failed.
-    Without ``fork`` the jobs are written here, one after another, and join
-    has nothing to wait for.  The bytes are those of ``write_csv`` either way.
+    by its own forked process while the caller goes on (``forked.start``);
+    join waits for all of them and raises RuntimeError naming the files
+    whose writer failed.  Without ``fork`` the jobs are written here, one
+    after another, and join has nothing to wait for.  The bytes are those of
+    ``write_csv`` either way.
     """
     jobs = list(jobs)
     for job in jobs:
         _block(job[1], job[2])
-    import multiprocessing
-
-    # fork, not spawn: a child reads the parent's arrays in place instead of
-    # receiving them pickled, and it only formats and writes, taking no lock
-    # that another thread of the parent (a BLAS pool, say) could hold
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        for job in jobs:
-            write_csv(*job)
-        return lambda: None
-    children = [(job[0], context.Process(target=write_csv, args=job)) for job in jobs]
-    for _, child in children:
-        child.start()
-
-    def join() -> None:
-        for _, child in children:
-            child.join()
-        failed = [str(path) for path, child in children if child.exitcode != 0]
-        if failed:
-            raise RuntimeError(f"writing {', '.join(failed)} failed in a child process")
-
-    return join
+    return forked.start((f"writing {job[0]}", write_csv, job) for job in jobs)
 
 
 def write_dump(path, values: np.ndarray, noise_dim: int, seed: int) -> None:

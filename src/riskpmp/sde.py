@@ -71,9 +71,12 @@ class TimeGrid:
 
 def positive_int(value, name: str) -> int:
     """The one rule for a count: a Python or NumPy integer of at least 1, as
-    an int; anything else, a float included, is refused by name."""
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise ValueError(f"{name} must be a positive integer, got {value}")
+    an int; anything else, a float or a bool included, is refused by name."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and value >= 1):
+        number = integer or isinstance(value, (float, np.floating))
+        got = value if number else f"{type(value).__name__} {value!r}"
+        raise ValueError(f"{name} must be a positive integer, got {got}")
     return int(value)
 
 
@@ -113,6 +116,10 @@ class BrownianEnsemble:
             w += self.increments[:, k]
         return w
 
+    def blocks(self, lo: int, hi: int) -> list:
+        """Paths lo..hi-1 as one block: they are held already."""
+        return [BrownianEnsemble(self.grid, self.increments[lo:hi])]
+
     def coarsen(self, factor: int) -> "BrownianEnsemble":
         """Aggregate increments onto a grid with n_steps/factor steps (exact coupling)."""
         k = self.grid.n_steps
@@ -124,7 +131,8 @@ class BrownianEnsemble:
 
 
 def validate_n_paths(n_paths: int) -> int:
-    if n_paths < 1:
+    """n_paths under positive_int, an integer below 1 refused as such."""
+    if isinstance(n_paths, (int, np.integer)) and n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     return positive_int(n_paths, "n_paths")
 
@@ -143,6 +151,33 @@ def sample_brownian(
     z = ensemble_normals(seed, n_paths, grid.n_steps * dim, path_offset=path_offset)
     z *= math.sqrt(grid.dt)  # in place: no second (M, K, d) array
     return BrownianEnsemble(grid=grid, increments=z.reshape(n_paths, grid.n_steps, dim))
+
+
+@dataclass(frozen=True)
+class BrownianSource:
+    """The ensemble sample_brownian(grid, dim, n_paths, seed) gives, drawn on
+    demand: blocks(lo, hi) samples paths lo..hi-1 at most ``block`` paths at
+    a time, each block at its path offset, so any span of the paths is drawn
+    bit for bit as in the whole ensemble, by whichever process reaches it."""
+
+    grid: TimeGrid
+    dim: int
+    n_paths: int
+    seed: int
+    block: int
+
+    def __post_init__(self):
+        checked = dict(dim=positive_int(self.dim, "dim"), n_paths=validate_n_paths(self.n_paths),
+                       seed=validate_seed(self.seed), block=positive_int(self.block, "block"))
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+
+    def blocks(self, lo: int, hi: int):
+        """Paths lo..hi-1 as ensembles of at most ``block`` paths, each drawn
+        when the iteration reaches it."""
+        for start in range(lo, hi, self.block):
+            yield sample_brownian(self.grid, self.dim, min(self.block, hi - start), self.seed,
+                                  path_offset=start)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +529,11 @@ def _linear_step(y, a_k, d_k, g1_k, g2_k, dt: float, dw: np.ndarray) -> np.ndarr
     """One Euler step y + (A y + g1) dt + sum_i (D_i y + g2^i) dW^i of the
     linear equation, for y (M, n) and dW (M, d); the noise term is skipped
     when D and g2 are both None."""
-    drift = np.einsum("...ij,...j->...i", a_k, y)
+    # A y term by term in index order, as certificate._row_dot sums: on axes
+    # this short, cheaper than an einsum, and equal to it for n <= 2
+    drift = a_k[..., 0] * y[..., :1]
+    for j in range(1, y.shape[-1]):
+        drift += a_k[..., j] * y[..., j:j + 1]
     if g1_k is not None:
         drift = drift + g1_k
     if d_k is None and g2_k is None:

@@ -14,9 +14,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .adjoint import _jacobian_steps, linearization_along
-from .sde import (BrownianEnsemble, ControlLaw, DynamicsSpec, StateEnsemble, _abort_nonfinite,
-                  _check_noise_dim, _check_paths, _coefficients, _linear_step, _warn_aborted,
-                  as_control_law, as_initial_state, solve_linearized)
+from .forked import run_spans, shared_empty
+from .sde import (BrownianEnsemble, BrownianSource, ControlLaw, DynamicsSpec, StateEnsemble,
+                  _abort_nonfinite, _check_noise_dim, _check_paths, _coefficients, _linear_step,
+                  _warn_aborted, as_control_law, as_initial_state, positive_int, solve_linearized)
 
 
 def _refuse_aborted(bad: np.ndarray) -> None:
@@ -26,32 +27,24 @@ def _refuse_aborted(bad: np.ndarray) -> None:
                          f"paths (first at path {int(np.argmax(bad))})")
 
 
+_UNLICENSED = ("control enters the diffusion but convex velocity sets are not attested; "
+               "control-difference tangents are only licensed for uncontrolled diffusion or "
+               "convex velocity sets")
+
+
 def _control_difference(dyn: DynamicsSpec) -> Callable:
     """The control-difference forcing at one node as a function of
     (t, x*_k, w_k, f_u, s_u): x*_k the contiguous (M, n) reference states,
     w_k the comparison control there, and f_u, s_u the drift and diffusion
-    at (x*_k, u*_k), which the caller has already evaluated.  The first
-    nonzero g2_k warns, when the dynamics do not attest convex velocity
-    sets, four frames up: at the caller of the function that steps through
-    the forcing."""
-    checked = False  # the velocity-set attestation, read once
+    at (x*_k, u*_k), which the caller has already evaluated.  Its callers
+    warn (_UNLICENSED) when g2 is nonzero and the dynamics do not attest
+    convex velocity sets."""
 
     def g(t: float, x_k: np.ndarray, w_k: np.ndarray, f_u: np.ndarray,
           s_u: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        nonlocal checked
         f_w, s_w = _coefficients(dyn, t, x_k, w_k)
         g1, g2 = f_w - f_u, s_w - s_u
-        if not np.any(g2):
-            return g1, None
-        if not (checked or dyn.convex_velocity_sets):
-            warnings.warn(
-                "control enters the diffusion but convex velocity sets are not "
-                "attested; control-difference tangents are only licensed for "
-                "uncontrolled diffusion or convex velocity sets",
-                stacklevel=4,
-            )
-        checked = True
-        return g1, g2
+        return g1, (g2 if np.any(g2) else None)
 
     return g
 
@@ -73,10 +66,17 @@ def tangent_from_control(dyn: DynamicsSpec, states: StateEnsemble, w) -> Callabl
     nodes, m_paths = states.grid.nodes, states.n_paths
     _check_paths(m_paths, w=w_law)
     step = _control_difference(dyn)
+    warned = dyn.convex_velocity_sets  # the velocity-set attestation, read once
 
     def g(k: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        nonlocal warned
         t, x_k = nodes[k], np.ascontiguousarray(states.values[:, k, :])
-        return step(t, x_k, w_law.at(k, m_paths), *_coefficients(dyn, t, x_k, u_law.at(k, m_paths)))
+        g1, g2 = step(t, x_k, w_law.at(k, m_paths),
+                      *_coefficients(dyn, t, x_k, u_law.at(k, m_paths)))
+        if g2 is not None and not warned:
+            warnings.warn(_UNLICENSED, stacklevel=3)
+            warned = True
+        return g1, g2
 
     return g
 
@@ -117,21 +117,30 @@ def _block_law(law: ControlLaw, lo: int, hi: int) -> ControlLaw:
     return law if law.deterministic else ControlLaw(law.values[lo:hi])
 
 
+def _rate_laws(dyn: DynamicsSpec, u_star, w, n_steps: int) -> Tuple[ControlLaw, ControlLaw]:
+    return tuple(as_control_law(law, dyn, n_steps, name)
+                 for name, law in (("u_star", u_star), ("w", w)))
+
+
 def _rate_block(dyn: DynamicsSpec, forcing: Callable, e3: np.ndarray, u_law: ControlLaw,
-                w_law: ControlLaw, x0: np.ndarray,
-                brownian: BrownianEnsemble) -> Tuple[np.ndarray, np.ndarray]:
-    """The rate pass on one path block: the running sup over the nodes of
-    the squared gap |x^eps - x* - eps y|^2, shape (E, b), and each path's
-    abort node (b,), -1 where the reference stays finite."""
+                w_law: ControlLaw, x0: np.ndarray, brownian: BrownianEnsemble,
+                lo: int) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """The rate pass on the block of paths lo.. that brownian holds, a
+    per-path law or x0 sliced to it: the running sup over the nodes of the
+    squared gap |x^eps - x* - eps y|^2, shape (E, b), each path's abort node
+    (b,), -1 where the reference stays finite, and whether the diffusion
+    difference g2 was nonzero at some step."""
     (m_paths, n_steps, d), n = brownian.increments.shape, dyn.state_dim
+    u_law, w_law = _block_law(u_law, lo, lo + m_paths), _block_law(w_law, lo, lo + m_paths)
     stack = e3.shape[0]
     nodes, dt = brownian.grid.nodes, brownian.grid.dt
     a_at, d_at = _jacobian_steps(dyn, u_law, nodes, m_paths)
     x = np.empty((stack, m_paths, n))
-    x[:] = x0
+    x[:] = x0 if x0.ndim == 1 else x0[lo:lo + m_paths]
     y = np.zeros((m_paths, n))
     worst = np.zeros((stack - 1, m_paths))
     first_failure = np.full(m_paths, -1, dtype=int)
+    forced = False
     with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses aborted paths
         for k in range(n_steps):
             t, x_k = nodes[k], x[0]
@@ -143,8 +152,15 @@ def _rate_block(dyn: DynamicsSpec, forcing: Callable, e3: np.ndarray, u_law: Con
             f, s = f.reshape(stack, m_paths, n), s.reshape(stack, m_paths, n, d)
             # member 0 holds f and sigma at (x*, u*), which the forcing subtracts
             g1, g2 = forcing(t, x_k, w_law.at(k, m_paths), f[0], s[0])
+            forced = forced or g2 is not None
             noise = s if g2 is None else s + e3[..., None] * g2
-            x = x + (f + e3 * g1) * dt + np.einsum("epnd,pd->epn", noise, dw)
+            # sum_i noise_i dW^i term by term in index order, as
+            # certificate._row_dot sums: on an axis this short, cheaper than
+            # an einsum, and equal to it for d <= 2
+            shock = noise[..., 0] * dw[:, :1]
+            for i in range(1, d):
+                shock += noise[..., i] * dw[:, i:i + 1]
+            x = x + (f + e3 * g1) * dt + shock
             _abort_nonfinite(x[0], first_failure, k + 1)
             y = _linear_step(y, a_at(k, x_k), None if d_at is None else d_at(k, x_k),
                              g1, g2, dt, dw)
@@ -153,7 +169,58 @@ def _rate_block(dyn: DynamicsSpec, forcing: Callable, e3: np.ndarray, u_law: Con
             gap -= e3[1:] * y
             # the sum np.linalg.norm takes, without a reduce over the short axis
             np.maximum(worst, sum(gap[..., i] * gap[..., i] for i in range(n)), out=worst)
-    return worst, first_failure
+    return worst, first_failure, forced
+
+
+def _rate_spans(dyn: DynamicsSpec, e3: np.ndarray, u_star, w, x0: np.ndarray, brownian,
+                workers: int) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """The rate pass over an ensemble or a source, whose grid and path count
+    are known, so every input is checked before a normal is drawn; the
+    paths run in one span per worker (run_spans), each worker writing its
+    blocks' results into shared arrays."""
+    m_paths = brownian.n_paths
+    _check_noise_dim(dyn, brownian)
+    u_law, w_law = _rate_laws(dyn, u_star, w, brownian.grid.n_steps)
+    _check_paths(m_paths, x0=x0, u_star=u_law, w=w_law)
+    worst = shared_empty((e3.shape[0] - 1, m_paths))
+    first_failure = shared_empty((m_paths,), int)
+    forced = shared_empty((m_paths,), bool)  # per path, so no worker writes another's
+    forcing = _control_difference(dyn)
+
+    def span(lo: int, hi: int) -> None:
+        for block in brownian.blocks(lo, hi):
+            end = lo + block.n_paths
+            worst[:, lo:end], first_failure[lo:end], forced[lo:end] = _rate_block(
+                dyn, forcing, e3, u_law, w_law, x0, block, lo)
+            lo = end
+            del block  # released before the next block is drawn
+
+    run_spans(m_paths, workers, span)
+    return worst, first_failure, bool(forced.any())
+
+
+def _rate_stream(dyn: DynamicsSpec, e3: np.ndarray, u_star, w, x0: np.ndarray,
+                 blocks) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """The rate pass over an iterable of path blocks, here, each checked as
+    it arrives: the first block sets the grid the controls must fit."""
+    forcing = _control_difference(dyn)
+    parts, grid, lo = [], None, 0
+    for block in blocks:
+        if grid is None:
+            grid = block.grid
+            u_law, w_law = _rate_laws(dyn, u_star, w, grid.n_steps)
+        elif block.grid != grid:
+            raise ValueError(f"Brownian blocks lie on two grids: {block.grid} and {grid}")
+        _check_noise_dim(dyn, block)
+        _check_paths(lo + block.n_paths, final=False, x0=x0, u_star=u_law, w=w_law)
+        parts.append(_rate_block(dyn, forcing, e3, u_law, w_law, x0, block, lo))
+        lo += block.n_paths
+        del block  # released before the next block is drawn
+    if lo == 0:
+        raise ValueError("the Brownian ensemble holds no paths")
+    _check_paths(lo, x0=x0, u_star=u_law, w=w_law)
+    worst, first_failure, forced = zip(*parts)
+    return np.concatenate(worst, axis=1), np.concatenate(first_failure), any(forced)
 
 
 def linearization_rate(
@@ -163,14 +230,22 @@ def linearization_rate(
     brownian,
     w,
     epsilons: Sequence[float],
+    workers: int = 1,
 ) -> RateTable:
     """r(eps) = (1/eps) E[sup_k |x^eps_k - x*_k - eps y_k|] on the Brownian
     paths, for the reference x* under u_star from x0 and the perturbation
     toward w that the control difference selects.  u_star, w and x0 are
-    taken as euler_maruyama takes them.  brownian is one BrownianEnsemble,
-    or an iterable of path blocks in path order on one grid, such as a
-    generator that samples each block at its path_offset; a per-path x0,
-    u_star or w is sliced to each block.
+    taken as euler_maruyama takes them; a per-path x0, u_star or w is sliced
+    to each block of paths.
+
+    brownian is a BrownianEnsemble, a BrownianSource, or an iterable of path
+    blocks in path order on one grid.  An ensemble or a source states its
+    grid and path count, so every input is checked before a normal is
+    drawn, and its paths are cut into one contiguous span per worker: the
+    first runs here and each other in a forked child (forked.run_spans),
+    which draws its span's blocks at their path offsets as it reaches them.
+    An iterable is run here, block by block, and the first block must be
+    drawn before the controls can be checked against its grid.
 
     One streaming pass integrates the reference as member eps = 0 of the
     (E+1, b, n) stack of perturbed states over each block of b paths: the
@@ -180,8 +255,11 @@ def linearization_rate(
     the reference's slice, so the pass holds one block's increments, the
     stack, y and per-step slices, and no (paths x nodes) array beyond the
     block it is given.  The blocks' running sups are joined into one (E, M)
-    array before the rates are taken, so the rates, warnings and refusals
-    are those of the whole ensemble, whatever the blocks.  Reference paths that turn non-finite
+    array before the rates are taken, and every rule on the whole ensemble
+    is applied here once, so the rates, warnings and refusals are those of
+    one pass over the whole ensemble, whatever the blocks and the workers.
+    A nonzero diffusion difference g2 warns once when the dynamics do not
+    attest convex velocity sets.  Reference paths that turn non-finite
     abort as in euler_maruyama: after the pass one RuntimeWarning names how
     many, and the rate is refused by count and first index.  Perturbed
     paths that turn non-finite on a finite reference warn by count and
@@ -190,41 +268,25 @@ def linearization_rate(
     rate would be 0.
     """
     eps = validate_epsilons(epsilons)
+    workers = positive_int(workers, "workers")
     if dyn.control_dim == 0:
         raise ValueError("the dynamics take no control (control_dim 0): u_star and w "
                          "move nothing, so every rate would be 0")
     x0 = as_initial_state(dyn, x0)
-    whole = isinstance(brownian, BrownianEnsemble)
     e3 = np.concatenate(([0.0], eps))[:, None, None]  # member 0 is the reference x*
-    forcing = _control_difference(dyn)
-    worst, first_failure, grid, lo = [], [], None, 0
-    for block in ([brownian] if whole else brownian):
-        if grid is None:  # the first block sets the grid the controls must fit
-            grid = block.grid
-            u_law, w_law = (as_control_law(law, dyn, grid.n_steps, name)
-                            for name, law in (("u_star", u_star), ("w", w)))
-        elif block.grid != grid:
-            raise ValueError(f"Brownian blocks lie on two grids: {block.grid} and {grid}")
-        _check_noise_dim(dyn, block)
-        hi = lo + block.n_paths
-        _check_paths(hi, final=whole, x0=x0, u_star=u_law, w=w_law)
-        part = _rate_block(dyn, forcing, e3, _block_law(u_law, lo, hi), _block_law(w_law, lo, hi),
-                           x0 if x0.ndim == 1 else x0[lo:hi], block)
-        worst.append(part[0])
-        first_failure.append(part[1])
-        lo = hi
-        del block  # released before the next block is drawn
-    if lo == 0:
-        raise ValueError("the Brownian ensemble holds no paths")
-    _check_paths(lo, x0=x0, u_star=u_law, w=w_law)
-    worst, first_failure = np.concatenate(worst, axis=1), np.concatenate(first_failure)
+    if isinstance(brownian, (BrownianEnsemble, BrownianSource)):
+        worst, first_failure, forced = _rate_spans(dyn, e3, u_star, w, x0, brownian, workers)
+    else:
+        worst, first_failure, forced = _rate_stream(dyn, e3, u_star, w, x0, brownian)
+    if forced and not dyn.convex_velocity_sets:
+        warnings.warn(_UNLICENSED, stacklevel=2)
     _warn_aborted(first_failure)
     _refuse_aborted(first_failure >= 0)
     blown = ~np.isfinite(worst).all(axis=0)  # the overflow the block pass kept quiet
     if blown.any():
-        warnings.warn(f"perturbed state is not finite on {int(blown.sum())} of {lo} paths "
-                      f"(first at path {int(np.argmax(blown))}), so some rates are not finite",
-                      RuntimeWarning, stacklevel=2)
+        warnings.warn(f"perturbed state is not finite on {int(blown.sum())} of {blown.size} "
+                      f"paths (first at path {int(np.argmax(blown))}), so some rates are not "
+                      "finite", RuntimeWarning, stacklevel=2)
     return RateTable(epsilons=eps, rates=np.sqrt(worst).mean(axis=1) / eps)
 
 

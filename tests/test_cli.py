@@ -9,8 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskpmp import export
-from riskpmp import cli
+from riskpmp import cli, export, forked, sde
 from riskpmp.cli import emit_plot_data, load_scenario, main
 from riskpmp.risk import AVaR, risk_value
 from riskpmp.sde import ControlLaw, double_integrator_dynamics, make_grid, sample_brownian
@@ -511,38 +510,77 @@ def test_simulate_thread_count_does_not_change_bytes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_simulate_thread_pool_capped_at_usable_cpus(tmp_path, capsys, monkeypatch):
-    from riskpmp import cli
+def test_simulate_workers_capped_at_usable_cpus(tmp_path, capsys, monkeypatch):
+    # the worker count is --threads (or the env var) capped at the usable
+    # CPUs, and one per usable CPU when neither is set: 120 paths in three
+    # spans of 40, the first run by the verb's own process
+    started = []
 
-    pools = []
-
-    class SerialPool:
-        # records the requested pool and maps in this thread: no thread starts
-        def __init__(self, max_workers):
-            self.max_workers, self.chunks = max_workers, 0
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            items = list(items)
-            self.chunks += len(items)
-            return map(fn, items)
+    def serial(calls):  # records the spans handed to children and runs them here
+        calls = list(calls)
+        started.append([name for name, _, _ in calls])
+        for _, fn, args in calls:
+            fn(*args)
+        return lambda: None
 
     out = tmp_path / "out"
     cfg_path = write_cfg(tmp_path, simulate_cfg(out))
-    assert main(["simulate", "--config", cfg_path]) == 0
-    serial = {name: (out / name).read_bytes() for name in ("paths.csv", "paths.bin")}
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+    assert main(["simulate", "--config", cfg_path, "--threads", "1"]) == 0
+    one = {name: (out / name).read_bytes() for name in ("paths.csv", "paths.bin")}
+    monkeypatch.setattr(forked, "start", serial)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert main(["simulate", "--config", cfg_path, "--threads", "1000"]) == 0
-    # 120 paths in one chunk per worker, on 3 workers
-    assert [(p.max_workers, p.chunks) for p in pools] == [(3, 3)]
-    assert {name: (out / name).read_bytes() for name in serial} == serial
+    monkeypatch.delenv("RISKPMP_THREADS", raising=False)
+    for flags in (["--threads", "1000"], []):
+        assert main(["simulate", "--config", cfg_path] + flags) == 0
+        assert {name: (out / name).read_bytes() for name in one} == one
+    # the CSV writer starts through the same owner
+    assert started == [["paths 40..79", "paths 80..119"], [f"writing {out / 'paths.csv'}"]] * 2
+    capsys.readouterr()
+
+
+def _worker_cfg(verb, out, n_paths):
+    if verb == "simulate":
+        return simulate_cfg(out, n_paths=n_paths)
+    return dict(_RATE, seed=9, out_dir=str(out), problem={"name": "double-integrator", "cubic": 0.1},
+                n_steps=40, n_paths=n_paths, u_star=0.3, w=-0.8, epsilons=[0.2, 0.1, 0.05])
+
+
+@pytest.mark.parametrize("verb", ["simulate", "convergence"])
+@pytest.mark.parametrize("n_paths", [121, 2])
+def test_outputs_do_not_depend_on_worker_count(tmp_path, capsys, monkeypatch, verb, n_paths):
+    # forked workers over spans of 41, 41 and a ragged 39 paths, or over 2
+    # paths on 3 workers (2 spans); blocks of 16 paths, so a span draws several
+    monkeypatch.setattr(cli, "RATE_BLOCK", 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    out = tmp_path / "out"
+    cfg_path = write_cfg(tmp_path, _worker_cfg(verb, out, n_paths))
+    runs = []
+    for workers in ("1", "2", "3"):
+        code = main([verb, "--config", cfg_path, "--threads", workers])
+        assert not multiprocessing.active_children()
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "report.json"}
+        runs.append((code, files, strip_timestamp((out / "report.json").read_text())))
+    assert runs[0][0] in (0, 2) and runs[0][1]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("verb", ["simulate", "convergence"])
+def test_a_failed_worker_is_named_and_leaves_no_process(tmp_path, capsys, monkeypatch, verb):
+    parent = os.getpid()
+
+    def sample(*args, sample_brownian=sde.sample_brownian, **kwargs):
+        if os.getpid() != parent:
+            raise OSError("worker lost")
+        return sample_brownian(*args, **kwargs)
+
+    monkeypatch.setattr(sde, "sample_brownian", sample)  # the sources draw through it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match=r"^paths 60\.\.119 failed in a child process$"):
+        main([verb, "--config", write_cfg(tmp_path, _worker_cfg(verb, out, 120)), "--threads", "2"])
+    assert not multiprocessing.active_children()
+    assert not (out / "report.json").exists()
     capsys.readouterr()
 
 
@@ -1075,6 +1113,28 @@ def test_convergence_aborted_reference_paths_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "reference state is not finite on 168 of 1000 paths (first at path 1)" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_convergence_names_aborted_reference_paths_once_at_any_worker_count(tmp_path, capsys,
+                                                                          monkeypatch):
+    # the workers' abort nodes are joined first: one warning and one refusal
+    # for the whole ensemble, the serial pass's, on any number of workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    cfg = dict(_RATE, seed=3, out_dir=str(tmp_path / "o"),
+               problem={"name": "double-integrator", "cubic": -2.0}, x0=[1.5, 0.0], n_steps=50,
+               n_paths=1000, w=0.5, epsilons=[0.5, 0.25])
+    cfg_path = write_cfg(tmp_path, cfg)
+    runs = []
+    for workers in ("1", "2", "3"):
+        with pytest.warns(RuntimeWarning) as record:
+            assert main(["convergence", "--config", cfg_path, "--threads", workers]) == 1
+        runs.append(([(w.category, str(w.message)) for w in record], capsys.readouterr().err))
+    assert len(runs[0][0]) == 1
+    assert re.fullmatch(r"\d+ path\(s\) aborted on non-finite state \(first at step \d+\)",
+                        runs[0][0][0][1])
+    assert "reference state is not finite on 168 of 1000 paths (first at path 1)" in runs[0][1]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
     assert not (tmp_path / "o").exists()
 
 

@@ -13,6 +13,7 @@ from riskpmp.sde import (
     DynamicsSpec,
     FeedbackLaw,
     MissingClosedFormError,
+    _linear_step,
     double_integrator_dynamics,
     euler_maruyama,
     fundamental_matrices,
@@ -21,6 +22,7 @@ from riskpmp.sde import (
     scalar_linear_dynamics,
     solve_linearized,
     strong_convergence_order,
+    validate_n_paths,
 )
 
 
@@ -32,9 +34,12 @@ from riskpmp.sde import (
     (lambda: strong_convergence_order(scalar_linear_dynamics(1.0, 0.5), [1.0], 1.0, [4.5, 8],
                                       10, 1),
      "n_steps_levels: level must be a positive integer, got 4.5"),
+    (lambda: make_grid(1.0, True), "n_steps must be a positive integer, got bool True"),
+    (lambda: validate_n_paths("3"), "n_paths must be a positive integer, got str '3'"),
 ])
 def test_counts_that_are_not_integers_are_refused_by_name(call, message):
-    # a float count used to be truncated: 2.5 steps ran as 2, levels [4.5, 8] as (4, 8)
+    # a float count used to be truncated: 2.5 steps ran as 2, levels [4.5, 8] as (4, 8);
+    # True ran as a 1-step grid, and "3" paths raised a bare TypeError
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
     assert make_grid(1.0, np.int64(4)).n_steps == 4
@@ -349,6 +354,23 @@ def test_solve_linearized_gives_each_path_its_own_forcing():
     g1 = np.random.default_rng(4).normal(size=(8, 8, 2))
     y = solve_linearized(_zero_a, None, _forcing(g1), ens).values
     np.testing.assert_allclose(y[:, -1], g1.sum(axis=1) * ens.grid.dt, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 2)])
+def test_linear_step_sums_match_einsum(n, d):
+    # A y as sums over the short axis: equal bit for bit to the einsum when
+    # two terms are summed (the double integrator), and within 1e-12
+    # relative for longer axes; A may be shared by the paths
+    rng = np.random.default_rng(n * 10 + d)
+    y, g1 = rng.normal(size=(2, 500, n))
+    dw = rng.normal(size=(500, d))
+    for a in (rng.normal(size=(500, n, n)), rng.normal(size=(1, n, n))):
+        got = _linear_step(y, a, None, g1, None, 0.01, dw)
+        want = y + (np.einsum("...ij,...j->...i", a, y) + g1) * 0.01
+        if n <= 2:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

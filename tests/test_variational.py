@@ -6,8 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from riskpmp import sde
 from riskpmp.adjoint import linearization_along
 from riskpmp.sde import (
+    BrownianSource,
     ControlLaw,
     DynamicsSpec,
     FeedbackLaw,
@@ -437,6 +439,13 @@ def test_rate_over_path_blocks_equals_whole_ensemble():
             blocks = _blocks(grid, dyn.noise_dim, m_paths, seed, size)
             assert np.array_equal(linearization_rate(dyn, u_star, x0, blocks, w, eps).rates,
                                   whole), (name, size)
+        # a source drawn by forked workers over their spans, and the
+        # ensemble itself cut into spans: spans of 34, 34 and a ragged 32
+        source = BrownianSource(grid, dyn.noise_dim, m_paths, seed, block=7)
+        for workers in (1, 2, 3):
+            for brownian in (source, bm):
+                assert np.array_equal(linearization_rate(dyn, u_star, x0, brownian, w, eps,
+                                                         workers).rates, whole), (name, workers)
 
 
 def test_rate_holds_no_whole_grid_array():
@@ -531,6 +540,38 @@ def test_rate_refuses_per_path_inputs_that_do_not_fit_the_paths():
                            law, [0.5])
 
 
+def test_rate_over_a_source_refuses_before_any_draw(monkeypatch):
+    # a source states its grid and path count, so the controls and x0 are
+    # checked before a normal is drawn; a plain block iterable still draws
+    # its first block, whose grid the controls must fit
+    draws = []
+
+    def counting(*args, sample_brownian=sde.sample_brownian, **kwargs):
+        draws.append(args)
+        return sample_brownian(*args, **kwargs)
+
+    monkeypatch.setattr(sde, "sample_brownian", counting)
+    grid, dyn = make_grid(1.0, 8), double_integrator_dynamics(cubic=0.5)
+    source = BrownianSource(grid, 1, 8, 2, block=3)
+    one, two = ControlLaw.constant(0.5, 8), ControlLaw.constant([0.5, 0.5], 8)
+    cases = [
+        (two, one, np.zeros(2), "u_star has width 2; the dynamics take control_dim 1"),
+        (one, ControlLaw.constant(0.5, 4), np.zeros(2), "w has 4 steps; the grid has 8"),
+        (one, ControlLaw(np.full((9, 8, 1), 0.5)), np.zeros(2),
+         r"w has shape \(9, 8, 1\); the Brownian paths need \(8, 8, 1\)"),
+        (one, one, np.zeros((5, 2)), r"x0 has shape \(5, 2\); the Brownian paths need \(8, 2\)"),
+    ]
+    for u_star, w, x0, message in cases:
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                linearization_rate(dyn, u_star, x0, source, w, [0.5], workers)
+    assert draws == []
+    table = linearization_rate(dyn, one, np.zeros(2), source, one, [0.5])
+    assert [a[2] for a in draws] == [3, 3, 2]
+    assert np.array_equal(table.rates, linearization_rate(
+        dyn, one, np.zeros(2), sample_brownian(grid, 1, 8, 2), one, [0.5]).rates)
+
+
 @pytest.mark.parametrize("kind, bad, message", [
     ("control", ControlLaw.constant([0.5, 0.5], 8), "has width 2; the dynamics take control_dim 1"),
     ("control", ControlLaw.constant(0.5, 4), "has 4 steps; the grid has 8"),
@@ -606,7 +647,10 @@ def test_rate_warns_once_on_controlled_diffusion_without_attestation():
         linearization_rate(dyn, u_star, np.ones(1), bm, w, [0.5, 0.25])
         line = sys._getframe().f_lineno + 1
         linearization_rate(dyn, u_star, np.ones(1), _blocks(grid, 1, 10, 4, 3), w, [0.5, 0.25])
-    assert len(record) == 3  # once per call, over one ensemble or four blocks
+        linearization_rate(dyn, u_star, np.ones(1), BrownianSource(grid, 1, 10, 4, block=3), w,
+                           [0.5, 0.25], workers=2)
+    # once per call, over one ensemble, four blocks or two forked spans
+    assert len(record) == 4
     assert all(r.category is UserWarning for r in record)
     assert len({str(r.message) for r in record}) == 1
     assert "velocity sets" in str(record[1].message)
