@@ -9,6 +9,7 @@ __version__ = "0.1.0"
 
 from .sde import (  # noqa: F401
     BrownianEnsemble,
+    BrownianSource,
     ControlLaw,
     DynamicsSpec,
     FeedbackLaw,

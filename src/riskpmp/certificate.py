@@ -16,8 +16,8 @@ import numpy as np
 from .adjoint import CostatePair, linearization_along, martingale_check
 from .export import jsonable
 from .risk import AVaR, Expectation, MixtureAVaR, SampledRandomVariable, risk_value
-from .sde import (ControlLaw, DynamicsSpec, StateEnsemble, _linear_step, central_differences,
-                  sample_std)
+from .sde import (ControlLaw, DynamicsSpec, StateEnsemble, _dot_last, _linear_step,
+                  central_differences, sample_std)
 from .variational import tangent_from_control
 
 
@@ -89,21 +89,14 @@ class CertifyConfig:
 # the individual conditions
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_j a[p, j] b[p, j] over the trailing axes, per path, term by term in
-    index order: on axes this short, cheaper than an einsum, and equal to it
-    bit for bit when at most two terms are summed."""
-    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
-    out = a[:, 0] * b[:, 0]
-    for j in range(1, a.shape[1]):
-        out += a[:, j] * b[:, j]
-    return out
-
-
 def hamiltonian(dyn: DynamicsSpec, t: float, x: np.ndarray, u: np.ndarray,
                 p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """H = p . f(t,x,u) + sum_i q_i . sigma_i(t,x,u), per path."""
-    return _row_dot(p, dyn.drift(t, x, u)) + _row_dot(q, dyn.diffusion(t, x, u))
+
+    def dot(a, b):  # over the trailing axes, flattened
+        return _dot_last(a.reshape(len(a), -1), b.reshape(len(b), -1))
+
+    return dot(p, dyn.drift(t, x, u)) + dot(q, dyn.diffusion(t, x, u))
 
 
 @dataclass(frozen=True)

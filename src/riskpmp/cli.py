@@ -413,15 +413,12 @@ def _simulate_ensemble(dyn, law, x0, source, workers):
     values = forked.shared_empty((n_paths, grid.n_steps + 1, dyn.state_dim))
     failures = forked.shared_empty((n_paths,), int)
 
-    def span(lo, hi):
-        for block in source.blocks(lo, hi):
-            part = sde._integrate(dyn, law, x0, block)
-            values[lo:lo + block.n_paths] = part.values
-            failures[lo:lo + block.n_paths] = part.first_failure
-            lo += block.n_paths
-            del block, part  # released before the next block is drawn
+    def work(lo, block):
+        part = sde._integrate(dyn, law, x0, block)
+        values[lo:lo + block.n_paths] = part.values
+        failures[lo:lo + block.n_paths] = part.first_failure
 
-    forked.run_spans(n_paths, workers, span)
+    forked.run_spans(source, workers, work)
     sde._warn_aborted(failures)
     return StateEnsemble(grid, values, failures, law)
 

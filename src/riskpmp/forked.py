@@ -1,11 +1,12 @@
 """Forked worker processes: one owner for starting, joining and failing them.
 
 ``start`` runs calls in forked children while the caller goes on, and
-``run_spans`` cuts a range of paths into one contiguous span per worker and
-waits for them all.  A child hands its results back by writing into arrays
-that the parent made with ``shared_empty`` before the fork.  Where the
-platform cannot fork, the calls run in the calling process, one after
-another, so their results are the same either way.
+``run_spans`` cuts the paths of a Brownian ensemble or source into one
+contiguous span per worker, walks each span's blocks and waits for them
+all.  A child hands its results back by writing into arrays that the
+parent made with ``shared_empty`` before the fork.  Where the platform
+cannot fork, the calls run in the calling process, one after another, so
+their results are the same either way.
 """
 
 from __future__ import annotations
@@ -71,18 +72,31 @@ def start(calls: Iterable[Tuple[str, Callable, tuple]]) -> Callable[[], None]:
     return join
 
 
-def run_spans(n_paths: int, workers: int, work: Callable[[int, int], None]) -> None:
-    """Run work(lo, hi) over paths 0..n_paths-1 cut into at most ``workers``
-    contiguous spans of ceil(n_paths / workers) paths, the last one ragged:
-    the first span in this process while a forked child runs each other.
-    work writes its results into ``shared_empty`` arrays.  Returns when every
-    span is done; a failed child raises RuntimeError naming its span, unless
-    the span run here raised, whose error is then the one raised."""
+def run_spans(brownian, workers: int, work: Callable[[int, object], None]) -> None:
+    """Run work(lo, block) on each block of paths lo.. that brownian (a
+    BrownianEnsemble or a BrownianSource) gives: its paths are cut into at
+    most ``workers`` contiguous spans of ceil(n_paths / workers) paths, the
+    last one ragged, the first walked in this process while a forked child
+    walks each other, drawing each block when it reaches it and releasing it
+    before the next.  work writes its results into ``shared_empty`` arrays.
+    Returns when every span is done; a failed child raises RuntimeError
+    naming its span, unless the span run here raised, whose error is then
+    the one raised.  An ensemble without paths is refused by name."""
+    n_paths = brownian.n_paths
+    if n_paths == 0:
+        raise ValueError("the Brownian ensemble holds no paths")
+
+    def span(lo: int, hi: int) -> None:
+        for block in brownian.blocks(lo, hi):
+            work(lo, block)
+            lo += block.n_paths
+            del block  # released before the next block is drawn
+
     size = -(-n_paths // workers)
     spans = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
-    join = start((f"paths {lo}..{hi - 1}", work, (lo, hi)) for lo, hi in spans[1:])
+    join = start((f"paths {lo}..{hi - 1}", span, (lo, hi)) for lo, hi in spans[1:])
     try:
-        work(*spans[0])
+        span(*spans[0])
     except BaseException:
         with suppress(RuntimeError):
             join()

@@ -394,18 +394,18 @@ def as_initial_state(dyn: DynamicsSpec, x0) -> np.ndarray:
     return x0
 
 
-def _check_paths(m_paths: int, final: bool = True, **inputs) -> None:
+def _check_paths(m_paths: int, **inputs) -> None:
     """The one path-count rule: refuse, by name, a per-path x0 (paths, n) or
-    ControlLaw (paths, K, m) with fewer paths than the m_paths Brownian paths
-    so far or, when final, not as many; an input given as None is absent."""
+    ControlLaw (paths, K, m) whose paths are not the m_paths Brownian paths;
+    an input given as None is absent."""
     for name, value in inputs.items():
         if isinstance(value, ControlLaw):
             shape, per_path = value.values.shape, not value.deterministic
         else:
             shape, per_path = np.shape(value), np.ndim(value) == 2
-        if per_path and (shape[0] < m_paths or (final and shape[0] != m_paths)):
-            need = f"{'' if final else 'at least '}{(m_paths,) + shape[1:]}"
-            raise ValueError(f"{name} has shape {shape}; the Brownian paths need {need}")
+        if per_path and shape[0] != m_paths:
+            raise ValueError(f"{name} has shape {shape}; the Brownian paths need "
+                             f"{(m_paths,) + shape[1:]}")
 
 
 def _coefficients(dyn: DynamicsSpec, t: float, x: np.ndarray, u: np.ndarray):
@@ -525,15 +525,21 @@ def _check_forcing(g_0, brownian: BrownianEnsemble, n: int) -> None:
                              f"paths; expected {_CONVENTION}")
 
 
+def _dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[..., i] b[..., i] over the last axis, the others broadcast,
+    term by term in index order: on an axis this short, cheaper than an
+    einsum, and equal to it bit for bit when at most two terms are summed."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
 def _linear_step(y, a_k, d_k, g1_k, g2_k, dt: float, dw: np.ndarray) -> np.ndarray:
     """One Euler step y + (A y + g1) dt + sum_i (D_i y + g2^i) dW^i of the
     linear equation, for y (M, n) and dW (M, d); the noise term is skipped
     when D and g2 are both None."""
-    # A y term by term in index order, as certificate._row_dot sums: on axes
-    # this short, cheaper than an einsum, and equal to it for n <= 2
-    drift = a_k[..., 0] * y[..., :1]
-    for j in range(1, y.shape[-1]):
-        drift += a_k[..., j] * y[..., j:j + 1]
+    drift = _dot_last(a_k, y[..., None, :])  # A y
     if g1_k is not None:
         drift = drift + g1_k
     if d_k is None and g2_k is None:

@@ -16,8 +16,9 @@ import numpy as np
 from .adjoint import _jacobian_steps, linearization_along
 from .forked import run_spans, shared_empty
 from .sde import (BrownianEnsemble, BrownianSource, ControlLaw, DynamicsSpec, StateEnsemble,
-                  _abort_nonfinite, _check_noise_dim, _check_paths, _coefficients, _linear_step,
-                  _warn_aborted, as_control_law, as_initial_state, positive_int, solve_linearized)
+                  _abort_nonfinite, _check_noise_dim, _check_paths, _coefficients, _dot_last,
+                  _linear_step, _warn_aborted, as_control_law, as_initial_state, positive_int,
+                  solve_linearized)
 
 
 def _refuse_aborted(bad: np.ndarray) -> None:
@@ -117,11 +118,6 @@ def _block_law(law: ControlLaw, lo: int, hi: int) -> ControlLaw:
     return law if law.deterministic else ControlLaw(law.values[lo:hi])
 
 
-def _rate_laws(dyn: DynamicsSpec, u_star, w, n_steps: int) -> Tuple[ControlLaw, ControlLaw]:
-    return tuple(as_control_law(law, dyn, n_steps, name)
-                 for name, law in (("u_star", u_star), ("w", w)))
-
-
 def _rate_block(dyn: DynamicsSpec, forcing: Callable, e3: np.ndarray, u_law: ControlLaw,
                 w_law: ControlLaw, x0: np.ndarray, brownian: BrownianEnsemble,
                 lo: int) -> Tuple[np.ndarray, np.ndarray, bool]:
@@ -154,13 +150,7 @@ def _rate_block(dyn: DynamicsSpec, forcing: Callable, e3: np.ndarray, u_law: Con
             g1, g2 = forcing(t, x_k, w_law.at(k, m_paths), f[0], s[0])
             forced = forced or g2 is not None
             noise = s if g2 is None else s + e3[..., None] * g2
-            # sum_i noise_i dW^i term by term in index order, as
-            # certificate._row_dot sums: on an axis this short, cheaper than
-            # an einsum, and equal to it for d <= 2
-            shock = noise[..., 0] * dw[:, :1]
-            for i in range(1, d):
-                shock += noise[..., i] * dw[:, i:i + 1]
-            x = x + (f + e3 * g1) * dt + shock
+            x = x + (f + e3 * g1) * dt + _dot_last(noise, dw[:, None])  # sum_i noise_i dW^i
             _abort_nonfinite(x[0], first_failure, k + 1)
             y = _linear_step(y, a_at(k, x_k), None if d_at is None else d_at(k, x_k),
                              g1, g2, dt, dw)
@@ -170,57 +160,6 @@ def _rate_block(dyn: DynamicsSpec, forcing: Callable, e3: np.ndarray, u_law: Con
             # the sum np.linalg.norm takes, without a reduce over the short axis
             np.maximum(worst, sum(gap[..., i] * gap[..., i] for i in range(n)), out=worst)
     return worst, first_failure, forced
-
-
-def _rate_spans(dyn: DynamicsSpec, e3: np.ndarray, u_star, w, x0: np.ndarray, brownian,
-                workers: int) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """The rate pass over an ensemble or a source, whose grid and path count
-    are known, so every input is checked before a normal is drawn; the
-    paths run in one span per worker (run_spans), each worker writing its
-    blocks' results into shared arrays."""
-    m_paths = brownian.n_paths
-    _check_noise_dim(dyn, brownian)
-    u_law, w_law = _rate_laws(dyn, u_star, w, brownian.grid.n_steps)
-    _check_paths(m_paths, x0=x0, u_star=u_law, w=w_law)
-    worst = shared_empty((e3.shape[0] - 1, m_paths))
-    first_failure = shared_empty((m_paths,), int)
-    forced = shared_empty((m_paths,), bool)  # per path, so no worker writes another's
-    forcing = _control_difference(dyn)
-
-    def span(lo: int, hi: int) -> None:
-        for block in brownian.blocks(lo, hi):
-            end = lo + block.n_paths
-            worst[:, lo:end], first_failure[lo:end], forced[lo:end] = _rate_block(
-                dyn, forcing, e3, u_law, w_law, x0, block, lo)
-            lo = end
-            del block  # released before the next block is drawn
-
-    run_spans(m_paths, workers, span)
-    return worst, first_failure, bool(forced.any())
-
-
-def _rate_stream(dyn: DynamicsSpec, e3: np.ndarray, u_star, w, x0: np.ndarray,
-                 blocks) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """The rate pass over an iterable of path blocks, here, each checked as
-    it arrives: the first block sets the grid the controls must fit."""
-    forcing = _control_difference(dyn)
-    parts, grid, lo = [], None, 0
-    for block in blocks:
-        if grid is None:
-            grid = block.grid
-            u_law, w_law = _rate_laws(dyn, u_star, w, grid.n_steps)
-        elif block.grid != grid:
-            raise ValueError(f"Brownian blocks lie on two grids: {block.grid} and {grid}")
-        _check_noise_dim(dyn, block)
-        _check_paths(lo + block.n_paths, final=False, x0=x0, u_star=u_law, w=w_law)
-        parts.append(_rate_block(dyn, forcing, e3, u_law, w_law, x0, block, lo))
-        lo += block.n_paths
-        del block  # released before the next block is drawn
-    if lo == 0:
-        raise ValueError("the Brownian ensemble holds no paths")
-    _check_paths(lo, x0=x0, u_star=u_law, w=w_law)
-    worst, first_failure, forced = zip(*parts)
-    return np.concatenate(worst, axis=1), np.concatenate(first_failure), any(forced)
 
 
 def linearization_rate(
@@ -238,14 +177,12 @@ def linearization_rate(
     taken as euler_maruyama takes them; a per-path x0, u_star or w is sliced
     to each block of paths.
 
-    brownian is a BrownianEnsemble, a BrownianSource, or an iterable of path
-    blocks in path order on one grid.  An ensemble or a source states its
-    grid and path count, so every input is checked before a normal is
-    drawn, and its paths are cut into one contiguous span per worker: the
-    first runs here and each other in a forked child (forked.run_spans),
-    which draws its span's blocks at their path offsets as it reaches them.
-    An iterable is run here, block by block, and the first block must be
-    drawn before the controls can be checked against its grid.
+    brownian is a BrownianEnsemble or a BrownianSource; anything else is
+    refused by type.  Either states its grid and path count, so every input
+    is checked before a normal is drawn, and its paths are cut into one
+    contiguous span per worker: the first runs here and each other in a
+    forked child (forked.run_spans), which draws its span's blocks at their
+    path offsets as it reaches them.
 
     One streaming pass integrates the reference as member eps = 0 of the
     (E+1, b, n) stack of perturbed states over each block of b paths: the
@@ -269,16 +206,31 @@ def linearization_rate(
     """
     eps = validate_epsilons(epsilons)
     workers = positive_int(workers, "workers")
+    if not isinstance(brownian, (BrownianEnsemble, BrownianSource)):
+        raise TypeError("brownian must be a BrownianEnsemble or a BrownianSource, got "
+                        f"{type(brownian).__name__}")
     if dyn.control_dim == 0:
         raise ValueError("the dynamics take no control (control_dim 0): u_star and w "
                          "move nothing, so every rate would be 0")
     x0 = as_initial_state(dyn, x0)
+    _check_noise_dim(dyn, brownian)
+    m_paths, n_steps = brownian.n_paths, brownian.grid.n_steps
+    u_law, w_law = (as_control_law(law, dyn, n_steps, name)
+                    for name, law in (("u_star", u_star), ("w", w)))
+    _check_paths(m_paths, x0=x0, u_star=u_law, w=w_law)
     e3 = np.concatenate(([0.0], eps))[:, None, None]  # member 0 is the reference x*
-    if isinstance(brownian, (BrownianEnsemble, BrownianSource)):
-        worst, first_failure, forced = _rate_spans(dyn, e3, u_star, w, x0, brownian, workers)
-    else:
-        worst, first_failure, forced = _rate_stream(dyn, e3, u_star, w, x0, brownian)
-    if forced and not dyn.convex_velocity_sets:
+    worst = shared_empty((eps.size, m_paths))
+    first_failure = shared_empty((m_paths,), int)
+    forced = shared_empty((m_paths,), bool)  # per path, so no worker writes another's
+    forcing = _control_difference(dyn)
+
+    def work(lo: int, block: BrownianEnsemble) -> None:
+        hi = lo + block.n_paths
+        worst[:, lo:hi], first_failure[lo:hi], forced[lo:hi] = _rate_block(
+            dyn, forcing, e3, u_law, w_law, x0, block, lo)
+
+    run_spans(brownian, workers, work)
+    if forced.any() and not dyn.convex_velocity_sets:
         warnings.warn(_UNLICENSED, stacklevel=2)
     _warn_aborted(first_failure)
     _refuse_aborted(first_failure >= 0)

@@ -45,8 +45,7 @@ from riskpmp.adjoint import (
     conditional_expectation,
     tower_check,
 )
-from riskpmp.certificate import _row_dot
-from riskpmp.sde import FundamentalMatrices, StateEnsemble
+from riskpmp.sde import FundamentalMatrices, StateEnsemble, _dot_last
 from riskpmp.variational import selection_continuity
 
 
@@ -125,7 +124,7 @@ def test_hamiltonian_sums_match_einsum(n, d):
     rng = np.random.default_rng(n * 10 + d)
     p, f = rng.normal(size=(2, 500, n))
     q, s = rng.normal(size=(2, 500, n, d))
-    got = _row_dot(p, f) + _row_dot(q, s)
+    got = _dot_last(p, f) + _dot_last(q.reshape(500, -1), s.reshape(500, -1))
     want = np.einsum("pn,pn->p", p, f) + np.einsum("pnd,pnd->p", q, s)
     if n * d <= 2:
         assert np.array_equal(got, want)

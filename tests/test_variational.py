@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+import riskpmp
 from riskpmp import sde
 from riskpmp.adjoint import linearization_along
 from riskpmp.sde import (
+    BrownianEnsemble,
     BrownianSource,
     ControlLaw,
     DynamicsSpec,
@@ -235,7 +237,8 @@ def test_rate_names_an_abort_in_a_later_block_as_the_whole_ensemble_does():
     x0[150:, 0] = 1.5
     law, w = ControlLaw.constant(0.0, 50), ControlLaw.constant(0.5, 50)
     texts = []
-    for brownian in (sample_brownian(grid, 1, 200, seed=3), _blocks(grid, 1, 200, 3, 64)):
+    source = BrownianSource(grid, 1, 200, 3, block=64)
+    for brownian in (sample_brownian(grid, 1, 200, seed=3), source):
         with pytest.warns(RuntimeWarning, match="aborted") as record:
             with pytest.raises(ValueError, match=r"of 200 paths \(first at path 1[5-9]\d\)") as refusal:
                 linearization_rate(dyn, law, x0, brownian, w, [0.5, 0.25])
@@ -397,13 +400,6 @@ def _oracle_cases(m_paths=ORACLE_PATHS):
            np.array([0.5, 0.0]), 15, ControlLaw(rng.uniform(-1.0, 1.0, size=(m_paths, n_steps, 1))))
 
 
-def _blocks(grid, dim, m_paths, seed, size):
-    """The ensemble's paths as a generator of blocks of size paths, each
-    sampled at its path offset."""
-    return (sample_brownian(grid, dim, min(size, m_paths - lo), seed, path_offset=lo)
-            for lo in range(0, m_paths, size))
-
-
 def test_rate_single_pass_matches_per_epsilon_oracle():
     grid = make_grid(1.0, ORACLE_STEPS)
     eps = [0.5, 0.2, 0.05, 0.01]
@@ -436,8 +432,8 @@ def test_rate_over_path_blocks_equals_whole_ensemble():
         whole = linearization_rate(dyn, u_star, x0, bm, w, eps).rates
         assert np.max(whole) > 1e-6
         for size in (1, 7, m_paths - 1):
-            blocks = _blocks(grid, dyn.noise_dim, m_paths, seed, size)
-            assert np.array_equal(linearization_rate(dyn, u_star, x0, blocks, w, eps).rates,
+            source = BrownianSource(grid, dyn.noise_dim, m_paths, seed, block=size)
+            assert np.array_equal(linearization_rate(dyn, u_star, x0, source, w, eps).rates,
                                   whole), (name, size)
         # a source drawn by forked workers over their spans, and the
         # ensemble itself cut into spans: spans of 34, 34 and a ragged 32
@@ -476,8 +472,8 @@ def test_rate_over_sampled_blocks_holds_less_than_one_ensemble():
     eps = [0.5, 0.25, 0.125, 0.0625]
     tracemalloc.start()
     try:
-        table = linearization_rate(dyn, u_star, np.zeros(2), _blocks(grid, 1, m_paths, 5, 250),
-                                   w, eps)
+        table = linearization_rate(dyn, u_star, np.zeros(2),
+                                   BrownianSource(grid, 1, m_paths, 5, block=250), w, eps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -509,41 +505,48 @@ def test_rate_refuses_controls_that_move_nothing_or_do_not_fit():
 
 def test_rate_refuses_per_path_inputs_that_do_not_fit_the_paths():
     grid = make_grid(1.0, 8)
-    bm = sample_brownian(grid, 1, 8, seed=2)
+    bm, source = sample_brownian(grid, 1, 8, seed=2), BrownianSource(grid, 1, 8, 2, block=3)
+    empty = BrownianEnsemble(grid, np.zeros((0, 8, 1)))
     dyn = double_integrator_dynamics(cubic=0.5)
     law = ControlLaw.constant(0.5, 8)
     paths = lambda m: ControlLaw(np.full((m, 8, 1), 0.5))
     cases = [
-        (np.zeros(3), law, law, r"x0 has shape \(3,\); the dynamics need \(2,\) or \(paths, 2\)"),
-        (np.zeros((8, 3)), law, law, r"x0 has shape \(8, 3\); the dynamics need"),
-        (np.zeros((5, 2)), law, law, r"x0 has shape \(5, 2\); the Brownian paths need \(8, 2\)"),
-        (np.zeros((1, 2)), law, law, r"x0 has shape \(1, 2\); the Brownian paths need \(8, 2\)"),
-        (np.zeros(2), paths(5), law,
+        (bm, np.zeros(3), law, law,
+         r"x0 has shape \(3,\); the dynamics need \(2,\) or \(paths, 2\)"),
+        (bm, np.zeros((8, 3)), law, law, r"x0 has shape \(8, 3\); the dynamics need"),
+        (bm, np.zeros((5, 2)), law, law,
+         r"x0 has shape \(5, 2\); the Brownian paths need \(8, 2\)"),
+        (bm, np.zeros((1, 2)), law, law,
+         r"x0 has shape \(1, 2\); the Brownian paths need \(8, 2\)"),
+        (bm, np.zeros(2), paths(5), law,
          r"u_star has shape \(5, 8, 1\); the Brownian paths need \(8, 8, 1\)"),
-        (np.zeros(2), law, paths(9), r"w has shape \(9, 8, 1\); the Brownian paths need \(8, 8, 1\)"),
+        (bm, np.zeros(2), law, paths(9),
+         r"w has shape \(9, 8, 1\); the Brownian paths need \(8, 8, 1\)"),
+        (source, np.zeros(2), law, paths(9),
+         r"w has shape \(9, 8, 1\); the Brownian paths need \(8, 8, 1\)"),
+        (empty, np.zeros(2), law, law, "the Brownian ensemble holds no paths"),
     ]
-    for x0, u_star, w, message in cases:
-        with pytest.raises(ValueError, match=message):
-            linearization_rate(dyn, u_star, x0, bm, w, [0.5])
-    # over blocks, a short argument is refused at the first block it cannot
-    # cover, a long one after the last
-    with pytest.raises(ValueError, match=r"x0 has shape \(5, 2\); the Brownian paths need at "
-                                         r"least \(6, 2\)"):
-        linearization_rate(dyn, law, np.zeros((5, 2)), _blocks(grid, 1, 8, 2, 3), law, [0.5])
-    with pytest.raises(ValueError, match=r"w has shape \(9, 8, 1\); the Brownian paths need "
-                                         r"\(8, 8, 1\)"):
-        linearization_rate(dyn, law, np.zeros(2), _blocks(grid, 1, 8, 2, 3), paths(9), [0.5])
-    with pytest.raises(ValueError, match="the Brownian ensemble holds no paths"):
-        linearization_rate(dyn, law, np.zeros(2), iter(()), law, [0.5])
-    with pytest.raises(ValueError, match="Brownian blocks lie on two grids"):
-        linearization_rate(dyn, law, np.zeros(2), [bm, sample_brownian(make_grid(2.0, 8), 1, 4, 2)],
-                           law, [0.5])
+    for brownian, x0, u_star, w, message in cases:
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                linearization_rate(dyn, u_star, x0, brownian, w, [0.5], workers)
+
+
+def test_rate_refuses_brownian_paths_given_as_blocks_by_type():
+    # an ensemble or a source states its grid and path count; a list or a
+    # generator of blocks is refused by type before anything is run
+    grid = make_grid(1.0, 8)
+    bm, dyn = sample_brownian(grid, 1, 8, seed=2), double_integrator_dynamics(cubic=0.5)
+    law = ControlLaw.constant(0.5, 8)
+    for blocks, kind in (([bm], "list"), ((b for b in [bm]), "generator")):
+        with pytest.raises(TypeError, match="brownian must be a BrownianEnsemble or a "
+                                            f"BrownianSource, got {kind}$"):
+            linearization_rate(dyn, law, np.zeros(2), blocks, law, [0.5])
 
 
 def test_rate_over_a_source_refuses_before_any_draw(monkeypatch):
     # a source states its grid and path count, so the controls and x0 are
-    # checked before a normal is drawn; a plain block iterable still draws
-    # its first block, whose grid the controls must fit
+    # checked before a normal is drawn
     draws = []
 
     def counting(*args, sample_brownian=sde.sample_brownian, **kwargs):
@@ -552,6 +555,7 @@ def test_rate_over_a_source_refuses_before_any_draw(monkeypatch):
 
     monkeypatch.setattr(sde, "sample_brownian", counting)
     grid, dyn = make_grid(1.0, 8), double_integrator_dynamics(cubic=0.5)
+    assert riskpmp.BrownianSource is BrownianSource  # exported with the ensemble
     source = BrownianSource(grid, 1, 8, 2, block=3)
     one, two = ControlLaw.constant(0.5, 8), ControlLaw.constant([0.5, 0.5], 8)
     cases = [
@@ -646,7 +650,8 @@ def test_rate_warns_once_on_controlled_diffusion_without_attestation():
         solve_linearized(*linearization_along(dyn, states), g, bm)
         linearization_rate(dyn, u_star, np.ones(1), bm, w, [0.5, 0.25])
         line = sys._getframe().f_lineno + 1
-        linearization_rate(dyn, u_star, np.ones(1), _blocks(grid, 1, 10, 4, 3), w, [0.5, 0.25])
+        linearization_rate(dyn, u_star, np.ones(1), BrownianSource(grid, 1, 10, 4, block=3), w,
+                           [0.5, 0.25])
         linearization_rate(dyn, u_star, np.ones(1), BrownianSource(grid, 1, 10, 4, block=3), w,
                            [0.5, 0.25], workers=2)
     # once per call, over one ensemble, four blocks or two forked spans
