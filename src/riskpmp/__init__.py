@@ -32,8 +32,6 @@ from .risk import (  # noqa: F401
     RiskConsistencyError,
     RiskSubgradient,
     SampledRandomVariable,
-    coherence_suite,
-    representation_check,
     risk_subgradient,
     risk_value,
 )
@@ -42,7 +40,6 @@ from .variational import (  # noqa: F401
     RateTable,
     ito_counterexample,
     linearization_rate,
-    selection_continuity,
     tangent_from_control,
 )
 from .adjoint import (  # noqa: F401
@@ -50,11 +47,9 @@ from .adjoint import (  # noqa: F401
     RegressionBasis,
     TerminalCostate,
     assemble_terminal,
-    conditional_expectation,
     linearization_along,
     martingale_check,
     solve_adjoint,
-    tower_check,
 )
 from .certificate import (  # noqa: F401
     CandidateBundle,

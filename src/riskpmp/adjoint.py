@@ -17,7 +17,7 @@ Output bytes do not depend on the BLAS thread count (the CLI tests check it).
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,20 +112,6 @@ def _apply_transposed(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
         out = rows.reshape(-1, rows.shape[-1]) @ mat[0]
         return np.moveaxis(out.reshape(rows.shape), -1, 1)
     return np.einsum("pji,pj...->pi...", mat, vec)
-
-
-def conditional_expectation(
-    regressand: np.ndarray,
-    states: StateEnsemble,
-    k: int,
-    basis: Optional[RegressionBasis] = None,
-) -> np.ndarray:
-    """Least-squares projection of a terminal-measurable quantity onto
-    polynomial features of (x(t_k), W(t_k)); the numerical realization of
-    E[. | F_{t_k}] along the ensemble."""
-    basis = basis or RegressionBasis()
-    features = basis.at_node(states, states.recorded("brownian").levels(), k)
-    return NodeFit(features).fit(np.asarray(regressand, dtype=float))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,49 +355,3 @@ def martingale_check(pair: CostatePair, sigma: float = 5.0) -> MartingaleReport:
     # a NaN band (one path) passes nothing
     passed = bool(np.all(np.abs(slopes) <= sigma * stderrs + 1e-12))
     return MartingaleReport(slopes=slopes, stderrs=stderrs, passed=passed)
-
-
-@dataclass(frozen=True)
-class TowerReport:
-    node_pairs: List[Tuple[int, int]]
-    rms_gaps: np.ndarray
-    tolerances: np.ndarray
-    passed: bool
-
-
-def tower_check(
-    regressand: np.ndarray,
-    states: StateEnsemble,
-    basis: Optional[RegressionBasis] = None,
-    node_pairs: Optional[Sequence[Tuple[int, int]]] = None,
-) -> TowerReport:
-    """Projecting the step-k estimate down to step j < k must reproduce the
-    step-j estimate: the gap is the j-projection of the step-k residual,
-    whose sampling size is resid_rms * sqrt(B/M).  Pass at five times that,
-    plus a small absolute floor covering ridge-level noise in exact fits."""
-    basis = basis or RegressionBasis()
-    n_steps = states.grid.n_steps
-    if node_pairs is None:
-        node_pairs = [(n_steps // 4, n_steps // 2), (n_steps // 2, (3 * n_steps) // 4)]
-        node_pairs = [(j, k) for j, k in node_pairs if j < k]
-    brownian = states.recorded("brownian")
-    levels = brownian.levels()
-    g = np.asarray(regressand, dtype=float)
-    n_feat = basis.n_features(states.state_dim, brownian.dim)
-
-    gaps = np.empty(len(node_pairs))
-    tols = np.empty(len(node_pairs))
-    for i, (j, k) in enumerate(node_pairs):
-        if not 0 <= j < k <= n_steps:
-            raise ValueError("node pairs must satisfy 0 <= j < k <= K")
-        m_k, rms_k, _, _ = NodeFit(basis.at_node(states, levels, k)).fit(g)
-        fit_j = NodeFit(basis.at_node(states, levels, j))
-        diff = fit_j.fit(m_k)[0] - fit_j.fit(g)[0]
-        gaps[i] = float(np.sqrt(np.mean(diff**2)))
-        tols[i] = 5.0 * rms_k * np.sqrt(n_feat / g.shape[0]) + 1e-7
-    return TowerReport(
-        node_pairs=list(node_pairs),
-        rms_gaps=gaps,
-        tolerances=tols,
-        passed=bool(np.all(gaps <= tols)),
-    )

@@ -22,12 +22,11 @@ import sys
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
-from . import export, forked, sde
+from . import __version__, export, forked, sde
 from .adjoint import martingale_check
 from .certificate import CertifyConfig, certify
 from .planner import (
@@ -335,13 +334,6 @@ def emit_plot_data(report, out_dir):
     return written
 
 
-def _code_version():
-    try:
-        return metadata.version("riskpmp")
-    except metadata.PackageNotFoundError:
-        return "unknown"
-
-
 def _costate_mean_rows(costates):
     p_y = costates.p[:, :, 0]
     stderr = sample_std(p_y) / np.sqrt(p_y.shape[0])
@@ -421,13 +413,6 @@ def _simulate_ensemble(dyn, law, x0, source, workers):
     forked.run_spans(source, workers, work)
     sde._warn_aborted(failures)
     return StateEnsemble(grid, values, failures, law)
-
-
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
 
 
 def _run_simulate(cfg, ctx):
@@ -672,7 +657,7 @@ def _resolve_threads(flag_value):
     else:
         raw = os.environ.get(THREADS_ENV)
         if raw is None:
-            return _usable_cpus()
+            return forked.usable_cpus()
         try:
             value = int(raw)
         except ValueError as exc:
@@ -714,7 +699,7 @@ def run(argv):
     if args.out is not None:
         cfg["out_dir"] = args.out
     out_dir = Path(cfg.get("out_dir", "riskpmp_out"))
-    ctx = RunContext(out_dir, min(threads, _usable_cpus()))
+    ctx = RunContext(out_dir, threads)
     try:
         status, results, artifacts = _RUNNERS[args.verb](cfg, ctx)
     except BaseException:
@@ -737,7 +722,7 @@ def run(argv):
         "artifacts": dict(artifacts),
         "reproduction": {
             "config": cfg,
-            "code_version": _code_version(),
+            "code_version": __version__,
         },
         "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
     }

@@ -2,21 +2,30 @@
 
 ``start`` runs calls in forked children while the caller goes on, and
 ``run_spans`` cuts the paths of a Brownian ensemble or source into one
-contiguous span per worker, walks each span's blocks and waits for them
-all.  A child hands its results back by writing into arrays that the
-parent made with ``shared_empty`` before the fork.  Where the platform
-cannot fork, the calls run in the calling process, one after another, so
-their results are the same either way.
+contiguous span per worker, at most one per usable CPU, walks each span's
+blocks and waits for them all.  A child hands its results back by writing
+into arrays that the parent made with ``shared_empty`` before the fork.
+Where the platform cannot fork, the calls run in the calling process, one
+after another, so their results are the same either way.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+import os
 from contextlib import suppress
 from typing import Callable, Iterable, Tuple
 
 import numpy as np
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def shared_empty(shape: Tuple[int, ...], dtype=float) -> np.ndarray:
@@ -74,14 +83,15 @@ def start(calls: Iterable[Tuple[str, Callable, tuple]]) -> Callable[[], None]:
 
 def run_spans(brownian, workers: int, work: Callable[[int, object], None]) -> None:
     """Run work(lo, block) on each block of paths lo.. that brownian (a
-    BrownianEnsemble or a BrownianSource) gives: its paths are cut into at
-    most ``workers`` contiguous spans of ceil(n_paths / workers) paths, the
-    last one ragged, the first walked in this process while a forked child
-    walks each other, drawing each block when it reaches it and releasing it
-    before the next.  work writes its results into ``shared_empty`` arrays.
-    Returns when every span is done; a failed child raises RuntimeError
-    naming its span, unless the span run here raised, whose error is then
-    the one raised.  An ensemble without paths is refused by name."""
+    BrownianEnsemble or a BrownianSource) gives: its paths are cut into
+    contiguous spans of ceil(n_paths / w) paths, w = min(workers,
+    usable_cpus()), the last one ragged, the first walked in this process
+    while a forked child walks each other, drawing each block when it
+    reaches it and releasing it before the next.  work writes its results
+    into ``shared_empty`` arrays.  Returns when every span is done; a failed
+    child raises RuntimeError naming its span, unless the span run here
+    raised, whose error is then the one raised.  An ensemble without paths
+    is refused by name."""
     n_paths = brownian.n_paths
     if n_paths == 0:
         raise ValueError("the Brownian ensemble holds no paths")
@@ -92,7 +102,7 @@ def run_spans(brownian, workers: int, work: Callable[[int, object], None]) -> No
             lo += block.n_paths
             del block  # released before the next block is drawn
 
-    size = -(-n_paths // workers)
+    size = -(-n_paths // min(workers, usable_cpus()))
     spans = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
     join = start((f"paths {lo}..{hi - 1}", span, (lo, hi)) for lo, hi in spans[1:])
     try:

@@ -34,6 +34,7 @@ from .certificate import CandidateBundle, ProblemSpec
 from .risk import AVaR, risk_subgradient, risk_value
 from .sde import (
     BrownianEnsemble,
+    BrownianSource,
     FeedbackLaw,
     StateEnsemble,
     TimeGrid,
@@ -338,9 +339,8 @@ def solve_sop(instance: SopInstance, n_steps: int, n_paths: int, seed: int) -> S
     values = result.policy.on_grid(grid)
     start = assemble_solution(instance, values, brownian, policy=result.policy,
                               cost=result.cost, incumbents=result.incumbents)
-    holdout = [sample_brownian(grid, 1, min(HOLDOUT_CHUNK, n_paths - i), seed,
-                               path_offset=n_paths + i)
-               for i in range(0, n_paths, HOLDOUT_CHUNK)]
+    holdout = list(BrownianSource(grid, 1, 2 * n_paths, seed, HOLDOUT_CHUNK)
+                   .blocks(n_paths, 2 * n_paths))
     return _refine(start, holdout)
 
 

@@ -4,9 +4,8 @@ Implements expectation, average value-at-risk
 
     AVaR_alpha(Z) = inf_t ( t + E[max(Z - t, 0)] / alpha ),
 
-and convex mixtures of AVaR levels, together with subgradients, the dual
-(sup over densities) representation check, and a randomized audit of the
-coherence axioms.
+and convex mixtures of AVaR levels, together with their subgradients: the
+maximizing densities of the dual (sup over densities) representation.
 
 Conventions on a finite weighted sample: quantiles use the lower convention
 q = inf{t : P(Z <= t) >= 1 - alpha}; the subgradient weight on the atom
@@ -17,7 +16,7 @@ contact flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -245,132 +244,3 @@ def risk_value(measure: RiskMeasure, z) -> float:
 
 def risk_subgradient(measure: RiskMeasure, z) -> RiskSubgradient:
     return measure.subgradient(z)
-
-
-@dataclass(frozen=True)
-class RepresentationReport:
-    """Audit of rho(Z) = sup{E[xi Z] : xi in the risk envelope}."""
-
-    risk: float
-    sup_gap: float          # rho - best sampled feasible density (>= -1e-9)
-    attainment_error: float  # |rho - E[xi* Z]|
-    n_trials: int
-
-    @property
-    def passed(self) -> bool:
-        return self.sup_gap >= -_AGREEMENT_TOL and self.attainment_error <= _AGREEMENT_TOL
-
-
-def representation_check(
-    measure: RiskMeasure, z, n_trials: int = 64, seed: int = 0
-) -> RepresentationReport:
-    """Sample feasible densities from the risk envelope and verify none beats
-    rho(Z), while the computed subgradient attains it.
-
-    Feasible densities are built as convex mixtures of envelope extreme
-    points (subgradients of the measure at random directions) and the
-    constant density 1, so feasibility is exact by convexity.
-    """
-    sample = _as_sample(z)
-    w = sample.weight_array()
-    rng = np.random.default_rng(seed)
-    rho = measure.value(sample)
-    best = -np.inf
-    for _ in range(int(n_trials)):
-        direction = rng.normal(size=sample.size)
-        extreme = measure.subgradient(
-            SampledRandomVariable(direction, sample.weights)
-        ).xi
-        theta = rng.uniform()
-        xi = theta * extreme + (1.0 - theta) * np.ones(sample.size)
-        best = max(best, float((w * xi) @ sample.values))
-    attained = float((w * measure.subgradient(sample).xi) @ sample.values)
-    return RepresentationReport(
-        risk=rho,
-        sup_gap=rho - best,
-        attainment_error=abs(rho - attained),
-        n_trials=int(n_trials),
-    )
-
-
-@dataclass(frozen=True)
-class CoherenceViolation:
-    axiom: str
-    lhs: float
-    rhs: float
-    witness: dict
-
-
-@dataclass(frozen=True)
-class CoherenceReport:
-    n_trials: int
-    tolerance: float
-    violations: tuple
-
-    @property
-    def passed(self) -> bool:
-        return len(self.violations) == 0
-
-
-def coherence_suite(
-    value_fn,
-    n_trials: int = 200,
-    seed: int = 0,
-    tolerance: float = _AGREEMENT_TOL,
-    max_size: int = 64,
-) -> CoherenceReport:
-    """Randomized audit of the coherence axioms for any sample functional.
-
-    value_fn: RiskMeasure or callable SampledRandomVariable -> float.
-    Checks convexity, monotonicity, translation invariance, and positive
-    homogeneity on random weighted samples; violations carry witnesses.
-    """
-    if isinstance(value_fn, RiskMeasure):
-        fn: Callable = value_fn.value
-    else:
-        fn = value_fn
-    rng = np.random.default_rng(seed)
-    violations = []
-
-    def record(axiom, lhs, rhs, **witness):
-        if lhs > rhs + tolerance:
-            violations.append(
-                CoherenceViolation(axiom=axiom, lhs=float(lhs), rhs=float(rhs), witness=witness)
-            )
-
-    for trial in range(int(n_trials)):
-        size = int(rng.integers(2, max_size + 1))
-        if rng.uniform() < 0.5:
-            weights = None
-        else:
-            weights = rng.uniform(0.05, 1.0, size=size)
-            weights = weights / weights.sum()
-        z1 = rng.normal(scale=rng.uniform(0.5, 3.0), size=size)
-        z2 = rng.normal(scale=rng.uniform(0.5, 3.0), size=size)
-        s1 = SampledRandomVariable(z1, weights)
-        s2 = SampledRandomVariable(z2, weights)
-
-        lam = rng.uniform(0.05, 0.95)
-        mix = SampledRandomVariable(lam * z1 + (1 - lam) * z2, weights)
-        record(
-            "convexity", fn(mix), lam * fn(s1) + (1 - lam) * fn(s2),
-            trial=trial, lam=lam,
-        )
-
-        bigger = SampledRandomVariable(z1 + np.abs(z2), weights)
-        record("monotonicity", fn(s1), fn(bigger), trial=trial)
-
-        shift = float(rng.uniform(-3.0, 3.0))
-        shifted = SampledRandomVariable(z1 + shift, weights)
-        val = fn(s1)
-        record("translation", fn(shifted), val + shift, trial=trial, shift=shift)
-        record("translation", val + shift, fn(shifted), trial=trial, shift=shift)
-
-        scale = float(rng.uniform(0.1, 4.0))
-        scaled = SampledRandomVariable(scale * z1, weights)
-        record("homogeneity", fn(scaled), scale * val, trial=trial, scale=scale)
-        record("homogeneity", scale * val, fn(scaled), trial=trial, scale=scale)
-
-    return CoherenceReport(
-        n_trials=int(n_trials), tolerance=tolerance, violations=tuple(violations)
-    )

@@ -1,5 +1,5 @@
 """Tangent selections from control differences, the linearization rate test,
-selection-to-solution continuity, and the Ito non-relaxation gap.
+and the Ito non-relaxation gap.
 
 The relaxation obstruction is the reason none of the controlled-diffusion
 machinery here ever projects a convexified velocity back onto the original
@@ -13,12 +13,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adjoint import _jacobian_steps, linearization_along
+from .adjoint import _jacobian_steps
 from .forked import run_spans, shared_empty
 from .sde import (BrownianEnsemble, BrownianSource, ControlLaw, DynamicsSpec, StateEnsemble,
                   _abort_nonfinite, _check_noise_dim, _check_paths, _coefficients, _dot_last,
-                  _linear_step, _warn_aborted, as_control_law, as_initial_state, positive_int,
-                  solve_linearized)
+                  _linear_step, _warn_aborted, as_control_law, as_initial_state, positive_int)
 
 
 def _refuse_aborted(bad: np.ndarray) -> None:
@@ -33,21 +32,18 @@ _UNLICENSED = ("control enters the diffusion but convex velocity sets are not at
                "convex velocity sets")
 
 
-def _control_difference(dyn: DynamicsSpec) -> Callable:
-    """The control-difference forcing at one node as a function of
-    (t, x*_k, w_k, f_u, s_u): x*_k the contiguous (M, n) reference states,
-    w_k the comparison control there, and f_u, s_u the drift and diffusion
-    at (x*_k, u*_k), which the caller has already evaluated.  Its callers
-    warn (_UNLICENSED) when g2 is nonzero and the dynamics do not attest
-    convex velocity sets."""
-
-    def g(t: float, x_k: np.ndarray, w_k: np.ndarray, f_u: np.ndarray,
-          s_u: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        f_w, s_w = _coefficients(dyn, t, x_k, w_k)
-        g1, g2 = f_w - f_u, s_w - s_u
-        return g1, (g2 if np.any(g2) else None)
-
-    return g
+def _control_difference(dyn: DynamicsSpec, t: float, x_k: np.ndarray, w_k: np.ndarray,
+                        f_u: np.ndarray, s_u: np.ndarray
+                        ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The control-difference forcing (g1, g2) at one node: x_k the
+    contiguous (M, n) reference states x*_k, w_k the comparison control
+    there, and f_u, s_u the drift and diffusion at (x*_k, u*_k), which the
+    caller has already evaluated; g2 is None where it is exactly zero.  Its
+    callers warn (_UNLICENSED) when g2 is nonzero and the dynamics do not
+    attest convex velocity sets."""
+    f_w, s_w = _coefficients(dyn, t, x_k, w_k)
+    g1, g2 = f_w - f_u, s_w - s_u
+    return g1, (g2 if np.any(g2) else None)
 
 
 def tangent_from_control(dyn: DynamicsSpec, states: StateEnsemble, w) -> Callable:
@@ -66,14 +62,13 @@ def tangent_from_control(dyn: DynamicsSpec, states: StateEnsemble, w) -> Callabl
     u_law, w_law = states.recorded("control"), as_control_law(w, dyn, states.grid.n_steps, "w")
     nodes, m_paths = states.grid.nodes, states.n_paths
     _check_paths(m_paths, w=w_law)
-    step = _control_difference(dyn)
     warned = dyn.convex_velocity_sets  # the velocity-set attestation, read once
 
     def g(k: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         nonlocal warned
         t, x_k = nodes[k], np.ascontiguousarray(states.values[:, k, :])
-        g1, g2 = step(t, x_k, w_law.at(k, m_paths),
-                      *_coefficients(dyn, t, x_k, u_law.at(k, m_paths)))
+        g1, g2 = _control_difference(dyn, t, x_k, w_law.at(k, m_paths),
+                                     *_coefficients(dyn, t, x_k, u_law.at(k, m_paths)))
         if g2 is not None and not warned:
             warnings.warn(_UNLICENSED, stacklevel=3)
             warned = True
@@ -118,8 +113,8 @@ def _block_law(law: ControlLaw, lo: int, hi: int) -> ControlLaw:
     return law if law.deterministic else ControlLaw(law.values[lo:hi])
 
 
-def _rate_block(dyn: DynamicsSpec, forcing: Callable, e3: np.ndarray, u_law: ControlLaw,
-                w_law: ControlLaw, x0: np.ndarray, brownian: BrownianEnsemble,
+def _rate_block(dyn: DynamicsSpec, e3: np.ndarray, u_law: ControlLaw, w_law: ControlLaw,
+                x0: np.ndarray, brownian: BrownianEnsemble,
                 lo: int) -> Tuple[np.ndarray, np.ndarray, bool]:
     """The rate pass on the block of paths lo.. that brownian holds, a
     per-path law or x0 sliced to it: the running sup over the nodes of the
@@ -147,7 +142,7 @@ def _rate_block(dyn: DynamicsSpec, forcing: Callable, e3: np.ndarray, u_law: Con
             f, s = _coefficients(dyn, t, x.reshape(stack * m_paths, n), u_e)
             f, s = f.reshape(stack, m_paths, n), s.reshape(stack, m_paths, n, d)
             # member 0 holds f and sigma at (x*, u*), which the forcing subtracts
-            g1, g2 = forcing(t, x_k, w_law.at(k, m_paths), f[0], s[0])
+            g1, g2 = _control_difference(dyn, t, x_k, w_law.at(k, m_paths), f[0], s[0])
             forced = forced or g2 is not None
             noise = s if g2 is None else s + e3[..., None] * g2
             x = x + (f + e3 * g1) * dt + _dot_last(noise, dw[:, None])  # sum_i noise_i dW^i
@@ -180,9 +175,9 @@ def linearization_rate(
     brownian is a BrownianEnsemble or a BrownianSource; anything else is
     refused by type.  Either states its grid and path count, so every input
     is checked before a normal is drawn, and its paths are cut into one
-    contiguous span per worker: the first runs here and each other in a
-    forked child (forked.run_spans), which draws its span's blocks at their
-    path offsets as it reaches them.
+    contiguous span per worker, at most one per usable CPU: the first runs
+    here and each other in a forked child (forked.run_spans), which draws
+    its span's blocks at their path offsets as it reaches them.
 
     One streaming pass integrates the reference as member eps = 0 of the
     (E+1, b, n) stack of perturbed states over each block of b paths: the
@@ -222,12 +217,11 @@ def linearization_rate(
     worst = shared_empty((eps.size, m_paths))
     first_failure = shared_empty((m_paths,), int)
     forced = shared_empty((m_paths,), bool)  # per path, so no worker writes another's
-    forcing = _control_difference(dyn)
 
     def work(lo: int, block: BrownianEnsemble) -> None:
         hi = lo + block.n_paths
         worst[:, lo:hi], first_failure[lo:hi], forced[lo:hi] = _rate_block(
-            dyn, forcing, e3, u_law, w_law, x0, block, lo)
+            dyn, e3, u_law, w_law, x0, block, lo)
 
     run_spans(brownian, workers, work)
     if forced.any() and not dyn.convex_velocity_sets:
@@ -240,42 +234,6 @@ def linearization_rate(
                       f"paths (first at path {int(np.argmax(blown))}), so some rates are not "
                       "finite", RuntimeWarning, stacklevel=2)
     return RateTable(epsilons=eps, rates=np.sqrt(worst).mean(axis=1) / eps)
-
-
-# ---------------------------------------------------------------------------
-# selection continuity
-
-
-def selection_continuity(dyn: DynamicsSpec, states: StateEnsemble, g_a, g_b) -> float:
-    """Ratio of the linearized-solution gap to the selection gap, for two
-    forcing accessors such as tangent_from_control returns.
-
-    Numerator: E[sup_k |y_a - y_b|^2]^(1/2); denominator: the discrete
-    L2 norm of (g1_a - g1_b, g2_a - g2_b).  The linearized flow is
-    continuous in the selection, so the ratio stays bounded by a constant
-    depending only on the data; the degenerate case of equal selections
-    returns 0.
-    """
-
-    def g(k):
-        (a1, a2), (b1, b2) = g_a(k), g_b(k)
-        g2 = (0.0 if a2 is None else a2) - (0.0 if b2 is None else b2)
-        return a1 - b1, (g2 if np.any(g2) else None)
-
-    sq = 0.0  # per path, summed over the steps
-    for k in range(states.grid.n_steps):
-        g1, g2 = g(k)
-        sq = sq + np.sum(g1 * g1, axis=-1)
-        if g2 is not None:
-            sq = sq + np.sum(g2 * g2, axis=(-2, -1))
-    denom_sq = float(np.mean(sq)) * states.grid.dt
-    if denom_sq == 0.0:
-        return 0.0
-
-    a_fn, d_fn = linearization_along(dyn, states)
-    diff = solve_linearized(a_fn, d_fn, g, states.recorded("brownian"))
-    num_sq = float(np.mean(np.max(np.sum(diff.values**2, axis=2), axis=1)))
-    return np.sqrt(num_sq / denom_sq)
 
 
 # ---------------------------------------------------------------------------

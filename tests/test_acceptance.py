@@ -13,14 +13,14 @@ import time
 
 import numpy as np
 
-from riskpmp.adjoint import assemble_terminal, solve_adjoint, tower_check
+from oracles import coherence_suite, tower_check
+from riskpmp.adjoint import assemble_terminal, linearization_along, solve_adjoint
 from riskpmp.certificate import CertifyConfig, certify
 from riskpmp.cli import main as cli_main
 from riskpmp.planner import SopInstance, assemble_solution, safety_check, solve_sop
 from riskpmp.risk import (
     AVaR,
     SampledRandomVariable,
-    coherence_suite,
     risk_subgradient,
     risk_value,
 )
@@ -36,7 +36,6 @@ from riskpmp.sde import (
 )
 from riskpmp.variational import (
     ito_counterexample,
-    linearization_along,
     linearization_rate,
 )
 

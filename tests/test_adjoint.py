@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
+from oracles import conditional_expectation, tower_check
 from riskpmp.adjoint import (
     RIDGE,
     NodeFit,
     RegressionBasis,
     assemble_terminal,
-    conditional_expectation,
     linearization_along,
     martingale_check,
     solve_adjoint,
-    tower_check,
 )
 from riskpmp.risk import SampledRandomVariable
 from riskpmp.sde import (

@@ -8,6 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from oracles import conditional_expectation, selection_continuity, tower_check
 from riskpmp import (
     AVaR,
     CandidateBundle,
@@ -42,11 +43,8 @@ from riskpmp.adjoint import (
     CostatePair,
     RegressionDiagnostics,
     TerminalCostate,
-    conditional_expectation,
-    tower_check,
 )
 from riskpmp.sde import FundamentalMatrices, StateEnsemble, _dot_last
-from riskpmp.variational import selection_continuity
 
 
 def double_integrator(noise=1.0, grid_points=21):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import riskpmp
 from riskpmp import cli, export, forked, sde
 from riskpmp.cli import emit_plot_data, load_scenario, main
 from riskpmp.risk import AVaR, risk_value
@@ -455,7 +456,7 @@ def test_counterexample_report(tmp_path, capsys):
     assert rep["results"]["pointwise_min_sq_dist"] == pytest.approx(0.2, abs=1e-9)
     assert rep["results"]["lebesgue_gap"] == 0.0
     assert rep["reproduction"]["config"] == cfg
-    assert rep["reproduction"]["code_version"]
+    assert rep["reproduction"]["code_version"] == riskpmp.__version__
     capsys.readouterr()
 
 

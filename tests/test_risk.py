@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import coherence_suite, representation_check
 from riskpmp.risk import (
     AVaR,
     Expectation,
     MixtureAVaR,
     SampledRandomVariable,
-    coherence_suite,
-    representation_check,
     risk_subgradient,
     risk_value,
 )

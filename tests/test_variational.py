@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import sys
 import tracemalloc
 import warnings
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import riskpmp
-from riskpmp import sde
+from oracles import selection_continuity
+from riskpmp import forked, sde
 from riskpmp.adjoint import linearization_along
 from riskpmp.sde import (
     BrownianEnsemble,
@@ -26,7 +28,6 @@ from riskpmp.variational import (
     ItoGapReport,
     ito_counterexample,
     linearization_rate,
-    selection_continuity,
     tangent_from_control,
 )
 
@@ -419,9 +420,10 @@ def test_rate_single_pass_matches_per_epsilon_oracle():
         assert np.array_equal(table.rates, _rate_from_selection(dyn, states, sel, eps))
 
 
-def test_rate_over_path_blocks_equals_whole_ensemble():
+def test_rate_over_path_blocks_equals_whole_ensemble(monkeypatch):
     # any path slice regenerates bit for bit and every step acts row by row,
     # so the blocks change no rate; a per-path x0 is sliced like the controls
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     m_paths, grid = 100, make_grid(1.0, ORACLE_STEPS)
     eps = [0.5, 0.2, 0.05, 0.01]
     spread = np.random.default_rng(3).normal(scale=0.1, size=(m_paths, 2))
@@ -542,6 +544,29 @@ def test_rate_refuses_brownian_paths_given_as_blocks_by_type():
         with pytest.raises(TypeError, match="brownian must be a BrownianEnsemble or a "
                                             f"BrownianSource, got {kind}$"):
             linearization_rate(dyn, law, np.zeros(2), blocks, law, [0.5])
+
+
+def test_rate_spans_are_capped_at_the_usable_cpus(monkeypatch):
+    # more workers than usable CPUs fork one span per CPU at most: 100 paths
+    # on 3 CPUs are spans of 34, 34 and a ragged 32, not 99 one-path children
+    started = []
+
+    def serial(calls):  # records the spans handed to children and runs them here
+        calls = list(calls)
+        started.append([name for name, _, _ in calls])
+        for _, fn, args in calls:
+            fn(*args)
+        return lambda: None
+
+    monkeypatch.setattr(forked, "start", serial)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    grid, dyn = make_grid(1.0, 8), double_integrator_dynamics(cubic=0.5)
+    bm = sample_brownian(grid, 1, 100, seed=2)
+    u_star, w = ControlLaw.constant(0.5, 8), ControlLaw.constant(-0.5, 8)
+    table = linearization_rate(dyn, u_star, np.zeros(2), bm, w, [0.5], workers=1000)
+    assert started == [["paths 34..67", "paths 68..99"]]
+    assert np.array_equal(table.rates,
+                          linearization_rate(dyn, u_star, np.zeros(2), bm, w, [0.5]).rates)
 
 
 def test_rate_over_a_source_refuses_before_any_draw(monkeypatch):
