@@ -15,7 +15,7 @@ import numpy as np
 
 from .adjoint import CostatePair, linearization_along, martingale_check
 from .export import jsonable
-from .risk import AVaR, Expectation, MixtureAVaR, SampledRandomVariable, risk_value
+from .risk import SampledRandomVariable, risk_value
 from .sde import (ControlLaw, DynamicsSpec, StateEnsemble, _dot_last, _linear_step,
                   central_differences, sample_std)
 from .variational import tangent_from_control
@@ -134,33 +134,19 @@ def slackness_check(problem: ProblemSpec, states: StateEnsemble,
     )
 
 
-def _dual_cap(risk) -> Optional[float]:
-    if isinstance(risk, Expectation):
-        return 1.0
-    if isinstance(risk, AVaR):
-        return 1.0 / risk.alpha
-    if isinstance(risk, MixtureAVaR):
-        return float(sum(w / c.alpha for w, c in zip(risk.mix_weights, risk.components)))
-    return None
-
-
 def risk_param_gap(risk, z_values, xi, weights=None) -> float:
     """gap = rho(Z) - E[xi Z]; the max over the dual set equals rho(Z), so a
-    feasible xi is optimal iff the gap vanishes.  Infeasible xi is rejected
-    (nonnegativity, unit mean, and the measure's density cap)."""
+    feasible xi is optimal iff the gap vanishes.  An xi outside the dual set
+    is refused with the reason the measure's dual_violation gives."""
     xi = np.asarray(getattr(xi, "xi", xi), dtype=float)
     sample = z_values if isinstance(z_values, SampledRandomVariable) else SampledRandomVariable(
         np.asarray(z_values, dtype=float), weights)
     w = sample.weight_array()
     if xi.shape != sample.values.shape:
         raise ValueError("xi must supply one weight per sample point")
-    if np.any(xi < -1e-9):
-        raise ValueError("xi must be nonnegative")
-    cap = _dual_cap(risk)
-    if cap is not None and np.any(xi > cap + 1e-9):
-        raise ValueError(f"xi exceeds the dual density cap {cap:g}")
-    if abs(float(w @ xi) - 1.0) > 1e-9:
-        raise ValueError("xi must integrate to one")
+    reason = risk.dual_violation(xi, w)
+    if reason is not None:
+        raise ValueError(reason)
     attained = float(w @ (xi * sample.values))
     return risk_value(risk, sample) - attained
 
@@ -334,8 +320,12 @@ def certify(problem: ProblemSpec, bundle: CandidateBundle,
     """
     cfg = config or CertifyConfig()
     terminal = bundle.costates.terminal
-    probe = bundle.states.terminal[: min(8, bundle.states.n_paths)]
+    states = bundle.states
+    probe = states.terminal[: min(8, states.n_paths)]
     problem.check_gradients(probe)
+    k = states.grid.n_steps - 1  # and the declared Jacobians on the same paths' last step
+    problem.dyn.check_jacobians(states.grid.nodes[k], states.values[:len(probe), k],
+                                states.recorded("control").at(k, states.n_paths)[:len(probe)])
 
     conditions: Dict[str, dict] = {}
     causes: List[str] = []

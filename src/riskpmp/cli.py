@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, export, forked, sde
+from . import __version__, export, forked
 from .adjoint import martingale_check
 from .certificate import CertifyConfig, certify
 from .planner import (
@@ -44,8 +44,8 @@ from .sde import (
     BrownianSource,
     ControlLaw,
     DynamicsSpec,
-    StateEnsemble,
     double_integrator_dynamics,
+    euler_maruyama,
     make_grid,
     sample_brownian,
     sample_std,
@@ -53,10 +53,8 @@ from .sde import (
     strong_convergence_order,
     validate_n_paths,
 )
-from .variational import ito_counterexample, linearization_rate, validate_epsilons
-# unused here, kept for the benchmark's span sites cli:euler_maruyama and
-# cli:tangent_from_control
-from .sde import euler_maruyama  # noqa: F401
+from .variational import ito_counterexample, linearization_rate
+# unused here, kept for the benchmark's span site cli:tangent_from_control
 from .variational import tangent_from_control  # noqa: F401
 
 REPORT_VERSION = "riskpmp_report_v1"
@@ -396,34 +394,14 @@ class RunContext:
         return self.out_dir / name
 
 
-def _simulate_ensemble(dyn, law, x0, source, workers):
-    """The ensemble euler_maruyama integrates on the source's paths, run in
-    one span per worker (forked.run_spans): each integrates its span's
-    blocks, drawn at their path offsets, into shared arrays, and the
-    aborted paths are named once for all."""
-    grid, n_paths = source.grid, source.n_paths
-    values = forked.shared_empty((n_paths, grid.n_steps + 1, dyn.state_dim))
-    failures = forked.shared_empty((n_paths,), int)
-
-    def work(lo, block):
-        part = sde._integrate(dyn, law, x0, block)
-        values[lo:lo + block.n_paths] = part.values
-        failures[lo:lo + block.n_paths] = part.first_failure
-
-    forked.run_spans(source, workers, work)
-    sde._warn_aborted(failures)
-    return StateEnsemble(grid, values, failures, law)
-
-
 def _run_simulate(cfg, ctx):
     dyn = _dynamics(cfg["dynamics"], "dynamics")
     grid = _grid(cfg["horizon"], cfg["n_steps"])
     u = cfg["control"]["constant"] if "control" in cfg else np.zeros(dyn.control_dim)
-    with _refused():  # the integrator's shape rules, before any normal is drawn
-        x0 = sde.as_initial_state(dyn, cfg["x0"])
-        law = sde.as_control_law(ControlLaw.constant(u, grid.n_steps), dyn, grid.n_steps)
     source = BrownianSource(grid, dyn.noise_dim, cfg["n_paths"], cfg["seed"], RATE_BLOCK)
-    states = _simulate_ensemble(dyn, law, x0, source, ctx.workers)
+    with _refused():  # the integrator's input rules, applied before any normal is drawn
+        states = euler_maruyama(dyn, ControlLaw.constant(u, grid.n_steps), cfg["x0"], source,
+                                ctx.workers)
     artifacts = _write_bulk_artifacts(cfg, ctx, states, dyn.noise_dim, paths_default=True)
     failed = states.failed_paths
     terminal = states.values[:, -1, :]
@@ -622,13 +600,11 @@ def _run_convergence(cfg, ctx):
         }
         return "completed", results, {}
     grid = _grid(cfg["horizon"], cfg["n_steps"])
-    with _refused():
-        epsilons = validate_epsilons(cfg["epsilons"])
     # each worker draws its blocks as it reaches them and releases each before the next
     source = BrownianSource(grid, dyn.noise_dim, cfg["n_paths"], cfg["seed"], RATE_BLOCK)
     u_star, w = (ControlLaw.constant(cfg[key], grid.n_steps) for key in ("u_star", "w"))
-    with _refused():  # x0, controls that move nothing, or aborted reference paths
-        table = linearization_rate(dyn, u_star, x0, source, w, epsilons, ctx.workers)
+    with _refused():  # epsilons, x0, controls that move nothing, or aborted reference paths
+        table = linearization_rate(dyn, u_star, x0, source, w, cfg["epsilons"], ctx.workers)
     results = {
         "passed": table.passed,
         "rates": [{"eps": e, "r": r} for e, r in table.rows()],

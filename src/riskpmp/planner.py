@@ -366,7 +366,7 @@ def safety_check(instance: SopInstance, terminal_positions) -> SafetyReport:
     else:
         y = np.asarray(terminal_positions, dtype=float).reshape(-1)
     avar = risk_value(instance.risk, y)
-    q = np.quantile(y, 1.0 - instance.alpha, method="inverted_cdf")
+    q = instance.risk.subgradient(y).quantile  # the VaR of the AV@R above
     influence = q + np.maximum(y - q, 0.0) / instance.alpha
     band = BAND_SIGMA * sample_std(influence) / np.sqrt(y.size)  # NaN for one path: not safe
     margin = instance.y_target - avar

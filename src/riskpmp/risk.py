@@ -93,7 +93,7 @@ def _lower_quantile(cum_weights: np.ndarray, level: float) -> int:
 
 
 class RiskMeasure:
-    """Base class; subclasses fill in value and subgradient."""
+    """Base class; subclasses fill in value, subgradient and avar_levels."""
 
     def value(self, z) -> float:
         raise NotImplementedError
@@ -101,10 +101,46 @@ class RiskMeasure:
     def subgradient(self, z) -> RiskSubgradient:
         raise NotImplementedError
 
+    def avar_levels(self):
+        """Levels alpha_j and weights lambda_j of the measure as the mixture
+        sum_j lambda_j AVaR_{alpha_j}, as two arrays."""
+        raise NotImplementedError
+
+    def dual_violation(self, xi: np.ndarray, weights: np.ndarray) -> Optional[str]:
+        """Why the density xi, one value per sample point of the given
+        weights, lies outside the measure's dual set, or None if it lies in
+        it.  The set is the sum over j of lambda_j {0 <= xi <= 1/alpha_j,
+        E xi = 1}: xi is in it iff xi >= 0, E xi = 1 and, with xi sorted in
+        decreasing order, each top part of weight W_k carries a mass
+        S_k <= sum_j lambda_j min(W_k / alpha_j, 1), each within 1e-9; a
+        value above the cap sum_j lambda_j / alpha_j is named as such."""
+        alphas, lams = self.avar_levels()
+        cap = float(np.sum(lams / alphas))
+        if not np.isfinite(xi).all():
+            return "xi must be finite"
+        if np.any(xi < -1e-9):
+            return "xi must be nonnegative"
+        if np.any(xi > cap + 1e-9):
+            return f"xi exceeds the dual density cap {cap:g}"
+        if abs(float(weights @ xi) - 1.0) > 1e-9:
+            return "xi must integrate to one"
+        order = np.argsort(-xi, kind="stable")
+        top_weight, top_mass = np.cumsum(weights[order]), np.cumsum(weights[order] * xi[order])
+        bound = np.minimum(top_weight[:, None] / alphas, 1.0) @ lams
+        over = top_mass > bound + 1e-9
+        if over.any():
+            k = int(np.argmax(over))
+            return (f"xi lies outside the dual set: its largest values, of weight "
+                    f"{top_weight[k]:g}, carry {top_mass[k]:g}, above the bound {bound[k]:g}")
+        return None
+
 
 class Expectation(RiskMeasure):
     def value(self, z) -> float:
         return _as_sample(z).mean()
+
+    def avar_levels(self):
+        return np.ones(1), np.ones(1)
 
     def subgradient(self, z) -> RiskSubgradient:
         sample = _as_sample(z)
@@ -119,6 +155,9 @@ class AVaR(RiskMeasure):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
         self.alpha = alpha
+
+    def avar_levels(self):
+        return np.array([self.alpha]), np.ones(1)
 
     # -- internals ---------------------------------------------------------
 
@@ -213,6 +252,9 @@ class MixtureAVaR(RiskMeasure):
             raise ValueError("mixture weights must be nonnegative and sum to 1")
         self.components = [AVaR(a) for a in alphas]
         self.mix_weights = weights
+
+    def avar_levels(self):
+        return np.array([c.alpha for c in self.components]), np.array(self.mix_weights)
 
     def value(self, z) -> float:
         sample = _as_sample(z)

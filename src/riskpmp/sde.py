@@ -35,6 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .forked import run_spans, shared_empty
 from .rng import ensemble_normals, validate_seed
 
 
@@ -336,7 +337,7 @@ class StateEnsemble:
     values: np.ndarray  # (M, K+1, n)
     first_failure: Optional[np.ndarray] = None  # (M,) step index of first non-finite, -1 if none
     control: Optional[ControlLaw] = None  # the control integrated under, as grid values
-    brownian: Optional[BrownianEnsemble] = None  # the Brownian ensemble integrated on
+    brownian: Optional[BrownianEnsemble] = None  # the held Brownian ensemble integrated on
 
     @property
     def n_paths(self) -> int:
@@ -362,7 +363,8 @@ class StateEnsemble:
         value = getattr(self, name)
         if value is None:
             what, by = (("control", "euler_maruyama records") if name == "control" else
-                        ("Brownian ensemble", "euler_maruyama and solve_linearized record"))
+                        ("Brownian ensemble", "euler_maruyama over a held ensemble and "
+                                              "solve_linearized record"))
             raise ValueError(f"the state ensemble carries no {what}: only {by} one")
         return value
 
@@ -418,21 +420,45 @@ def _coefficients(dyn: DynamicsSpec, t: float, x: np.ndarray, u: np.ndarray):
     return f, sig
 
 
-def euler_maruyama(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEnsemble) -> StateEnsemble:
-    """Integrate the controlled SDE over the ensemble.
+def _block_law(law, lo: int, hi: int):
+    """The law on paths lo..hi-1: a per-path ControlLaw sliced, any other as is."""
+    return law if isinstance(law, FeedbackLaw) or law.deterministic else ControlLaw(law.values[lo:hi])
+
+
+def euler_maruyama(dyn: DynamicsSpec, law, x0: np.ndarray, brownian,
+                   workers: int = 1) -> StateEnsemble:
+    """Integrate the controlled SDE over the Brownian paths.
 
     law is a ControlLaw (or its grid values), or a FeedbackLaw, which is
     evaluated at every step on the current states and on W_k, kept as the
     running sum of the increments.  The ensemble carries the ControlLaw, or
     the feedback law's realized controls, as its control.  The control and
-    x0 must meet as_control_law, as_initial_state and _check_paths.  Paths that turn
-    non-finite are aborted: their values stay NaN from the offending node on,
-    the first bad step is recorded on the ensemble, and one RuntimeWarning
-    names how many aborted.
+    x0 must meet as_control_law, as_initial_state and _check_paths.
+    brownian is a BrownianEnsemble, which the ensemble records, or a
+    BrownianSource; anything else is refused by type, and every input is
+    checked before a normal is drawn.  The paths run in spans on at most
+    ``workers`` processes, as in linearization_rate (forked.run_spans), and
+    every step acts row by row, so neither the blocks nor the workers change
+    a value.  Paths that turn non-finite are aborted: their values stay NaN
+    from the offending node on, the first bad step is recorded on the
+    ensemble, and one RuntimeWarning names how many aborted.
     """
-    states = _integrate(dyn, law, x0, brownian)
-    _warn_aborted(states.first_failure)
-    return states
+    workers = positive_int(workers, "workers")
+    _check_brownian(dyn, brownian)
+    n_paths, n_steps = brownian.n_paths, brownian.grid.n_steps
+    law, x0 = as_control_law(law, dyn, n_steps, feedback=True), as_initial_state(dyn, x0)
+    feedback = isinstance(law, FeedbackLaw)
+    _check_paths(n_paths, x0=x0, control=None if feedback else law)
+
+    values = shared_empty((n_paths, n_steps + 1, dyn.state_dim))
+    first_failure = shared_empty((n_paths,), int)
+    realized = shared_empty((n_paths, n_steps, law.dim)) if feedback else None
+    run_spans(brownian, workers, lambda lo, block: _integrate(
+        dyn, law, x0, block, lo, values, first_failure, realized))
+    _warn_aborted(first_failure)
+    return StateEnsemble(grid=brownian.grid, values=values, first_failure=first_failure,
+                         control=ControlLaw(realized) if feedback else law,
+                         brownian=brownian if isinstance(brownian, BrownianEnsemble) else None)
 
 
 def _warn_aborted(first_failure: np.ndarray) -> None:
@@ -444,7 +470,12 @@ def _warn_aborted(first_failure: np.ndarray) -> None:
                       f"(first at step {int(failed.min())})", RuntimeWarning, stacklevel=3)
 
 
-def _check_noise_dim(dyn: DynamicsSpec, brownian: BrownianEnsemble) -> None:
+def _check_brownian(dyn: DynamicsSpec, brownian) -> None:
+    """Refuse Brownian paths by type unless a BrownianEnsemble or a
+    BrownianSource, and by name unless of the dynamics' noise_dim."""
+    if not isinstance(brownian, (BrownianEnsemble, BrownianSource)):
+        raise TypeError("brownian must be a BrownianEnsemble or a BrownianSource, got "
+                        f"{type(brownian).__name__}")
     if brownian.dim != dyn.noise_dim:
         raise ValueError(f"Brownian dim {brownian.dim} does not match dynamics noise_dim "
                          f"{dyn.noise_dim}")
@@ -461,31 +492,27 @@ def _abort_nonfinite(x: np.ndarray, first_failure: np.ndarray, node: int) -> Non
         x[first_failure >= 0] = np.nan
 
 
-def _integrate(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEnsemble) -> StateEnsemble:
-    """euler_maruyama without its warning, for a caller that integrates one
-    ensemble in path chunks and warns once for the whole."""
-    grid = brownian.grid
-    n_paths, n_steps, d = brownian.increments.shape
-    _check_noise_dim(dyn, brownian)
-    law, x0 = as_control_law(law, dyn, n_steps, feedback=True), as_initial_state(dyn, x0)
-    feedback = isinstance(law, FeedbackLaw)
-    _check_paths(n_paths, x0=x0, control=None if feedback else law)
-
-    out = np.empty((n_paths, n_steps + 1, dyn.state_dim))
-    out[:, 0] = x0
+def _integrate(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEnsemble, lo: int,
+               values: np.ndarray, first_failure: np.ndarray, realized) -> None:
+    """The Euler-Maruyama steps over the block of paths lo.. that brownian
+    holds, a per-path law or x0 sliced to it, written in place into rows
+    lo.. of values (M, K+1, n), first_failure (M,) and, for a FeedbackLaw,
+    realized (M, K, m), the controls it gave."""
+    (n_paths, n_steps, d), hi = brownian.increments.shape, lo + brownian.n_paths
+    law, out, first_failure = _block_law(law, lo, hi), values[lo:hi], first_failure[lo:hi]
+    out[:, 0] = x0 if x0.ndim == 1 else x0[lo:hi]
     x = out[:, 0].copy()
-    first_failure = np.full(n_paths, -1, dtype=int)
-    if feedback:
-        realized = np.empty((n_paths, n_steps, law.dim))
-        w = np.zeros((n_paths, d))
+    first_failure[:] = -1
+    if realized is not None:
+        realized, w = realized[lo:hi], np.zeros((n_paths, d))
 
-    dt = grid.dt
-    nodes = grid.nodes
+    dt = brownian.grid.dt
+    nodes = brownian.grid.nodes
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             t = nodes[k]
             dw = brownian.increments[:, k]
-            if feedback:
+            if realized is not None:
                 u = law.at(k, x, w)
                 realized[:, k] = u
                 w = w + dw
@@ -495,8 +522,6 @@ def _integrate(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEnsembl
             x = x + f * dt + np.einsum("pnd,pd->pn", sig, dw)
             _abort_nonfinite(x, first_failure, k + 1)
             out[:, k + 1] = x
-    return StateEnsemble(grid=grid, values=out, first_failure=first_failure,
-                         control=ControlLaw(realized) if feedback else law, brownian=brownian)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ import numpy as np
 
 from .adjoint import _jacobian_steps
 from .forked import run_spans, shared_empty
-from .sde import (BrownianEnsemble, BrownianSource, ControlLaw, DynamicsSpec, StateEnsemble,
-                  _abort_nonfinite, _check_noise_dim, _check_paths, _coefficients, _dot_last,
+from .sde import (BrownianEnsemble, ControlLaw, DynamicsSpec, StateEnsemble, _abort_nonfinite,
+                  _block_law, _check_brownian, _check_paths, _coefficients, _dot_last,
                   _linear_step, _warn_aborted, as_control_law, as_initial_state, positive_int)
 
 
@@ -108,11 +108,6 @@ def validate_epsilons(epsilons: Sequence[float]) -> np.ndarray:
     return eps
 
 
-def _block_law(law: ControlLaw, lo: int, hi: int) -> ControlLaw:
-    """The law on paths lo..hi-1: a per-path law sliced, a deterministic one as is."""
-    return law if law.deterministic else ControlLaw(law.values[lo:hi])
-
-
 def _rate_block(dyn: DynamicsSpec, e3: np.ndarray, u_law: ControlLaw, w_law: ControlLaw,
                 x0: np.ndarray, brownian: BrownianEnsemble,
                 lo: int) -> Tuple[np.ndarray, np.ndarray, bool]:
@@ -201,14 +196,11 @@ def linearization_rate(
     """
     eps = validate_epsilons(epsilons)
     workers = positive_int(workers, "workers")
-    if not isinstance(brownian, (BrownianEnsemble, BrownianSource)):
-        raise TypeError("brownian must be a BrownianEnsemble or a BrownianSource, got "
-                        f"{type(brownian).__name__}")
+    _check_brownian(dyn, brownian)
     if dyn.control_dim == 0:
         raise ValueError("the dynamics take no control (control_dim 0): u_star and w "
                          "move nothing, so every rate would be 0")
     x0 = as_initial_state(dyn, x0)
-    _check_noise_dim(dyn, brownian)
     m_paths, n_steps = brownian.n_paths, brownian.grid.n_steps
     u_law, w_law = (as_control_law(law, dyn, n_steps, name)
                     for name, law in (("u_star", u_star), ("w", w)))

@@ -21,7 +21,9 @@ from riskpmp import (
     PmpCertificate,
     ProblemSpec,
     SampledRandomVariable,
+    SopInstance,
     TerminalConstraint,
+    assemble_solution,
     assemble_terminal,
     certify,
     euler_maruyama,
@@ -33,6 +35,7 @@ from riskpmp import (
     normality_certificate,
     risk_param_gap,
     risk_subgradient,
+    risk_value,
     sample_brownian,
     slackness_check,
     solve_adjoint,
@@ -230,6 +233,8 @@ def test_risk_gap_rejects_infeasible_densities():
         risk_param_gap(AVaR(0.5), z, np.full(10, 0.5))
     with pytest.raises(ValueError, match="per sample"):
         risk_param_gap(AVaR(0.5), z, np.ones(9))
+    with pytest.raises(ValueError, match="xi must be finite"):
+        risk_param_gap(AVaR(0.5), z, np.r_[np.nan, np.full(9, 10 / 9)])
 
 
 def test_risk_gap_weighted_sample():
@@ -252,6 +257,38 @@ def test_risk_gap_mixture_attains_and_caps():
     bad[:66] = 400 / 66  # above the cap 0.5 / 0.1 + 0.5 / 0.5 = 6
     with pytest.raises(ValueError, match="cap 6"):
         risk_param_gap(risk, z, bad)
+
+
+def test_risk_gap_refuses_a_mixture_density_under_the_cap_outside_the_dual_set():
+    # xi = (0, 2) is nonnegative, has mean 1 and stays under the cap 5.5, yet
+    # its top half carries 1 where the dual set allows
+    # 0.5 min(0.5 / 0.1, 1) + 0.5 min(0.5 / 1, 1) = 0.75: it would pass with gap -0.25
+    risk, z = MixtureAVaR([0.1, 1.0], [0.5, 0.5]), np.array([0.0, 1.0])
+    assert risk_value(risk, z) == 0.75
+    with pytest.raises(ValueError, match=r"outside the dual set: its largest values, of weight "
+                                         r"0.5, carry 1, above the bound 0.75"):
+        risk_param_gap(risk, z, np.array([0.0, 2.0]))
+    assert abs(risk_param_gap(risk, z, risk_subgradient(risk, z))) <= 1e-12
+
+
+def test_risk_dual_set_holds_every_measures_own_subgradient():
+    # the prefix rule is exact for any sample weights: the measures' own
+    # maximizing densities meet it on tied and weighted samples; for one
+    # AV@R level it is the cap, and Expectation admits xi = 1 alone
+    rng = np.random.default_rng(16)
+    for case in range(300):
+        m = int(rng.integers(1, 30))
+        z = rng.integers(0, 3, size=m).astype(float) if case % 3 == 0 else rng.normal(size=m)
+        w = rng.uniform(0.1, 1.0, size=m) if case % 2 else np.ones(m)
+        sample = SampledRandomVariable(z, w / w.sum())
+        alphas = rng.uniform(0.05, 1.0, size=3)
+        for risk in (Expectation(), AVaR(alphas[0]), MixtureAVaR(alphas, [0.2, 0.3, 0.5])):
+            xi = risk_subgradient(risk, sample).xi
+            assert risk.dual_violation(xi, sample.weight_array()) is None, (case, risk)
+    tilted = np.array([1.5, 0.5])
+    assert Expectation().dual_violation(tilted, np.full(2, 0.5)) == (
+        "xi exceeds the dual density cap 1")
+    assert AVaR(0.5).dual_violation(tilted, np.full(2, 0.5)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -619,3 +656,15 @@ def test_gradient_probe_rejects_wrong_gradient(lq_solution):
                       cost_gradient=lambda x: np.zeros_like(x), x0=problem.x0)
     with pytest.raises(ValueError, match="gradient"):
         certify(bad, bundle, CertifyConfig(bsde_residual_bound=0.05))
+
+
+def test_jacobian_probe_rejects_wrong_drift_jacobian():
+    # a drift Jacobian of zeros would corrupt p and q silently; certify
+    # probes it on the gradient probe's paths at the last step
+    instance = SopInstance(0.0, 0.0, 1.0, 1.0, 0.3)
+    grid = make_grid(1.0, 10)
+    sol = assemble_solution(instance, np.full((10, 1), 0.5), sample_brownian(grid, 1, 50, seed=3))
+    zeros = replace(sol.problem.dyn, drift_jac=lambda t, x, u: np.zeros((x.shape[0], 2, 2)))
+    with pytest.raises(ValueError, match="drift_jac disagrees with finite differences"):
+        certify(replace(sol.problem, dyn=zeros), sol)
+    certify(sol.problem, sol)

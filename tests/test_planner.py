@@ -199,6 +199,20 @@ def test_safety_avar_agrees_with_risk_value():
     assert abs(rep.avar_value - risk_value(AVaR(0.25), y)) <= 1e-12
 
 
+def test_safety_band_takes_the_var_of_the_measure():
+    # 1 - 0.7 lands just above 3/10 in floating point, where an inverted-CDF
+    # quantile steps to the fourth of ten order statistics; the band's VaR is
+    # the one the reported AV@R reads, the third
+    inst = SopInstance(0.0, 0.0, 4.0, 2.0, 0.7)
+    y = np.random.default_rng(1).normal(size=10)
+    q = np.sort(y)[2]
+    assert AVaR(0.7).subgradient(y).quantile == q
+    influence = q + np.maximum(y - q, 0.0) / 0.7
+    rep = safety_check(inst, y)
+    assert rep.band == planner.BAND_SIGMA * influence.std(ddof=1) / np.sqrt(10)
+    assert rep.band == pytest.approx(0.5134, abs=1e-4)
+
+
 SAFE = SopInstance(0.0, 0.0, 4.0, 2.0, 0.3, noise=1.0)
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -7,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from riskpmp import sde
 from riskpmp.rng import ensemble_normals
 from riskpmp.sde import (
+    BrownianEnsemble,
+    BrownianSource,
     ControlLaw,
     DynamicsSpec,
     FeedbackLaw,
@@ -263,6 +267,71 @@ def test_euler_maruyama_mixed_abort_leaves_survivors_untouched():
     assert first_bad > 0
     assert np.isnan(states.values[1, first_bad:]).all()
     assert np.isfinite(states.values[1, :first_bad]).all()
+
+
+def test_euler_maruyama_over_source_blocks_and_workers_equals_one_pass(monkeypatch):
+    # a source drawn in blocks of 1, 7 or 59 (a ragged 1 after it) and run on
+    # 1, 2 or 3 workers (forked spans of 20, cut into 7, 7 and a ragged 6)
+    # integrates every path as one pass over the held ensemble does: a
+    # per-path x0 and control are sliced to each block, and the paths that
+    # abort, in three spans, are named in one warning after the join
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    m_paths, grid, seed = 60, make_grid(2.0, 20), 6
+    dyn = double_integrator_dynamics(cubic=0.5)
+    rng = np.random.default_rng(4)
+    x0 = rng.normal(scale=0.5, size=(m_paths, 2))
+    x0[[3, 25, 26, 58], 0] = 1e3  # the explicit step overshoots the cubic drift into overflow
+    laws = [ControlLaw(rng.uniform(-1.0, 1.0, size=(m_paths, 20, 1))),
+            FeedbackLaw(lambda k, x, w: np.clip(w - x[:, 1:], -1.0, 1.0), dim=1)]
+    bm = sample_brownian(grid, 1, m_paths, seed)
+    for law in laws:
+        with pytest.warns(RuntimeWarning) as record:
+            whole = euler_maruyama(dyn, law, x0, bm)
+        message = [str(w.message) for w in record]
+        assert message[0].startswith("4 path(s) aborted") and len(message) == 1
+        assert whole.brownian is bm
+        for block in (1, 7, m_paths - 1):
+            source = BrownianSource(grid, 1, m_paths, seed, block)
+            for workers in (1, 2, 3):
+                with pytest.warns(RuntimeWarning) as record:
+                    run = euler_maruyama(dyn, law, x0, source, workers)
+                assert [str(w.message) for w in record] == message, (block, workers)
+                np.testing.assert_array_equal(run.values, whole.values)
+                np.testing.assert_array_equal(run.first_failure, whole.first_failure)
+                np.testing.assert_array_equal(run.control.values, whole.control.values)
+                assert run.brownian is None  # a source is drawn, not held
+
+    # every input rule runs before a normal is drawn
+    draws = []
+
+    def counting(*args, sample_brownian=sde.sample_brownian, **kwargs):
+        draws.append(args)
+        return sample_brownian(*args, **kwargs)
+
+    monkeypatch.setattr(sde, "sample_brownian", counting)
+    source = BrownianSource(grid, 1, m_paths, seed, block=7)
+    refusals = [
+        (laws[0], x0[:5], source, ValueError,
+         r"x0 has shape \(5, 2\); the Brownian paths need \(60, 2\)"),
+        (ControlLaw.constant([0.5, 0.5], 20), x0, source, ValueError,
+         "control has width 2; the dynamics take control_dim 1"),
+        (ControlLaw(laws[0].values[:9]), x0, source, ValueError,
+         r"control has shape \(9, 20, 1\); the Brownian paths need \(60, 20, 1\)"),
+        (laws[1], x0, [bm], TypeError,
+         "brownian must be a BrownianEnsemble or a BrownianSource, got list$"),
+        (laws[1], np.zeros(2), BrownianEnsemble(grid, np.zeros((0, 20, 1))), ValueError,
+         "the Brownian ensemble holds no paths"),
+    ]
+    for law, start, brownian, error, match in refusals:
+        for workers in (1, 2):
+            with pytest.raises(error, match=match):
+                euler_maruyama(dyn, law, start, brownian, workers)
+    with pytest.raises(ValueError, match="workers must be a positive integer, got 0"):
+        euler_maruyama(dyn, laws[0], x0, source, 0)
+    assert draws == []
+    with pytest.warns(RuntimeWarning, match=r"^4 path\(s\) aborted"):
+        euler_maruyama(dyn, laws[0], x0, source)
+    assert [args[2] for args in draws] == [7] * 8 + [4]
 
 
 # ---------------------------------------------------------------------------
