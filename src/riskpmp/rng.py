@@ -13,6 +13,12 @@ state is set to counter ``[0, p, 0, 0]`` with an empty buffer, which is the
 state ``Philox(key=seed, counter=p << 64)`` starts in, so every path's words
 equal the per-path generator's.  The inverse normal CDF is a NumPy port of
 Cephes ``ndtri``, so sampling needs no SciPy.
+
+One constant, ``_BLOCK`` (2**14 words), bounds the sampler's scratch: the
+raw words of at most that many positions' worth of paths (always at least one
+path) are drawn at a time and mapped straight into the rows being returned,
+so beside its output an ensemble holds at most 128 KB of words, or one path's
+if a path is longer.
 """
 
 from __future__ import annotations
@@ -22,8 +28,7 @@ from numpy.random import Philox
 
 MAX_SEED = 2**64 - 1
 
-# Words are drawn per chunk of paths, and mapped to normals per block.
-_CHUNK_WORDS = 1 << 21
+# Words drawn, and mapped to normals, at a time.
 _BLOCK = 1 << 14
 
 # Cephes ndtri: the central rational for exp(-2) < u <= 1 - exp(-2), and the
@@ -119,18 +124,23 @@ def ensemble_normals(seed: int, n_paths: int, count: int, path_offset: int = 0) 
     path_offset..path_offset+n_paths-1.
 
     Row i is positions 0..count-1 of path ``path_offset + i``'s stream.
+    Path ``p`` sets the second 64-bit word of the Philox counter to ``p``, so
+    path indices stop below 2**64.
     """
     seed = validate_seed(seed)
     if n_paths < 0 or count < 0:
         raise ValueError("n_paths and count must be nonnegative")
     if path_offset < 0:
         raise ValueError("path_offset must be nonnegative")
+    if path_offset + n_paths > 2**64:
+        raise ValueError(f"paths {path_offset}..{path_offset + n_paths - 1} pass the last "
+                         f"path index 2**64 - 1: path p is the Philox counter's word 1")
     out = np.empty((n_paths, count))
     if n_paths == 0 or count == 0:
         return out
     bitgen = Philox(key=seed)
     state = bitgen.state
-    paths_per_chunk = max(1, _CHUNK_WORDS // count)
+    paths_per_chunk = max(1, _BLOCK // count)
     words = np.empty((min(paths_per_chunk, n_paths), count), dtype=np.uint64)
     for start in range(0, n_paths, paths_per_chunk):
         stop = min(start + paths_per_chunk, n_paths)

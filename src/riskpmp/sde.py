@@ -519,7 +519,7 @@ def _integrate(dyn: DynamicsSpec, law, x0: np.ndarray, brownian: BrownianEnsembl
             else:
                 u = law.at(k, n_paths)
             f, sig = _coefficients(dyn, t, x, u)
-            x = x + f * dt + np.einsum("pnd,pd->pn", sig, dw)
+            x = x + f * dt + _dot_last(sig, dw[:, None])
             _abort_nonfinite(x, first_failure, k + 1)
             out[:, k + 1] = x
 

@@ -1,16 +1,18 @@
 """Counter-based normals: the one-generator ensemble against a per-path
-generator oracle, the NumPy inverse normal CDF against SciPy's, the
-top-word edge, and an import path that loads no SciPy."""
+generator oracle, its scratch and its last path index, the NumPy inverse
+normal CDF against SciPy's, the top-word edge, and an import path that
+loads no SciPy."""
 
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from riskpmp import rng
+from riskpmp import make_grid, rng, sample_brownian
 
 
 def path_normals_oracle(seed, path_index, count):
@@ -55,15 +57,39 @@ def test_ensemble_matches_per_path_oracle_with_offset():
 
 
 def test_ensemble_matches_per_path_oracle_across_chunks():
-    count = 1000  # 2097 paths fill a chunk; the last one is partial
-    assert rng._CHUNK_WORDS // count < 2200
-    assert_matches_oracle(11, 2200, count, path_offset=3)
+    count = 300  # 54 paths fill a chunk of words; the last chunk is partial
+    paths_per_chunk = rng._BLOCK // count
+    assert 200 > paths_per_chunk and 200 % paths_per_chunk
+    assert_matches_oracle(11, 200, count, path_offset=3)
 
 
 def test_ensemble_matches_per_path_oracle_for_paths_longer_than_a_chunk(monkeypatch):
-    monkeypatch.setattr(rng, "_CHUNK_WORDS", 5)
+    assert_matches_oracle(5, 3, rng._BLOCK + 7, path_offset=1)
+    monkeypatch.setattr(rng, "_BLOCK", 5)
     assert_matches_oracle(3, 4, 7, path_offset=2)
     assert_matches_oracle(3, 9, 2)
+
+
+def test_ensemble_scratch_stays_within_a_quarter_of_its_output():
+    # the raw words are drawn a chunk at a time and mapped into the returned
+    # rows, so no second block-sized buffer sits beside the normals
+    tracemalloc.start()
+    try:
+        out = rng.ensemble_normals(5, 4096, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * out.nbytes, (peak, out.nbytes)
+
+
+def test_ensemble_refuses_path_indices_past_the_counter_word():
+    last = 2**64 - 1
+    assert_matches_oracle(2, 1, 3, path_offset=last)
+    for n_paths, path_offset in ((1, 2**64), (2, last)):
+        with pytest.raises(ValueError, match=r"pass the last path index 2\*\*64 - 1"):
+            rng.ensemble_normals(1, n_paths, 3, path_offset=path_offset)
+    with pytest.raises(ValueError, match=r"2\*\*64 - 1"):
+        sample_brownian(make_grid(1.0, 3), 1, 2, seed=1, path_offset=last)
 
 
 def test_ensemble_empty_shapes():
