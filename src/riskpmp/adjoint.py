@@ -11,10 +11,15 @@ The costate pair (p, q) is produced in three moves:
    where mu_i is fitted per step from martingale increments times dW_i/dt.
 
 One thin SVD of each node's scaled features serves every fit at that node.
+The nodes are walked in order, each W(t_k) read from the running sum of the
+increments (BrownianEnsemble.running_levels), so no (M, K+1, d) array of
+Brownian levels is built; node k's increment fit waits only for m_{k+1}, so
+at most two node fits are held.
 Output bytes do not depend on the BLAS thread count (the CLI tests check it).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Optional, Sequence, Tuple
@@ -61,10 +66,8 @@ class RegressionBasis:
             np.multiply(out[:, column[idx[:-1]]], z[:, idx[-1]], out=out[:, j])
         return out
 
-    def at_node(self, states: StateEnsemble, levels: np.ndarray, k: int) -> np.ndarray:
-        """Features of (x(t_k), W(t_k)) along the ensemble; levels as from
-        states.brownian.levels()."""
-        w = levels[:, k, :] if self.include_brownian else None
+    def at_node(self, states: StateEnsemble, w: np.ndarray, k: int) -> np.ndarray:
+        """Features of (x(t_k), W(t_k)) along the ensemble, for w = W(t_k) (M, d)."""
         return self.feature_matrix(states.values[:, k, :], w)
 
 
@@ -198,6 +201,11 @@ class CostatePair:
     fund: FundamentalMatrices
     node_coef: Optional[np.ndarray] = None  # (K, B, n): m_k = features(x_k, W_k) @ node_coef[k]
 
+    @cached_property
+    def band(self) -> "CostateBand":
+        """costate_band of the pair, computed on first use."""
+        return costate_band(self)
+
 
 def _jacobian_steps(dyn: DynamicsSpec, law: ControlLaw, nodes: np.ndarray,
                     n_paths: int) -> Tuple:
@@ -263,7 +271,6 @@ def solve_adjoint(
     dt = states.grid.dt
     brownian = states.recorded("brownian")
     d = brownian.dim
-    levels = brownian.levels()
     a_fn, d_fn = linearization_along(dyn, states)
 
     g_vec = _apply_transposed(fund.phi[:, n_steps], terminal.p_T)
@@ -274,18 +281,13 @@ def solve_adjoint(
     resid_rms = np.zeros(n_nodes)
     mu_resid_rms = np.zeros(n_steps)
     bsde = np.empty(n_steps)
-    ridge_shift = 0.0
 
-    m_next = g_vec
-    for k in range(n_steps - 1, -1, -1):
-        fit = NodeFit(basis.at_node(states, levels, k))
-        m_k, resid_rms[k], shift, node_coef[k] = fit.fit(g_vec)
-        p[:, k] = _apply_transposed(fund.psi[:, k], m_k)
-
+    def finish(k: int, fit: NodeFit, m_k: np.ndarray, m_next: np.ndarray) -> float:
+        """Node k's increment fit, q_k and BSDE residual, once m_{k+1} and
+        p_{k+1} are known; returns the fit's ridge shift."""
         dw = brownian.increments[:, k, :]
         target = ((m_next - m_k)[:, :, None] * dw[:, None, :]).reshape(m_paths, n * d) / dt
         mu, mu_resid_rms[k], mu_shift, _ = fit.fit(target)
-        ridge_shift = max(ridge_shift, shift, mu_shift)
         q_k = _apply_transposed(fund.psi[:, k], mu.reshape(m_paths, n, d))
         if d_fn is not None:
             d_k = d_fn(k)
@@ -297,7 +299,19 @@ def solve_adjoint(
             hx = hx + np.einsum("pdji,pjd->pi", d_k, q_k)
         step_resid = p[:, k + 1] - p[:, k] + hx * dt - np.einsum("pid,pd->pi", q_k, dw)
         bsde[k] = float(np.mean(np.linalg.norm(step_resid, axis=1)))
-        m_next = m_k
+        return mu_shift
+
+    ridge_shift = 0.0
+    pending = None  # (k, fit, m_k) of the node that waits for m_{k+1}
+    for k, w_k in zip(range(n_steps), brownian.running_levels()):
+        fit = NodeFit(basis.at_node(states, w_k, k))
+        m_k, resid_rms[k], shift, node_coef[k] = fit.fit(g_vec)
+        p[:, k] = _apply_transposed(fund.psi[:, k], m_k)
+        ridge_shift = max(ridge_shift, shift)
+        if pending is not None:
+            ridge_shift = max(ridge_shift, finish(*pending, m_k))
+        pending = (k, fit, m_k)
+    ridge_shift = max(ridge_shift, finish(*pending, g_vec))
 
     diagnostics = RegressionDiagnostics(
         basis_size=basis.n_features(n, d),
@@ -321,6 +335,23 @@ def solve_adjoint(
 
 # ---------------------------------------------------------------------------
 # diagnostics on a solved pair
+
+
+@dataclass(frozen=True)
+class CostateBand:
+    mean: np.ndarray      # (K+1, n) ensemble mean of each costate component per node
+    stderr: np.ndarray    # (K+1, n) its standard error, NaN for one path
+
+
+def costate_band(pair: CostatePair) -> CostateBand:
+    """The per-node mean of each component of p and its standard error,
+    reduced one component at a time, as the bang-bang check and the
+    costate_mean rows read them; a pair keeps its band (CostatePair.band)."""
+    p = pair.p
+    components = range(p.shape[2])
+    mean = np.stack([p[:, :, i].mean(axis=0) for i in components], axis=1)
+    stderr = np.stack([sample_std(p[:, :, i]) / np.sqrt(p.shape[0]) for i in components], axis=1)
+    return CostateBand(mean=mean, stderr=stderr)
 
 
 @dataclass(frozen=True)

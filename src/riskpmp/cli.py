@@ -333,11 +333,10 @@ def emit_plot_data(report, out_dir):
 
 
 def _costate_mean_rows(costates):
-    p_y = costates.p[:, :, 0]
-    stderr = sample_std(p_y) / np.sqrt(p_y.shape[0])
+    band = costates.band
     return [
         {"t": t, "mean_p_y": mean, "stderr": s}
-        for t, mean, s in zip(costates.grid.nodes, p_y.mean(axis=0), stderr)
+        for t, mean, s in zip(costates.grid.nodes, band.mean[:, 0], band.stderr[:, 0])
     ]
 
 
@@ -579,7 +578,7 @@ def _run_counterexample(cfg, ctx):
     return ("pass" if ok else "fail"), results, {}
 
 
-RATE_BLOCK = 4096  # Brownian paths a worker of simulate or the rate study draws at a time
+RATE_BLOCK = 4096  # most Brownian paths a worker of simulate or the rate study draws at a time
 
 
 def _run_convergence(cfg, ctx):

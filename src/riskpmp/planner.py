@@ -262,7 +262,7 @@ def assemble_solution(instance: SopInstance, control, brownian: BrownianEnsemble
 
 SWEEP_DAMPING = 0.5   # weight of the previous sweep's coefficients
 MAX_SWEEPS = 12
-HOLDOUT_CHUNK = 2000  # holdout paths sampled and integrated at a time
+HOLDOUT_CHUNK = 2000  # most holdout paths sampled and integrated at a time
 
 
 @dataclass(frozen=True)
@@ -445,14 +445,8 @@ def bangbang_necessity(solution: SopSolution) -> BangBangReport:
                               interior_windows=interior, zero_band_windows=[],
                               pairing_mean=nan, pairing_band=nan, chain=chain)
 
-    p = solution.costates.p
-    m = p.shape[0]
-    mean_py = p[:, :, 0].mean(axis=0)
-    mean_pv = p[:, :, 1].mean(axis=0)
-    se_py = sample_std(p[:, :, 0]) / np.sqrt(m)
-    se_pv = sample_std(p[:, :, 1]) / np.sqrt(m)
-    inside = (np.abs(mean_py) <= BAND_SIGMA * se_py + 1e-12) & (
-        np.abs(mean_pv) <= BAND_SIGMA * se_pv + 1e-12)
+    band = solution.costates.band  # both components: the position and the velocity costate
+    inside = np.all(np.abs(band.mean) <= BAND_SIGMA * band.stderr + 1e-12, axis=1)
     zero_bands = [(grid.nodes[a], grid.nodes[min(b, grid.n_steps)])
                   for a, b in _windows(inside, MIN_WINDOW_STEPS)]
     chain.append(f"{len(zero_bands)} persistent joint zero band(s) in the mean costates")
@@ -460,7 +454,7 @@ def bangbang_necessity(solution: SopSolution) -> BangBangReport:
     xi = np.asarray(solution.costates.terminal.xi, dtype=float)
     pairing_samples = xi * (solution.states.terminal[:, 0] - instance.y_target)
     pairing = float(pairing_samples.mean())
-    pairing_band = float(BAND_SIGMA * sample_std(pairing_samples) / np.sqrt(m))
+    pairing_band = float(BAND_SIGMA * sample_std(pairing_samples) / np.sqrt(xi.size))
     band_text = (f"within +-{pairing_band:.4f}" if np.isfinite(pairing_band)
                  else "with no band (one path has no sample spread)")
     chain.append(f"E[xi (y(T) - y_target)] = {pairing:.4f} {band_text}")

@@ -109,12 +109,20 @@ class BrownianEnsemble:
         np.cumsum(self.increments, axis=1, out=out[:, 1:])
         return out
 
+    def running_levels(self):
+        """W(t_0), ..., W(t_K), each (M, d), one node at a time: the running
+        sum W_{k+1} = W_k + dW_k from W_1 = dW_0, equal to levels() bit for
+        bit without holding every node."""
+        w = np.zeros((self.n_paths, self.dim))
+        yield w
+        for k in range(self.increments.shape[1]):
+            w = self.increments[:, 0].copy() if k == 0 else w + self.increments[:, k]
+            yield w
+
     def terminal(self) -> np.ndarray:
-        """W(T), shape (M, d): the running sum of levels(), bit for bit at its
-        last node, without holding every node."""
-        w = self.increments[:, 0].copy()
-        for k in range(1, self.increments.shape[1]):
-            w += self.increments[:, k]
+        """W(T), shape (M, d): the last of running_levels()."""
+        for w in self.running_levels():
+            pass
         return w
 
     def blocks(self, lo: int, hi: int) -> list:
@@ -157,9 +165,10 @@ def sample_brownian(
 @dataclass(frozen=True)
 class BrownianSource:
     """The ensemble sample_brownian(grid, dim, n_paths, seed) gives, drawn on
-    demand: blocks(lo, hi) samples paths lo..hi-1 at most ``block`` paths at
-    a time, each block at its path offset, so any span of the paths is drawn
-    bit for bit as in the whole ensemble, by whichever process reaches it."""
+    demand: blocks(lo, hi) samples paths lo..hi-1 in the fewest blocks of at
+    most ``block`` paths, near-equal in size, each at its path offset, so any
+    span of the paths is drawn bit for bit as in the whole ensemble, by
+    whichever process reaches it, and a process holds at most one block."""
 
     grid: TimeGrid
     dim: int
@@ -174,11 +183,13 @@ class BrownianSource:
             object.__setattr__(self, name, value)
 
     def blocks(self, lo: int, hi: int):
-        """Paths lo..hi-1 as ensembles of at most ``block`` paths, each drawn
+        """Paths lo..hi-1 as the fewest ensembles of at most ``block`` paths,
+        their sizes differing by at most one (the larger first), each drawn
         when the iteration reaches it."""
-        for start in range(lo, hi, self.block):
-            yield sample_brownian(self.grid, self.dim, min(self.block, hi - start), self.seed,
-                                  path_offset=start)
+        for left in range(-(-(hi - lo) // self.block), 0, -1):  # blocks still to draw
+            n = -(-(hi - lo) // left)
+            yield sample_brownian(self.grid, self.dim, n, self.seed, path_offset=lo)
+            lo += n
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +210,7 @@ class ControlLaw:
         if values.ndim not in (2, 3):
             raise ValueError("control values must have shape (K, m) or (M, K, m)")
         self.values = values
+        self._spread = {}  # path count -> the (K, n_paths, m) broadcast of deterministic values
 
     @classmethod
     def constant(cls, u, n_steps: int) -> "ControlLaw":
@@ -218,9 +230,14 @@ class ControlLaw:
         return self.values.shape[-1]
 
     def at(self, k: int, n_paths: int) -> np.ndarray:
-        """Control at step k broadcast to (n_paths, m)."""
+        """Control at step k broadcast to (n_paths, m), a read-only view; a
+        deterministic law builds its broadcast once per path count."""
         if self.deterministic:
-            return np.broadcast_to(self.values[k], (n_paths, self.dim))
+            spread = self._spread.get(n_paths)
+            if spread is None:
+                spread = self._spread[n_paths] = np.broadcast_to(
+                    self.values[:, None], (self.n_steps, n_paths, self.dim))
+            return spread[k]
         return self.values[:, k, :]
 
 

@@ -3,8 +3,10 @@
 Audits of the theory that no verb or pipeline stage runs: the dual
 representation and the coherence axioms of a risk measure, the
 least-squares conditional expectation and its tower property, and the
-continuity of the linearized solution in the tangent selection.  They are
-built on the library's own pieces and live next to the tests that read them.
+continuity of the linearized solution in the tangent selection, and the
+backward costate regression over the whole array of Brownian levels that
+solve_adjoint's forward walk must reproduce.  They are built on the
+library's own pieces and live next to the tests that read them.
 """
 
 from dataclasses import dataclass
@@ -12,9 +14,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from riskpmp.adjoint import NodeFit, RegressionBasis, linearization_along
+from riskpmp.adjoint import (RIDGE_FLAG_SHIFT, CostatePair, NodeFit, RegressionBasis,
+                             RegressionDiagnostics, TerminalCostate, _apply_transposed,
+                             linearization_along)
 from riskpmp.risk import _AGREEMENT_TOL, RiskMeasure, SampledRandomVariable, _as_sample
-from riskpmp.sde import DynamicsSpec, StateEnsemble, solve_linearized
+from riskpmp.sde import DynamicsSpec, FundamentalMatrices, StateEnsemble, solve_linearized
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +168,7 @@ def conditional_expectation(
     polynomial features of (x(t_k), W(t_k)); the numerical realization of
     E[. | F_{t_k}] along the ensemble."""
     basis = basis or RegressionBasis()
-    features = basis.at_node(states, states.recorded("brownian").levels(), k)
+    features = basis.at_node(states, states.recorded("brownian").levels()[:, k], k)
     return NodeFit(features).fit(np.asarray(regressand, dtype=float))[0]
 
 
@@ -201,8 +205,8 @@ def tower_check(
     for i, (j, k) in enumerate(node_pairs):
         if not 0 <= j < k <= n_steps:
             raise ValueError("node pairs must satisfy 0 <= j < k <= K")
-        m_k, rms_k, _, _ = NodeFit(basis.at_node(states, levels, k)).fit(g)
-        fit_j = NodeFit(basis.at_node(states, levels, j))
+        m_k, rms_k, _, _ = NodeFit(basis.at_node(states, levels[:, k], k)).fit(g)
+        fit_j = NodeFit(basis.at_node(states, levels[:, j], j))
         diff = fit_j.fit(m_k)[0] - fit_j.fit(g)[0]
         gaps[i] = float(np.sqrt(np.mean(diff**2)))
         tols[i] = 5.0 * rms_k * np.sqrt(n_feat / g.shape[0]) + 1e-7
@@ -212,6 +216,70 @@ def tower_check(
         tolerances=tols,
         passed=bool(np.all(gaps <= tols)),
     )
+
+
+def backward_adjoint(
+    dyn: DynamicsSpec,
+    states: StateEnsemble,
+    terminal: TerminalCostate,
+    fund: FundamentalMatrices,
+    basis: Optional[RegressionBasis] = None,
+) -> CostatePair:
+    """solve_adjoint's regression as a backward loop from node K-1 to 0 over
+    the whole (M, K+1, d) array of Brownian levels, each node's fits done
+    together: the reference that the library's forward walk must equal."""
+    basis = basis or RegressionBasis()
+    m_paths, n_nodes, n = states.values.shape
+    n_steps = n_nodes - 1
+    dt = states.grid.dt
+    brownian = states.recorded("brownian")
+    d = brownian.dim
+    levels = brownian.levels()
+    a_fn, d_fn = linearization_along(dyn, states)
+
+    g_vec = _apply_transposed(fund.phi[:, n_steps], terminal.p_T)
+    p = np.empty((m_paths, n_nodes, n))
+    p[:, n_steps] = terminal.p_T
+    q = np.empty((m_paths, n_steps, n, d))
+    node_coef = np.empty((n_steps, basis.n_features(n, d), n))
+    resid_rms = np.zeros(n_nodes)
+    mu_resid_rms = np.zeros(n_steps)
+    bsde = np.empty(n_steps)
+    ridge_shift = 0.0
+
+    m_next = g_vec
+    for k in range(n_steps - 1, -1, -1):
+        fit = NodeFit(basis.at_node(states, levels[:, k], k))
+        m_k, resid_rms[k], shift, node_coef[k] = fit.fit(g_vec)
+        p[:, k] = _apply_transposed(fund.psi[:, k], m_k)
+
+        dw = brownian.increments[:, k, :]
+        target = ((m_next - m_k)[:, :, None] * dw[:, None, :]).reshape(m_paths, n * d) / dt
+        mu, mu_resid_rms[k], mu_shift, _ = fit.fit(target)
+        ridge_shift = max(ridge_shift, shift, mu_shift)
+        q_k = _apply_transposed(fund.psi[:, k], mu.reshape(m_paths, n, d))
+        if d_fn is not None:
+            d_k = d_fn(k)
+            q_k = q_k - np.einsum("pdji,pj->pid", d_k, p[:, k])
+        q[:, k] = q_k
+
+        hx = _apply_transposed(a_fn(k), p[:, k])
+        if d_fn is not None:
+            hx = hx + np.einsum("pdji,pjd->pi", d_k, q_k)
+        step_resid = p[:, k + 1] - p[:, k] + hx * dt - np.einsum("pid,pd->pi", q_k, dw)
+        bsde[k] = float(np.mean(np.linalg.norm(step_resid, axis=1)))
+        m_next = m_k
+
+    diagnostics = RegressionDiagnostics(
+        basis_size=basis.n_features(n, d),
+        residual_rms=resid_rms,
+        mu_residual_rms=mu_resid_rms,
+        ridge_max_shift=ridge_shift,
+        ridge_flagged=ridge_shift > RIDGE_FLAG_SHIFT,
+    )
+    return CostatePair(grid=states.grid, p=p, q=q, diagnostics=diagnostics,
+                       bsde_residuals=bsde, bsde_residual_max=float(bsde.max()),
+                       terminal=terminal, fund=fund, node_coef=node_coef)
 
 
 # ---------------------------------------------------------------------------

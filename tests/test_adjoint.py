@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import conditional_expectation, tower_check
+from oracles import backward_adjoint, conditional_expectation, tower_check
 from riskpmp.adjoint import (
     RIDGE,
     NodeFit,
@@ -15,6 +17,7 @@ from riskpmp.risk import SampledRandomVariable
 from riskpmp.sde import (
     ControlLaw,
     DynamicsSpec,
+    double_integrator_dynamics,
     euler_maruyama,
     fundamental_matrices,
     make_grid,
@@ -322,6 +325,62 @@ def test_bsde_residual_shrinks_under_refinement():
     assert results[128] > 0.0
     # expected sqrt(dt) decay would give 0.35; allow slack for MC noise
     assert results[128] <= 0.6 * results[16]
+
+
+# ---------------------------------------------------------------------------
+# the forward walk against the backward reference
+
+
+def _pair_inputs(dyn, law, x0, n_steps, n_paths, seed):
+    """States under law, their fundamental pair and a terminal costate with
+    uneven positive weights on the terminal state."""
+    bm = sample_brownian(make_grid(1.0, n_steps), dyn.noise_dim, n_paths, seed)
+    states = euler_maruyama(dyn, law, x0, bm)
+    fund = fundamental_matrices(*linearization_along(dyn, states), bm)
+    xi = np.random.default_rng(seed).uniform(0.5, 1.5, n_paths)
+    return states, assemble_terminal(xi, states.terminal.copy()), fund
+
+
+@pytest.mark.parametrize("case", ["open-loop double integrator", "cubic", "scalar linear",
+                                  "no Brownian features"])
+def test_forward_walk_equals_backward_loop_bit_for_bit(case):
+    # the open-loop double integrator's v is the same on every path (a
+    # rank-deficient design), the cubic plant's Jacobians are per path and
+    # the scalar-linear plant declares diffusion_jac
+    basis = RegressionBasis(include_brownian=False) if case == "no Brownian features" else None
+    if case in ("scalar linear", "no Brownian features"):
+        dyn, states, _, fund = scalar_linear_setup(0.3, 0.3, 16, 500, seed=4)
+        term = assemble_terminal(np.ones(500), states.terminal.copy())
+    else:
+        dyn = double_integrator_dynamics(cubic=0.5 if case == "cubic" else 0.0)
+        states, term, fund = _pair_inputs(dyn, ControlLaw.constant(0.4, 16), np.zeros(2),
+                                          16, 500, seed=8)
+    got = solve_adjoint(dyn, states, term, fund, basis=basis)
+    want = backward_adjoint(dyn, states, term, fund, basis=basis)
+    for name in ("p", "q", "node_coef", "bsde_residuals", "bsde_residual_max"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("basis_size", "residual_rms", "mu_residual_rms", "ridge_max_shift",
+                 "ridge_flagged"):
+        assert np.array_equal(getattr(got.diagnostics, name), getattr(want.diagnostics, name)), name
+    if case == "open-loop double integrator":  # v is the same on every path at every node
+        assert not np.ptp(states.values[:, :, 1], axis=0).any()
+
+
+def test_forward_walk_holds_no_array_of_brownian_levels():
+    # at M=2000, K=200 the (M, K+1, d) levels take 3.2 MB: the walk's peak
+    # on top of the p, q and node_coef it returns stays below one of them
+    m_paths, n_steps = 2000, 200
+    dyn = double_integrator_dynamics()
+    states, term, fund = _pair_inputs(dyn, ControlLaw.constant(0.4, n_steps), np.zeros(2),
+                                      n_steps, m_paths, seed=8)
+    tracemalloc.start()
+    try:
+        pair = solve_adjoint(dyn, states, term, fund)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = pair.p.nbytes + pair.q.nbytes + pair.node_coef.nbytes
+    assert peak - held < m_paths * (n_steps + 1) * dyn.noise_dim * 8, (peak, held)
 
 
 # ---------------------------------------------------------------------------

@@ -550,7 +550,8 @@ def _worker_cfg(verb, out, n_paths):
 @pytest.mark.parametrize("n_paths", [121, 2])
 def test_outputs_do_not_depend_on_worker_count(tmp_path, capsys, monkeypatch, verb, n_paths):
     # forked workers over spans of 41, 41 and a ragged 39 paths, or over 2
-    # paths on 3 workers (2 spans); blocks of 16 paths, so a span draws several
+    # paths on 3 workers (2 spans); blocks of at most 16 paths, so a span
+    # draws several
     monkeypatch.setattr(cli, "RATE_BLOCK", 16)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     out = tmp_path / "out"
@@ -1078,8 +1079,8 @@ def test_convergence_rate_table_sorted_descending(tmp_path, capsys):
 
 
 def test_convergence_rate_over_sampled_blocks_equals_one_pass(tmp_path, capsys, monkeypatch):
-    # blocks of 64 with a ragged tail of 44, each drawn at its path offset:
-    # the report's rates are those of one pass over the whole ensemble
+    # five blocks of 60 (the fewest of at most 64), each drawn at its path
+    # offset: the report's rates are those of one pass over the whole ensemble
     monkeypatch.setattr(cli, "RATE_BLOCK", 64)
     out = tmp_path / "out"
     cfg = dict(_RATE, seed=9, out_dir=str(out), problem={"name": "double-integrator", "cubic": 0.1},

@@ -325,8 +325,8 @@ def test_refinement_lowers_holdout_avar_with_adapted_control():
 
 
 def test_holdout_chunk_size_does_not_move_the_refinement(monkeypatch):
-    # the holdout is scored chunk by chunk: 29 chunks of 7 paths, a ragged
-    # tail included, give the floats of one 200-path chunk
+    # the holdout is scored chunk by chunk: 29 chunks of at most 7 paths (26
+    # of 7 and 3 of 6) give the floats of one 200-path chunk
     whole = solve_sop(REACH, n_steps=20, n_paths=200, seed=1)
     monkeypatch.setattr(planner, "HOLDOUT_CHUNK", 7)
     chunked = solve_sop(REACH, n_steps=20, n_paths=200, seed=1)

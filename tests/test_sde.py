@@ -79,6 +79,8 @@ def test_brownian_terminal_is_the_last_level_bit_for_bit():
     # sum over the steps differs from it in the last bits
     ens = sample_brownian(make_grid(2.0, 100), dim=1, n_paths=1000, seed=42)
     assert np.array_equal(ens.terminal(), ens.levels()[:, -1])
+    # node by node, the running sum is every level, byte for byte
+    assert np.stack(list(ens.running_levels()), axis=1).tobytes() == ens.levels().tobytes()
 
 
 def test_brownian_bit_exact_reproducible():
@@ -224,6 +226,36 @@ def test_euler_maruyama_states_carry_their_control():
                                   values)
 
 
+@pytest.mark.parametrize("values", [np.linspace(-1.0, 1.0, 12).reshape(6, 2),
+                                    np.linspace(-1.0, 1.0, 12).reshape(2, 6).T])
+def test_control_law_at_is_the_broadcast_of_each_step(values):
+    # a deterministic law indexes one broadcast per path count: the same
+    # values, strides and read-only view that a broadcast of the step gives
+    law = ControlLaw(values)
+    for n_paths in (5, 1, 5, 3):
+        for k in range(6):
+            got, want = law.at(k, n_paths), np.broadcast_to(values[k], (n_paths, 2))
+            np.testing.assert_array_equal(got, want)
+            assert got.strides == want.strides and not got.flags.writeable
+    per_path = ControlLaw(np.arange(24.0).reshape(2, 6, 2))
+    np.testing.assert_array_equal(per_path.at(4, 2), per_path.values[:, 4])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.integers(0, 200), size=st.integers(0, 300), block=st.integers(1, 80))
+def test_source_blocks_are_the_fewest_near_equal_blocks_in_order(lo, size, block):
+    hi, grid = lo + size, make_grid(1.0, 1)
+    source = BrownianSource(grid, 1, max(hi, 1), 5, block)
+    blocks = list(source.blocks(lo, hi))
+    sizes = [b.n_paths for b in blocks]
+    assert len(sizes) == -(-size // block)
+    if sizes:
+        assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
+    # each block is drawn at its path offset, so in order they are the slice
+    whole = sample_brownian(grid, 1, max(hi, 1), 5).increments[lo:hi]
+    assert np.array_equal(np.concatenate([b.increments for b in blocks] + [whole[:0]]), whole)
+
+
 def test_euler_maruyama_rejects_feedback_callable():
     # a bare function is not a control; feedback enters as a FeedbackLaw
     dyn = double_integrator_dynamics()
@@ -331,7 +363,7 @@ def test_euler_maruyama_over_source_blocks_and_workers_equals_one_pass(monkeypat
     assert draws == []
     with pytest.warns(RuntimeWarning, match=r"^4 path\(s\) aborted"):
         euler_maruyama(dyn, laws[0], x0, source)
-    assert [args[2] for args in draws] == [7] * 8 + [4]
+    assert [args[2] for args in draws] == [7] * 6 + [6] * 3  # 9 near-equal blocks of 60
 
 
 # ---------------------------------------------------------------------------
