@@ -296,7 +296,7 @@ def _refine(start: SopSolution, holdout: List[BrownianEnsemble]) -> SopSolution:
     """Damped method of successive approximations from the shooting start.
 
     Sweep s maximizes the Hamiltonian path by path under the regressed
-    velocity costate: H is linear in u, so u_k = sign(p_v(x_k, W_k)).  Its
+    velocity costate: H is affine in u, so sign(p_v(x_k, W_k)) picks u_k's vertex.  Its
     coefficients are the previous sweep's, damped by SWEEP_DAMPING toward
     the node fits of the last kept candidate's costate.  A sweep is kept only
     if it lowers AV@R on the independent holdout ensemble (given in path
@@ -305,6 +305,7 @@ def _refine(start: SopSolution, holdout: List[BrownianEnsemble]) -> SopSolution:
     """
     problem, brownian = start.problem, start.states.brownian
     basis = RegressionBasis()
+    lo, hi = problem.dyn.control_grid[[0, -1]]  # the plant's two vertices
 
     def score(law) -> float:
         # a copy of each chunk's terminal states lets its path history go
@@ -314,7 +315,7 @@ def _refine(start: SopSolution, holdout: List[BrownianEnsemble]) -> SopSolution:
 
     def bang(coef) -> FeedbackLaw:
         return FeedbackLaw(lambda k, x, w: np.where(
-            basis.feature_matrix(x, w) @ coef[k] >= 0.0, 1.0, -1.0)[:, None], dim=1)
+            (basis.feature_matrix(x, w) @ coef[k] >= 0.0)[:, None], hi, lo), dim=1)
 
     scores = [score(start.states.control)]
     best, coef, kept = start, None, 0

@@ -265,8 +265,9 @@ class DynamicsSpec:
     """Controlled SDE coefficients plus the metadata the checks rely on.
 
     ``control_grid`` is the finite working subset of the control set used for
-    Hamiltonian maximization; it must contain the box vertices of the true
-    control set.  ``convex_velocity_sets`` attests that the velocity sets
+    Hamiltonian maximization; it must hold every point where H can peak.  When
+    H is affine in u, the box vertices are enough; any other H needs interior
+    points too.  ``convex_velocity_sets`` attests that the velocity sets
     {(f, sigma)(t, x, u) : u in U} are convex, which is what licenses tangent
     selections built from control differences when the diffusion is
     controlled.
@@ -726,9 +727,6 @@ def scalar_linear_dynamics(drift_coef: float, noise_coef: float) -> DynamicsSpec
     )
 
 
-DOUBLE_INTEGRATOR_GRID_POINTS = 21  # control_grid: that many points of [-1, 1]
-
-
 def double_integrator_dynamics(cubic: float = 0.0, noise: float = 1.0) -> DynamicsSpec:
     """dy = v dt + noise dW, dv = (u - cubic y^3) dt with u in [-1, 1].
 
@@ -762,7 +760,7 @@ def double_integrator_dynamics(cubic: float = 0.0, noise: float = 1.0) -> Dynami
     return DynamicsSpec(
         state_dim=2, control_dim=1, noise_dim=1,
         drift=drift, diffusion=diffusion, drift_jac=drift_jac,
-        control_grid=np.linspace(-1.0, 1.0, DOUBLE_INTEGRATOR_GRID_POINTS),
+        control_grid=[[-1.0], [1.0]],  # H is affine in u: the box's vertices
     )
 
 

@@ -7,6 +7,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import conditional_expectation, selection_continuity, tower_check
 from riskpmp import (
@@ -26,6 +28,7 @@ from riskpmp import (
     assemble_solution,
     assemble_terminal,
     certify,
+    double_integrator_dynamics,
     euler_maruyama,
     fundamental_matrices,
     hamiltonian,
@@ -137,6 +140,51 @@ def test_hamiltonian_sums_match_einsum(n, d):
     want = (np.einsum("pn,pn->p", p, dyn.drift(0.3, x, u))
             + np.einsum("pnd,pnd->p", q, dyn.diffusion(0.3, x, u)))
     assert np.array_equal(hamiltonian(dyn, 0.3, x, u, p, q), want)
+
+
+def grid_maximum(dyn, x, u_star, p, q, grid):
+    """max of H over u* and every grid point, as maximization_gap takes it."""
+    best = hamiltonian(dyn, 0.0, x, u_star, p, q)
+    for u_pt in np.asarray(grid, dtype=float).reshape(-1, 1):
+        u = np.broadcast_to(u_pt, u_star.shape)
+        np.maximum(best, hamiltonian(dyn, 0.0, x, u, p, q), out=best)
+    return best
+
+
+_finite = st.floats(-1e3, 1e3)
+_rows = st.tuples(_finite, _finite, _finite, _finite, st.integers(0, 30),
+                  _finite, _finite, st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cubic=st.sampled_from([0.0, 0.5]), rows=st.lists(_rows, min_size=1, max_size=20))
+def test_double_integrator_vertex_maximum_is_the_21_point_maximum(cubic, rows):
+    # u enters H only as p_v (u - c y^3), and each rounding step of that is
+    # monotone in u, so no interior point beats both vertices, not even by one
+    # ulp; |p_v| is shrunk by up to 1e-30 to put it far below |p_y v|
+    y, v, p_y, p_v, shrink, q_y, q_v, u_star = np.array(rows, dtype=float).T
+    dyn = double_integrator_dynamics(cubic=cubic)
+    x, p = np.stack([y, v], axis=1), np.stack([p_y, p_v * 10.0 ** -shrink], axis=1)
+    q = np.stack([q_y, q_v], axis=1)[:, :, None]
+    args = (dyn, x, u_star[:, None], p, q)
+    assert np.array_equal(grid_maximum(*args, dyn.control_grid),
+                          grid_maximum(*args, np.linspace(-1.0, 1.0, 21)))
+
+
+def test_vertices_miss_the_maximum_of_a_plant_not_affine_in_u():
+    # dx = u^2 dt + 0.5 dW with p < 0: H = p u^2 + 0.5 q peaks at u = 0, which
+    # the vertices miss; such a plant must declare the interior points itself
+    dyn = DynamicsSpec(state_dim=1, control_dim=1, noise_dim=1,
+                       drift=lambda t, x, u: u ** 2,
+                       diffusion=lambda t, x, u: np.full((len(x), 1, 1), 0.5),
+                       control_grid=np.linspace(-1.0, 1.0, 21))
+    rng = np.random.default_rng(5)
+    x, q = rng.normal(size=(50, 1)), rng.normal(size=(50, 1, 1))
+    p = -rng.uniform(0.1, 2.0, size=(50, 1))
+    args = (dyn, x, np.ones((50, 1)), p, q)
+    declared = grid_maximum(*args, dyn.control_grid)
+    np.testing.assert_array_equal(declared, 0.5 * q[:, 0, 0])
+    assert np.all(grid_maximum(*args, [-1.0, 1.0]) < declared)
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +545,31 @@ def test_normality_search_holds_no_whole_path():
         y_T = solve_linearized(*linearization_along(dyn, states), g, brownian).terminal
         assert np.array_equal(rep.margins, [np.mean(np.einsum(
             "pn,pn->p", con.gradient(states.terminal), y_T))])
+
+
+def test_normality_search_on_the_cubic_double_integrator_tries_its_vertices():
+    # the library's plant declares its two vertices, so the search tries 2
+    # constants and 6 single switches; u* switches +1 -> -1 halfway
+    m_paths, n_steps = 1000, 40
+    dyn = double_integrator_dynamics(cubic=0.5)
+    grid = make_grid(2.0, n_steps)
+    u_star = np.where(np.arange(n_steps) < n_steps // 2, 1.0, -1.0)[:, None]
+    states = euler_maruyama(dyn, ControlLaw(u_star), np.zeros(2),
+                            sample_brownian(grid, 1, m_paths, 41))
+    center = float(states.terminal[:, 0].mean())
+    e_y = np.array([1.0, 0.0])
+    up = TerminalConstraint(fn=lambda x: x[:, 0] - center,
+                            gradient=lambda x: np.tile(e_y, (len(x), 1)))
+    down = TerminalConstraint(fn=lambda x: center - x[:, 0],
+                              gradient=lambda x: np.tile(-e_y, (len(x), 1)))
+    pinned = ProblemSpec(dyn=dyn, risk=Expectation(), cost=lambda x: x[:, 0],
+                         cost_gradient=lambda x: np.ones_like(x), x0=np.zeros(2),
+                         constraints=(up, down))
+    rep = normality_certificate(pinned, states, active=[0, 1])
+    assert rep.status == "not_found" and rep.candidates_tried == 8
+    rep = normality_certificate(replace(pinned, constraints=(down,)), states, active=[0])
+    assert rep.status == "certified" and rep.witness == "constant u=[1.]"
+    assert rep.margins[0] < -0.1
 
 
 # ---------------------------------------------------------------------------

@@ -754,7 +754,7 @@ def test_double_integrator_jacobian_is_path_constant_without_cubic_term():
     assert jac.shape == (1, 2, 2) and not jac.flags.writeable
     np.testing.assert_array_equal(plain.drift(0.0, x, u), np.stack([x[:, 1], u[:, 0]], axis=1))
     np.testing.assert_array_equal(plain.diffusion(0.0, x, u)[:, :, 0], np.tile([0.7, 0.0], (6, 1)))
-    np.testing.assert_array_equal(plain.control_grid[:, 0], np.linspace(-1.0, 1.0, 21))
+    np.testing.assert_array_equal(plain.control_grid, [[-1.0], [1.0]])  # H is affine in u
     plain.check_jacobians(0.0, x, u)
 
     cubic = double_integrator_dynamics(cubic=0.5)
