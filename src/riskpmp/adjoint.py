@@ -66,10 +66,6 @@ class RegressionBasis:
             np.multiply(out[:, column[idx[:-1]]], z[:, idx[-1]], out=out[:, j])
         return out
 
-    def at_node(self, states: StateEnsemble, w: np.ndarray, k: int) -> np.ndarray:
-        """Features of (x(t_k), W(t_k)) along the ensemble, for w = W(t_k) (M, d)."""
-        return self.feature_matrix(states.values[:, k, :], w)
-
 
 class NodeFit:
     """One node's design, scaled to unit column rms and factorized once as
@@ -304,7 +300,7 @@ def solve_adjoint(
     ridge_shift = 0.0
     pending = None  # (k, fit, m_k) of the node that waits for m_{k+1}
     for k, w_k in zip(range(n_steps), brownian.running_levels()):
-        fit = NodeFit(basis.at_node(states, w_k, k))
+        fit = NodeFit(basis.feature_matrix(states.values[:, k, :], w_k))
         m_k, resid_rms[k], shift, node_coef[k] = fit.fit(g_vec)
         p[:, k] = _apply_transposed(fund.psi[:, k], m_k)
         ridge_shift = max(ridge_shift, shift)

@@ -13,9 +13,9 @@ but keeps the search deterministic and variance-reduced).
 The maximum principle is a necessary condition over adapted controls, and
 open-loop profiles cannot follow a velocity costate whose sign differs
 between paths.  solve_sop therefore refines the shooting start over
-adapted bang-bang controls u_k = sign(p_v(x_k, W_k)) with damped
-Hamiltonian-maximizing sweeps, each scored on an independent ensemble (the
-damped method of successive approximations of Li, Chen, Tai & E, 2018).
+adapted controls with damped Hamiltonian-maximizing sweeps over the control
+grid, each scored on an independent ensemble (the damped method of
+successive approximations of Li, Chen, Tai & E, 2018).
 """
 
 import math
@@ -30,11 +30,12 @@ from .adjoint import (
     linearization_along,
     solve_adjoint,
 )
-from .certificate import CandidateBundle, ProblemSpec
+from .certificate import CandidateBundle, ProblemSpec, hamiltonian_argmax
 from .risk import AVaR, risk_subgradient, risk_value
 from .sde import (
     BrownianEnsemble,
     BrownianSource,
+    DynamicsSpec,
     FeedbackLaw,
     StateEnsemble,
     TimeGrid,
@@ -284,28 +285,30 @@ class Refinement:
         return self.sweeps > 0
 
 
-def _velocity_costate_coef(solution: SopSolution) -> np.ndarray:
-    """(K, B) coefficients of p_v(t_k) = (psi_k^T m_k)_v on the node features
-    of (x_k, W_k).  The plant's Jacobian is constant, so psi is the same on
-    every path and p_v is a polynomial in the features."""
-    psi_v = solution.costates.fund.psi[0, :-1, :, 1]
-    return np.einsum("kbn,kn->kb", solution.costates.node_coef, psi_v)
+def _sweep_law(dyn: DynamicsSpec, nodes: np.ndarray, coef: np.ndarray) -> FeedbackLaw:
+    """u_k = the grid point maximizing H(t_k, x_k, u, p, 0), p = features(x_k, W_k) @ coef[k];
+    q is not fitted, and the diffusion does not depend on u, so q cannot move the argmax."""
+
+    def play(k, x, w):
+        p = RegressionBasis().feature_matrix(x, w) @ coef[k]
+        q = np.zeros((len(x), dyn.state_dim, dyn.noise_dim))
+        return dyn.control_grid[hamiltonian_argmax(dyn, nodes[k], x, p, q)[1]]
+
+    return FeedbackLaw(play, dim=dyn.control_dim)
 
 
 def _refine(start: SopSolution, holdout: List[BrownianEnsemble]) -> SopSolution:
     """Damped method of successive approximations from the shooting start.
 
     Sweep s maximizes the Hamiltonian path by path under the regressed
-    velocity costate: H is affine in u, so sign(p_v(x_k, W_k)) picks u_k's vertex.  Its
-    coefficients are the previous sweep's, damped by SWEEP_DAMPING toward
-    the node fits of the last kept candidate's costate.  A sweep is kept only
-    if it lowers AV@R on the independent holdout ensemble (given in path
-    chunks, which keeps its sampling temporaries small); the first that
-    does not ends the run, and the best candidate found is returned.
+    costate (_sweep_law).  Its coefficients are the previous sweep's, damped
+    by SWEEP_DAMPING toward the node fits of the last kept candidate's
+    costate.  A sweep is kept only if it lowers AV@R on the independent
+    holdout ensemble (given in path chunks, which keeps its sampling
+    temporaries small); the first that does not ends the run, and the best
+    candidate found is returned.
     """
-    problem, brownian = start.problem, start.states.brownian
-    basis = RegressionBasis()
-    lo, hi = problem.dyn.control_grid[[0, -1]]  # the plant's two vertices
+    problem, brownian, nodes = start.problem, start.states.brownian, start.states.grid.nodes
 
     def score(law) -> float:
         # a copy of each chunk's terminal states lets its path history go
@@ -313,20 +316,17 @@ def _refine(start: SopSolution, holdout: List[BrownianEnsemble]) -> SopSolution:
                               for chunk in holdout])
         return risk_value(problem.risk, problem.cost(x_T))
 
-    def bang(coef) -> FeedbackLaw:
-        return FeedbackLaw(lambda k, x, w: np.where(
-            (basis.feature_matrix(x, w) @ coef[k] >= 0.0)[:, None], hi, lo), dim=1)
-
     scores = [score(start.states.control)]
     best, coef, kept = start, None, 0
     while kept < MAX_SWEEPS:
-        fresh = _velocity_costate_coef(best)
+        # (K, B, n) coefficients of p_k = psi_k^T m_k; psi is path-constant here
+        fresh = np.einsum("kbn,knm->kbm", best.costates.node_coef, best.costates.fund.psi[0, :-1])
         coef = fresh if coef is None else SWEEP_DAMPING * coef + (1.0 - SWEEP_DAMPING) * fresh
-        scores.append(score(bang(coef)))
+        law = _sweep_law(problem.dyn, nodes, coef)
+        scores.append(score(law))
         if not scores[-1] < scores[-2]:
             break
-        best = assemble_solution(start.instance, bang(coef), brownian,
-                                 incumbents=start.incumbents)
+        best = assemble_solution(start.instance, law, brownian, incumbents=start.incumbents)
         kept += 1
     return replace(best, refinement=Refinement(start=start.policy, scores=scores, sweeps=kept))
 

@@ -168,7 +168,8 @@ def conditional_expectation(
     polynomial features of (x(t_k), W(t_k)); the numerical realization of
     E[. | F_{t_k}] along the ensemble."""
     basis = basis or RegressionBasis()
-    features = basis.at_node(states, states.recorded("brownian").levels()[:, k], k)
+    w_k = states.recorded("brownian").levels()[:, k]
+    features = basis.feature_matrix(states.values[:, k, :], w_k)
     return NodeFit(features).fit(np.asarray(regressand, dtype=float))[0]
 
 
@@ -205,8 +206,8 @@ def tower_check(
     for i, (j, k) in enumerate(node_pairs):
         if not 0 <= j < k <= n_steps:
             raise ValueError("node pairs must satisfy 0 <= j < k <= K")
-        m_k, rms_k, _, _ = NodeFit(basis.at_node(states, levels[:, k], k)).fit(g)
-        fit_j = NodeFit(basis.at_node(states, levels[:, j], j))
+        m_k, rms_k, _, _ = NodeFit(basis.feature_matrix(states.values[:, k, :], levels[:, k])).fit(g)
+        fit_j = NodeFit(basis.feature_matrix(states.values[:, j, :], levels[:, j]))
         diff = fit_j.fit(m_k)[0] - fit_j.fit(g)[0]
         gaps[i] = float(np.sqrt(np.mean(diff**2)))
         tols[i] = 5.0 * rms_k * np.sqrt(n_feat / g.shape[0]) + 1e-7
@@ -249,7 +250,7 @@ def backward_adjoint(
 
     m_next = g_vec
     for k in range(n_steps - 1, -1, -1):
-        fit = NodeFit(basis.at_node(states, levels[:, k], k))
+        fit = NodeFit(basis.feature_matrix(states.values[:, k, :], levels[:, k]))
         m_k, resid_rms[k], shift, node_coef[k] = fit.fit(g_vec)
         p[:, k] = _apply_transposed(fund.psi[:, k], m_k)
 

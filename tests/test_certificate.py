@@ -50,6 +50,7 @@ from riskpmp.adjoint import (
     RegressionDiagnostics,
     TerminalCostate,
 )
+from riskpmp.certificate import hamiltonian_argmax
 from riskpmp.sde import FundamentalMatrices, StateEnsemble, _dot_last
 
 
@@ -185,6 +186,68 @@ def test_vertices_miss_the_maximum_of_a_plant_not_affine_in_u():
     declared = grid_maximum(*args, dyn.control_grid)
     np.testing.assert_array_equal(declared, 0.5 * q[:, 0, 0])
     assert np.all(grid_maximum(*args, [-1.0, 1.0]) < declared)
+
+
+@pytest.mark.parametrize("cubic", [0.0, 0.5])
+@pytest.mark.parametrize("p_v", [0.0, -0.0])
+def test_argmax_breaks_a_zero_velocity_costate_tie_toward_plus_one(cubic, p_v):
+    # H(-1) = H(+1) when p_v is a zero of either sign: the later grid point
+    # wins, as the sign rule u = +1 where p_v >= 0 has it
+    dyn = double_integrator_dynamics(cubic=cubic)
+    rng = np.random.default_rng(3)
+    x, q = rng.normal(size=(40, 2)), rng.normal(size=(40, 2, 1))
+    p = np.stack([rng.normal(size=40), np.full(40, p_v)], axis=1)
+    h_max, arg = hamiltonian_argmax(dyn, 0.0, x, p, q)
+    assert np.array_equal(dyn.control_grid[arg], np.ones((40, 1)))
+    assert np.array_equal(h_max, hamiltonian(dyn, 0.0, x, np.ones((40, 1)), p, q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cubic=st.sampled_from([0.0, 0.5]), rows=st.lists(_rows, min_size=1, max_size=20))
+def test_argmax_is_the_sign_rule_and_its_maximum_the_running_maximum(cubic, rows):
+    y, v, p_y, p_v, shrink, q_y, q_v, _ = np.array(rows, dtype=float).T
+    dyn = double_integrator_dynamics(cubic=cubic)
+    x, p = np.stack([y, v], axis=1), np.stack([p_y, p_v * 10.0 ** -shrink], axis=1)
+    q = np.stack([q_y, q_v], axis=1)[:, :, None]
+    h = [hamiltonian(dyn, 0.0, x, np.broadcast_to(u_pt, (len(x), 1)), p, q)
+         for u_pt in dyn.control_grid]
+    running = h[0].copy()
+    for h_u in h[1:]:
+        np.maximum(running, h_u, out=running)
+    h_max, arg = hamiltonian_argmax(dyn, 0.0, x, p, q)
+    assert h_max.tobytes() == running.tobytes()
+    apart = h[0] != h[-1]
+    sign = np.where(p[:, 1] >= 0.0, 1.0, -1.0)
+    assert np.array_equal(dyn.control_grid[arg[apart], 0], sign[apart])
+
+
+def test_argmax_of_a_plant_not_affine_in_u_is_interior():
+    # dx = u^2 dt + 0.5 dW with p < 0: H = p u^2 + 0.5 q peaks at u = 0 of
+    # the 21-point grid, a control no sign rule can give
+    dyn = DynamicsSpec(state_dim=1, control_dim=1, noise_dim=1,
+                       drift=lambda t, x, u: u ** 2,
+                       diffusion=lambda t, x, u: np.full((len(x), 1, 1), 0.5),
+                       control_grid=np.linspace(-1.0, 1.0, 21))
+    rng = np.random.default_rng(5)
+    x, q = rng.normal(size=(50, 1)), rng.normal(size=(50, 1, 1))
+    p = -rng.uniform(0.1, 2.0, size=(50, 1))
+    h_max, arg = hamiltonian_argmax(dyn, 0.0, x, p, q)
+    assert np.array_equal(dyn.control_grid[arg], np.zeros((50, 1)))
+    np.testing.assert_array_equal(h_max, 0.5 * q[:, 0, 0])
+
+
+def test_argmax_without_a_control_grid_is_refused():
+    dyn = replace(double_integrator_dynamics(), control_grid=None)
+    grid = make_grid(1.0, 2)
+    states = StateEnsemble(grid=grid, values=np.zeros((3, 3, 2)),
+                           control=ControlLaw(np.ones((2, 1))))
+    pair = dummy_costates(grid, np.zeros((3, 3, 2)), np.zeros((3, 2, 2, 1)))
+    problem = replace(toy_problem(), dyn=dyn)
+    message = "maximization needs a working control grid on the dynamics"
+    with pytest.raises(ValueError, match=message):
+        hamiltonian_argmax(dyn, 0.0, np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2, 1)))
+    with pytest.raises(ValueError, match=message):
+        maximization_gap(problem, states, pair)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from riskpmp import (
     BangBangPolicy,
     CertifyConfig,
     ControlLaw,
+    FeedbackLaw,
+    RegressionBasis,
     SopInstance,
     assemble_solution,
     bangbang_necessity,
@@ -322,6 +324,25 @@ def test_refinement_lowers_holdout_avar_with_adapted_control():
     assert set(np.unique(u)) == {-1.0, 1.0}
     assert np.any(u != u[:1])
     assert sol.cost == pytest.approx(risk_value(sol.problem.risk, sol.problem.cost(sol.states.terminal)))
+
+
+def test_sweep_plays_the_sign_rule_it_replaced(monkeypatch):
+    # the sweep plays the certificate's Hamiltonian argmax over the plant's
+    # two vertices; on the reachable instance that is, float for float, the
+    # rule u_k = sign(p_v) (zero counting as +1) it replaced
+    def sign_rule(dyn, nodes, coef):
+        return FeedbackLaw(lambda k, x, w: np.where(
+            (RegressionBasis().feature_matrix(x, w) @ coef[k][:, 1] >= 0.0)[:, None], 1.0, -1.0),
+            dim=1)
+
+    argmax = solve_sop(REACH, n_steps=40, n_paths=2000, seed=11)
+    monkeypatch.setattr(planner, "_sweep_law", sign_rule)
+    sign = solve_sop(REACH, n_steps=40, n_paths=2000, seed=11)
+    assert argmax.refinement.sweeps == sign.refinement.sweeps == 6
+    assert np.array_equal(argmax.refinement.scores, sign.refinement.scores)
+    assert argmax.cost == sign.cost
+    assert np.array_equal(argmax.states.control.values, sign.states.control.values)
+    assert np.array_equal(argmax.costates.p, sign.costates.p)
 
 
 def test_holdout_chunk_size_does_not_move_the_refinement(monkeypatch):
