@@ -283,7 +283,7 @@ def _policy_values(cfg, instance, grid):
         values = np.full((grid.n_steps, 1), float(cfg["constant"]))
         with _refused("policy: "):  # the dynamics own the control set
             build_sop(instance).dyn.check_controls(values)
-        return None, values
+        return values
     with _refused("policy: "):
         policy = BangBangPolicy(
             initial_sign=float(cfg["initial_sign"]),
@@ -292,7 +292,7 @@ def _policy_values(cfg, instance, grid):
     for s in policy.switches:  # the policy alone does not know the horizon
         if not 0.0 <= s <= instance.horizon:
             raise UsageError(f"policy: switch time {s} lies outside [0, {instance.horizon}]")
-    return policy, policy.on_grid(grid)
+    return policy.on_grid(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +456,9 @@ def _run_risk_eval(cfg, ctx):
 def _candidate_solution(cfg, ctx):
     instance = _instance(cfg["instance"])
     grid = _grid(instance.horizon, cfg["n_steps"])
-    policy, values = _policy_values(cfg["policy"], instance, grid)
+    values = _policy_values(cfg["policy"], instance, grid)
     brownian = sample_brownian(grid, 1, cfg["n_paths"], cfg["seed"])
-    return assemble_solution(instance, values, brownian, policy=policy)
+    return assemble_solution(instance, values, brownian)
 
 
 def _diagnostics_summary(costates):
@@ -530,9 +530,8 @@ def _run_sop_solve(cfg, ctx):
     artifacts = _write_bulk_artifacts(cfg, ctx, sol.states, sol.problem.dyn.noise_dim, sol.costates)
     necessity = bangbang_necessity(sol)
     safety = necessity.safety
-    refinement = sol.refinement
-    start = {"initial_sign": refinement.start.initial_sign,
-             "switches": list(refinement.start.switches)}
+    refinement, shot = sol.refinement, sol.refinement.start
+    start = {"initial_sign": shot.policy.initial_sign, "switches": list(shot.policy.switches)}
     results = {
         # an adapted candidate has no open-loop profile: name its shooting start
         "policy": ({"adapted": True, "sweeps": refinement.sweeps, "start": start}
@@ -542,9 +541,9 @@ def _run_sop_solve(cfg, ctx):
             "sweeps": refinement.sweeps,
             "holdout_avar": [{"sweep": i, "avar": v} for i, v in enumerate(refinement.scores)],
         },
-        "evaluations": len(sol.incumbents),
+        "evaluations": shot.evaluations,
         "incumbents": [
-            {"evaluation": i + 1, "best_cost": c} for i, c in enumerate(sol.incumbents)
+            {"evaluation": i + 1, "best_cost": c} for i, c in enumerate(shot.incumbents)
         ],
         "safety": {
             "avar_terminal_position": safety.avar_value,

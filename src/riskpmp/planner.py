@@ -19,7 +19,7 @@ successive approximations of Li, Chen, Tai & E, 2018).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -35,6 +35,7 @@ from .risk import AVaR, risk_subgradient, risk_value
 from .sde import (
     BrownianEnsemble,
     BrownianSource,
+    ControlLaw,
     DynamicsSpec,
     FeedbackLaw,
     StateEnsemble,
@@ -231,19 +232,16 @@ def shoot(instance: SopInstance, brownian: BrownianEnsemble) -> ShootResult:
 class SopSolution(CandidateBundle):
     instance: SopInstance
     problem: ProblemSpec
-    policy: Optional[BangBangPolicy]
+    law: ControlLaw | FeedbackLaw
     cost: float
-    incumbents: List[float] = field(default_factory=list)
     refinement: Optional["Refinement"] = None
 
 
-def assemble_solution(instance: SopInstance, control, brownian: BrownianEnsemble,
-                      policy: Optional[BangBangPolicy] = None,
-                      cost: Optional[float] = None,
-                      incumbents: Optional[List[float]] = None) -> SopSolution:
+def assemble_solution(instance: SopInstance, control, brownian: BrownianEnsemble) -> SopSolution:
     """Integrate a control (grid values, a ControlLaw or a FeedbackLaw) once
-    and solve the adjoint system behind it; the states carry the controls
-    realized on the ensemble."""
+    and solve the adjoint system behind it.  The states carry the controls
+    realized on the ensemble; the law (the FeedbackLaw, or the states'
+    ControlLaw) replays them, and the cost is the AV@R of the states."""
     problem = build_sop(instance)
     states = euler_maruyama(problem.dyn, control, problem.x0, brownian)
     z = problem.cost(states.terminal)
@@ -252,10 +250,9 @@ def assemble_solution(instance: SopInstance, control, brownian: BrownianEnsemble
     a_fn, d_fn = linearization_along(problem.dyn, states)
     fund = fundamental_matrices(a_fn, d_fn, brownian)
     costates = solve_adjoint(problem.dyn, states, terminal, fund)
-    if cost is None:
-        cost = risk_value(problem.risk, z)
-    return SopSolution(instance=instance, problem=problem, policy=policy, cost=float(cost),
-                       states=states, costates=costates, incumbents=list(incumbents or []))
+    law = control if isinstance(control, FeedbackLaw) else states.control
+    return SopSolution(instance=instance, problem=problem, law=law,
+                       cost=float(risk_value(problem.risk, z)), states=states, costates=costates)
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +267,14 @@ HOLDOUT_CHUNK = 2000  # most holdout paths sampled and integrated at a time
 class Refinement:
     """What the Hamiltonian-maximizing sweeps did after the shooting start.
 
-    scores[0] is the shooting start's AV@R on the independent ensemble and
-    scores[s] that of trial sweep s; every trial but the last lowered the
-    score, unless the sweep cap ended the run.  sweeps counts the kept
-    trials, so 0 means the shooting start was returned unchanged.
+    start is the shooting search's record.  scores[0] is the shooting
+    start's AV@R on the independent ensemble and scores[s] that of trial
+    sweep s; every trial but the last lowered the score, unless the sweep
+    cap ended the run.  sweeps counts the kept trials, so 0 means the
+    shooting start was returned unchanged.
     """
 
-    start: BangBangPolicy
+    start: ShootResult
     scores: List[float]
     sweeps: int
 
@@ -297,7 +295,15 @@ def _sweep_law(dyn: DynamicsSpec, nodes: np.ndarray, coef: np.ndarray) -> Feedba
     return FeedbackLaw(play, dim=dyn.control_dim)
 
 
-def _refine(start: SopSolution, holdout: List[BrownianEnsemble]) -> SopSolution:
+def holdout_losses(problem: ProblemSpec, law, holdout: List[BrownianEnsemble]) -> np.ndarray:
+    """Per-path terminal cost of a law integrated on the holdout chunks, in path order."""
+    # a copy of each chunk's terminal states lets its path history go
+    x_T = np.concatenate([euler_maruyama(problem.dyn, law, problem.x0, chunk).terminal.copy()
+                          for chunk in holdout])
+    return problem.cost(x_T)
+
+
+def _refine(start: SopSolution, shot: ShootResult, holdout: List[BrownianEnsemble]) -> SopSolution:
     """Damped method of successive approximations from the shooting start.
 
     Sweep s maximizes the Hamiltonian path by path under the regressed
@@ -310,25 +316,19 @@ def _refine(start: SopSolution, holdout: List[BrownianEnsemble]) -> SopSolution:
     """
     problem, brownian, nodes = start.problem, start.states.brownian, start.states.grid.nodes
 
-    def score(law) -> float:
-        # a copy of each chunk's terminal states lets its path history go
-        x_T = np.concatenate([euler_maruyama(problem.dyn, law, problem.x0, chunk).terminal.copy()
-                              for chunk in holdout])
-        return risk_value(problem.risk, problem.cost(x_T))
-
-    scores = [score(start.states.control)]
+    scores = [risk_value(problem.risk, holdout_losses(problem, start.law, holdout))]
     best, coef, kept = start, None, 0
     while kept < MAX_SWEEPS:
         # (K, B, n) coefficients of p_k = psi_k^T m_k; psi is path-constant here
         fresh = np.einsum("kbn,knm->kbm", best.costates.node_coef, best.costates.fund.psi[0, :-1])
         coef = fresh if coef is None else SWEEP_DAMPING * coef + (1.0 - SWEEP_DAMPING) * fresh
         law = _sweep_law(problem.dyn, nodes, coef)
-        scores.append(score(law))
+        scores.append(risk_value(problem.risk, holdout_losses(problem, law, holdout)))
         if not scores[-1] < scores[-2]:
             break
-        best = assemble_solution(start.instance, law, brownian, incumbents=start.incumbents)
+        best = assemble_solution(start.instance, law, brownian)
         kept += 1
-    return replace(best, refinement=Refinement(start=start.policy, scores=scores, sweeps=kept))
+    return replace(best, refinement=Refinement(start=shot, scores=scores, sweeps=kept))
 
 
 def solve_sop(instance: SopInstance, n_steps: int, n_paths: int, seed: int) -> SopSolution:
@@ -336,13 +336,13 @@ def solve_sop(instance: SopInstance, n_steps: int, n_paths: int, seed: int) -> S
     controls; the holdout ensemble is the same seed's next n_paths paths."""
     grid = make_grid(instance.horizon, n_steps)
     brownian = sample_brownian(grid, 1, n_paths, seed)
-    result = shoot(instance, brownian)
-    values = result.policy.on_grid(grid)
-    start = assemble_solution(instance, values, brownian, policy=result.policy,
-                              cost=result.cost, incumbents=result.incumbents)
+    shot = shoot(instance, brownian)
+    # the shoot scores the continuous-time displacement, not the Euler states
+    # with their switches snapped to nodes, so this cost is not their AV@R
+    start = replace(assemble_solution(instance, shot.policy.on_grid(grid), brownian), cost=shot.cost)
     holdout = list(BrownianSource(grid, 1, 2 * n_paths, seed, HOLDOUT_CHUNK)
                    .blocks(n_paths, 2 * n_paths))
-    return _refine(start, holdout)
+    return _refine(start, shot, holdout)
 
 
 @dataclass(frozen=True)

@@ -928,6 +928,10 @@ def test_sop_solve_reports_adapted_candidate(tmp_path, capsys):
     assert [r["sweep"] for r in refinement["holdout_avar"]] == list(range(len(scores)))
     assert len(scores) == refinement["sweeps"] + 2
     assert min(scores) == scores[refinement["sweeps"]] < scores[0]
+    # the shooting search's record rides along with the adapted candidate
+    incumbents = [r["best_cost"] for r in res["incumbents"]]
+    assert res["evaluations"] == len(incumbents) > 0
+    assert incumbents == sorted(incumbents, reverse=True)
     capsys.readouterr()
 
 

@@ -11,6 +11,7 @@ from scipy import optimize
 from riskpmp import (
     AVaR,
     BangBangPolicy,
+    BrownianSource,
     CertifyConfig,
     ControlLaw,
     FeedbackLaw,
@@ -309,7 +310,7 @@ def holdout_avar_of_open_loop(values, n_steps, n_paths, seed):
 def test_refinement_lowers_holdout_avar_with_adapted_control():
     sol = solve_sop(REACH, n_steps=40, n_paths=2000, seed=11)
     ref = sol.refinement
-    start_values = ref.start.on_grid(make_grid(REACH.horizon, 40))
+    start_values = ref.start.policy.on_grid(make_grid(REACH.horizon, 40))
     assert ref.scores[0] == pytest.approx(
         holdout_avar_of_open_loop(start_values, 40, 2000, 11), rel=1e-12)
     # kept sweeps lower the holdout score strictly; the last trial did not
@@ -319,7 +320,7 @@ def test_refinement_lowers_holdout_avar_with_adapted_control():
     assert kept[-1] <= ref.scores[0]
     # the candidate is per path, bang-bang, and not a relabelled open loop
     u = sol.states.control.values
-    assert sol.policy is None
+    assert isinstance(sol.law, FeedbackLaw)
     assert u.shape == (2000, 40, 1)
     assert set(np.unique(u)) == {-1.0, 1.0}
     assert np.any(u != u[:1])
@@ -354,6 +355,28 @@ def test_holdout_chunk_size_does_not_move_the_refinement(monkeypatch):
     assert whole.refinement.sweeps >= 1
     assert chunked.refinement.scores == whole.refinement.scores
     assert (chunked.cost, chunked.refinement.sweeps) == (whole.cost, whole.refinement.sweeps)
+    # so are the kept law's per-path losses, in path order
+    grid = make_grid(REACH.horizon, 20)
+    losses = [planner.holdout_losses(whole.problem, whole.law,
+                                     list(BrownianSource(grid, 1, 400, 1, block).blocks(200, 400)))
+              for block in (7, 200)]
+    assert np.array_equal(*losses)
+
+
+@pytest.mark.parametrize("seed, sweeps", [(11, 6), (3, 0)])
+def test_solution_law_replays_its_states_and_its_holdout_score(seed, sweeps):
+    # the kept sweep's FeedbackLaw (seed 11) or the open-loop start's
+    # ControlLaw (seed 3) gives the states back on the solving ensemble and
+    # the refinement's score on the holdout, the same seed's paths n..2n-1
+    sol = solve_sop(REACH, n_steps=40, n_paths=2000, seed=seed)
+    assert sol.refinement.sweeps == sweeps
+    assert isinstance(sol.law, FeedbackLaw if sweeps else ControlLaw)
+    again = euler_maruyama(sol.problem.dyn, sol.law, sol.problem.x0, sol.states.brownian)
+    assert np.array_equal(again.values, sol.states.values)
+    assert np.array_equal(again.control.values, sol.states.control.values)
+    holdout = sample_brownian(sol.states.grid, 1, 2000, seed, path_offset=2000)
+    score = risk_value(sol.problem.risk, planner.holdout_losses(sol.problem, sol.law, [holdout]))
+    assert score == sol.refinement.scores[sweeps]
 
 
 def test_refinement_keeps_start_when_first_sweep_does_not_lower():
@@ -362,10 +385,10 @@ def test_refinement_keeps_start_when_first_sweep_does_not_lower():
     ref = sol.refinement
     assert not ref.adapted and len(ref.scores) == 2
     assert ref.scores[1] >= ref.scores[0]
-    assert sol.policy == ref.start
+    assert sol.law is sol.states.control
     brownian = sample_brownian(make_grid(REACH.horizon, 40), 1, 2000, seed=3)
     assert sol.cost == shoot(REACH, brownian).cost
-    np.testing.assert_array_equal(sol.states.control.values, ref.start.on_grid(brownian.grid))
+    np.testing.assert_array_equal(sol.states.control.values, ref.start.policy.on_grid(brownian.grid))
 
 
 def test_noise_free_regime_not_applicable():
