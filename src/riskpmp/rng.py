@@ -1,35 +1,43 @@
 """Counter-based Gaussian sampling.
 
 Every variate is a pure function of (seed, path index, position within the
-path's stream): path ``p`` owns the Philox stream with ``counter = p << 64``
-(the counter counts 4-word blocks, so streams are disjoint as long as a path
-consumes fewer than 2**66 words), and raw 64-bit words are mapped to normals
-through the inverse CDF.  This makes ensembles reproducible independently of
-evaluation order or batching, and lets callers generate any contiguous path
-range of a larger ensemble bit-identically.
+path's stream): path ``p`` owns the stream NumPy's
+``Philox(key=seed, counter=p << 64)`` gives, whose positions 4j..4j+3 are
+Philox4x64-10 (Salmon, Moraes, Dror & Shaw 2011) of the counter
+(j + 1, p, 0, 0) under the key (seed, 0), so streams are disjoint as long as
+a path consumes fewer than 2**66 words.  Raw 64-bit words are mapped to
+normals through the inverse CDF.  This makes ensembles reproducible
+independently of evaluation order or batching, and lets callers generate any
+contiguous path range of a larger ensemble bit-identically.
 
-One ``Philox(key=seed)`` serves a whole ensemble: before each path's draw its
-state is set to counter ``[0, p, 0, 0]`` with an empty buffer, which is the
-state ``Philox(key=seed, counter=p << 64)`` starts in, so every path's words
-equal the per-path generator's.  The inverse normal CDF is a NumPy port of
-Cephes ``ndtri``, so sampling needs no SciPy.
+The ten rounds run in NumPy ``uint64`` arithmetic on every (path, block)
+counter of a chunk at once, each 128-bit product taken from 32-bit halves,
+so sampling loads neither ``numpy.random`` nor SciPy; the tests hold the
+words to ``numpy.random.Philox`` bit for bit.  The inverse normal CDF is a
+NumPy port of Cephes ``ndtri``.
 
-One constant, ``_BLOCK`` (2**14 words), bounds the sampler's scratch: the
-raw words of at most that many positions' worth of paths (always at least one
-path) are drawn at a time and mapped straight into the rows being returned,
-so beside its output an ensemble holds at most 128 KB of words, or one path's
-if a path is longer.
+One constant, ``_BLOCK`` (2**14 words), bounds the sampler's scratch: a
+chunk is at most ``_BLOCK // 4`` counters, whole paths or a run of one
+path's blocks, and its words are mapped straight into the rows being
+returned, so beside its output an ensemble holds at most 128 KB of words and
+the round temporaries of 4,096 counters.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import Philox
 
 MAX_SEED = 2**64 - 1
 
 # Words drawn, and mapped to normals, at a time.
 _BLOCK = 1 << 14
+
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw 2011): the round multipliers and
+# the Weyl increments the key gains between rounds.
+_ROUNDS = 10
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_LOW32, _U32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 # Cephes ndtri: the central rational for exp(-2) < u <= 1 - exp(-2), and the
 # tail rationals in z = 1/sqrt(-2 log y) for sqrt(-2 log y) < 8 and >= 8.
@@ -55,12 +63,25 @@ _Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.3770209948908133027
 
 
 def validate_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)):
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
     seed = int(seed)
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return seed
+
+
+def _nonnegative_int(value, name: str) -> int:
+    """A Python or NumPy integer of at least 0, as an int (a NumPy one would
+    wrap in the path-index check); a float or a bool, which would become a
+    wrong shape or counter, is refused by name as sde.positive_int refuses a
+    count."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and value >= 0):
+        number = integer or isinstance(value, (float, np.floating))
+        got = value if number else f"{type(value).__name__} {value!r}"
+        raise ValueError(f"{name} must be a nonnegative integer, got {got}")
+    return int(value)
 
 
 def _polevl(x: np.ndarray, coef, monic: bool = False) -> np.ndarray:
@@ -119,35 +140,76 @@ def _words_to_normals(words: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return out
 
 
+def _mulhilo(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products ``x * m``, from the 32-bit
+    halves of x and m (NumPy has no 128-bit integer).  No partial sum wraps:
+    t and w are at most (2**32 - 1)**2 + 2**32 - 1 < 2**64."""
+    ml, mh = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    xl, xh = x & _LOW32, x >> _U32
+    t = xl * ml
+    t >>= _U32
+    w = xh * ml
+    t += w  # xh ml + (xl ml >> 32)
+    np.bitwise_and(t, _LOW32, out=w)
+    xl *= mh
+    w += xl  # (t & low) + xl mh
+    t >>= _U32
+    w >>= _U32
+    xh *= mh
+    xh += t
+    xh += w
+    return xh, x * np.uint64(m)
+
+
+def _philox_words(seed: int, paths: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Words 4j..4j+3 of path p's stream for every p in ``paths`` and j in
+    ``blocks`` (uint64), shape (paths.size, 4 * blocks.size).
+
+    They are Philox4x64-10 of the counter (j + 1, p, 0, 0) under the key
+    (seed, 0): NumPy's Philox bumps its counter before it fills its 4-word
+    buffer.  The block word is a row and the path word a column, and each
+    word broadcasts only over what it depends on, so rounds 1 and 2 multiply
+    only rows and columns, round 3 one row and one (path, block) array.
+    """
+    zero = np.zeros((1, 1), np.uint64)
+    x = (blocks[None, :] + np.uint64(1), paths[:, None], zero, zero)
+    k0, k1 = seed, 0
+    for _ in range(_ROUNDS):
+        hi0, lo0 = _mulhilo(x[0], _M0)
+        hi1, lo1 = _mulhilo(x[2], _M1)
+        hi1 ^= np.uint64(k0)
+        hi0 ^= np.uint64(k1)
+        x = (hi1 ^ x[1], lo1, hi0 ^ x[3], lo0)
+        k0, k1 = (k0 + _W0) & MAX_SEED, (k1 + _W1) & MAX_SEED
+    return np.stack(x, axis=-1).reshape(paths.size, -1)
+
+
 def ensemble_normals(seed: int, n_paths: int, count: int, path_offset: int = 0) -> np.ndarray:
     """Standard normals of shape (n_paths, count) for paths
     path_offset..path_offset+n_paths-1.
 
     Row i is positions 0..count-1 of path ``path_offset + i``'s stream.
-    Path ``p`` sets the second 64-bit word of the Philox counter to ``p``, so
-    path indices stop below 2**64.
+    Path ``p`` is the second 64-bit word of the Philox counter, so path
+    indices stop below 2**64.
     """
     seed = validate_seed(seed)
-    if n_paths < 0 or count < 0:
-        raise ValueError("n_paths and count must be nonnegative")
-    if path_offset < 0:
-        raise ValueError("path_offset must be nonnegative")
+    n_paths, count = _nonnegative_int(n_paths, "n_paths"), _nonnegative_int(count, "count")
+    path_offset = _nonnegative_int(path_offset, "path_offset")
     if path_offset + n_paths > 2**64:
         raise ValueError(f"paths {path_offset}..{path_offset + n_paths - 1} pass the last "
                          f"path index 2**64 - 1: path p is the Philox counter's word 1")
     out = np.empty((n_paths, count))
     if n_paths == 0 or count == 0:
         return out
-    bitgen = Philox(key=seed)
-    state = bitgen.state
-    paths_per_chunk = max(1, _BLOCK // count)
-    words = np.empty((min(paths_per_chunk, n_paths), count), dtype=np.uint64)
-    for start in range(0, n_paths, paths_per_chunk):
-        stop = min(start + paths_per_chunk, n_paths)
-        for i in range(start, stop):
-            state["state"]["counter"][:] = (0, path_offset + i, 0, 0)
-            state["buffer_pos"] = 4
-            bitgen.state = state
-            words[i - start] = bitgen.random_raw(count)
-        _words_to_normals(words[:stop - start], out[start:stop])
+    lanes = max(1, _BLOCK // 4)  # counters, four words each, evaluated at a time
+    n_blocks = -(-count // 4)
+    span = min(n_blocks, lanes)  # counters of one path per chunk
+    rows = max(1, lanes // n_blocks)  # paths per chunk
+    for p in range(0, n_paths, rows):
+        paths = np.arange(min(rows, n_paths - p), dtype=np.uint64) + np.uint64(path_offset + p)
+        for j in range(0, n_blocks, span):
+            stop = min(4 * (j + span), count)
+            words = _philox_words(seed, paths, np.arange(j, min(j + span, n_blocks), dtype=np.uint64))
+            # whole rows, or a part of one row: the target is contiguous
+            _words_to_normals(words[:, :stop - 4 * j], out[p:p + paths.size, 4 * j:stop])
     return out

@@ -874,6 +874,22 @@ def test_verb_that_raises_leaves_no_writer_running(tmp_path, capsys, monkeypatch
     capsys.readouterr()
 
 
+def modules_loaded_by_main(argv):
+    """The SciPy, jsonschema and numpy.random modules that main(argv) leaves
+    loaded in a fresh interpreter."""
+    code = (
+        "import sys\n"
+        "from riskpmp.cli import main\n"
+        f"main({argv!r})\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+        "             ('scipy', 'jsonschema', 'referencing', 'rpds', 'attrs', 'attr')\n"
+        "             or m.startswith('numpy.random')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_sop_solve_loads_no_scipy(tmp_path):
     cfg = {
         "kind": "sop-solve",
@@ -885,17 +901,17 @@ def test_sop_solve_loads_no_scipy(tmp_path):
         "write_costates": False,
         "tolerances": CALIBRATED,
     }
-    code = (
-        "import sys\n"
-        "from riskpmp.cli import main\n"
-        f"main(['sop-solve', '--config', {write_cfg(tmp_path, cfg)!r}])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
-        "             ('scipy', 'jsonschema', 'referencing', 'rpds', 'attrs', 'attr')))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"  # no scipy or jsonschema module loaded
+    # no scipy, jsonschema or numpy.random module loaded
+    assert modules_loaded_by_main(["sop-solve", "--config", write_cfg(tmp_path, cfg)]) == "[]"
     assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_rate_study_on_two_workers_loads_no_numpy_random(tmp_path):
+    out = tmp_path / "out"
+    cfg = dict(_RATE, seed=3, out_dir=str(out), n_paths=40)
+    argv = ["convergence", "--config", write_cfg(tmp_path, cfg), "--threads", "2"]
+    assert modules_loaded_by_main(argv) == "[]"
+    assert load_report(out)["status"] == "pass"
 
 
 def test_sop_solve_reports_adapted_candidate(tmp_path, capsys):

@@ -1,14 +1,18 @@
-"""Counter-based normals: the one-generator ensemble against a per-path
-generator oracle, its scratch and its last path index, the NumPy inverse
-normal CDF against SciPy's, the top-word edge, and an import path that
-loads no SciPy."""
+"""Counter-based normals: the NumPy Philox ensemble against a per-path
+``numpy.random.Philox`` oracle, its scratch, its last path index and the
+seeds, counts and offsets it refuses, the NumPy inverse normal CDF against
+SciPy's, the top-word edge, and an import path that loads neither SciPy nor
+numpy.random."""
 
+import re
 import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Philox
 from scipy.special import ndtri
 
@@ -70,6 +74,19 @@ def test_ensemble_matches_per_path_oracle_for_paths_longer_than_a_chunk(monkeypa
     assert_matches_oracle(3, 9, 2)
 
 
+@pytest.mark.parametrize("block", [rng._BLOCK, 5, 121])  # 121: 30 counters, under a path of 200
+@settings(max_examples=25, deadline=None)
+@given(seed=st.sampled_from([0, 1, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+       n_paths=st.integers(0, 40),
+       count=st.integers(0, 13) | st.integers(197, 203),
+       gap=st.integers(0, 3), near_last=st.booleans())
+def test_ensemble_matches_per_path_oracle_property(block, seed, n_paths, count, gap, near_last):
+    path_offset = 2**64 - n_paths - gap if near_last else gap
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng, "_BLOCK", block)
+        assert_matches_oracle(seed, n_paths, count, path_offset=path_offset)
+
+
 def test_ensemble_scratch_stays_within_a_quarter_of_its_output():
     # the raw words are drawn a chunk at a time and mapped into the returned
     # rows, so no second block-sized buffer sits beside the normals
@@ -90,6 +107,43 @@ def test_ensemble_refuses_path_indices_past_the_counter_word():
             rng.ensemble_normals(1, n_paths, 3, path_offset=path_offset)
     with pytest.raises(ValueError, match=r"2\*\*64 - 1"):
         sample_brownian(make_grid(1.0, 3), 1, 2, seed=1, path_offset=last)
+
+
+def test_ensemble_takes_a_numpy_path_offset_without_wrapping():
+    last = np.uint64(2**64 - 1)
+    assert np.array_equal(rng.ensemble_normals(6, 1, 5, path_offset=last),
+                          path_normals_oracle(6, 2**64 - 1, 5)[None])
+    with pytest.raises(ValueError, match=r"pass the last path index 2\*\*64 - 1"):
+        rng.ensemble_normals(6, 2, 5, path_offset=last)
+
+
+@pytest.mark.parametrize("path_offset, got", [(1.5, "1.5"), (np.float64(2.0), "2.0"),
+                                              (True, "bool True"), ("3", "str '3'")])
+def test_path_offset_that_is_not_an_integer_is_refused_by_name(path_offset, got):
+    # 1.5 used to draw the paths from index 1, and True from index 1
+    message = f"path_offset must be a nonnegative integer, got {got}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rng.ensemble_normals(1, 2, 3, path_offset=path_offset)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sample_brownian(make_grid(1.0, 3), 1, 2, seed=1, path_offset=path_offset)
+
+
+@pytest.mark.parametrize("name, value, got", [("n_paths", 2.0, "2.0"), ("n_paths", True, "bool True"),
+                                              ("count", 3.0, "3.0")])
+def test_ensemble_count_that_is_not_an_integer_is_refused_by_name(name, value, got):
+    # a float or a bool used to fail as a bare TypeError inside NumPy
+    args = {"n_paths": 2, "count": 3, name: value}
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a nonnegative integer, got {got}")):
+        rng.ensemble_normals(1, **args)
+
+
+@pytest.mark.parametrize("seed", [True, False])
+def test_bool_seed_is_refused_by_name(seed):
+    # validate_seed(True) used to return 1, so True drew seed 1's paths
+    with pytest.raises(TypeError, match="seed must be an integer, got bool"):
+        rng.validate_seed(seed)
+    with pytest.raises(TypeError, match="seed must be an integer, got bool"):
+        sample_brownian(make_grid(1.0, 3), 1, 2, seed=seed)
 
 
 def test_ensemble_empty_shapes():
@@ -126,11 +180,13 @@ def test_import_path_loads_no_scipy_and_shooting_still_runs():
         "import sys\n"
         "import riskpmp.cli\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy imported'\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
         "from riskpmp import SopInstance, make_grid, sample_brownian, shoot\n"
         "brownian = sample_brownian(make_grid(2.0, 20), 1, 64, seed=5)\n"
         "result = shoot(SopInstance(0.0, 0.0, 1.0, 2.0, 0.3), brownian)\n"
         "assert result.evaluations > 0\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy imported'\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
