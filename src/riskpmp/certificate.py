@@ -185,11 +185,9 @@ def maximization_gap(problem: ProblemSpec, states: StateEnsemble, costates: Cost
     m_paths, n_steps, nodes = states.n_paths, states.grid.n_steps, states.grid.nodes
 
     gaps = np.empty((m_paths, n_steps))
-    for k in range(n_steps):
-        # contiguous copies: every hamiltonian call below reads them
+    for k, (p_k, q_k) in zip(range(n_steps), costates.by_node()):
+        # a contiguous copy: every hamiltonian call below reads it
         x_k = np.ascontiguousarray(states.values[:, k, :])
-        p_k = np.ascontiguousarray(costates.p[:, k, :])
-        q_k = np.ascontiguousarray(costates.q[:, k, :, :])
         h_star = hamiltonian(dyn, nodes[k], x_k, law.at(k, m_paths), p_k, q_k)
         h_max, _ = hamiltonian_argmax(dyn, nodes[k], x_k, p_k, q_k)
         gaps[:, k] = np.maximum(h_star, h_max) - h_star

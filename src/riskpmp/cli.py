@@ -351,27 +351,39 @@ def _gap_hist_rows(gaps, bins=32):
 
 
 def _write_bulk_artifacts(cfg, ctx, states, noise_dim, costates=None, paths_default=False):
-    """Start the run's per-path CSV writers in one export call, their join
-    kept on ctx for run(), then write any dumps here."""
+    """Start the run's per-path CSV writers and dumps in one export call,
+    their join kept on ctx for run(); each forked writer reads its values a
+    chunk of paths at a time, the costates evaluated from their node fits."""
     jobs, dumps, artifacts = [], [], {}
+    nodes, n_paths, binary = states.grid.nodes, states.n_paths, cfg.get("binary", False)
+
+    def dump(name, block):
+        dumps.append((ctx.file(name), nodes, n_paths, block, noise_dim, cfg["seed"]))
+
     if cfg.get("write_paths", paths_default):
-        jobs.append((ctx.file("paths.csv"), states.grid.nodes, states.values, "x"))
+        def x_rows(lo, hi):
+            return states.values[lo:hi]
+
+        jobs.append((ctx.file("paths.csv"), nodes, n_paths, x_rows, "x"))
         artifacts["paths_csv"] = "paths.csv"
-        if cfg.get("binary", False):
-            dumps.append((ctx.file("paths.bin"), states.values))
+        if binary:
+            dump("paths.bin", x_rows)
             artifacts["paths_dump"] = "paths.bin"
     if costates is not None and cfg.get("write_costates", True):
-        grid, q = costates.grid, costates.q
-        jobs.append((ctx.file("costates.csv"), grid.nodes, costates.p, "p"))
-        jobs.append((ctx.file("qcoef.csv"), grid.nodes[:-1],
-                     q.reshape(q.shape[0], q.shape[1], -1), "q"))
+        def p_rows(lo, hi):
+            return costates.span(lo, hi, q=False)[0]
+
+        def q_rows(lo, hi):
+            q = costates.span(lo, hi, p=False)[1]
+            return q.reshape(q.shape[0], q.shape[1], -1)
+
+        jobs.append((ctx.file("costates.csv"), nodes, n_paths, p_rows, "p"))
+        jobs.append((ctx.file("qcoef.csv"), nodes[:-1], n_paths, q_rows, "q"))
         artifacts.update(costates_csv="costates.csv", martingale_integrand_csv="qcoef.csv")
-        if cfg.get("binary", False):
-            dumps.append((ctx.file("costates.bin"), costates.p))
+        if binary:
+            dump("costates.bin", p_rows)
             artifacts["costates_dump"] = "costates.bin"
-    ctx.join_writers = export.write_csvs(jobs)
-    for path, values in dumps:
-        export.write_dump(path, values, noise_dim, cfg["seed"])
+    ctx.join_writers = export.write_csvs(jobs, dumps)
     return artifacts
 
 

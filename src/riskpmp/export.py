@@ -3,6 +3,11 @@
 CSV: one row per (path, step) with the node time and the block components.
 Binary dump: magic "RPMP1", then header int64 little-endian (n, d, K, M, seed)
 followed by the float64 little-endian payload in C order.
+
+Both writers read their values through a block function: block(lo, hi)
+gives paths lo..hi-1 as a (hi-lo, S, r) array, and a writer asks for at
+most _CHUNK_ROWS rows' worth of paths at a time, so values that are
+evaluated per path (the costates) are never held for the whole ensemble.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ MAGIC = b"RPMP1"
 _HEADER = struct.Struct("<4qQ")
 # CSV rows formatted per block: bounds the text held in memory at once
 _BLOCK_ROWS = 1 << 13
+# rows of values asked of a block function at a time: bounds the values held,
+# while each call covers enough paths to amortize a per-node evaluation
+_CHUNK_ROWS = 1 << 17
 
 # '%.17g' by array arithmetic.  A value whose decimal exponent E lies in
 # [-4, 16] prints its 17 significant digits in fixed notation: the integer
@@ -134,75 +142,106 @@ def _format_g17(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block(nodes, values) -> np.ndarray:
-    """values as a float (M, S, r) array whose time axis matches nodes."""
+def _block(nodes, values, n_paths: int) -> np.ndarray:
+    """values as a float (n_paths, S, r) array whose time axis matches nodes."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 3:
         raise ValueError("values must have shape (n_paths, n_nodes, width)")
     if len(nodes) != values.shape[1]:
         raise ValueError("nodes length does not match the block's time axis")
+    if values.shape[0] != n_paths:
+        raise ValueError(f"a block of {n_paths} paths came back with {values.shape[0]}")
     return values
 
 
-def write_csv(path, nodes: np.ndarray, values: np.ndarray, prefix: str = "x") -> None:
-    """Write a (M, S, r) block as rows (path, step, t, prefix_0..prefix_{r-1}).
+def _chunks(nodes, n_paths: int, block):
+    """(lo, values of paths lo..) for the whole ensemble, in chunks of at
+    most _CHUNK_ROWS rows (at least one path); no paths give one empty chunk."""
+    size = max(1, _CHUNK_ROWS // max(len(nodes), 1))
+    for lo in range(0, max(n_paths, 1), size):
+        hi = min(lo + size, n_paths)
+        yield lo, _block(nodes, block(lo, hi), hi - lo)
 
-    The bytes are those of ``np.savetxt`` with ``fmt`` ``%d,%d,%.17g,...``:
-    each node's ``step,t`` text is formatted once, a block of paths has its
-    values formatted by ``_format_g17`` and is joined by one ``%`` on one
-    path's row template, repeated over the block with each path's index
-    filled in.
+
+def write_csv(path, nodes: np.ndarray, n_paths: int, block, prefix: str = "x") -> None:
+    """Write the rows (path, step, t, prefix_0..prefix_{r-1}) of paths
+    0..n_paths-1, whose (M, S, r) values block(lo, hi) gives a chunk at a time.
+
+    The bytes are those of ``np.savetxt`` with ``fmt`` ``%d,%d,%.17g,...`` on
+    the whole (M, S, r) array: each node's ``step,t`` text is formatted once,
+    a block of paths has its values formatted by ``_format_g17`` and is
+    joined by one ``%`` on one path's row template, repeated over the block
+    with each path's index filled in.
     """
-    values = _block(nodes, values)
-    m, s, r = values.shape
-    # one path's rows; NUL stands for the "path," field, filled in per path
-    rows = b"".join(b"\0%d,%.17g" % (k, t) + b",%s" * r + b"\n"
-                    for k, t in enumerate(np.asarray(nodes, dtype=float).tolist()))
+    nodes = np.asarray(nodes, dtype=float)
+    s = len(nodes)
     step = max(1, _BLOCK_ROWS // max(s, 1))
     with open(path, "wb") as fh:
-        fh.write(("path,step,t," + ",".join(f"{prefix}_{i}" for i in range(r)) + "\n").encode())
-        for lo in range(0, m, step):
-            hi = min(lo + step, m)
-            template = b"".join(rows.replace(b"\0", b"%d," % i) for i in range(lo, hi))
-            fh.write(template % tuple(_format_g17(values[lo:hi].ravel()).tolist()))
+        for lo, values in _chunks(nodes, n_paths, block):
+            if lo == 0:
+                r = values.shape[2]
+                fh.write(("path,step,t," + ",".join(f"{prefix}_{i}" for i in range(r))
+                          + "\n").encode())
+                # one path's rows; NUL stands for the "path," field, filled in per path
+                rows = b"".join(b"\0%d,%.17g" % (k, t) + b",%s" * r + b"\n"
+                                for k, t in enumerate(nodes.tolist()))
+            for first in range(lo, lo + len(values), step):  # one text block of paths
+                part = values[first - lo:first - lo + step]
+                template = b"".join(rows.replace(b"\0", b"%d," % (first + i))
+                                    for i in range(len(part)))
+                fh.write(template % tuple(_format_g17(part.ravel()).tolist()))
 
 
-def write_csvs(jobs) -> Callable[[], None]:
-    """Start writing several CSV blocks, each job a tuple of ``write_csv``
-    arguments, and return the join that waits for them.
-
-    Every job's shape and node count is checked here first, so a bad job
-    raises ValueError before any file is written.  Each job is then written
-    by its own forked process while the caller goes on (``forked.start``);
-    join waits for all of them and raises RuntimeError naming the files
-    whose writer failed.  Without ``fork`` the jobs are written here, one
-    after another, and join has nothing to wait for.  The bytes are those of
-    ``write_csv`` either way.
-    """
-    jobs = list(jobs)
-    for job in jobs:
-        _block(job[1], job[2])
-    return forked.start((f"writing {job[0]}", write_csv, job) for job in jobs)
-
-
-def write_dump(path, values: np.ndarray, noise_dim: int, seed: int) -> None:
-    """Write the binary dump of an (M, K+1, n) block: magic, header
-    (n, d, K, M, seed), float64 payload."""
-    values = np.ascontiguousarray(np.asarray(values, dtype="<f8"))
-    n_paths, n_nodes, state_dim = values.shape
+def write_dump(path, nodes: np.ndarray, n_paths: int, block, noise_dim: int, seed: int) -> None:
+    """Write the binary dump of paths 0..n_paths-1 of an (M, K+1, n) block,
+    block(lo, hi) giving a chunk at a time: magic, header (n, d, K, M,
+    seed), float64 payload."""
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_HEADER.pack(state_dim, noise_dim, n_nodes - 1, n_paths, seed))
-        fh.write(values.tobytes())
+        for lo, values in _chunks(nodes, n_paths, block):
+            if lo == 0:
+                fh.write(MAGIC)
+                fh.write(_HEADER.pack(values.shape[2], noise_dim, len(nodes) - 1, n_paths, seed))
+            fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+
+
+def write_csvs(jobs, dumps=()) -> Callable[[], None]:
+    """Start writing several CSV blocks and binary dumps, each job a tuple of
+    ``write_csv`` arguments and each dump one of ``write_dump`` arguments,
+    and return the join that waits for them.
+
+    Every job's and dump's first path is read here first, so a block of the
+    wrong shape or node count raises ValueError before any file is written.
+    Each is then written by its own forked process while the caller goes on
+    (``forked.start``), which reads its values through the block function;
+    join waits for all of them and raises RuntimeError naming the files
+    whose writer failed.  Without ``fork`` they are written here, one after
+    another, and join has nothing to wait for.  The bytes are the same either
+    way.
+    """
+    calls = [(write_csv, job) for job in jobs] + [(write_dump, dump) for dump in dumps]
+    for _, (_, nodes, n_paths, block, *_) in calls:
+        first = min(n_paths, 1)
+        _block(nodes, block(0, first), first)
+    return forked.start((f"writing {args[0]}", fn, args) for fn, args in calls)
 
 
 def read_dump(path) -> tuple[dict, np.ndarray]:
-    """Read a binary dump back; returns (header dict, flat float64 payload)."""
+    """Read a binary dump back; returns (header dict, flat float64 payload).
+    A dump whose header is cut short, or whose payload is not the n (K+1) M
+    floats its header names, is refused with both sizes."""
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
         raise ValueError("not a RPMP1 dump (bad magic)")
+    start = len(MAGIC) + _HEADER.size
+    if len(raw) < start:
+        raise ValueError(f"dump header cut short: expected {_HEADER.size} bytes after the "
+                         f"magic, found {len(raw) - len(MAGIC)}")
     n, d, k, m, seed = _HEADER.unpack_from(raw, len(MAGIC))
-    payload = np.frombuffer(raw, dtype="<f8", offset=len(MAGIC) + _HEADER.size)
+    expected, found = n * (k + 1) * m * 8, len(raw) - start
+    if found != expected:
+        raise ValueError(f"dump payload does not match its header (n={n}, K={k}, M={m}): "
+                         f"expected {expected} bytes ({expected // 8} floats), found {found}")
+    payload = np.frombuffer(raw, dtype="<f8", offset=start)
     header = {"state_dim": n, "noise_dim": d, "n_steps": k, "n_paths": m, "seed": seed}
     return header, payload
 

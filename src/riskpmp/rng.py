@@ -71,16 +71,18 @@ def validate_seed(seed: int) -> int:
     return seed
 
 
-def _nonnegative_int(value, name: str) -> int:
-    """A Python or NumPy integer of at least 0, as an int (a NumPy one would
-    wrap in the path-index check); a float or a bool, which would become a
-    wrong shape or counter, is refused by name as sde.positive_int refuses a
-    count."""
+def integer_at_least(value, name: str, least: int) -> int:
+    """The one rule for a count or an index: a Python or NumPy integer of at
+    least ``least`` (1, a positive count, or 0), as an int (a NumPy one would
+    wrap in the path-index check); anything else, a float or a bool
+    included, which would become a wrong shape or counter, is refused by
+    name."""
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (integer and value >= 0):
+    if not (integer and value >= least):
         number = integer or isinstance(value, (float, np.floating))
         got = value if number else f"{type(value).__name__} {value!r}"
-        raise ValueError(f"{name} must be a nonnegative integer, got {got}")
+        kind = {0: "nonnegative", 1: "positive"}[least]
+        raise ValueError(f"{name} must be a {kind} integer, got {got}")
     return int(value)
 
 
@@ -193,8 +195,8 @@ def ensemble_normals(seed: int, n_paths: int, count: int, path_offset: int = 0) 
     indices stop below 2**64.
     """
     seed = validate_seed(seed)
-    n_paths, count = _nonnegative_int(n_paths, "n_paths"), _nonnegative_int(count, "count")
-    path_offset = _nonnegative_int(path_offset, "path_offset")
+    n_paths, count = integer_at_least(n_paths, "n_paths", 0), integer_at_least(count, "count", 0)
+    path_offset = integer_at_least(path_offset, "path_offset", 0)
     if path_offset + n_paths > 2**64:
         raise ValueError(f"paths {path_offset}..{path_offset + n_paths - 1} pass the last "
                          f"path index 2**64 - 1: path p is the Philox counter's word 1")

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .forked import run_spans, shared_empty
-from .rng import ensemble_normals, validate_seed
+from .rng import ensemble_normals, integer_at_least, validate_seed
 
 
 class MissingClosedFormError(ValueError):
@@ -59,7 +59,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        object.__setattr__(self, "n_steps", positive_int(self.n_steps, "n_steps"))
+        object.__setattr__(self, "n_steps", integer_at_least(self.n_steps, "n_steps", 1))
 
     @property
     def dt(self) -> float:
@@ -68,17 +68,6 @@ class TimeGrid:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
-
-
-def positive_int(value, name: str) -> int:
-    """The one rule for a count: a Python or NumPy integer of at least 1, as
-    an int; anything else, a float or a bool included, is refused by name."""
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (integer and value >= 1):
-        number = integer or isinstance(value, (float, np.floating))
-        got = value if number else f"{type(value).__name__} {value!r}"
-        raise ValueError(f"{name} must be a positive integer, got {got}")
-    return int(value)
 
 
 def make_grid(horizon: float, n_steps: int) -> TimeGrid:
@@ -140,10 +129,11 @@ class BrownianEnsemble:
 
 
 def validate_n_paths(n_paths: int) -> int:
-    """n_paths under positive_int, an integer below 1 refused as such."""
+    """n_paths as a positive integer (rng.integer_at_least), an integer below 1
+    refused as such."""
     if isinstance(n_paths, (int, np.integer)) and n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    return positive_int(n_paths, "n_paths")
+    return integer_at_least(n_paths, "n_paths", 1)
 
 
 def sample_brownian(
@@ -155,7 +145,7 @@ def sample_brownian(
     the counter-derived stream of global path index path_offset + p, so any
     path slice of a larger ensemble regenerates bit-exactly.
     """
-    dim, n_paths = positive_int(dim, "dim"), validate_n_paths(n_paths)
+    dim, n_paths = integer_at_least(dim, "dim", 1), validate_n_paths(n_paths)
     seed = validate_seed(seed)
     z = ensemble_normals(seed, n_paths, grid.n_steps * dim, path_offset=path_offset)
     z *= math.sqrt(grid.dt)  # in place: no second (M, K, d) array
@@ -177,8 +167,9 @@ class BrownianSource:
     block: int
 
     def __post_init__(self):
-        checked = dict(dim=positive_int(self.dim, "dim"), n_paths=validate_n_paths(self.n_paths),
-                       seed=validate_seed(self.seed), block=positive_int(self.block, "block"))
+        checked = dict(dim=integer_at_least(self.dim, "dim", 1),
+                       n_paths=validate_n_paths(self.n_paths), seed=validate_seed(self.seed),
+                       block=integer_at_least(self.block, "block", 1))
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
@@ -461,7 +452,7 @@ def euler_maruyama(dyn: DynamicsSpec, law, x0: np.ndarray, brownian,
     from the offending node on, the first bad step is recorded on the
     ensemble, and one RuntimeWarning names how many aborted.
     """
-    workers = positive_int(workers, "workers")
+    workers = integer_at_least(workers, "workers", 1)
     _check_brownian(dyn, brownian)
     n_paths, n_steps = brownian.n_paths, brownian.grid.n_steps
     law, x0 = as_control_law(law, dyn, n_steps, feedback=True), as_initial_state(dyn, x0)
@@ -793,7 +784,7 @@ def strong_convergence_order(
         raise ValueError("n_steps_levels needs at least two levels")
     if levels[0] < 1:
         raise ValueError(f"n_steps_levels: level {levels[0]} must be at least 1")
-    levels = [positive_int(k, "n_steps_levels: level") for k in levels]
+    levels = [integer_at_least(k, "n_steps_levels: level", 1) for k in levels]
     if len(set(levels)) < len(levels):
         raise ValueError(f"n_steps_levels repeat: {levels}")
     finest = levels[-1]

@@ -15,9 +15,10 @@ import numpy as np
 
 from .adjoint import _jacobian_steps
 from .forked import run_spans, shared_empty
+from .rng import integer_at_least
 from .sde import (BrownianEnsemble, ControlLaw, DynamicsSpec, StateEnsemble, _abort_nonfinite,
                   _block_law, _check_brownian, _check_paths, _coefficients, _dot_last,
-                  _linear_step, _warn_aborted, as_control_law, as_initial_state, positive_int)
+                  _linear_step, _warn_aborted, as_control_law, as_initial_state)
 
 
 def _refuse_aborted(bad: np.ndarray) -> None:
@@ -195,7 +196,7 @@ def linearization_rate(
     rate would be 0.
     """
     eps = validate_epsilons(epsilons)
-    workers = positive_int(workers, "workers")
+    workers = integer_at_least(workers, "workers", 1)
     _check_brownian(dyn, brownian)
     if dyn.control_dim == 0:
         raise ValueError("the dynamics take no control (control_dim 0): u_star and w "

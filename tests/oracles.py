@@ -225,10 +225,14 @@ def backward_adjoint(
     terminal: TerminalCostate,
     fund: FundamentalMatrices,
     basis: Optional[RegressionBasis] = None,
-) -> CostatePair:
+) -> Tuple[CostatePair, np.ndarray, np.ndarray]:
     """solve_adjoint's regression as a backward loop from node K-1 to 0 over
     the whole (M, K+1, d) array of Brownian levels, each node's fits done
-    together: the reference that the library's forward walk must equal."""
+    together and p and q held as (M, K+1, n) and (M, K, n, d) arrays: the
+    reference that the library's forward walk must equal, node fits
+    (node_coef, mu_coef) and residuals alike.  Returns the pair with those
+    arrays of fitted p and q, which the pair's evaluations must match to
+    rounding."""
     basis = basis or RegressionBasis()
     m_paths, n_nodes, n = states.values.shape
     n_steps = n_nodes - 1
@@ -243,6 +247,7 @@ def backward_adjoint(
     p[:, n_steps] = terminal.p_T
     q = np.empty((m_paths, n_steps, n, d))
     node_coef = np.empty((n_steps, basis.n_features(n, d), n))
+    mu_coef = np.empty((n_steps, basis.n_features(n, d), n, d))
     resid_rms = np.zeros(n_nodes)
     mu_resid_rms = np.zeros(n_steps)
     bsde = np.empty(n_steps)
@@ -256,7 +261,8 @@ def backward_adjoint(
 
         dw = brownian.increments[:, k, :]
         target = ((m_next - m_k)[:, :, None] * dw[:, None, :]).reshape(m_paths, n * d) / dt
-        mu, mu_resid_rms[k], mu_shift, _ = fit.fit(target)
+        mu, mu_resid_rms[k], mu_shift, coef = fit.fit(target)
+        mu_coef[k] = coef.reshape(-1, n, d)
         ridge_shift = max(ridge_shift, shift, mu_shift)
         q_k = _apply_transposed(fund.psi[:, k], mu.reshape(m_paths, n, d))
         if d_fn is not None:
@@ -278,9 +284,10 @@ def backward_adjoint(
         ridge_max_shift=ridge_shift,
         ridge_flagged=ridge_shift > RIDGE_FLAG_SHIFT,
     )
-    return CostatePair(grid=states.grid, p=p, q=q, diagnostics=diagnostics,
-                       bsde_residuals=bsde, bsde_residual_max=float(bsde.max()),
-                       terminal=terminal, fund=fund, node_coef=node_coef)
+    pair = CostatePair(diagnostics=diagnostics, bsde_residuals=bsde,
+                       bsde_residual_max=float(bsde.max()), terminal=terminal, fund=fund,
+                       dyn=dyn, states=states, basis=basis, node_coef=node_coef, mu_coef=mu_coef)
+    return pair, p, q
 
 
 # ---------------------------------------------------------------------------

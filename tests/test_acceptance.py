@@ -234,12 +234,13 @@ def test_criterion_6_adjoint_correctness():
     fund = fundamental_matrices(lambda k: a_mat[None], None, bm)
     terminal = assemble_terminal(np.ones(n_paths), states.terminal.copy())
     pair = solve_adjoint(dyn, states, terminal, fund)
-    ode = np.empty_like(pair.p)
+    p, q = pair.span()
+    ode = np.empty_like(p)
     ode[:, -1] = terminal.p_T
     for k in range(n_steps - 1, -1, -1):
         ode[:, k] = ode[:, k + 1] + grid.dt * ode[:, k + 1] @ a_mat
-    err_a = float(np.max(np.abs(pair.p - ode)))
-    q_stray = float(np.max(np.abs(pair.q)))
+    err_a = float(np.max(np.abs(p - ode)))
+    q_stray = float(np.max(np.abs(q)))
 
     # (b) double integrator under the plain expectation: the terminal
     # gradient is y_target - y(T), whose Brownian coefficient is -1, so the
@@ -248,7 +249,7 @@ def test_criterion_6_adjoint_correctness():
     grid_b = make_grid(instance.horizon, 50)
     bm_b = sample_brownian(grid_b, 1, 100_000, seed=SEED + 1)
     sol = assemble_solution(instance, np.full((50, 1), 1.0), bm_b)
-    mean_qy = float(sol.costates.q[:, :, 0, 0].mean())
+    mean_qy = float(sol.costates.span()[1][:, :, 0, 0].mean())
 
     # (c) nested conditional expectations agree with single-shot ones
     tower = tower_check(sol.costates.terminal.p_T[:, 0], sol.states)
@@ -285,8 +286,9 @@ def test_criterion_7_sop_end_to_end():
     )
     cert, gaps = certify(sol.problem, sol, config)
 
-    mean_py = sol.costates.p[:, :, 0].mean(axis=0)
-    stderr_py = sol.costates.p[:, :, 0].std(axis=0, ddof=1) / np.sqrt(sol.states.n_paths)
+    p_y = sol.costates.span(q=False)[0][:, :, 0]
+    mean_py = p_y.mean(axis=0)
+    stderr_py = p_y.std(axis=0, ddof=1) / np.sqrt(sol.states.n_paths)
     # the initial node has zero sampling spread (all paths share x0), so the
     # statistical band needs a floor covering propagation roundoff there
     flat = bool(np.all(np.abs(mean_py - mean_py.mean()) <= 5.0 * stderr_py + 1e-9))

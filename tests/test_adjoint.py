@@ -9,11 +9,13 @@ from riskpmp.adjoint import (
     NodeFit,
     RegressionBasis,
     assemble_terminal,
+    costate_band,
     linearization_along,
     martingale_check,
     solve_adjoint,
 )
-from riskpmp.risk import SampledRandomVariable
+from riskpmp.certificate import ProblemSpec, maximization_gap
+from riskpmp.risk import Expectation, SampledRandomVariable
 from riskpmp.sde import (
     ControlLaw,
     DynamicsSpec,
@@ -240,15 +242,16 @@ def test_adjoint_matches_backward_euler_ode_oracle():
     fund = fundamental_matrices(lambda k: a_mat[None], None, bm, tol=1e-10)
     term = assemble_terminal(np.ones(n_paths), states.terminal.copy())
     pair = solve_adjoint(dyn, states, term, fund)
+    p, _ = pair.span()
 
     # independent oracle: explicit backward Euler for dp/dt = -A^T p
-    oracle = np.empty_like(pair.p)
+    oracle = np.empty_like(p)
     oracle[:, -1] = term.p_T
     for k in range(n_steps - 1, -1, -1):
         oracle[:, k] = oracle[:, k + 1] + grid.dt * oracle[:, k + 1] @ a_mat
-    assert np.max(np.abs(pair.p - oracle)) <= 1e-6
+    assert np.max(np.abs(p - oracle)) <= 1e-6
     assert pair.bsde_residual_max <= 1e-7
-    assert np.array_equal(pair.p[:, -1], term.p_T)
+    assert np.array_equal(p[:, -1], term.p_T)
     report = martingale_check(pair)
     assert np.all(np.abs(report.slopes) <= 1e-8)
 
@@ -263,8 +266,9 @@ def test_adjoint_scalar_linear_closed_form():
     grid = states.grid
     term = assemble_terminal(np.ones(n_paths), states.terminal.copy())
     pair = solve_adjoint(dyn, states, term, fund)
+    p, q = pair.span()
 
-    assert np.array_equal(pair.p[:, -1], term.p_T)
+    assert np.array_equal(p[:, -1], term.p_T)
     # early nodes have x almost affine in W, so the feature matrix is near
     # collinear and the ridge genuinely matters there: the flag must be up
     assert pair.diagnostics.ridge_flagged
@@ -277,7 +281,7 @@ def test_adjoint_scalar_linear_closed_form():
     for k in (8, 32, 56):
         p_oracle = -psi[:, k] * x[:, k] ** 2 * gamma ** (n_steps - k)
         scale = np.sqrt(np.mean(p_oracle**2))
-        gap = np.sqrt(np.mean((pair.p[:, k, 0] - p_oracle) ** 2))
+        gap = np.sqrt(np.mean((p[:, k, 0] - p_oracle) ** 2))
         assert gap <= 0.02 * scale
 
     # q oracle from the increment expansion of the discrete martingale; the
@@ -285,9 +289,9 @@ def test_adjoint_scalar_linear_closed_form():
     # so this is only an envelope (the sharp check is the Markov-basis test)
     for k in (8, 32, 56):
         mu = -2 * b * (1 + a * dt) * x[:, k] ** 2 * gamma ** (n_steps - k - 1)
-        q_oracle = psi[:, k] * mu - b * pair.p[:, k, 0]
+        q_oracle = psi[:, k] * mu - b * p[:, k, 0]
         scale = np.sqrt(np.mean(q_oracle**2))
-        gap = np.sqrt(np.mean((pair.q[:, k, 0, 0] - q_oracle) ** 2))
+        gap = np.sqrt(np.mean((q[:, k, 0, 0] - q_oracle) ** 2))
         assert gap <= 0.2 * scale
 
     assert martingale_check(pair).passed
@@ -301,17 +305,18 @@ def test_adjoint_scalar_q_sharp_with_markov_basis():
     term = assemble_terminal(np.ones(n_paths), states.terminal.copy())
     basis = RegressionBasis(include_brownian=False)
     pair = solve_adjoint(dyn, states, term, fund, basis=basis)
+    p, q = pair.span()
     dt = states.grid.dt
     gamma = (1 + a * dt) ** 2 + b**2 * dt
     x = states.values[:, :, 0]
     psi = fund.psi[:, :, 0, 0]
     for k in (8, 32, 56):
         p_oracle = -psi[:, k] * x[:, k] ** 2 * gamma ** (n_steps - k)
-        gap_p = np.sqrt(np.mean((pair.p[:, k, 0] - p_oracle) ** 2))
+        gap_p = np.sqrt(np.mean((p[:, k, 0] - p_oracle) ** 2))
         assert gap_p <= 0.01 * np.sqrt(np.mean(p_oracle**2))
         mu = -2 * b * (1 + a * dt) * x[:, k] ** 2 * gamma ** (n_steps - k - 1)
-        q_oracle = psi[:, k] * mu - b * pair.p[:, k, 0]
-        gap_q = np.sqrt(np.mean((pair.q[:, k, 0, 0] - q_oracle) ** 2))
+        q_oracle = psi[:, k] * mu - b * p[:, k, 0]
+        gap_q = np.sqrt(np.mean((q[:, k, 0, 0] - q_oracle) ** 2))
         assert gap_q <= 0.07 * np.sqrt(np.mean(q_oracle**2))
 
 
@@ -356,9 +361,11 @@ def test_forward_walk_equals_backward_loop_bit_for_bit(case):
         states, term, fund = _pair_inputs(dyn, ControlLaw.constant(0.4, 16), np.zeros(2),
                                           16, 500, seed=8)
     got = solve_adjoint(dyn, states, term, fund, basis=basis)
-    want = backward_adjoint(dyn, states, term, fund, basis=basis)
-    for name in ("p", "q", "node_coef", "bsde_residuals", "bsde_residual_max"):
+    want, _, _ = backward_adjoint(dyn, states, term, fund, basis=basis)
+    for name in ("node_coef", "mu_coef", "bsde_residuals", "bsde_residual_max"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name, g, w in zip("pq", got.span(), want.span()):
+        assert np.array_equal(g, w), name
     for name in ("basis_size", "residual_rms", "mu_residual_rms", "ridge_max_shift",
                  "ridge_flagged"):
         assert np.array_equal(getattr(got.diagnostics, name), getattr(want.diagnostics, name)), name
@@ -368,7 +375,7 @@ def test_forward_walk_equals_backward_loop_bit_for_bit(case):
 
 def test_forward_walk_holds_no_array_of_brownian_levels():
     # at M=2000, K=200 the (M, K+1, d) levels take 3.2 MB: the walk's peak
-    # on top of the p, q and node_coef it returns stays below one of them
+    # on top of the node fits it returns stays below one of them
     m_paths, n_steps = 2000, 200
     dyn = double_integrator_dynamics()
     states, term, fund = _pair_inputs(dyn, ControlLaw.constant(0.4, n_steps), np.zeros(2),
@@ -379,8 +386,97 @@ def test_forward_walk_holds_no_array_of_brownian_levels():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = pair.p.nbytes + pair.q.nbytes + pair.node_coef.nbytes
+    held = pair.node_coef.nbytes + pair.mu_coef.nbytes
     assert peak - held < m_paths * (n_steps + 1) * dyn.noise_dim * 8, (peak, held)
+
+
+def multiplicative_setup(n_paths=300, n_steps=12, seed=9):
+    """A 2-D plant whose noise is multiplicative, dx = A x dt + B x dW: its
+    psi is per path and q carries the -D^T p term."""
+    a_mat, b_mat = np.array([[0.1, 1.0], [-0.4, -0.2]]), np.array([[0.3, 0.0], [0.2, 0.25]])
+    dyn = DynamicsSpec(
+        state_dim=2, control_dim=1, noise_dim=1,
+        drift=lambda t, x, u: x @ a_mat.T,
+        diffusion=lambda t, x, u: (x @ b_mat.T)[:, :, None],
+        drift_jac=lambda t, x, u: np.broadcast_to(a_mat, (len(x), 2, 2)).copy(),
+        diffusion_jac=lambda t, x, u: np.broadcast_to(b_mat, (len(x), 1, 2, 2)).copy(),
+    )
+    states, term, fund = _pair_inputs(dyn, ControlLaw.constant(0.0, n_steps),
+                                      np.array([1.0, -0.5]), n_steps, n_paths, seed)
+    return dyn, states, term, fund
+
+
+@pytest.mark.parametrize("case", ["double integrator", "scalar linear", "multiplicative"])
+def test_costates_from_node_fits_match_the_fitted_values(case):
+    # p and q evaluated from the coefficients equal the regression's fitted
+    # values (the backward reference's arrays) to rounding, node by node;
+    # the rounding grows with the coefficients of a near-collinear design,
+    # which the ridge flag marks (up to 1.6e-11 here)
+    if case == "double integrator":
+        dyn = double_integrator_dynamics()
+        states, term, fund = _pair_inputs(dyn, ControlLaw.constant(0.4, 16), np.zeros(2),
+                                          16, 500, seed=8)
+    elif case == "scalar linear":
+        dyn, states, _, fund = scalar_linear_setup(0.3, 0.3, 16, 500, seed=4)
+        term = assemble_terminal(np.ones(500), states.terminal.copy())
+    else:
+        dyn, states, term, fund = multiplicative_setup()
+    pair, p_fit, q_fit = backward_adjoint(dyn, states, term, fund)
+    p, q = pair.span()
+    assert np.array_equal(p[:, -1], term.p_T)
+    tol = 1e-10 if pair.diagnostics.ridge_flagged else 1e-13
+    assert pair.diagnostics.ridge_flagged == (case != "double integrator")
+    for got, want in ((p, p_fit), (q, q_fit)):
+        scale = np.abs(want).max(axis=(0, *range(2, want.ndim)), keepdims=True)
+        assert np.all(np.abs(got - want) <= tol * scale)
+
+
+@pytest.mark.parametrize("case", ["double integrator", "multiplicative"])
+def test_costate_chunks_equal_the_whole_ensemble_bit_for_bit(case):
+    # a path's p and q do not depend on which other paths are evaluated with
+    # it: paths lo..hi-1 in chunks of 1, 7 and all of them give the rows of
+    # one whole-ensemble evaluation, and by_node gives span's nodes
+    if case == "double integrator":
+        dyn = double_integrator_dynamics()
+        states, term, fund = _pair_inputs(dyn, ControlLaw.constant(0.4, 12), np.zeros(2),
+                                          12, 300, seed=8)
+    else:
+        dyn, states, term, fund = multiplicative_setup()
+    pair = solve_adjoint(dyn, states, term, fund)
+    p_all, q_all = pair.span()
+    lo, hi = 3, 298
+    for size in (1, 7, hi - lo):
+        chunks = [pair.span(a, min(a + size, hi)) for a in range(lo, hi, size)]
+        for i, name in enumerate("pq"):
+            got = np.concatenate([chunk[i] for chunk in chunks])
+            assert np.array_equal(got, (p_all, q_all)[i][lo:hi]), (size, name)
+    for k, (p_k, q_k) in enumerate(pair.by_node(lo, hi)):
+        assert np.array_equal(p_k, p_all[lo:hi, k])
+        assert q_k is None if k == states.grid.n_steps else np.array_equal(q_k, q_all[lo:hi, k])
+
+
+def test_costate_readers_hold_no_costate_array():
+    # at M=2000, K=200 one (M, K+1, n) array takes 6.4 MB: solving the pair
+    # and reading it (the maximization gap, the band, the martingale check)
+    # peaks below one of them on top of what those calls return
+    m_paths, n_steps = 2000, 200
+    dyn = double_integrator_dynamics()
+    states, term, fund = _pair_inputs(dyn, ControlLaw.constant(0.4, n_steps), np.zeros(2),
+                                      n_steps, m_paths, seed=8)
+    problem = ProblemSpec(dyn=dyn, risk=Expectation(), cost=lambda x: x[:, 0],
+                          cost_gradient=lambda x: np.ones_like(x), x0=np.zeros(2))
+    tracemalloc.start()
+    try:
+        pair = solve_adjoint(dyn, states, term, fund)
+        gaps = maximization_gap(problem, states, pair)
+        band = costate_band(pair)
+        report = martingale_check(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (pair.node_coef, pair.mu_coef, gaps.gaps, band.mean, band.stderr,
+                                  report.slopes, report.stderrs))
+    assert peak - held < m_paths * (n_steps + 1) * dyn.state_dim * 8, (peak, held)
 
 
 # ---------------------------------------------------------------------------
@@ -418,19 +514,20 @@ def test_double_integrator_expectation_adjoint():
     grad = np.stack([states.terminal[:, 0] - y_target, np.zeros(n_paths)], axis=1)
     term = assemble_terminal(np.ones(n_paths), grad)
     pair = solve_adjoint(dyn, states, term, fund)
+    p, q = pair.span()
 
     # the y-costate is driven by -dW, so its diffusion loading is -1
-    q_y = pair.q[:, :, 0, 0]
+    q_y = q[:, :, 0, 0]
     assert abs(np.mean(q_y) + 1.0) <= 0.05
 
     # p_v(t) = (T - t) p_y(t) pathwise
     t_nodes = grid.nodes
-    gap = pair.p[:, :, 1] - (horizon - t_nodes)[None, :] * pair.p[:, :, 0]
+    gap = p[:, :, 1] - (horizon - t_nodes)[None, :] * p[:, :, 0]
     assert np.sqrt(np.mean(gap**2)) <= 0.05
 
     # mean p_y is flat at y_target, mean p_v decays with slope -mean p_y
-    mean_py = pair.p[:, :, 0].mean(axis=0)
-    mean_pv = pair.p[:, :, 1].mean(axis=0)
+    mean_py = p[:, :, 0].mean(axis=0)
+    mean_pv = p[:, :, 1].mean(axis=0)
     assert np.max(np.abs(mean_py - y_target)) <= 0.05
     slope = np.polyfit(t_nodes, mean_pv, 1)[0]
     assert abs(slope + mean_py.mean()) <= 0.05
@@ -471,6 +568,10 @@ def test_feature_columns_equal_prod_oracle(degree, include_brownian):
     feats = basis.feature_matrix(x, w)
     assert feats.shape == (500, basis.n_features(2, 1 if include_brownian else 0))
     assert np.array_equal(feats, np.stack(oracle, axis=1))
+    # the feature-major layout the costate evaluation reads holds the same values
+    rows = basis.feature_rows(x, w)
+    assert feats.flags.c_contiguous and rows.flags.c_contiguous
+    assert np.array_equal(rows, np.stack(oracle))
 
 
 def test_basis_feature_count():

@@ -45,13 +45,8 @@ from riskpmp import (
     solve_linearized,
     tangent_from_control,
 )
-from riskpmp.adjoint import (
-    CostatePair,
-    RegressionDiagnostics,
-    TerminalCostate,
-)
 from riskpmp.certificate import hamiltonian_argmax
-from riskpmp.sde import FundamentalMatrices, StateEnsemble, _dot_last
+from riskpmp.sde import StateEnsemble, _dot_last
 
 
 def double_integrator(noise=1.0, grid_points=21):
@@ -75,23 +70,18 @@ def double_integrator(noise=1.0, grid_points=21):
     )
 
 
-def dummy_costates(grid, p, q):
-    n_steps = grid.n_steps
-    diag = RegressionDiagnostics(
-        basis_size=0,
-        residual_rms=np.zeros(n_steps + 1),
-        mu_residual_rms=np.zeros(n_steps),
-        ridge_max_shift=0.0,
-        ridge_flagged=False,
-    )
-    n = p.shape[2]
-    eye = np.broadcast_to(np.eye(n), (1, n_steps + 1, n, n))
-    terminal = TerminalCostate(p_T=p[:, -1], multipliers=(-1.0,), xi=np.ones(p.shape[0]))
-    fund = FundamentalMatrices(grid=grid, phi=eye, psi=eye, inverse_error=0.0,
-                               worst_path=0, worst_node=0)
-    return CostatePair(grid=grid, p=p, q=q, diagnostics=diag,
-                       bsde_residuals=np.zeros(n_steps), bsde_residual_max=0.0,
-                       terminal=terminal, fund=fund)
+class ArrayCostates:
+    """Costates built by hand as (M, K+1, n) and (M, K, n, d) arrays, served
+    through CostatePair's per-node method, the one maximization_gap reads."""
+
+    def __init__(self, p, q):
+        self.p, self.q = p, q
+
+    def by_node(self, lo=0, hi=None, p=True, q=True):
+        last = self.p.shape[1] - 1
+        for k in range(last + 1):
+            yield (self.p[lo:hi, k] if p or k == last else None,
+                   self.q[lo:hi, k] if q and k < last else None)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +231,7 @@ def test_argmax_without_a_control_grid_is_refused():
     grid = make_grid(1.0, 2)
     states = StateEnsemble(grid=grid, values=np.zeros((3, 3, 2)),
                            control=ControlLaw(np.ones((2, 1))))
-    pair = dummy_costates(grid, np.zeros((3, 3, 2)), np.zeros((3, 2, 2, 1)))
+    pair = ArrayCostates(np.zeros((3, 3, 2)), np.zeros((3, 2, 2, 1)))
     problem = replace(toy_problem(), dyn=dyn)
     message = "maximization needs a working control grid on the dynamics"
     with pytest.raises(ValueError, match=message):
@@ -413,7 +403,7 @@ def test_gap_zero_on_singleton_grid():
     rng = np.random.default_rng(21)
     states = StateEnsemble(grid=grid, values=rng.normal(size=(5, 4, 2)),
                            control=ControlLaw(np.full((3, 1), 0.25)))
-    pair = dummy_costates(grid, rng.normal(size=(5, 4, 2)), rng.normal(size=(5, 3, 2, 1)))
+    pair = ArrayCostates(rng.normal(size=(5, 4, 2)), rng.normal(size=(5, 3, 2, 1)))
     rep = maximization_gap(prob, states, pair)
     assert rep.max == 0.0 and rep.mean == 0.0 and rep.passed
 
@@ -426,7 +416,7 @@ def test_gap_hand_cells_double_integrator():
     p = np.zeros((2, 3, 2))
     p[0, :, 1] = 2.0   # max at u=+1: gap = 2*1 - 2*(-1) = 4
     p[1, :, 1] = -3.0  # max at u=-1, candidate already there: gap 0
-    pair = dummy_costates(grid, p, np.zeros((2, 2, 2, 1)))
+    pair = ArrayCostates(p, np.zeros((2, 2, 2, 1)))
     rep = maximization_gap(toy_problem(), states, pair)
     np.testing.assert_allclose(rep.gaps[0], 4.0)
     np.testing.assert_allclose(rep.gaps[1], 0.0)
@@ -441,7 +431,7 @@ def test_gap_nonnegative_for_off_grid_candidate():
     rng = np.random.default_rng(23)
     states = StateEnsemble(grid=grid, values=rng.normal(size=(30, 5, 2)),
                            control=ControlLaw(rng.uniform(-0.97, 0.97, size=(30, 4, 1))))
-    pair = dummy_costates(grid, rng.normal(size=(30, 5, 2)), rng.normal(size=(30, 4, 2, 1)))
+    pair = ArrayCostates(rng.normal(size=(30, 5, 2)), rng.normal(size=(30, 4, 2, 1)))
     rep = maximization_gap(toy_problem(), states, pair)
     assert np.all(rep.gaps >= 0.0)
     assert rep.grid_points == 21
@@ -451,7 +441,7 @@ def test_states_without_control_rejected_by_name():
     # linearized solutions and hand-built ensembles carry no control
     grid = make_grid(1.0, 3)
     states = StateEnsemble(grid=grid, values=np.zeros((2, 4, 2)))
-    pair = dummy_costates(grid, np.zeros((2, 4, 2)), np.zeros((2, 3, 2, 1)))
+    pair = ArrayCostates(np.zeros((2, 4, 2)), np.zeros((2, 3, 2, 1)))
     dyn = toy_problem().dyn
     readers = [lambda: linearization_along(dyn, states),
                lambda: maximization_gap(toy_problem(), states, pair),
@@ -693,7 +683,7 @@ def test_lq_costates_match_riccati(lq_solution):
     problem, bundle = lq_solution
     nodes = bundle.states.grid.nodes
     x = bundle.states.values
-    p = bundle.costates.p
+    p, q = bundle.costates.span()
     # p_z is the fitted projection of the constant -1; the ridge damping
     # redistributes a little mass across near-collinear columns, so the
     # recovery is only good to ~1e-4 rather than float precision
@@ -706,7 +696,6 @@ def test_lq_costates_match_riccati(lq_solution):
         assert err <= 0.05 * scale, f"p_x off at node {k}: {err:.4f} vs {scale:.4f}"
     # the increment regression is much noisier than the level fit, so the
     # q recovery only gets a 25% envelope at this ensemble size
-    q = bundle.costates.q
     for k in checks:
         ref = -lq_gain(nodes[k]) * LQ_SIGMA
         err = abs(np.mean(q[:, k, 0, 0]) - ref)

@@ -534,8 +534,9 @@ def test_simulate_workers_capped_at_usable_cpus(tmp_path, capsys, monkeypatch):
     for flags in (["--threads", "1000"], []):
         assert main(["simulate", "--config", cfg_path] + flags) == 0
         assert {name: (out / name).read_bytes() for name in one} == one
-    # the CSV writer starts through the same owner
-    assert started == [["paths 40..79", "paths 80..119"], [f"writing {out / 'paths.csv'}"]] * 2
+    # the CSV writer and the dump writer start through the same owner
+    writers = [f"writing {out / name}" for name in ("paths.csv", "paths.bin")]
+    assert started == [["paths 40..79", "paths 80..119"], writers] * 2
     capsys.readouterr()
 
 
@@ -849,9 +850,9 @@ def test_verb_that_raises_leaves_no_writer_running(tmp_path, capsys, monkeypatch
                                                    verb_fails, writer_fails, match):
     started = []
 
-    def recording(jobs, write_csvs=export.write_csvs):
+    def recording(jobs, dumps, write_csvs=export.write_csvs):
         started.append([Path(job[0]).name for job in jobs])
-        return write_csvs(jobs)
+        return write_csvs(jobs, dumps)
 
     def certify(*args, certify=cli.certify, **kwargs):
         assert started == [["costates.csv", "qcoef.csv"]]  # the CSV writers started first

@@ -253,7 +253,7 @@ def test_safe_solution_bangbang_consistent(safe_solution):
 def test_safe_solution_costate_structure(safe_solution):
     mart = martingale_check(safe_solution.costates)
     assert mart.passed
-    p = safe_solution.costates.p
+    p, _ = safe_solution.costates.span(q=False)
     # p_v(T) = 0 and p_v stays positive in the ensemble mean, matching u = +1
     np.testing.assert_allclose(p[:, -1, 1], 0.0, atol=1e-12)
     mean_pv = p[:, :-1, 1].mean(axis=0)
@@ -343,7 +343,8 @@ def test_sweep_plays_the_sign_rule_it_replaced(monkeypatch):
     assert np.array_equal(argmax.refinement.scores, sign.refinement.scores)
     assert argmax.cost == sign.cost
     assert np.array_equal(argmax.states.control.values, sign.states.control.values)
-    assert np.array_equal(argmax.costates.p, sign.costates.p)
+    assert np.array_equal(argmax.costates.node_coef, sign.costates.node_coef)
+    assert np.array_equal(argmax.costates.span()[0], sign.costates.span()[0])
 
 
 def test_holdout_chunk_size_does_not_move_the_refinement(monkeypatch):
