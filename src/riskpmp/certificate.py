@@ -8,8 +8,10 @@ violation was detected at the configured tolerances, since the principle is
 a necessary condition only.
 """
 
+import math
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,13 +101,18 @@ def hamiltonian(dyn: DynamicsSpec, t: float, x: np.ndarray, u: np.ndarray,
     return dot(p, dyn.drift(t, x, u)) + dot(q, dyn.diffusion(t, x, u))
 
 
+def _working_grid(dyn: DynamicsSpec) -> np.ndarray:
+    """dyn.control_grid, refused by name when the dynamics declare none."""
+    if dyn.control_grid is None:
+        raise ValueError("maximization needs a working control grid on the dynamics")
+    return dyn.control_grid
+
+
 def hamiltonian_argmax(dyn: DynamicsSpec, t: float, x: np.ndarray, p: np.ndarray,
                        q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per path, the max of H over dyn.control_grid and the last grid index attaining it."""
-    if dyn.control_grid is None:
-        raise ValueError("maximization needs a working control grid on the dynamics")
     best, arg = np.full(len(x), -np.inf), np.zeros(len(x), dtype=np.intp)
-    for j, u_pt in enumerate(dyn.control_grid):
+    for j, u_pt in enumerate(_working_grid(dyn)):
         h = hamiltonian(dyn, t, x, np.broadcast_to(u_pt, (len(x), dyn.control_dim)), p, q)
         np.maximum(arg, j * (h >= best), out=arg)  # j grows, so a tie goes to the later point
         np.maximum(best, h, out=best)
@@ -166,7 +173,8 @@ def risk_param_gap(risk, z_values, xi, weights=None) -> float:
 
 @dataclass(frozen=True)
 class MaxGapReport:
-    gaps: np.ndarray              # (M, K) pointwise nonnegative
+    nonzero: List[np.ndarray]     # per node k, the gaps at (t_k, path) that are not 0, in path order
+    cells: int                    # the M x K cells checked; every other one has gap 0
     mean: float
     max: float
     violating_fractions: Dict[float, float]   # threshold -> dt x P fraction
@@ -174,36 +182,54 @@ class MaxGapReport:
     passed: bool
 
 
+def gap_report(node_gaps: Iterable[np.ndarray], grid_points: int,
+               config: Optional[CertifyConfig] = None) -> MaxGapReport:
+    """The report on the nonnegative gaps given node by node as (M,) arrays,
+    of which only the nonzero ones are kept.  Every threshold is positive,
+    so a fraction is the count of kept gaps above it over the cells, and the
+    mean is their sum over the cells, correctly rounded (math.fsum), so the
+    order the gaps are kept in cannot move it.  When every gap is nonzero
+    the kept gaps are as large as an (M, K) array, never larger."""
+    cfg = config or CertifyConfig()
+    nonzero, cells = [], 0
+    for gaps in node_gaps:
+        nonzero.append(gaps[gaps != 0.0])  # a NaN gap is kept, and the mean and max are NaN
+        cells += gaps.size
+    fractions = {thr: sum(int(np.count_nonzero(g > thr)) for g in nonzero) / cells
+                 for thr in sorted({0.1, 0.01, cfg.gap_threshold})}
+    return MaxGapReport(
+        nonzero=nonzero,
+        cells=cells,
+        mean=math.fsum(chain.from_iterable(g.tolist() for g in nonzero)) / cells,
+        max=float(np.max([g.max() for g in nonzero if g.size], initial=0.0)),
+        violating_fractions=fractions,
+        grid_points=grid_points,
+        passed=fractions[cfg.gap_threshold] <= cfg.violating_measure_tol,
+    )
+
+
 def maximization_gap(problem: ProblemSpec, states: StateEnsemble, costates: CostatePair,
                      config: Optional[CertifyConfig] = None) -> MaxGapReport:
     """gap(t_k, path) = max_u H(t_k, x_k, u, p_k, q_k) - H(..., u*_k, ...), u*
     the control the states carry, over the working control grid plus u*, so
-    the gap is nonnegative by construction.  Fractions of dt x P cells above
-    1/10 and 1/100 are always reported; the pass verdict uses the configured pair."""
-    cfg, dyn = config or CertifyConfig(), problem.dyn
+    the gap is nonnegative by construction.  The nodes are walked one at a
+    time and only their nonzero gaps are kept (gap_report).  Fractions of
+    dt x P cells above 1/10 and 1/100 are always reported; the pass verdict
+    uses the configured pair."""
+    dyn = problem.dyn
     law = states.recorded("control")
+    grid_points = len(_working_grid(dyn))
     m_paths, n_steps, nodes = states.n_paths, states.grid.n_steps, states.grid.nodes
 
-    gaps = np.empty((m_paths, n_steps))
-    for k, (p_k, q_k) in zip(range(n_steps), costates.by_node()):
-        # a contiguous copy: every hamiltonian call below reads it
-        x_k = np.ascontiguousarray(states.values[:, k, :])
-        h_star = hamiltonian(dyn, nodes[k], x_k, law.at(k, m_paths), p_k, q_k)
-        h_max, _ = hamiltonian_argmax(dyn, nodes[k], x_k, p_k, q_k)
-        gaps[:, k] = np.maximum(h_star, h_max) - h_star
+    def node_gaps():
+        for k, (p_k, q_k) in zip(range(n_steps), costates.by_node()):
+            # a contiguous copy: every hamiltonian call below reads it
+            x_k = np.ascontiguousarray(states.values[:, k, :])
+            h_star = hamiltonian(dyn, nodes[k], x_k, law.at(k, m_paths), p_k, q_k)
+            h_max, _ = hamiltonian_argmax(dyn, nodes[k], x_k, p_k, q_k)
+            yield np.maximum(h_star, h_max) - h_star
 
-    fractions = {}
-    for thr in sorted({0.1, 0.01, cfg.gap_threshold}):
-        fractions[thr] = float(np.mean(gaps > thr))
-    passed = fractions[cfg.gap_threshold] <= cfg.violating_measure_tol
-    return MaxGapReport(
-        gaps=gaps,
-        mean=float(gaps.mean()),
-        max=float(gaps.max()),
-        violating_fractions=fractions,
-        grid_points=dyn.control_grid.shape[0],
-        passed=passed,
-    )
+    return gap_report(node_gaps(), grid_points, config)
 
 
 @dataclass(frozen=True)

@@ -340,10 +340,14 @@ def _costate_mean_rows(costates):
     ]
 
 
-def _gap_hist_rows(gaps, bins=32):
-    flat = np.asarray(gaps).ravel()
-    hi = max(float(flat.max()), 1e-12)
-    counts, edges = np.histogram(flat, bins=bins, range=(0.0, hi))
+def _gap_hist_rows(report, bins=32):
+    """The histogram of every cell's gap on [0, max]: the report's nonzero
+    gaps binned node by node, and its zero cells added to the first bin."""
+    hi = max(report.max, 1e-12)
+    counts, edges = np.histogram([], bins=bins, range=(0.0, hi))
+    for gaps in report.nonzero:
+        counts += np.histogram(gaps, bins=bins, range=(0.0, hi))[0]
+    counts[0] += report.cells - sum(gaps.size for gaps in report.nonzero)
     return [
         {"bin_lo": lo, "bin_hi": hi_, "count": int(c)}
         for lo, hi_, c in zip(edges[:-1], edges[1:], counts)
@@ -470,7 +474,7 @@ def _candidate_solution(cfg, ctx):
     grid = _grid(instance.horizon, cfg["n_steps"])
     values = _policy_values(cfg["policy"], instance, grid)
     brownian = sample_brownian(grid, 1, cfg["n_paths"], cfg["seed"])
-    return assemble_solution(instance, values, brownian)
+    return assemble_solution(instance, values, brownian, ctx.workers)
 
 
 def _diagnostics_summary(costates):
@@ -516,20 +520,21 @@ def _certify_solution(ctx, sol, config):
             "max": gaps.max,
             "violating_fractions": {format(k, "g"): v for k, v in gaps.violating_fractions.items()},
         },
-        "gap_hist": _gap_hist_rows(gaps.gaps),
+        "gap_hist": _gap_hist_rows(gaps),
     }
     return cert.verdict, results, {"certificate": "certificate.json"}
 
 
-def _solved(cfg):
+def _solved(cfg, ctx):
     instance = _instance(cfg["instance"])
     _grid(instance.horizon, cfg["n_steps"])  # solve_sop builds it after this check
-    return solve_sop(instance, n_steps=cfg["n_steps"], n_paths=cfg["n_paths"], seed=cfg["seed"])
+    return solve_sop(instance, n_steps=cfg["n_steps"], n_paths=cfg["n_paths"], seed=cfg["seed"],
+                     workers=ctx.workers)
 
 
 def _run_certify(cfg, ctx):
     config = _certify_config(cfg)
-    sol = _candidate_solution(cfg, ctx) if "policy" in cfg else _solved(cfg)
+    sol = _candidate_solution(cfg, ctx) if "policy" in cfg else _solved(cfg, ctx)
     artifacts = _write_bulk_artifacts(cfg, ctx, sol.states, sol.problem.dyn.noise_dim, sol.costates)
     status, results, cert_artifacts = _certify_solution(ctx, sol, config)
     results["costate_mean"] = _costate_mean_rows(sol.costates)
@@ -538,7 +543,7 @@ def _run_certify(cfg, ctx):
 
 def _run_sop_solve(cfg, ctx):
     config = _certify_config(cfg)
-    sol = _solved(cfg)
+    sol = _solved(cfg, ctx)
     artifacts = _write_bulk_artifacts(cfg, ctx, sol.states, sol.problem.dyn.noise_dim, sol.costates)
     necessity = bangbang_necessity(sol)
     safety = necessity.safety
@@ -665,9 +670,9 @@ def build_parser():
         p.add_argument(
             "--threads",
             type=int,
-            help=("worker processes for the paths of simulate and of the rate study, at most "
-                  "one per usable CPU (the default); results do not depend on it "
-                  f"(env {THREADS_ENV})"),
+            help=("worker processes for the paths of simulate, of the rate study and of the "
+                  "solve behind sop-solve, certify and adjoint, at most one per usable CPU "
+                  f"(the default); no output byte depends on it (env {THREADS_ENV})"),
         )
     return parser
 

@@ -19,6 +19,7 @@ successive approximations of Li, Chen, Tai & E, 2018).
 """
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -31,6 +32,7 @@ from .adjoint import (
     solve_adjoint,
 )
 from .certificate import CandidateBundle, ProblemSpec, hamiltonian_argmax
+from .forked import run_spans, shared_empty
 from .risk import AVaR, risk_subgradient, risk_value
 from .sde import (
     BrownianEnsemble,
@@ -40,6 +42,7 @@ from .sde import (
     FeedbackLaw,
     StateEnsemble,
     TimeGrid,
+    _warn_aborted,
     double_integrator_dynamics,
     euler_maruyama,
     fundamental_matrices,
@@ -237,13 +240,15 @@ class SopSolution(CandidateBundle):
     refinement: Optional["Refinement"] = None
 
 
-def assemble_solution(instance: SopInstance, control, brownian: BrownianEnsemble) -> SopSolution:
-    """Integrate a control (grid values, a ControlLaw or a FeedbackLaw) once
-    and solve the adjoint system behind it.  The states carry the controls
-    realized on the ensemble; the law (the FeedbackLaw, or the states'
-    ControlLaw) replays them, and the cost is the AV@R of the states."""
+def assemble_solution(instance: SopInstance, control, brownian: BrownianEnsemble,
+                      workers: int = 1) -> SopSolution:
+    """Integrate a control (grid values, a ControlLaw or a FeedbackLaw) once,
+    on at most ``workers`` processes, and solve the adjoint system behind
+    it.  The states carry the controls realized on the ensemble; the law
+    (the FeedbackLaw, or the states' ControlLaw) replays them, and the cost
+    is the AV@R of the states."""
     problem = build_sop(instance)
-    states = euler_maruyama(problem.dyn, control, problem.x0, brownian)
+    states = euler_maruyama(problem.dyn, control, problem.x0, brownian, workers)
     z = problem.cost(states.terminal)
     xi = risk_subgradient(problem.risk, z)
     terminal = assemble_terminal(xi, problem.cost_gradient(states.terminal))
@@ -260,7 +265,7 @@ def assemble_solution(instance: SopInstance, control, brownian: BrownianEnsemble
 
 SWEEP_DAMPING = 0.5   # weight of the previous sweep's coefficients
 MAX_SWEEPS = 12
-HOLDOUT_CHUNK = 2000  # most holdout paths sampled and integrated at a time
+HOLDOUT_BLOCK = 1000  # most holdout paths a worker draws and integrates at a time
 
 
 @dataclass(frozen=True)
@@ -288,61 +293,83 @@ def _sweep_law(dyn: DynamicsSpec, nodes: np.ndarray, coef: np.ndarray) -> Feedba
     q is not fitted, and the diffusion does not depend on u, so q cannot move the argmax."""
 
     def play(k, x, w):
-        p = RegressionBasis().feature_matrix(x, w) @ coef[k]
+        p = RegressionBasis().feature_rows(x, w).T @ coef[k]
         q = np.zeros((len(x), dyn.state_dim, dyn.noise_dim))
         return dyn.control_grid[hamiltonian_argmax(dyn, nodes[k], x, p, q)[1]]
 
     return FeedbackLaw(play, dim=dyn.control_dim)
 
 
-def holdout_losses(problem: ProblemSpec, law, holdout: List[BrownianEnsemble]) -> np.ndarray:
-    """Per-path terminal cost of a law integrated on the holdout chunks, in path order."""
-    # a copy of each chunk's terminal states lets its path history go
-    x_T = np.concatenate([euler_maruyama(problem.dyn, law, problem.x0, chunk).terminal.copy()
-                          for chunk in holdout])
+def holdout_losses(problem: ProblemSpec, law, holdout, workers: int = 1) -> np.ndarray:
+    """Per-path terminal cost of a law integrated on the holdout paths (a
+    BrownianSource, or a held BrownianEnsemble), in path order.  The paths
+    run in spans on at most ``workers`` processes (forked.run_spans): each
+    block is drawn and integrated by the process that reaches it, and only
+    its terminal states are kept, so no process holds more than one block's
+    increments and history.  Aborted paths warn once, here, as in
+    euler_maruyama."""
+    x_T = shared_empty((holdout.n_paths, problem.dyn.state_dim))
+    first_failure = shared_empty((holdout.n_paths,), int)
+
+    def score(lo, block):
+        with warnings.catch_warnings():  # counted over the whole holdout below
+            warnings.filterwarnings("ignore", r"\d+ path\(s\) aborted", RuntimeWarning)
+            states = euler_maruyama(problem.dyn, law, problem.x0, block)
+        x_T[lo:lo + block.n_paths] = states.terminal
+        first_failure[lo:lo + block.n_paths] = states.first_failure
+
+    run_spans(holdout, workers, score)
+    _warn_aborted(first_failure)
     return problem.cost(x_T)
 
 
-def _refine(start: SopSolution, shot: ShootResult, holdout: List[BrownianEnsemble]) -> SopSolution:
+def _refine(start: SopSolution, shot: ShootResult, holdout: BrownianSource,
+            workers: int) -> SopSolution:
     """Damped method of successive approximations from the shooting start.
 
     Sweep s maximizes the Hamiltonian path by path under the regressed
     costate (_sweep_law).  Its coefficients are the previous sweep's, damped
     by SWEEP_DAMPING toward the node fits of the last kept candidate's
     costate.  A sweep is kept only if it lowers AV@R on the independent
-    holdout ensemble (given in path chunks, which keeps its sampling
-    temporaries small); the first that does not ends the run, and the best
-    candidate found is returned.
+    holdout paths, drawn block by block where each score integrates them;
+    the first that does not ends the run, and the best candidate found is
+    returned.
     """
     problem, brownian, nodes = start.problem, start.states.brownian, start.states.grid.nodes
 
-    scores = [risk_value(problem.risk, holdout_losses(problem, start.law, holdout))]
+    def score(law):
+        return risk_value(problem.risk, holdout_losses(problem, law, holdout, workers))
+
+    scores = [score(start.law)]
     best, coef, kept = start, None, 0
     while kept < MAX_SWEEPS:
         # (K, B, n) coefficients of p_k = psi_k^T m_k; psi is path-constant here
         fresh = np.einsum("kbn,knm->kbm", best.costates.node_coef, best.costates.fund.psi[0, :-1])
         coef = fresh if coef is None else SWEEP_DAMPING * coef + (1.0 - SWEEP_DAMPING) * fresh
         law = _sweep_law(problem.dyn, nodes, coef)
-        scores.append(risk_value(problem.risk, holdout_losses(problem, law, holdout)))
+        scores.append(score(law))
         if not scores[-1] < scores[-2]:
             break
-        best = assemble_solution(start.instance, law, brownian)
+        best = assemble_solution(start.instance, law, brownian, workers)
         kept += 1
     return replace(best, refinement=Refinement(start=shot, scores=scores, sweeps=kept))
 
 
-def solve_sop(instance: SopInstance, n_steps: int, n_paths: int, seed: int) -> SopSolution:
+def solve_sop(instance: SopInstance, n_steps: int, n_paths: int, seed: int,
+              workers: int = 1) -> SopSolution:
     """Shoot over open-loop bang-bang profiles, then refine over adapted
-    controls; the holdout ensemble is the same seed's next n_paths paths."""
+    controls; the holdout is the same seed's next n_paths paths.  The
+    forward passes run their paths on at most ``workers`` processes, which
+    changes no value."""
     grid = make_grid(instance.horizon, n_steps)
     brownian = sample_brownian(grid, 1, n_paths, seed)
     shot = shoot(instance, brownian)
     # the shoot scores the continuous-time displacement, not the Euler states
     # with their switches snapped to nodes, so this cost is not their AV@R
-    start = replace(assemble_solution(instance, shot.policy.on_grid(grid), brownian), cost=shot.cost)
-    holdout = list(BrownianSource(grid, 1, 2 * n_paths, seed, HOLDOUT_CHUNK)
-                   .blocks(n_paths, 2 * n_paths))
-    return _refine(start, shot, holdout)
+    start = replace(assemble_solution(instance, shot.policy.on_grid(grid), brownian, workers),
+                    cost=shot.cost)
+    holdout = BrownianSource(grid, 1, n_paths, seed, HOLDOUT_BLOCK, path_offset=n_paths)
+    return _refine(start, shot, holdout, workers)
 
 
 @dataclass(frozen=True)

@@ -154,22 +154,25 @@ def sample_brownian(
 
 @dataclass(frozen=True)
 class BrownianSource:
-    """The ensemble sample_brownian(grid, dim, n_paths, seed) gives, drawn on
-    demand: blocks(lo, hi) samples paths lo..hi-1 in the fewest blocks of at
-    most ``block`` paths, near-equal in size, each at its path offset, so any
-    span of the paths is drawn bit for bit as in the whole ensemble, by
-    whichever process reaches it, and a process holds at most one block."""
+    """The ensemble sample_brownian(grid, dim, n_paths, seed, path_offset)
+    gives, drawn on demand: blocks(lo, hi) samples paths lo..hi-1 in the
+    fewest blocks of at most ``block`` paths, near-equal in size, each at its
+    path offset, so any span of the paths is drawn bit for bit as in the
+    whole ensemble, by whichever process reaches it, and a process holds at
+    most one block."""
 
     grid: TimeGrid
     dim: int
     n_paths: int
     seed: int
     block: int
+    path_offset: int = 0
 
     def __post_init__(self):
         checked = dict(dim=integer_at_least(self.dim, "dim", 1),
                        n_paths=validate_n_paths(self.n_paths), seed=validate_seed(self.seed),
-                       block=integer_at_least(self.block, "block", 1))
+                       block=integer_at_least(self.block, "block", 1),
+                       path_offset=integer_at_least(self.path_offset, "path_offset", 0))
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
@@ -179,7 +182,8 @@ class BrownianSource:
         when the iteration reaches it."""
         for left in range(-(-(hi - lo) // self.block), 0, -1):  # blocks still to draw
             n = -(-(hi - lo) // left)
-            yield sample_brownian(self.grid, self.dim, n, self.seed, path_offset=lo)
+            yield sample_brownian(self.grid, self.dim, n, self.seed,
+                                  path_offset=self.path_offset + lo)
             lo += n
 
 

@@ -324,3 +324,19 @@ def selection_continuity(dyn: DynamicsSpec, states: StateEnsemble, g_a, g_b) -> 
     diff = solve_linearized(a_fn, d_fn, g, states.recorded("brownian"))
     num_sq = float(np.mean(np.max(np.sum(diff.values**2, axis=2), axis=1)))
     return np.sqrt(num_sq / denom_sq)
+
+
+# ---------------------------------------------------------------------------
+# the maximization gap's summary over the dense (M, K) array of cell gaps
+
+
+def dense_gap_summary(gaps: np.ndarray, thresholds: Sequence[float], bins: int = 32):
+    """(fractions, max, histogram counts, bin edges) of the cell gaps held
+    whole: the fraction of cells above each threshold, the largest gap, and
+    the bins-bin histogram of every cell over [0, max] (at least 1e-12
+    wide), which certificate.gap_report and the CLI's gap_hist.csv give
+    from the nonzero gaps alone."""
+    flat = gaps.ravel()
+    counts, edges = np.histogram(flat, bins=bins, range=(0.0, max(float(flat.max()), 1e-12)))
+    return ({thr: float(np.mean(gaps > thr)) for thr in thresholds}, float(gaps.max()),
+            counts, edges)

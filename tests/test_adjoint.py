@@ -474,9 +474,25 @@ def test_costate_readers_hold_no_costate_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = sum(a.nbytes for a in (pair.node_coef, pair.mu_coef, gaps.gaps, band.mean, band.stderr,
-                                  report.slopes, report.stderrs))
+    held = sum(a.nbytes for a in (pair.node_coef, pair.mu_coef, *gaps.nonzero, band.mean,
+                                  band.stderr, report.slopes, report.stderrs))
     assert peak - held < m_paths * (n_steps + 1) * dyn.state_dim * 8, (peak, held)
+
+    # u = -1 against a terminal gradient mostly positive in y leaves 7% of
+    # the gaps nonzero; keeping only those, the gap peaks below one (M, K)
+    # array of them
+    states, term, fund = _pair_inputs(dyn, ControlLaw.constant(-1.0, n_steps), np.zeros(2),
+                                      n_steps, m_paths, seed=8)
+    gradient = np.stack([states.terminal[:, 0] + 1.5, np.zeros(m_paths)], axis=1)
+    pair = solve_adjoint(dyn, states, assemble_terminal(term.xi, gradient), fund)
+    tracemalloc.start()
+    try:
+        gaps = maximization_gap(problem, states, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < sum(g.size for g in gaps.nonzero) < 0.1 * gaps.cells
+    assert peak < m_paths * n_steps * 8, peak
 
 
 # ---------------------------------------------------------------------------

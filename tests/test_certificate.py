@@ -2,15 +2,17 @@
 linear-quadratic benchmark whose optimal feedback has a closed form."""
 
 import json
+import math
 import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from oracles import conditional_expectation, selection_continuity, tower_check
+from oracles import conditional_expectation, dense_gap_summary, selection_continuity, tower_check
 from riskpmp import (
     AVaR,
     CandidateBundle,
@@ -45,7 +47,8 @@ from riskpmp import (
     solve_linearized,
     tangent_from_control,
 )
-from riskpmp.certificate import hamiltonian_argmax
+from riskpmp.certificate import gap_report, hamiltonian_argmax
+from riskpmp.cli import _gap_hist_rows
 from riskpmp.sde import StateEnsemble, _dot_last
 
 
@@ -418,8 +421,17 @@ def test_gap_hand_cells_double_integrator():
     p[1, :, 1] = -3.0  # max at u=-1, candidate already there: gap 0
     pair = ArrayCostates(p, np.zeros((2, 2, 2, 1)))
     rep = maximization_gap(toy_problem(), states, pair)
-    np.testing.assert_allclose(rep.gaps[0], 4.0)
-    np.testing.assert_allclose(rep.gaps[1], 0.0)
+    # each node keeps one nonzero gap, 4, of its two cells: path 0's, since
+    # on its own path 0 keeps a 4 at both nodes and path 1 keeps none
+    assert rep.cells == 4
+    for g in rep.nonzero:
+        np.testing.assert_allclose(g, [4.0])
+    for path, kept in ((0, [4.0]), (1, [])):
+        one = maximization_gap(toy_problem(), replace(states, values=states.values[path:path + 1]),
+                               ArrayCostates(p[path:path + 1], np.zeros((1, 2, 2, 1))))
+        assert one.cells == 2
+        for g in one.nonzero:
+            np.testing.assert_allclose(g, kept)
     assert rep.mean == pytest.approx(2.0)
     assert rep.max == pytest.approx(4.0)
     assert rep.violating_fractions[0.1] == pytest.approx(0.5)
@@ -433,8 +445,33 @@ def test_gap_nonnegative_for_off_grid_candidate():
                            control=ControlLaw(rng.uniform(-0.97, 0.97, size=(30, 4, 1))))
     pair = ArrayCostates(rng.normal(size=(30, 5, 2)), rng.normal(size=(30, 4, 2, 1)))
     rep = maximization_gap(toy_problem(), states, pair)
-    assert np.all(rep.gaps >= 0.0)
+    # every gap kept is positive and every other cell's is exactly 0
+    assert rep.cells == 30 * 4 and len(rep.nonzero) == 4
+    assert all(g.shape[0] <= 30 and np.all(g > 0.0) for g in rep.nonzero)
     assert rep.grid_points == 21
+
+
+_cell_gaps = arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=9),
+                    elements=st.sampled_from([0.0, 0.01, 0.1, 1.0]) | st.floats(0.0, 50.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps=_cell_gaps, threshold=st.sampled_from([0.01, 0.5, 1.0]))
+@example(gaps=np.zeros((3, 4)), threshold=1.0)
+@example(gaps=np.full((3, 4), 0.5), threshold=0.5)
+def test_gap_report_matches_the_dense_oracle(gaps, threshold):
+    # the report from each node's nonzero gaps, and the CLI's histogram of
+    # it, equal the summary of the dense (M, K) array of the same gaps,
+    # the all-zero and the all-nonzero array included
+    rep = gap_report(iter(gaps.T), grid_points=2, config=CertifyConfig(gap_threshold=threshold))
+    fractions, top, counts, edges = dense_gap_summary(gaps, (0.01, 0.1, threshold))
+    assert rep.violating_fractions == fractions
+    assert rep.max == top
+    assert rep.cells == gaps.size
+    assert sum(g.size for g in rep.nonzero) == np.count_nonzero(gaps)
+    assert rep.mean == math.fsum(gaps.ravel()) / gaps.size == pytest.approx(gaps.mean())
+    assert _gap_hist_rows(rep) == [{"bin_lo": lo, "bin_hi": hi, "count": int(c)}
+                                   for lo, hi, c in zip(edges[:-1], edges[1:], counts)]
 
 
 def test_states_without_control_rejected_by_name():

@@ -1068,6 +1068,32 @@ def test_sop_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_sop_solve_bytes_do_not_depend_on_threads(tmp_path, capsys, monkeypatch):
+    # on the reachable instance the refinement keeps 6 sweeps, so the
+    # feedback law runs on two spans of paths, in every holdout score and in
+    # the solve: every artifact has the bytes of the one-worker run
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+    cfg = {"kind": "sop-solve", "seed": 11, "n_steps": 40, "n_paths": 2000,
+           "instance": {**SAFE_INSTANCE, "y_target": 1.0}, "tolerances": dict(CALIBRATED)}
+    cfg_path = write_cfg(tmp_path, cfg)
+    outs = [tmp_path / "one", tmp_path / "two"]
+    codes = [main(["sop-solve", "--config", cfg_path, "--out", str(out), "--threads", threads])
+             for threads, out in zip(("1", "2"), outs)]
+    assert codes[0] == codes[1]
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert {"costates.csv", "qcoef.csv", "gap_hist.csv", "certificate.json"} <= set(names)
+    for name in names:
+        if name != "report.json":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    reports = [load_report(out) for out in outs]
+    assert reports[0]["results"]["refinement"]["sweeps"] == 6
+    for rep in reports:
+        del rep["created_utc"], rep["reproduction"]["config"]["out_dir"]
+    assert reports[0] == reports[1]
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # convergence
 

@@ -3,6 +3,7 @@ shooting search contracts and its bounded Brent port against SciPy's, the
 refinement's acceptance rule, safety margins, and the bang-bang analysis."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from riskpmp import (
     build_sop,
     certify,
     euler_maruyama,
+    forked,
     make_grid,
     martingale_check,
     planner,
@@ -348,20 +350,60 @@ def test_sweep_plays_the_sign_rule_it_replaced(monkeypatch):
 
 
 def test_holdout_chunk_size_does_not_move_the_refinement(monkeypatch):
-    # the holdout is scored chunk by chunk: 29 chunks of at most 7 paths (26
-    # of 7 and 3 of 6) give the floats of one 200-path chunk
+    # the holdout is drawn and scored block by block where it is integrated:
+    # 29 blocks of at most 7 paths (26 of 7 and 3 of 6) on one worker, or
+    # two spans of 100 paths in blocks of at most 7 on two, give the floats
+    # of one 200-path block
     whole = solve_sop(REACH, n_steps=20, n_paths=200, seed=1)
-    monkeypatch.setattr(planner, "HOLDOUT_CHUNK", 7)
-    chunked = solve_sop(REACH, n_steps=20, n_paths=200, seed=1)
     assert whole.refinement.sweeps >= 1
-    assert chunked.refinement.scores == whole.refinement.scores
-    assert (chunked.cost, chunked.refinement.sweeps) == (whole.cost, whole.refinement.sweeps)
+    monkeypatch.setattr(planner, "HOLDOUT_BLOCK", 7)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+    for workers in (1, 2):
+        chunked = solve_sop(REACH, n_steps=20, n_paths=200, seed=1, workers=workers)
+        assert chunked.refinement.scores == whole.refinement.scores
+        assert (chunked.cost, chunked.refinement.sweeps) == (whole.cost, whole.refinement.sweeps)
     # so are the kept law's per-path losses, in path order
     grid = make_grid(REACH.horizon, 20)
     losses = [planner.holdout_losses(whole.problem, whole.law,
-                                     list(BrownianSource(grid, 1, 400, 1, block).blocks(200, 400)))
-              for block in (7, 200)]
-    assert np.array_equal(*losses)
+                                     BrownianSource(grid, 1, 200, 1, block, path_offset=200),
+                                     workers)
+              for block in (7, 200) for workers in (1, 2)]
+    for other in losses[1:]:
+        assert np.array_equal(losses[0], other)
+
+
+def test_aborted_holdout_paths_warn_once_in_the_caller(capfd, monkeypatch):
+    # a law that drives some holdout paths to infinity: each score names
+    # them once, here, whichever process integrated them, and a forked
+    # worker prints nothing
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+    grid, problem = make_grid(REACH.horizon, 10), build_sop(REACH)
+    law = FeedbackLaw(lambda k, x, w: np.where(w > 0.5, np.inf, 1.0), dim=1)
+    holdout = BrownianSource(grid, 1, 60, 4, block=7, path_offset=60)
+    for workers in (1, 2):
+        with pytest.warns(RuntimeWarning, match=r"^\d+ path\(s\) aborted") as record:
+            losses = planner.holdout_losses(problem, law, holdout, workers)
+        assert len(record) == 1
+        assert str(record[0].message).startswith(f"{np.isnan(losses).sum()} path(s)")
+        assert 0 < np.isnan(losses).sum() < 60
+    assert capfd.readouterr().err == ""
+
+
+def test_one_holdout_score_holds_no_holdout_ensemble():
+    # a score draws each block where it integrates it, so its traced peak
+    # stays below the (n, K, d) increments of the holdout it scores
+    n_paths, n_steps = 4000, 100
+    grid, problem = make_grid(REACH.horizon, n_steps), build_sop(REACH)
+    coef = np.random.default_rng(2).normal(size=(n_steps, 10, 2))
+    law = planner._sweep_law(problem.dyn, grid.nodes, coef)
+    holdout = BrownianSource(grid, 1, n_paths, 5, planner.HOLDOUT_BLOCK, path_offset=n_paths)
+    tracemalloc.start()
+    try:
+        losses = planner.holdout_losses(problem, law, holdout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - losses.nbytes < n_paths * n_steps * 8, peak
 
 
 @pytest.mark.parametrize("seed, sweeps", [(11, 6), (3, 0)])
@@ -376,7 +418,7 @@ def test_solution_law_replays_its_states_and_its_holdout_score(seed, sweeps):
     assert np.array_equal(again.values, sol.states.values)
     assert np.array_equal(again.control.values, sol.states.control.values)
     holdout = sample_brownian(sol.states.grid, 1, 2000, seed, path_offset=2000)
-    score = risk_value(sol.problem.risk, planner.holdout_losses(sol.problem, sol.law, [holdout]))
+    score = risk_value(sol.problem.risk, planner.holdout_losses(sol.problem, sol.law, holdout))
     assert score == sol.refinement.scores[sweeps]
 
 

@@ -256,6 +256,20 @@ def test_source_blocks_are_the_fewest_near_equal_blocks_in_order(lo, size, block
     assert np.array_equal(np.concatenate([b.increments for b in blocks] + [whole[:0]]), whole)
 
 
+def test_source_at_a_path_offset_is_that_slice_of_the_seed_paths():
+    # the planner's holdout: paths offset.. of the seed's stream, in blocks
+    grid = make_grid(1.0, 3)
+    source = BrownianSource(grid, 1, 40, 5, block=7, path_offset=25)
+    whole = sample_brownian(grid, 1, 65, 5).increments
+    assert np.array_equal(np.concatenate([b.increments for b in source.blocks(3, 40)]),
+                          whole[28:65])
+    assert np.array_equal(sample_brownian(grid, 1, 40, 5, path_offset=25).increments,
+                          np.concatenate([b.increments for b in source.blocks(0, 40)]))
+    for bad in (-1, 2.0):
+        with pytest.raises(ValueError, match="path_offset must be a nonnegative integer"):
+            BrownianSource(grid, 1, 40, 5, block=7, path_offset=bad)
+
+
 def test_euler_maruyama_rejects_feedback_callable():
     # a bare function is not a control; feedback enters as a FeedbackLaw
     dyn = double_integrator_dynamics()
